@@ -74,7 +74,7 @@ fn batching(c: &mut Criterion) {
     group.bench_function("batched_eval_many", |b| {
         b.iter(|| {
             let client = db.client_mut();
-            let root = client.root().unwrap().unwrap();
+            let root = client.roots().unwrap()[0];
             let all = client.descendants(root).unwrap();
             let v = client.value_of("bidder").unwrap();
             client
@@ -88,7 +88,7 @@ fn batching(c: &mut Criterion) {
     group.bench_function("per_node_round_trips", |b| {
         b.iter(|| {
             let client = db.client_mut();
-            let root = client.root().unwrap().unwrap();
+            let root = client.roots().unwrap()[0];
             let all = client.descendants(root).unwrap();
             let v = client.value_of("bidder").unwrap();
             let mut hits = 0;

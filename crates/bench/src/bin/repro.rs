@@ -16,8 +16,8 @@ use ssx_bench::{
     build_db, document, full_sweep, paper_map, paper_seed, scale, table1_queries, TABLE2,
 };
 use ssx_core::{
-    accuracy_percent, encode_document, serve_tcp_mux, serve_tcp_sharded, ClientFilter, EncryptedDb,
-    Engine, EngineKind, MatchRule, MuxPool, ShardRouter, ShardedServer,
+    accuracy_percent, encode_document, serve_tcp_mux, ClientFilter, EncryptedDb, Engine,
+    EngineKind, MatchRule, MuxPool, ShardRouter, ShardedServer,
 };
 use ssx_trie::corpus_stats;
 use ssx_xml::Document;
@@ -74,26 +74,36 @@ fn time_ns<F: FnMut()>(mut op: F) -> f64 {
     }
 }
 
+/// Stops a mux host through one of its pooled connections.
+fn shut_down_mux_host(pool: &MuxPool) {
+    use ssx_core::Transport as _;
+    ShardRouter::mux(pool)
+        .call(&ssx_core::protocol::Request::Shutdown)
+        .expect("shutdown");
+}
+
 /// `bench-json` — machine-readable perf-trajectory datapoint (written to
 /// `path`, default `BENCH_10.json`; the committed file is the PR-10
-/// baseline and CI re-runs this on every push).
+/// baseline and CI re-runs this on every push). Schema 10 drops the
+/// thread-per-connection rows of the clients × transport matrix, whose
+/// host no longer exists.
 ///
 /// Everything is measured at the paper's `q = 83`: the two ring-product
 /// representations, the boundary transforms, the pack/unpack boundary, the
 /// per-node encode cost, an end-to-end Table-1 chain query under both
 /// engines, the shard-count × batching × speculation matrix of the sharded
-/// query plane, the **clients × transport matrix** (N concurrent clients
-/// running the chain over a real TCP host, thread-per-connection vs
-/// multiplexed; the run asserts the mux plane serves 8 concurrent clients
-/// in no more wall-clock than the threaded one), the (schema 5) **fleet
+/// query plane, the **clients matrix** (N concurrent clients running the
+/// chain over one shared pool into a real TCP host, every answer asserted
+/// against the single-client one), the (schema 5) **fleet
 /// n × t matrix**: the chain on a t-of-n multi-party deployment, asserting
 /// results and wave count identical to the single-party plane in every
 /// cell, and (new in schema 8) the **sustained-ingest row**: one writer
 /// client streams whole-document inserts and deletes into a live sharded
-/// TCP host while a query mix runs concurrently — rows/s acked, with the
-/// baseline document's matches asserted present in every concurrent
-/// answer and the baseline answer asserted restored bit-exactly once the
-/// writer removes everything it inserted. New in schema 9: the
+/// TCP host (the mux host since schema 10) while a query mix runs
+/// concurrently — rows/s acked, with the baseline document's matches
+/// asserted present in every concurrent answer and the baseline answer
+/// asserted restored bit-exactly once the writer removes everything it
+/// inserted. New in schema 9: the
 /// **aggregation matrix** — COUNT/SUM/AVG over the numeric plane, with
 /// and without a range predicate, on the sharded plane and on a 3-party
 /// t = 2 fleet, every cell asserted bit-identical to the plaintext
@@ -363,12 +373,11 @@ fn bench_json(path: &str) {
         ));
     }
 
-    // The clients × transport matrix (the PR-5 datapoint): N concurrent
+    // The clients matrix (mux rows only since schema 10): N concurrent
     // clients each run the chain query REPS times against a live TCP host,
-    // S = 2 — thread-per-connection (every client opens its own per-shard
-    // sockets, each costing a server thread) vs multiplexed (every client
-    // rides one shared pool, one socket per shard, fixed server pool).
-    // Every query's result is asserted against the single-client answer.
+    // S = 2, every client riding one shared pool (one socket per shard,
+    // fixed server pool). Every query's result is asserted against the
+    // single-client answer.
     const MUX_BENCH_CLIENTS: [usize; 3] = [1, 2, 8];
     const MUX_BENCH_REPS: usize = 4;
     const MUX_BENCH_SHARDS: u32 = 2;
@@ -382,94 +391,49 @@ fn bench_json(path: &str) {
             .expect("query")
             .pres()
     };
-    let transport_cell = |clients: usize, mux: bool| -> f64 {
+    let transport_cell = |clients: usize| -> f64 {
         let out = encode_document(&mux_doc, &map, &seed).expect("encode");
         let server =
             ShardedServer::from_table(out.table, out.ring, MUX_BENCH_SHARDS).expect("shard");
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
-        let host = std::thread::spawn(move || {
-            if mux {
-                serve_tcp_mux(listener, server, 0).expect("mux host")
-            } else {
-                serve_tcp_sharded(listener, server).expect("threaded host")
-            }
-        });
+        let host = std::thread::spawn(move || serve_tcp_mux(listener, server, 0).expect("host"));
         let started = Instant::now();
-        let pool = mux.then(|| MuxPool::connect(addr, MUX_BENCH_SHARDS).expect("pool"));
+        let pool = MuxPool::connect(addr, MUX_BENCH_SHARDS).expect("pool");
         std::thread::scope(|scope| {
             for _ in 0..clients {
-                let pool = pool.clone();
                 let (map, seed) = (map.clone(), seed.clone());
                 let query = chain_query.clone();
-                let expect = &chain_reference;
+                let (pool, expect) = (&pool, &chain_reference);
                 scope.spawn(move || {
-                    let run = |out: ssx_core::QueryOutcome| {
+                    let mut c =
+                        ClientFilter::new(ShardRouter::mux(pool), map, seed).expect("client");
+                    for _ in 0..MUX_BENCH_REPS {
+                        let out =
+                            Engine::run(EngineKind::Simple, MatchRule::Containment, &query, &mut c)
+                                .expect("query");
                         assert_eq!(&out.pres(), expect, "transport changed the answer");
-                    };
-                    if let Some(pool) = pool {
-                        let mut c =
-                            ClientFilter::new(ShardRouter::mux(&pool), map, seed).expect("client");
-                        for _ in 0..MUX_BENCH_REPS {
-                            run(Engine::run(
-                                EngineKind::Simple,
-                                MatchRule::Containment,
-                                &query,
-                                &mut c,
-                            )
-                            .expect("query"));
-                        }
-                    } else {
-                        let router = ShardRouter::connect(addr, MUX_BENCH_SHARDS).expect("connect");
-                        let mut c = ClientFilter::new(router, map, seed).expect("client");
-                        for _ in 0..MUX_BENCH_REPS {
-                            run(Engine::run(
-                                EngineKind::Simple,
-                                MatchRule::Containment,
-                                &query,
-                                &mut c,
-                            )
-                            .expect("query"));
-                        }
                     }
                 });
             }
         });
         let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-        drop(pool);
-        let mut closer = ssx_core::TcpTransport::connect(addr).expect("closer");
-        use ssx_core::Transport as _;
-        closer
-            .call(&ssx_core::protocol::Request::Shutdown)
-            .expect("shutdown");
-        drop(closer);
+        shut_down_mux_host(&pool);
         host.join().expect("host join");
         wall_ms
     };
     let mut mux_cells = Vec::new();
-    let mut threaded_8_ms = f64::INFINITY;
-    let mut mux_8_ms = f64::INFINITY;
     for clients in MUX_BENCH_CLIENTS {
-        for mux in [false, true] {
-            // Best of two runs per cell: the figure of merit is the plane's
-            // capability, not a scheduler hiccup.
-            let ms = transport_cell(clients, mux).min(transport_cell(clients, mux));
-            if clients == 8 {
-                if mux {
-                    mux_8_ms = ms;
-                } else {
-                    threaded_8_ms = ms;
-                }
-            }
-            let qps = (clients * MUX_BENCH_REPS) as f64 / (ms / 1e3);
-            mux_cells.push(format!(
-                "    {{ \"clients\": {clients}, \"mux\": {mux}, \
-                 \"shards\": {MUX_BENCH_SHARDS}, \"wall_ms\": {ms:.3}, \
-                 \"queries_per_s\": {qps:.1} }}"
-            ));
-        }
+        // Best of two runs per cell: the figure of merit is the plane's
+        // capability, not a scheduler hiccup.
+        let ms = transport_cell(clients).min(transport_cell(clients));
+        let qps = (clients * MUX_BENCH_REPS) as f64 / (ms / 1e3);
+        mux_cells.push(format!(
+            "    {{ \"clients\": {clients}, \"mux\": true, \
+             \"shards\": {MUX_BENCH_SHARDS}, \"wall_ms\": {ms:.3}, \
+             \"queries_per_s\": {qps:.1} }}"
+        ));
     }
-    let mux_speedup_8 = threaded_8_ms / mux_8_ms.max(0.001);
 
     // The aggregation matrix (the PR-10 datapoint): COUNT/SUM/AVG over
     // the auction document's numeric plane, with and without a range
@@ -635,7 +599,7 @@ fn bench_json(path: &str) {
     };
 
     // Sustained ingest under concurrent query load (the PR-9 datapoint):
-    // a live S=2 thread-per-connection TCP host; one writer client streams
+    // a live S=2 mux TCP host; one writer client streams
     // whole-document inserts (deleting every 4th inserted document to mix
     // the load) for a bounded window while query clients run the chain
     // continuously. Invariants asserted live: the baseline document's
@@ -652,7 +616,8 @@ fn bench_json(path: &str) {
         let server = ShardedServer::from_table(out.table, out.ring, INGEST_SHARDS).expect("shard");
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
-        let host = std::thread::spawn(move || serve_tcp_sharded(listener, server).expect("host"));
+        let host = std::thread::spawn(move || serve_tcp_mux(listener, server, 0).expect("host"));
+        let pool = MuxPool::connect(addr, INGEST_SHARDS).expect("pool");
         let ingest_doc = document(2 * 1024);
         let stop = AtomicBool::new(false);
         let queries_done = AtomicU64::new(0);
@@ -662,10 +627,10 @@ fn bench_json(path: &str) {
                 let (map, seed) = (map.clone(), seed.clone());
                 let query = chain_query.clone();
                 let (expect, stop) = (&chain_reference, &stop);
-                let (queries_done, conflicts) = (&queries_done, &conflicts);
+                let (queries_done, conflicts, pool) = (&queries_done, &conflicts, &pool);
                 scope.spawn(move || {
-                    let router = ShardRouter::connect(addr, INGEST_SHARDS).expect("connect");
-                    let mut c = ClientFilter::new(router, map, seed).expect("client");
+                    let mut c =
+                        ClientFilter::new(ShardRouter::mux(pool), map, seed).expect("client");
                     while !stop.load(Ordering::Relaxed) {
                         // A multi-wave query races the writer without
                         // snapshot isolation: a frontier node can vanish
@@ -700,9 +665,8 @@ fn bench_json(path: &str) {
                     }
                 });
             }
-            let mut db =
-                ssx_core::RemoteDb::connect(addr, INGEST_SHARDS, map.clone(), seed.clone())
-                    .expect("writer");
+            let mut db = ssx_core::RemoteMuxDb::connect_mux(&pool, map.clone(), seed.clone())
+                .expect("writer");
             let (mut rows, mut docs_in, mut docs_del) = (0u64, 0u64, 0u64);
             let mut live: Vec<u32> = Vec::new();
             let started = Instant::now();
@@ -724,8 +688,8 @@ fn bench_json(path: &str) {
             stop.store(true, Ordering::Relaxed);
             (rows, docs_in, docs_del, wall_ms)
         });
-        let router = ShardRouter::connect(addr, INGEST_SHARDS).expect("connect");
-        let mut c = ClientFilter::new(router, map.clone(), seed.clone()).expect("client");
+        let mut c =
+            ClientFilter::new(ShardRouter::mux(&pool), map.clone(), seed.clone()).expect("client");
         let fin = Engine::run(
             EngineKind::Simple,
             MatchRule::Containment,
@@ -739,12 +703,7 @@ fn bench_json(path: &str) {
             "deleting every inserted document must restore the baseline answer"
         );
         drop(c);
-        let mut closer = ssx_core::TcpTransport::connect(addr).expect("closer");
-        use ssx_core::Transport as _;
-        closer
-            .call(&ssx_core::protocol::Request::Shutdown)
-            .expect("shutdown");
-        drop(closer);
+        shut_down_mux_host(&pool);
         host.join().expect("host join");
         let queries = queries_done.load(Ordering::Relaxed);
         let conflicts = conflicts.load(Ordering::Relaxed);
@@ -766,7 +725,7 @@ fn bench_json(path: &str) {
 
     let spec_hit_rate = spec_hits_s1 as f64 / (spec_hits_s1 + spec_wasted_s1).max(1) as f64;
     let json = format!(
-        "{{\n  \"schema\": \"ssxdb-bench/9\",\n  \"q\": 83,\n  \"elements\": {elements},\n  \
+        "{{\n  \"schema\": \"ssxdb-bench/10\",\n  \"q\": 83,\n  \"elements\": {elements},\n  \
          \"ring_mul_coeff_ns\": {ring_mul_coeff_ns:.1},\n  \
          \"ring_mul_eval_ns\": {ring_mul_eval_ns:.1},\n  \
          \"ring_mul_speedup\": {:.1},\n  \
@@ -792,7 +751,6 @@ fn bench_json(path: &str) {
          \"speculative_hits\": {spec_hits_s1},\n  \
          \"speculative_wasted\": {spec_wasted_s1},\n  \
          \"speculative_hit_rate\": {spec_hit_rate:.3},\n  \
-         \"mux_speedup_8_clients\": {mux_speedup_8:.2},\n  \
          \"ingest_rows_per_s\": {ingest_rows_per_s:.0},\n  \
          \"agg_sum_qps\": {agg_sum_qps:.1},\n  \
          \"shard_batch_matrix\": [\n{}\n  ],\n  \
@@ -812,11 +770,6 @@ fn bench_json(path: &str) {
     println!("\nwrote {path}");
     // Asserted after the write so a regression still leaves the measured
     // numbers on disk (and in the CI log) for diagnosis.
-    assert!(
-        mux_8_ms <= threaded_8_ms,
-        "mux must serve 8 concurrent clients in no more wall-clock than \
-         thread-per-connection ({mux_8_ms:.3} ms vs {threaded_8_ms:.3} ms)"
-    );
     // PR-9 no-regression pins against the committed BENCH_8.json baselines
     // (node_encode_ns 847.6, unpack_radix_ns 644.4, ring_mul_eval_ns 80.8).
     // These numbers are host-sensitive — the PR-8 seed itself measures ~40%

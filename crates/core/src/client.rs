@@ -249,14 +249,6 @@ impl<T: Transport> ClientFilter<T> {
 
     // ---- structure -------------------------------------------------------
 
-    /// The root location.
-    pub fn root(&mut self) -> Result<Option<Loc>, CoreError> {
-        match self.transport.call(&Request::Root)? {
-            Response::MaybeLoc(l) => Ok(l),
-            other => Err(unexpected(other)),
-        }
-    }
-
     /// All document roots in document order. A freshly encoded store has
     /// one; the write plane grows a forest, and queries start from every
     /// root.
@@ -731,7 +723,7 @@ mod tests {
     #[test]
     fn containment_semantics() {
         let mut c = client();
-        let root = c.root().unwrap().unwrap();
+        let root = c.roots().unwrap()[0];
         let va = c.value_of("a").unwrap();
         let vb = c.value_of("b").unwrap();
         let vc = c.value_of("c").unwrap();
@@ -752,7 +744,7 @@ mod tests {
     #[test]
     fn equality_semantics() {
         let mut c = client();
-        let root = c.root().unwrap().unwrap();
+        let root = c.roots().unwrap()[0];
         let vsite = c.value_of("site").unwrap();
         let va = c.value_of("a").unwrap();
         assert!(c.equality(root, vsite).unwrap());
@@ -769,7 +761,7 @@ mod tests {
     #[test]
     fn batched_containment_matches_single() {
         let mut c = client();
-        let root = c.root().unwrap().unwrap();
+        let root = c.roots().unwrap()[0];
         let all = {
             let mut v = vec![root];
             v.extend(c.descendants(root).unwrap());
@@ -785,7 +777,7 @@ mod tests {
     #[test]
     fn stats_track_costs() {
         let mut c = client();
-        let root = c.root().unwrap().unwrap();
+        let root = c.roots().unwrap()[0];
         let va = c.value_of("a").unwrap();
         c.containment(root, va).unwrap();
         let s = c.stats();
@@ -818,7 +810,7 @@ mod tests {
         let mut plain = client();
         let mut cached = client();
         cached.set_share_cache(true);
-        let root = plain.root().unwrap().unwrap();
+        let root = plain.roots().unwrap()[0];
         let vb = plain.value_of("b").unwrap();
         let all = {
             let mut v = vec![root];
@@ -828,7 +820,7 @@ mod tests {
         // Run the same containment workload three times on each client.
         let mut answers_plain = Vec::new();
         let mut answers_cached = Vec::new();
-        let root_c = cached.root().unwrap().unwrap();
+        let root_c = cached.roots().unwrap()[0];
         let all_c = {
             let mut v = vec![root_c];
             v.extend(cached.descendants(root_c).unwrap());
@@ -856,7 +848,7 @@ mod tests {
         let mut c = client();
         c.set_share_cache_capacity(2);
         assert_eq!(c.share_cache_capacity(), Some(2));
-        let root = c.root().unwrap().unwrap();
+        let root = c.roots().unwrap()[0];
         let vb = c.value_of("b").unwrap();
         let all = {
             let mut v = vec![root];
@@ -892,7 +884,7 @@ mod tests {
     #[test]
     fn batched_structure_fetches_match_singles() {
         let mut c = client();
-        let root = c.root().unwrap().unwrap();
+        let root = c.roots().unwrap()[0];
         let all = {
             let mut v = vec![root];
             v.extend(c.descendants(root).unwrap());
@@ -944,7 +936,7 @@ mod tests {
     #[test]
     fn equality_many_matches_sequential() {
         let mut c = client();
-        let root = c.root().unwrap().unwrap();
+        let root = c.roots().unwrap()[0];
         let all = {
             let mut v = vec![root];
             v.extend(c.descendants(root).unwrap());
@@ -968,7 +960,7 @@ mod tests {
     fn writes_pass_through_and_fence_cursors() {
         let mut c = client();
         c.set_share_cache(true);
-        let root = c.root().unwrap().unwrap();
+        let root = c.roots().unwrap()[0];
         let vb = c.value_of("b").unwrap();
         c.containment(root, vb).unwrap();
         assert!(c.cached_shares() > 0);
@@ -1019,7 +1011,7 @@ mod tests {
         let out = encode_document("<site><a><b/><b/></a><c/></site>", &map, &good).unwrap();
         let server = ServerFilter::new(out.table, out.ring);
         let mut c = ClientFilter::new(LocalTransport::new(server), map, bad).unwrap();
-        let root = c.root().unwrap().unwrap();
+        let root = c.roots().unwrap()[0];
         let vsite = c.value_of("site").unwrap();
         assert!(
             !c.containment(root, vsite).unwrap(),

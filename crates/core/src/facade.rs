@@ -10,9 +10,8 @@
 //! independent server filters.
 //!
 //! The facade is generic over its transport: the default parameter is the
-//! in-process plane, [`EncryptedDb::connect`] opens the same interface onto
-//! a remote thread-per-connection host, and [`EncryptedDb::connect_mux`]
-//! onto a multiplexed [`crate::transport::serve_tcp_mux`] host — many
+//! in-process plane, and [`EncryptedDb::connect_mux`] opens the same
+//! interface onto a remote [`crate::transport::serve_tcp_mux`] host — many
 //! `connect_mux` databases built on one [`MuxPool`] overlap their query
 //! waves on a single socket per shard.
 
@@ -25,25 +24,24 @@ use crate::encode::{
 use crate::engine::{Engine, EngineKind, MatchRule, QueryOutcome};
 use crate::error::CoreError;
 use crate::fleet::{
-    connect_fleet, connect_fleet_mux, local_fleet_router, FleetTransport, LocalPartyTransport,
-    PartyStatus, ResilienceConfig,
+    connect_fleet_mux, local_fleet_router, FleetTransport, LocalPartyTransport, PartyStatus,
+    ResilienceConfig,
 };
 use crate::map::MapFile;
 use crate::router::ShardRouter;
 use crate::shard::ShardedServer;
-use crate::transport::{LocalTransport, MuxPool, MuxTransport, TcpTransport, Transport};
+use crate::transport::{LocalTransport, MuxPool, MuxTransport, Transport};
 use ssx_poly::RingCtx;
 use ssx_prg::Seed;
 use ssx_store::{Loc, Row, SizeReport, Table, Wal, WalReplay};
 use ssx_xml::Document;
 use ssx_xpath::parse_query;
-use std::net::ToSocketAddrs;
 use std::path::Path;
 
 /// An encrypted database over some query-plane transport. The default type
 /// parameter is the in-process (optionally sharded) server every encode
-/// constructor builds; [`EncryptedDb::connect`]/[`EncryptedDb::connect_mux`]
-/// put the identical query interface on a remote host.
+/// constructor builds; [`EncryptedDb::connect_mux`] puts the identical
+/// query interface on a remote host.
 pub struct EncryptedDb<T: Transport + Send = ShardRouter<LocalTransport>> {
     client: ClientFilter<T>,
     encode_stats: EncodeStats,
@@ -64,9 +62,6 @@ pub struct InsertOutcome {
     /// Numbering offset the document was encoded at (`root_pre - 1`).
     pub offset: u32,
 }
-
-/// An [`EncryptedDb`] over a remote thread-per-connection TCP host.
-pub type RemoteDb = EncryptedDb<ShardRouter<TcpTransport>>;
 
 /// An [`EncryptedDb`] over a remote multiplexed host, riding a shared
 /// [`MuxPool`].
@@ -507,33 +502,13 @@ impl<T: Transport + Send> EncryptedDb<ShardRouter<T>> {
     }
 }
 
-impl RemoteDb {
-    /// Opens the facade onto a remote thread-per-connection host
-    /// ([`crate::transport::serve_tcp`] or
-    /// [`crate::transport::serve_tcp_sharded`]): one connection per shard,
-    /// shard count validated by the handshake. The map and seed stay
-    /// client-side; the server never sees them.
-    pub fn connect<A: ToSocketAddrs + Copy>(
-        addr: A,
-        shards: u32,
-        map: MapFile,
-        seed: Seed,
-    ) -> Result<Self, CoreError> {
-        let client = ClientFilter::new(ShardRouter::connect(addr, shards)?, map, seed)?;
-        Ok(EncryptedDb {
-            client,
-            encode_stats: EncodeStats::default(),
-            wal: None,
-        })
-    }
-}
-
 impl RemoteMuxDb {
-    /// Opens the facade onto a multiplexed host
-    /// ([`crate::transport::serve_tcp_mux`]) through a shared [`MuxPool`]:
-    /// every database built on the same pool multiplexes its query waves
-    /// over the pool's one socket per shard, so any number of concurrent
-    /// clients cost the server a fixed number of connections.
+    /// Opens the facade onto a [`crate::transport::serve_tcp_mux`] host
+    /// through a shared [`MuxPool`]: every database built on the same pool
+    /// multiplexes its query waves over the pool's one socket per shard, so
+    /// any number of concurrent clients cost the server a fixed number of
+    /// connections. The map and seed stay client-side; the server never
+    /// sees them.
     pub fn connect_mux(pool: &MuxPool, map: MapFile, seed: Seed) -> Result<Self, CoreError> {
         let client = ClientFilter::new(ShardRouter::mux(pool), map, seed)?;
         Ok(EncryptedDb {
@@ -549,12 +524,8 @@ impl RemoteMuxDb {
 /// ([`crate::fleet`]).
 pub type FleetDb = EncryptedDb<ShardRouter<FleetTransport<LocalPartyTransport>>>;
 
-/// An [`EncryptedDb`] over a TCP fleet of thread-per-connection party
-/// hosts, one connection per party per data shard.
-pub type RemoteFleetDb = EncryptedDb<ShardRouter<FleetTransport<TcpTransport>>>;
-
-/// An [`EncryptedDb`] over a fleet of multiplexed party hosts, one
-/// [`MuxPool`] per party.
+/// An [`EncryptedDb`] over a TCP fleet of party hosts, one [`MuxPool`]
+/// per party.
 pub type RemoteMuxFleetDb = EncryptedDb<ShardRouter<FleetTransport<MuxTransport>>>;
 
 impl FleetDb {
@@ -624,30 +595,11 @@ impl<T: Transport + Send + 'static> EncryptedDb<ShardRouter<FleetTransport<T>>> 
     }
 }
 
-impl RemoteFleetDb {
-    /// Opens the facade onto an `addrs.len()`-party TCP fleet
-    /// ([`crate::fleet::connect_fleet`]): parties dead at connect are
-    /// tolerated down to `threshold` live legs, and every wave reconstructs
-    /// with MAC verification client-side.
-    pub fn connect_fleet(
-        addrs: &[String],
-        threshold: usize,
-        map: MapFile,
-        seed: Seed,
-    ) -> Result<Self, CoreError> {
-        let router = connect_fleet(addrs, threshold, &map, &seed)?;
-        let client = ClientFilter::new(router, map, seed)?;
-        Ok(EncryptedDb {
-            client,
-            encode_stats: EncodeStats::default(),
-            wal: None,
-        })
-    }
-}
-
 impl RemoteMuxFleetDb {
-    /// Opens the facade onto a fleet of multiplexed party hosts
-    /// ([`crate::fleet::connect_fleet_mux`]): one [`MuxPool`] per party.
+    /// Opens the facade onto an `addrs.len()`-party TCP fleet
+    /// ([`crate::fleet::connect_fleet_mux`]): one [`MuxPool`] per party;
+    /// parties dead at connect are tolerated down to `threshold` live legs,
+    /// and every wave reconstructs with MAC verification client-side.
     pub fn connect_fleet_mux(
         addrs: &[String],
         threshold: usize,
@@ -816,57 +768,37 @@ mod tests {
         }
     }
 
-    /// The same facade, three transports: the in-process plane, a remote
-    /// thread-per-connection host and a remote mux host (two databases on
-    /// one shared pool) all answer identically.
+    /// The same facade, two transports: the in-process plane and a remote
+    /// host (two databases on one shared pool) answer identically, at the
+    /// same wave counts.
     #[test]
     fn remote_facades_match_the_local_plane() {
         use crate::protocol::Request;
-        use crate::transport::{serve_tcp_mux, serve_tcp_sharded};
+        use crate::transport::serve_tcp_mux;
         let map = || MapFile::sequential(83, 1, &["site", "a", "b", "c"]).unwrap();
         let xml = "<site><a><b><c/></b></a><a><c/></a><b><a><c/></a></b></site>";
         let shards = 2u32;
         let mut local =
             EncryptedDb::encode_sharded(xml, map(), Seed::from_test_key(33), shards).unwrap();
 
-        let spawn_host = |mux: bool| {
-            let out =
-                crate::encode::encode_document(xml, &map(), &Seed::from_test_key(33)).unwrap();
-            let server = ShardedServer::from_table(out.table, out.ring, shards).unwrap();
-            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-            let addr = listener.local_addr().unwrap();
-            let handle = std::thread::spawn(move || {
-                if mux {
-                    serve_tcp_mux(listener, server, 0).unwrap()
-                } else {
-                    serve_tcp_sharded(listener, server).unwrap()
-                }
-            });
-            (addr, handle)
-        };
-
-        let (tcp_addr, tcp_handle) = spawn_host(false);
-        let (mux_addr, mux_handle) = spawn_host(true);
-        let mut tcp = RemoteDb::connect(tcp_addr, shards, map(), Seed::from_test_key(33)).unwrap();
-        let pool = MuxPool::connect(mux_addr, shards).unwrap();
+        let out = crate::encode::encode_document(xml, &map(), &Seed::from_test_key(33)).unwrap();
+        let server = ShardedServer::from_table(out.table, out.ring, shards).unwrap();
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let handle = std::thread::spawn(move || serve_tcp_mux(listener, server, 0).unwrap());
+        let pool = MuxPool::dial(addr, None).unwrap();
         let mut mux_a = RemoteMuxDb::connect_mux(&pool, map(), Seed::from_test_key(33)).unwrap();
         let mut mux_b = RemoteMuxDb::connect_mux(&pool, map(), Seed::from_test_key(33)).unwrap();
-        assert_eq!(tcp.shards(), shards);
         assert_eq!(mux_a.shards(), shards);
 
         for q in ["/site/a", "//c", "/site/b//c"] {
             let want = local
                 .query(q, EngineKind::Advanced, MatchRule::Equality)
                 .unwrap();
-            let got = tcp
-                .query(q, EngineKind::Advanced, MatchRule::Equality)
-                .unwrap();
-            assert_eq!(got.pres(), want.pres(), "{q} (threaded)");
-            assert_eq!(got.stats.round_trips, want.stats.round_trips, "{q}");
             let got = mux_a
                 .query(q, EngineKind::Advanced, MatchRule::Equality)
                 .unwrap();
-            assert_eq!(got.pres(), want.pres(), "{q} (mux)");
+            assert_eq!(got.pres(), want.pres(), "{q}");
             assert_eq!(got.stats.round_trips, want.stats.round_trips, "{q}");
             let got = mux_b
                 .query(q, EngineKind::Advanced, MatchRule::Equality)
@@ -875,18 +807,12 @@ mod tests {
         }
         assert_eq!(pool.stray_responses(), 0);
 
-        tcp.client_mut()
-            .transport_mut()
-            .call(&Request::Shutdown)
-            .unwrap();
-        drop(tcp);
-        tcp_handle.join().unwrap();
         mux_a
             .client_mut()
             .transport_mut()
             .call(&Request::Shutdown)
             .unwrap();
-        mux_handle.join().unwrap();
+        handle.join().unwrap();
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! filters `0..S` hold the party's Shamir share of the data plane (the
 //! familiar partitions), filters `S..2S` hold its share of the MAC plane
 //! `α ⊙ data` ([`crate::encode::split_fleet`]). A fleet pipe mirrors every
-//! data-plane request (`Eval`/`EvalMany`/`GetPolys`) to the MAC shard as a
+//! data-plane request (`EvalMany`/`GetPolys`/`Agg`) to the MAC shard as a
 //! second frame on the same connection, so each wire frame still addresses
 //! exactly one shard and the frame format is untouched.
 //!
@@ -62,7 +62,7 @@ use crate::protocol::{
 use crate::router::ShardRouter;
 use crate::server::ServerFilter;
 use crate::shard::{partition_table, ShardSpec, ShardedServer};
-use crate::transport::{MuxPool, MuxTransport, TcpTransport, Transport, TransportStats};
+use crate::transport::{MuxPool, MuxTransport, Transport, TransportStats};
 use ssx_poly::{lagrange_at_zero, Packer, RingCtx};
 use ssx_prg::{Prg, Seed};
 use ssx_store::{Loc, Table};
@@ -464,8 +464,7 @@ enum MirrorPlan {
 fn is_data_plane(req: &Request) -> bool {
     matches!(
         req,
-        Request::Eval { .. }
-            | Request::EvalMany { .. }
+        Request::EvalMany { .. }
             | Request::GetPolys { .. }
             // Aggregate frames carry share content (grouped partial sums /
             // fetched rows); the MAC mirror reuses the same `expect_epoch`,
@@ -846,27 +845,6 @@ impl<T: Transport> FleetTransport<T> {
         macs: &[(usize, &Response)],
     ) -> Result<Response, FleetError> {
         let parties: Vec<usize> = parts.iter().map(|&(p, _)| p).collect();
-        // Scalar evaluation.
-        if parts.iter().all(|(_, r)| matches!(r, Response::Value(_)))
-            && macs.iter().all(|(_, r)| matches!(r, Response::Value(_)))
-        {
-            let data: Vec<Vec<u64>> = parts
-                .iter()
-                .map(|(_, r)| match r {
-                    Response::Value(v) => vec![*v],
-                    _ => unreachable!(),
-                })
-                .collect();
-            let mac: Vec<Vec<u64>> = macs
-                .iter()
-                .map(|(_, r)| match r {
-                    Response::Value(v) => vec![*v],
-                    _ => unreachable!(),
-                })
-                .collect();
-            let out = self.verified_vector(&parties, &data, &mac)?;
-            return Ok(Response::Value(out[0]));
-        }
         // Evaluation vectors of one common length.
         let values_of = |r: &Response| match r {
             Response::Values(v) => Some(v.clone()),
@@ -1570,162 +1548,58 @@ where
     Ok(ShardRouter::new(sspec, pipes, sspec.shards() > 1, false))
 }
 
-/// Per-party probe outcome during a fleet connect.
-struct Probe<T> {
-    transport: Option<T>,
-    host_shards: Option<u32>,
-    fault: Option<String>,
-}
+/// How long [`connect_fleet_mux`] waits for each party's connect and
+/// handshake: a party that accepts the connection but never answers counts
+/// as dead at connect instead of hanging the client.
+pub const FLEET_CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Asks one connected endpoint how many shards it serves.
-fn probe_shard_count<T: Transport>(t: &mut T) -> Result<u32, String> {
-    match t.call(&Request::ShardCount) {
-        Ok(Response::Count(c)) if c >= 2 && c % 2 == 0 && c <= u32::MAX as u64 => Ok(c as u32),
-        Ok(Response::Count(c)) => Err(format!(
-            "endpoint serves {c} shards; a fleet party serves an even count (S data + S MAC)"
-        )),
-        Ok(other) => Err(format!("unexpected handshake answer: {other:?}")),
-        Err(e) => Err(e.to_string()),
-    }
-}
+/// One party's pool after the connect-time handshake, or why it has none.
+type Probe = Result<MuxPool, String>;
 
-/// Resolves the host shard count the live probes agree on, requiring at
-/// least `threshold` live parties. Probes that disagree with the first
-/// live answer are faulted in place.
-fn fleet_consensus<T>(probes: &mut [Probe<T>], threshold: usize) -> Result<u32, CoreError> {
+/// Resolves the host shard count the reachable parties agree on, requiring
+/// at least `threshold` of them. A party whose count disagrees with the
+/// first reachable one is faulted in place.
+fn fleet_consensus(probes: &mut [Probe], threshold: usize) -> Result<u32, CoreError> {
     let mut agreed: Option<u32> = None;
     for p in probes.iter_mut() {
-        if let Some(c) = p.host_shards {
-            match agreed {
-                None => agreed = Some(c),
-                Some(a) if a != c => {
-                    p.fault = Some(format!("shard count mismatch: {c} vs fleet's {a}"));
-                    p.transport = None;
-                    p.host_shards = None;
-                }
-                _ => {}
-            }
+        let Ok(pool) = p else { continue };
+        let c = pool.shards();
+        match agreed {
+            None => agreed = Some(c),
+            Some(a) if a != c => *p = Err(format!("shard count mismatch: {c} vs fleet's {a}")),
+            _ => {}
         }
     }
-    let live = probes.iter().filter(|p| p.transport.is_some()).count();
-    let Some(total) = agreed else {
-        let faults: Vec<String> = probes
+    let faults = |probes: &[Probe]| -> String {
+        probes
             .iter()
             .enumerate()
-            .filter_map(|(j, p)| p.fault.as_ref().map(|f| format!("party {}: {f}", j + 1)))
-            .collect();
+            .filter_map(|(j, p)| p.as_ref().err().map(|f| format!("party {}: {f}", j + 1)))
+            .collect::<Vec<_>>()
+            .join("; ")
+    };
+    let Some(total) = agreed else {
         return Err(CoreError::Transport(format!(
             "no fleet party reachable ({})",
-            faults.join("; ")
+            faults(probes)
         )));
     };
+    let live = probes.iter().filter(|p| p.is_ok()).count();
     if live < threshold {
-        let faults: Vec<String> = probes
-            .iter()
-            .enumerate()
-            .filter_map(|(j, p)| p.fault.as_ref().map(|f| format!("party {}: {f}", j + 1)))
-            .collect();
         return Err(CoreError::Transport(format!(
             "fleet quorum unreachable at connect: {live} live, threshold {threshold} ({})",
-            faults.join("; ")
+            faults(probes)
         )));
     }
     Ok(total)
 }
 
-/// Connects to an `n`-party fleet over plain framed TCP
-/// ([`crate::transport::serve_tcp_sharded`] hosts), one connection per
-/// party per data shard. Parties dead at connect are tolerated down to
-/// `threshold` live legs.
-pub fn connect_fleet(
-    addrs: &[String],
-    threshold: usize,
-    map: &MapFile,
-    seed: &Seed,
-) -> Result<ShardRouter<FleetTransport<TcpTransport>>, CoreError> {
-    FleetSpec::new(addrs.len(), threshold)?;
-    let ring = RingCtx::new(map.p(), map.e())?;
-    let packer = Packer::new(&ring);
-    let alpha = fleet_mac_key(seed, &ring);
-    let mut probes: Vec<Probe<TcpTransport>> = addrs
-        .iter()
-        .map(|addr| match TcpTransport::connect(addr.as_str()) {
-            Ok(mut t) => match probe_shard_count(&mut t) {
-                Ok(c) => Probe {
-                    transport: Some(t),
-                    host_shards: Some(c),
-                    fault: None,
-                },
-                Err(f) => Probe {
-                    transport: None,
-                    host_shards: None,
-                    fault: Some(f),
-                },
-            },
-            Err(e) => Probe {
-                transport: None,
-                host_shards: None,
-                fault: Some(e.to_string()),
-            },
-        })
-        .collect();
-    let total = fleet_consensus(&mut probes, threshold)?;
-    let data_shards = total / 2;
-    let sspec = ShardSpec::new(data_shards);
-    let pipes = (0..sspec.shards())
-        .map(|k| {
-            let legs = probes
-                .iter_mut()
-                .enumerate()
-                .map(|(j, probe)| {
-                    let party = j + 1;
-                    let addr = addrs[j].clone();
-                    let dial: Dialer<TcpTransport> = {
-                        let addr = addr.clone();
-                        Arc::new(move |budget| TcpTransport::connect_within(addr.as_str(), budget))
-                    };
-                    let leg = match &probe.fault {
-                        Some(f) => FleetLeg::down(party, f.clone()),
-                        None => {
-                            // Reuse the probe connection for pipe 0; open a
-                            // fresh one per further pipe.
-                            let conn = if k == 0 {
-                                probe.transport.take().ok_or_else(|| {
-                                    CoreError::Transport("probe connection missing".into())
-                                })
-                            } else {
-                                TcpTransport::connect(addrs[j].as_str())
-                            };
-                            match conn {
-                                Ok(t) => FleetLeg::up(party, t),
-                                Err(e) => FleetLeg::down(party, e.to_string()),
-                            }
-                        }
-                    };
-                    leg.at(&addr).with_dialer(dial)
-                })
-                .collect();
-            let mut pipe = FleetTransport::new(
-                legs,
-                threshold,
-                sspec.shards(),
-                k,
-                ring.clone(),
-                packer.clone(),
-                alpha,
-                true,
-            );
-            pipe.set_split_seed(seed.clone());
-            pipe
-        })
-        .collect();
-    Ok(ShardRouter::new(sspec, pipes, sspec.shards() > 1, true))
-}
-
-/// Connects to an `n`-party fleet of multiplexed hosts
-/// ([`crate::transport::serve_tcp_mux`]): one [`MuxPool`] per party, the
-/// data-shard connections of which become the fleet legs. Parties dead at
-/// connect are tolerated down to `threshold` live legs.
+/// Connects to an `n`-party fleet of [`crate::transport::serve_tcp_mux`]
+/// hosts: one [`MuxPool`] per party, whose data-shard connections become
+/// the fleet legs. Each pool adopts the shard count its host reports in
+/// the `Hello` answer (`2·S`: data plus MAC planes). Parties dead at
+/// connect — refused, silent past [`FLEET_CONNECT_TIMEOUT`], or at odds
+/// with the fleet's layout — are tolerated down to `threshold` live legs.
 pub fn connect_fleet_mux(
     addrs: &[String],
     threshold: usize,
@@ -1736,98 +1610,40 @@ pub fn connect_fleet_mux(
     let ring = RingCtx::new(map.p(), map.e())?;
     let packer = Packer::new(&ring);
     let alpha = fleet_mac_key(seed, &ring);
-    // A mux host still answers the legacy-framed handshake, so probe with a
-    // plain connection before opening the pool with the right shard count.
-    let mut probes: Vec<Probe<MuxPool>> = addrs
+    let mut probes: Vec<Probe> = addrs
         .iter()
         .map(|addr| {
-            let probed = TcpTransport::connect(addr.as_str())
-                .map_err(|e| e.to_string())
-                .and_then(|mut t| probe_shard_count(&mut t));
-            match probed {
-                Ok(c) => Probe {
-                    // Pool is opened after consensus; hold the count only.
-                    transport: None,
-                    host_shards: Some(c),
-                    fault: None,
-                },
-                Err(f) => Probe {
-                    transport: None,
-                    host_shards: None,
-                    fault: Some(f),
-                },
+            let pool = MuxPool::dial(addr.as_str(), Some(FLEET_CONNECT_TIMEOUT))
+                .map_err(|e| e.to_string())?;
+            match pool.shards() {
+                c if c >= 2 && c % 2 == 0 => Ok(pool),
+                c => Err(format!(
+                    "endpoint serves {c} shards; a fleet party serves an even count \
+                     (S data + S MAC)"
+                )),
             }
         })
         .collect();
-    // `fleet_consensus` counts live probes by `transport`; for the mux path
-    // liveness is carried by `host_shards` instead, so check it directly.
-    let mut agreed: Option<u32> = None;
-    for p in probes.iter_mut() {
-        if let Some(c) = p.host_shards {
-            match agreed {
-                None => agreed = Some(c),
-                Some(a) if a != c => {
-                    p.fault = Some(format!("shard count mismatch: {c} vs fleet's {a}"));
-                    p.host_shards = None;
-                }
-                _ => {}
-            }
-        }
-    }
-    let live = probes.iter().filter(|p| p.host_shards.is_some()).count();
-    let Some(total) = agreed else {
-        let faults: Vec<String> = probes
-            .iter()
-            .enumerate()
-            .filter_map(|(j, p)| p.fault.as_ref().map(|f| format!("party {}: {f}", j + 1)))
-            .collect();
-        return Err(CoreError::Transport(format!(
-            "no fleet party reachable ({})",
-            faults.join("; ")
-        )));
-    };
-    if live < threshold {
-        return Err(CoreError::Transport(format!(
-            "fleet quorum unreachable at connect: {live} live, threshold {threshold}"
-        )));
-    }
-    let data_shards = total / 2;
-    let pools: Vec<Result<MuxPool, String>> = addrs
-        .iter()
-        .zip(&probes)
-        .map(|(addr, p)| match (&p.fault, p.host_shards) {
-            (None, Some(_)) => MuxPool::connect(addr.as_str(), total).map_err(|e| e.to_string()),
-            (fault, _) => Err(fault.clone().unwrap_or_else(|| "unreachable".into())),
-        })
-        .collect();
-    let live = pools.iter().filter(|p| p.is_ok()).count();
-    if live < threshold {
-        let faults: Vec<String> = pools
-            .iter()
-            .enumerate()
-            .filter_map(|(j, p)| p.as_ref().err().map(|f| format!("party {}: {f}", j + 1)))
-            .collect();
-        return Err(CoreError::Transport(format!(
-            "fleet quorum unreachable at connect: {live} live, threshold {threshold} ({})",
-            faults.join("; ")
-        )));
-    }
+    let data_shards = fleet_consensus(&mut probes, threshold)? / 2;
     let sspec = ShardSpec::new(data_shards);
     let pipes = (0..sspec.shards())
         .map(|k| {
-            let legs = pools
+            let legs = probes
                 .iter()
                 .enumerate()
-                .map(|(j, pool)| match pool {
+                .map(|(j, probe)| match probe {
                     Ok(pool) => {
                         // The dialer revives the party's pooled socket for
-                        // this shard (a no-op while it is healthy), so a
-                        // retry or re-admission probe re-dials at most one
-                        // connection shared by every rider.
+                        // this shard (a no-op while it is healthy) within
+                        // the budget it is handed, so a retry or
+                        // re-admission probe re-dials at most one
+                        // connection shared by every rider, and never
+                        // blocks past the deadline.
                         let dial: Dialer<MuxTransport> = {
                             let pool = pool.clone();
-                            Arc::new(move |_budget| {
-                                let t = pool.transport(k);
+                            Arc::new(move |budget| {
+                                let mut t = pool.transport(k);
+                                t.set_call_budget(budget);
                                 t.revive()?;
                                 Ok(t)
                             })

@@ -10,10 +10,10 @@
 //! | map file         | [`map`] — secret tag-name → `F_q` assignment |
 //! | `MySQLEncode`    | [`encode`] — streaming SAX encoder filling the server table |
 //! | `ServerFilter`   | [`server`] — evaluates stored shares, walks the tree, buffers cursors |
-//! | RMI              | [`protocol`] + [`transport`] — binary message protocol (single + batch frames) over in-process or TCP links |
+//! | RMI              | [`protocol`] + [`transport`] — binary message protocol (single + batch frames) over an in-process link or one multiplexed TCP host/client pair |
 //! | `ClientFilter`   | [`client`] — regenerates client shares from the seed, combines evaluations, batch-first fetch APIs |
 //! | —                | [`shard`] — deterministic `pre → shard` partition, `ShardedServer` (S independent filters) |
-//! | —                | [`router`] — `ShardRouter`: splits batches by shard, concurrent dispatch, document-order merge |
+//! | —                | [`router`] — `ShardRouter`: splits batches by shard, pipelined dispatch, document-order merge |
 //! | `SimpleQuery`    | [`engine::SimpleEngine`] |
 //! | `AdvancedQuery`  | [`engine::AdvancedEngine`] |
 //! | —                | [`mod@reference`] — plaintext XPath oracle (ground truth for Fig 7 accuracy) |
@@ -56,13 +56,10 @@ pub use engine::{
     SimpleEngine,
 };
 pub use error::CoreError;
-pub use facade::{
-    EncryptedDb, FleetDb, InsertOutcome, RemoteDb, RemoteFleetDb, RemoteMuxDb, RemoteMuxFleetDb,
-};
+pub use facade::{EncryptedDb, FleetDb, InsertOutcome, RemoteMuxDb, RemoteMuxFleetDb};
 pub use fleet::{
-    connect_fleet, connect_fleet_mux, local_fleet_router, local_fleet_router_wrapped, party_server,
-    Dialer, FleetLeg, FleetTransport, LocalPartyTransport, PartyHealth, PartyStatus,
-    ResilienceConfig,
+    connect_fleet_mux, local_fleet_router, local_fleet_router_wrapped, party_server, Dialer,
+    FleetLeg, FleetTransport, LocalPartyTransport, PartyHealth, PartyStatus, ResilienceConfig,
 };
 pub use map::MapFile;
 pub use reference::{reference_aggregate, reference_eval, RefAggregate};
@@ -70,7 +67,6 @@ pub use router::ShardRouter;
 pub use server::{ServerFilter, ServerStats};
 pub use shard::{partition_table, ShardSpec, ShardedServer};
 pub use transport::{
-    serve_tcp, serve_tcp_mux, serve_tcp_mux_auto, serve_tcp_mux_opts, serve_tcp_sharded,
-    serve_tcp_sharded_auto, Deadline, LocalTransport, MuxHostOptions, MuxPool, MuxTransport,
-    PendingCall, TcpTransport, Transport, DEFAULT_MUX_WRITE_STALL,
+    serve_tcp_mux, serve_tcp_mux_opts, Deadline, LocalTransport, MuxHostOptions, MuxPool,
+    MuxTransport, PendingCall, Transport, DEFAULT_MUX_WRITE_STALL,
 };

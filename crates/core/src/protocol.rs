@@ -25,15 +25,13 @@ pub const AGG_FENCE: &str = "store epoch changed";
 
 /// The multiplexed-transport protocol version this build speaks. A
 /// [`Request::Hello`] carrying at least this version upgrades a connection
-/// to correlation-tagged framing (see [`encode_corr_payload`]); every frame
-/// that existed before the handshake keeps its exact legacy bytes.
+/// to correlation-tagged framing (see [`encode_corr_payload`]); the frames
+/// inside the envelope keep their exact bytes.
 pub const MUX_PROTOCOL_VERSION: u32 = 1;
 
 /// Client → server messages.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Request {
-    /// The root node ("the only node without a parent", §5.3).
-    Root,
     /// Location of a specific node.
     GetLoc {
         /// Node `pre`.
@@ -49,15 +47,9 @@ pub enum Request {
         /// Subtree root location.
         loc: Loc,
     },
-    /// Evaluate the stored (server-share) polynomial of one node at a point.
-    Eval {
-        /// Node `pre`.
-        pre: u32,
-        /// Evaluation point (field element code).
-        point: u64,
-    },
-    /// Evaluate many nodes at the same point — one round trip for a whole
-    /// candidate set (the paper's server-side `Queue`).
+    /// Evaluate the stored (server-share) polynomials of many nodes at the
+    /// same point — one round trip for a whole candidate set (the paper's
+    /// server-side `Queue`); a single node is a one-item list.
     EvalMany {
         /// Node `pre`s.
         pres: Vec<u32>,
@@ -95,14 +87,14 @@ pub enum Request {
     /// Ask a TCP server loop to stop (tests/examples).
     Shutdown,
     /// How many shards this endpoint serves. A bare [`ServerFilter`]
-    /// answers 1; a sharded host intercepts it and answers its fleet size —
-    /// clients use this handshake to refuse a shard-count mismatch instead
-    /// of silently querying a partition.
+    /// answers 1; a sharded host intercepts it and answers its fleet size.
+    /// Connecting clients learn the count from [`Response::Hello`]; fleet
+    /// pipes send this frame as their re-admission probe.
     ///
     /// [`ServerFilter`]: crate::server::ServerFilter
     ShardCount,
     /// Repartition a sharded host across `shards` filters, in memory,
-    /// without a save/load cycle. Intercepted by the sharded TCP host (like
+    /// without a save/load cycle. Intercepted by the TCP host (like
     /// [`Request::ShardCount`]); a bare [`ServerFilter`] refuses it.
     /// Answered with [`Response::Ok`] once every row has moved — shares
     /// move bit-identically, only placement changes. Clients connected
@@ -116,15 +108,14 @@ pub enum Request {
         shards: u32,
     },
     /// Opens the multiplexed-transport handshake: "I speak
-    /// correlation-tagged framing up to `version`". A mux-capable host
-    /// answers [`Response::Hello`] and switches the connection to the
-    /// correlation envelope ([`encode_corr_payload`]) from the next frame
-    /// on; every other endpoint answers [`Response::Err`], and the client
-    /// falls back or reports. This is the versioned extension of the
-    /// [`Request::ShardCount`] exchange: the answer carries the fleet size,
-    /// so one round trip both negotiates framing and validates the
-    /// partition. Sent exactly once, as the first frame of a connection —
-    /// inside a batch or after the upgrade it is an error.
+    /// correlation-tagged framing up to `version`". The host answers
+    /// [`Response::Hello`] and switches the connection to the correlation
+    /// envelope ([`encode_corr_payload`]) from the next frame on. The
+    /// answer carries the host's shard count, so one round trip both
+    /// negotiates framing and tells the client how to route. Sent exactly
+    /// once, as the first frame of a connection — any other first frame is
+    /// refused with [`Response::Err`] and the connection closed; inside a
+    /// batch or after the upgrade it is an error.
     Hello {
         /// Highest envelope version the client understands (≥ 1).
         version: u32,
@@ -212,8 +203,6 @@ pub enum Response {
     MaybeLoc(Option<Loc>),
     /// A location list in document order.
     Locs(Vec<Loc>),
-    /// One field element.
-    Value(u64),
     /// Field elements, parallel to the request's `pres`.
     Values(Vec<u64>),
     /// Packed polynomials, parallel to the request's `pres`.
@@ -259,17 +248,12 @@ pub enum Response {
 /// Bytes the correlation id occupies at the head of a mux-framed payload.
 pub const CORR_BYTES: usize = 8;
 
-/// Wire tag of [`Request::Hello`] — the one frame a mux host's reader must
-/// recognise *before* full decoding, to switch a connection's framing
-/// synchronously with the byte stream.
-pub(crate) const REQ_HELLO_TAG: u8 = 17;
-
 /// Wraps an encoded request or response frame in the correlation envelope a
 /// multiplexed connection speaks after the [`Request::Hello`] upgrade:
-/// `corr` as 8 little-endian bytes, then the untouched legacy frame. The
-/// outer 4-byte length prefix of the stream framing is unchanged, so every
-/// pre-mux decoder skill (length bounds, per-element checks) still applies
-/// to the inner bytes.
+/// `corr` as 8 little-endian bytes, then the untouched request or response
+/// frame. The outer 4-byte length prefix of the stream framing is
+/// unchanged, so every decoder check (length bounds, per-element checks)
+/// still applies to the inner bytes.
 pub fn encode_corr_payload(corr: u64, frame: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(CORR_BYTES + frame.len());
     out.extend_from_slice(&corr.to_le_bytes());
@@ -277,7 +261,7 @@ pub fn encode_corr_payload(corr: u64, frame: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Splits a mux-framed payload into its correlation id and the inner legacy
+/// Splits a mux-framed payload into its correlation id and the inner
 /// frame. Total: any payload shorter than the 8-byte id is a typed error,
 /// never a panic — the id is returned exactly as the peer wrote it, so a
 /// response can only ever complete the slot whose id it carries.
@@ -406,7 +390,6 @@ fn short() -> CoreError {
 /// Serialises a request.
 pub fn encode_request(req: &Request) -> Vec<u8> {
     match req {
-        Request::Root => Writer::new(0).buf,
         Request::GetLoc { pre } => {
             let mut w = Writer::new(1);
             w.u32(*pre);
@@ -420,12 +403,6 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
         Request::Descendants { loc } => {
             let mut w = Writer::new(3);
             w.loc(*loc);
-            w.buf
-        }
-        Request::Eval { pre, point } => {
-            let mut w = Writer::new(4);
-            w.u32(*pre);
-            w.u64(*point);
             w.buf
         }
         Request::EvalMany { pres, point } => {
@@ -471,7 +448,7 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             w.buf
         }
         Request::Hello { version } => {
-            let mut w = Writer::new(REQ_HELLO_TAG);
+            let mut w = Writer::new(17);
             w.u32(*version);
             w.buf
         }
@@ -549,14 +526,9 @@ fn decode_request_nested(buf: &[u8], nesting: Nesting) -> Result<Request, CoreEr
     let mut r = Reader::new(buf);
     let tag = r.u8()?;
     let req = match tag {
-        0 => Request::Root,
         1 => Request::GetLoc { pre: r.u32()? },
         2 => Request::Children { pre: r.u32()? },
         3 => Request::Descendants { loc: r.loc()? },
-        4 => Request::Eval {
-            pre: r.u32()?,
-            point: r.u64()?,
-        },
         5 => Request::EvalMany {
             pres: r.u32s()?,
             point: r.u64()?,
@@ -575,7 +547,7 @@ fn decode_request_nested(buf: &[u8], nesting: Nesting) -> Result<Request, CoreEr
         12 => Request::Shutdown,
         15 => Request::ShardCount,
         16 => Request::Reshard { shards: r.u32()? },
-        REQ_HELLO_TAG => Request::Hello { version: r.u32()? },
+        17 => Request::Hello { version: r.u32()? },
         18 => {
             if nesting == Nesting::InBatch {
                 return Err(CoreError::Transport("write frame refused in batch".into()));
@@ -663,11 +635,6 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             }
             w.buf
         }
-        Response::Value(v) => {
-            let mut w = Writer::new(2);
-            w.u64(*v);
-            w.buf
-        }
         Response::Values(vs) => {
             let mut w = Writer::new(3);
             w.u32(vs.len() as u32);
@@ -745,7 +712,6 @@ fn decode_response_nested(buf: &[u8], allow_batch: bool) -> Result<Response, Cor
             let n = r.items(n, 12)?;
             Response::Locs((0..n).map(|_| r.loc()).collect::<Result<Vec<_>, _>>()?)
         }
-        2 => Response::Value(r.u64()?),
         3 => {
             let n = r.u32()? as usize;
             let n = r.items(n, 8)?;
@@ -973,11 +939,13 @@ mod tests {
     #[test]
     fn request_round_trips() {
         let cases = vec![
-            Request::Root,
             Request::GetLoc { pre: 7 },
             Request::Children { pre: 42 },
             Request::Descendants { loc: loc(3) },
-            Request::Eval { pre: 1, point: 82 },
+            Request::EvalMany {
+                pres: vec![1],
+                point: 82,
+            },
             Request::EvalMany {
                 pres: vec![1, 2, 3],
                 point: 5,
@@ -1045,7 +1013,7 @@ mod tests {
             },
             Request::Batch(vec![]),
             Request::Batch(vec![
-                Request::Root,
+                Request::Roots,
                 Request::Children { pre: 4 },
                 Request::EvalMany {
                     pres: vec![1, 9],
@@ -1058,7 +1026,7 @@ mod tests {
             },
             Request::ToShard {
                 shard: 0,
-                req: Box::new(Request::Batch(vec![Request::Root, Request::Count])),
+                req: Box::new(Request::Batch(vec![Request::Roots, Request::Count])),
             },
         ];
         for req in cases {
@@ -1074,7 +1042,6 @@ mod tests {
             Response::MaybeLoc(Some(loc(4))),
             Response::Locs(vec![]),
             Response::Locs(vec![loc(1), loc(2)]),
-            Response::Value(81),
             Response::Values(vec![0, 1, 82]),
             Response::Polys(vec![vec![1, 2, 3], vec![]]),
             Response::Cursor(9),
@@ -1110,15 +1077,42 @@ mod tests {
     fn corrupt_frames_rejected() {
         assert!(decode_request(&[]).is_err());
         assert!(decode_request(&[99]).is_err(), "unknown tag");
-        assert!(decode_request(&[4, 1, 0]).is_err(), "truncated Eval");
+        assert!(decode_request(&[2, 1, 0]).is_err(), "truncated Children");
         assert!(
             decode_response(&[1, 255, 255, 255, 255]).is_err(),
             "absurd length"
         );
         // Trailing garbage detected.
-        let mut ok = encode_request(&Request::Root);
+        let mut ok = encode_request(&Request::Roots);
         ok.push(0);
         assert!(decode_request(&ok).is_err());
+    }
+
+    /// The retired single-shot frames (`Root` = request tag 0, `Eval` =
+    /// request tag 4, `Value` = response tag 2) decode like any unknown tag:
+    /// a typed error. `Roots` and a one-item `EvalMany` cover them, and no
+    /// surviving tag was renumbered.
+    #[test]
+    fn retired_tags_are_rejected_like_unknown_ones() {
+        assert!(decode_request(&[0]).is_err(), "retired Root");
+        let mut eval = vec![4u8];
+        eval.extend_from_slice(&1u32.to_le_bytes());
+        eval.extend_from_slice(&82u64.to_le_bytes());
+        assert!(decode_request(&eval).is_err(), "retired Eval");
+        let mut value = vec![2u8];
+        value.extend_from_slice(&81u64.to_le_bytes());
+        assert!(decode_response(&value).is_err(), "retired Value");
+        assert!(
+            decode_response_view(&value).is_err(),
+            "retired Value (view)"
+        );
+        for (req, tag) in [
+            (Request::GetLoc { pre: 1 }, 1u8),
+            (Request::Roots, 21),
+            (Request::Epoch, 22),
+        ] {
+            assert_eq!(encode_request(&req)[0], tag, "{req:?}");
+        }
     }
 
     /// A hostile length prefix must fail the per-element bound check before
@@ -1182,7 +1176,7 @@ mod tests {
     #[test]
     fn compound_nesting_rules_enforced() {
         // A hand-built Batch-in-Batch frame must be refused by the decoder.
-        let inner = encode_request(&Request::Batch(vec![Request::Root]));
+        let inner = encode_request(&Request::Batch(vec![Request::Roots]));
         let mut w = vec![13u8];
         w.extend_from_slice(&1u32.to_le_bytes());
         w.extend_from_slice(&(inner.len() as u32).to_le_bytes());
@@ -1192,7 +1186,7 @@ mod tests {
         // ToShard-in-ToShard likewise.
         let inner = encode_request(&Request::ToShard {
             shard: 1,
-            req: Box::new(Request::Root),
+            req: Box::new(Request::Roots),
         });
         let mut w = vec![14u8];
         w.extend_from_slice(&0u32.to_le_bytes());
@@ -1203,7 +1197,7 @@ mod tests {
         // ToShard-in-Batch likewise (batches are flat).
         let inner = encode_request(&Request::ToShard {
             shard: 1,
-            req: Box::new(Request::Root),
+            req: Box::new(Request::Roots),
         });
         let mut w = vec![13u8];
         w.extend_from_slice(&1u32.to_le_bytes());
@@ -1240,10 +1234,12 @@ mod tests {
     /// — a sharded/batched client and a PR-2 server can interoperate on them.
     #[test]
     fn legacy_frame_bytes_unchanged() {
-        assert_eq!(encode_request(&Request::Root), vec![0]);
         assert_eq!(
-            encode_request(&Request::Eval { pre: 1, point: 82 }),
-            vec![4, 1, 0, 0, 0, 82, 0, 0, 0, 0, 0, 0, 0]
+            encode_request(&Request::EvalMany {
+                pres: vec![1],
+                point: 82
+            }),
+            vec![5, 1, 0, 0, 0, 1, 0, 0, 0, 82, 0, 0, 0, 0, 0, 0, 0]
         );
         assert_eq!(encode_request(&Request::Count), vec![11]);
         assert_eq!(encode_request(&Request::Shutdown), vec![12]);
@@ -1292,8 +1288,8 @@ mod tests {
             vec![23, 1, 3, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0],
             "the PR-10 aggregate frame claims a fresh tag"
         );
-        assert_eq!(encode_response(&Response::Value(81)), {
-            let mut v = vec![2u8];
+        assert_eq!(encode_response(&Response::Values(vec![81])), {
+            let mut v = vec![3u8, 1, 0, 0, 0];
             v.extend_from_slice(&81u64.to_le_bytes());
             v
         });
@@ -1308,7 +1304,6 @@ mod tests {
         let cases = vec![
             Response::MaybeLoc(Some(loc(4))),
             Response::Locs(vec![loc(1), loc(2)]),
-            Response::Value(81),
             Response::Values(vec![]),
             Response::Values(vec![0, 1, 82, u64::MAX]),
             Response::Values((0..100).collect()),
@@ -1425,7 +1420,7 @@ mod tests {
     /// id exactly as written.
     #[test]
     fn corr_envelope_round_trips_and_rejects_short_payloads() {
-        let frame = encode_request(&Request::Eval { pre: 1, point: 82 });
+        let frame = encode_request(&Request::Count);
         for corr in [0u64, 1, u64::MAX, 0xDEAD_BEEF_0102_0304] {
             let payload = encode_corr_payload(corr, &frame);
             assert_eq!(payload.len(), CORR_BYTES + frame.len());

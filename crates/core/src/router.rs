@@ -5,14 +5,16 @@
 //! stay shard-oblivious. Per logical round trip (a *wave*) the router
 //!
 //! 1. **splits** every sub-request by the deterministic `pre → shard`
-//!    partition ([`ShardSpec::shard_of`]): point requests (`GetLoc`, `Eval`)
-//!    go to the owning shard, item-list requests (`EvalMany`, `GetPolys`)
-//!    are split into per-shard sublists, and structure requests (`Root`,
+//!    partition ([`ShardSpec::shard_of`]): point requests (`GetLoc`) go to
+//!    the owning shard, item-list requests (`EvalMany`, `GetPolys`) are
+//!    split into per-shard sublists, and structure requests (`Roots`,
 //!    `Children`, `Descendants`, `Count`) fan out to every shard;
 //! 2. **dispatches** at most one frame per shard — many sub-requests for
-//!    the same shard collapse into one [`Request::Batch`] — concurrently on
-//!    threads for socket transports, or as a sequential loop for in-process
-//!    ones;
+//!    the same shard collapse into one [`Request::Batch`] — as pipelined
+//!    sends on a multiplexed transport ([`MuxTransport`]), on scoped
+//!    threads for blocking pipes that do not pipeline (a networked fleet's
+//!    [`crate::fleet::FleetTransport`]), or as a sequential loop for
+//!    in-process ones;
 //! 3. **merges** the answers back in document order: split item lists are
 //!    scattered to their original positions, fanned location lists are
 //!    k-way merged by `pre` (shards hold disjoint `pre` sets, so the merge
@@ -44,12 +46,9 @@ use crate::error::CoreError;
 use crate::protocol::{Request, Response};
 use crate::server::ServerFilter;
 use crate::shard::{ShardSpec, ShardedServer};
-use crate::transport::{
-    LocalTransport, MuxPool, MuxTransport, TcpTransport, Transport, TransportStats,
-};
+use crate::transport::{LocalTransport, MuxPool, MuxTransport, Transport, TransportStats};
 use ssx_store::Loc;
 use std::collections::HashMap;
-use std::net::ToSocketAddrs;
 
 /// How the answers of one original request are reassembled from per-shard
 /// sub-responses.
@@ -83,9 +82,8 @@ enum SplitKind {
 
 #[derive(Clone, Copy)]
 enum FanKind {
-    /// `Root`: at most one shard answers `Some`.
-    Root,
-    /// `Children`/`Descendants`: disjoint sorted lists, merged by `pre`.
+    /// `Roots`/`Children`/`Descendants`: disjoint sorted lists, merged by
+    /// `pre`.
     Locs,
     /// `Count`: summed.
     Count,
@@ -146,7 +144,8 @@ pub struct ShardRouter<T: Transport> {
     /// the tag (the host routes on it); local transports are positional.
     tag_frames: bool,
     /// Dispatch per-shard frames on scoped threads instead of a sequential
-    /// loop. On for TCP, off for in-process transports.
+    /// loop when the transports do not pipeline. On for networked fleet
+    /// pipes, off for in-process transports.
     concurrent: bool,
     waves: u64,
     batches: u64,
@@ -230,48 +229,13 @@ impl ShardRouter<LocalTransport> {
     }
 }
 
-impl ShardRouter<TcpTransport> {
-    /// Connects one socket per shard to a [`crate::transport::serve_tcp_sharded`]
-    /// endpoint; frames are shard-tagged and dispatched concurrently.
-    ///
-    /// The first connection performs the [`Request::ShardCount`] handshake:
-    /// a shard count that disagrees with the server's is refused here —
-    /// routing by the wrong partition would silently drop every row on the
-    /// unreached shards. `shards = 1` skips the tags, so it also speaks to
-    /// a legacy single-filter [`crate::transport::serve_tcp`] endpoint
-    /// (which answers the handshake with 1 itself).
-    pub fn connect<A: ToSocketAddrs + Copy>(addr: A, shards: u32) -> Result<Self, CoreError> {
-        let spec = ShardSpec::new(shards);
-        let mut transports = (0..spec.shards())
-            .map(|_| TcpTransport::connect(addr))
-            .collect::<Result<Vec<_>, _>>()?;
-        match transports[0].call(&Request::ShardCount)? {
-            Response::Count(n) if n == spec.shards() as u64 => {}
-            Response::Count(n) => {
-                return Err(CoreError::Transport(format!(
-                    "server partitions across {n} shard(s) but the client asked for {}; \
-                     reconnect with the server's shard count",
-                    spec.shards()
-                )))
-            }
-            other => {
-                return Err(CoreError::Transport(format!(
-                    "unexpected shard-count handshake response {other:?}"
-                )))
-            }
-        }
-        Ok(ShardRouter::new(spec, transports, spec.shards() > 1, true))
-    }
-}
-
 impl ShardRouter<MuxTransport> {
     /// Routes over a shared [`MuxPool`]: one **multiplexed** socket per
     /// shard, shared with every other router built on the same pool, so the
-    /// waves of many concurrent clients overlap on the wire instead of each
-    /// costing the server a connection and a thread. Frames are
-    /// shard-tagged and dispatched concurrently exactly like
-    /// [`ShardRouter::connect`]; the pool's [`Request::Hello`] handshake
-    /// already negotiated the framing and validated the shard count.
+    /// waves of many concurrent clients overlap on the wire. Frames are
+    /// shard-tagged when the host has more than one shard and pipelined
+    /// across shards; the pool's [`Request::Hello`] handshake already
+    /// negotiated the framing and fixed the shard count.
     pub fn mux(pool: &MuxPool) -> Self {
         let spec = ShardSpec::new(pool.shards());
         let transports = (0..spec.shards()).map(|s| pool.transport(s)).collect();
@@ -414,8 +378,8 @@ impl<T: Transport + Send> ShardRouter<T> {
         // Dispatch: a pipelining transport (mux) overlaps the round trips
         // with zero extra threads — every frame goes on the wire, then the
         // completion slots are collected; scoped threads overlap blocking
-        // socket transports; the sequential loop is the right shape for
-        // in-process shards.
+        // pipes (a networked fleet's legs); the sequential loop is the
+        // right shape for in-process shards.
         let results: Vec<Option<Result<Response, CoreError>>> =
             if self.transports.first().is_some_and(Transport::pipelines) {
                 let pending: Vec<_> = self
@@ -585,7 +549,7 @@ impl<T: Transport + Send> ShardRouter<T> {
     /// Routes one request that is not a cursor operation.
     fn plan(&mut self, req: &Request, per_shard: &mut [Vec<Request>]) -> Slot {
         match req {
-            Request::GetLoc { pre } | Request::Eval { pre, .. } => {
+            Request::GetLoc { pre } => {
                 let shard = self.shard_of(*pre);
                 let pos = per_shard[shard].len();
                 per_shard[shard].push(req.clone());
@@ -611,7 +575,6 @@ impl<T: Transport + Send> ShardRouter<T> {
                     parts,
                 }
             }
-            Request::Root => self.fan(req, FanKind::Root, per_shard),
             Request::Children { pre } => {
                 // A speculative prefetch may already hold this answer; if
                 // so the request never leaves the router.
@@ -663,7 +626,7 @@ impl<T: Transport + Send> ShardRouter<T> {
             // Repartitioning a fleet the router holds open connections to
             // would silently invalidate its own partition; the owning
             // endpoint does it instead ([`ShardRouter::reshard`] locally, a
-            // raw transport against a sharded TCP host remotely).
+            // raw transport against a TCP host remotely).
             Request::Reshard { .. } => Slot::Ready(Response::Err(
                 "reshard via ShardRouter::reshard (local) or a direct transport (TCP host)".into(),
             )),
@@ -1038,28 +1001,6 @@ fn merge_fan(
         .map(|(shard, &pos)| take_response(responses, shard, pos))
         .collect();
     match kind {
-        FanKind::Root => {
-            // Each shard answers with its own first document root (or
-            // nothing); the document's root is the smallest pre among them.
-            let mut found: Option<Loc> = None;
-            for part in parts {
-                match part {
-                    Response::MaybeLoc(Some(l)) => {
-                        if found.is_none_or(|f| l.pre < f.pre) {
-                            found = Some(l);
-                        }
-                    }
-                    Response::MaybeLoc(None) => {}
-                    Response::Err(e) => return Ok(Response::Err(e)),
-                    other => {
-                        return Err(CoreError::Transport(format!(
-                            "unexpected Root part {other:?}"
-                        )))
-                    }
-                }
-            }
-            Ok(Response::MaybeLoc(found))
-        }
         FanKind::Locs => {
             let mut out: Vec<Loc> = Vec::new();
             for part in parts {
@@ -1210,10 +1151,11 @@ mod tests {
     fn structure_queries_merge_across_shards() {
         for shards in [1u32, 2, 4] {
             let mut r = router(shards);
-            match r.call(&Request::Root).unwrap() {
-                Response::MaybeLoc(Some(l)) => assert_eq!(l.pre, 1, "{shards} shards"),
-                other => panic!("{other:?}"),
-            }
+            assert_eq!(
+                locs(r.call(&Request::Roots).unwrap()),
+                vec![1],
+                "{shards} shards"
+            );
             assert_eq!(
                 locs(r.call(&Request::Children { pre: 1 }).unwrap()),
                 vec![2, 5, 7],
@@ -1744,7 +1686,7 @@ mod tests {
     fn errors_surface_not_panic() {
         let mut r = router(2);
         assert!(matches!(
-            r.call(&Request::Eval { pre: 999, point: 3 }).unwrap(),
+            r.call(&Request::GetPolys { pres: vec![999] }).unwrap(),
             Response::Err(_)
         ));
         assert!(matches!(

@@ -180,15 +180,7 @@ impl ServerFilter {
         match req {
             // Numeric-plane rows carry `parent = 0` so the nesting invariant
             // holds; they are value storage, not document roots — mask them
-            // out of every structural answer. Document roots sort before the
-            // numeric plane in the `(parent, pre)` index, so a shard whose
-            // lowest parent-0 row is numeric holds no document root at all.
-            Request::Root => Response::MaybeLoc(
-                self.table
-                    .root()
-                    .map(|r| r.loc)
-                    .filter(|l| l.pre < NUM_PLANE_BASE),
-            ),
+            // out of every structural answer.
             Request::Roots => Response::Locs(
                 self.table
                     .roots()
@@ -211,10 +203,6 @@ impl ServerFilter {
                     .filter(|l| l.pre < NUM_PLANE_BASE)
                     .collect(),
             ),
-            Request::Eval { pre, point } => match self.eval_one(*pre, *point) {
-                Ok(v) => Response::Value(v),
-                Err(e) => Response::Err(e),
-            },
             Request::EvalMany { pres, point } => {
                 let mut out = Vec::with_capacity(pres.len());
                 for &pre in pres {
@@ -285,10 +273,9 @@ impl ServerFilter {
             Request::Reshard { .. } => {
                 Response::Err("reshard requires a sharded host endpoint".into())
             }
-            // The mux handshake is a connection-level operation: the mux
-            // host's reader intercepts it before any filter; everywhere
-            // else (bare filter, thread-per-connection host, inside a
-            // batch) it is a clean refusal the client can fall back on.
+            // The mux handshake is a connection-level operation: the
+            // host's reader intercepts it before any filter; anywhere else
+            // (a bare filter, inside a batch) it is a clean refusal.
             Request::Hello { .. } => {
                 Response::Err("mux handshake requires a mux host endpoint".into())
             }
@@ -493,11 +480,22 @@ mod tests {
         ServerFilter::new(out.table, out.ring)
     }
 
+    /// One node evaluated at one point, via a one-item `EvalMany`.
+    fn eval1(s: &mut ServerFilter, pre: u32, point: u64) -> u64 {
+        match s.handle(&Request::EvalMany {
+            pres: vec![pre],
+            point,
+        }) {
+            Response::Values(vs) => vs[0],
+            other => panic!("{other:?}"),
+        }
+    }
+
     #[test]
     fn structure_queries() {
         let mut s = server();
-        match s.handle(&Request::Root) {
-            Response::MaybeLoc(Some(l)) => assert_eq!(l.pre, 1),
+        match s.handle(&Request::Roots) {
+            Response::Locs(ls) => assert_eq!(ls.iter().map(|l| l.pre).collect::<Vec<_>>(), vec![1]),
             other => panic!("{other:?}"),
         }
         match s.handle(&Request::Children { pre: 1 }) {
@@ -515,11 +513,17 @@ mod tests {
     #[test]
     fn eval_and_errors() {
         let mut s = server();
-        match s.handle(&Request::Eval { pre: 1, point: 3 }) {
-            Response::Value(_) => {}
+        match s.handle(&Request::EvalMany {
+            pres: vec![1],
+            point: 3,
+        }) {
+            Response::Values(vs) => assert_eq!(vs.len(), 1),
             other => panic!("{other:?}"),
         }
-        match s.handle(&Request::Eval { pre: 99, point: 3 }) {
+        match s.handle(&Request::EvalMany {
+            pres: vec![99],
+            point: 3,
+        }) {
             Response::Err(msg) => assert!(msg.contains("99")),
             other => panic!("{other:?}"),
         }
@@ -592,8 +596,8 @@ mod tests {
         let mut s = server();
         // Overlapping descendant roots: root subtree contains the <a>
         // subtree; duplicates must collapse and order must be by pre.
-        let root = match s.handle(&Request::Root) {
-            Response::MaybeLoc(Some(l)) => l,
+        let root = match s.handle(&Request::Roots) {
+            Response::Locs(ls) => ls[0],
             other => panic!("{other:?}"),
         };
         let a = s.table().children_of(root.pre)[0];
@@ -616,7 +620,10 @@ mod tests {
         let resp = s.handle(&Request::Batch(vec![
             Request::Count,
             Request::Children { pre: 1 },
-            Request::Eval { pre: 999, point: 3 },
+            Request::EvalMany {
+                pres: vec![999],
+                point: 3,
+            },
             Request::Batch(vec![Request::Count]),
         ]));
         match resp {
@@ -646,8 +653,11 @@ mod tests {
         let mut s = server();
         // First eval of a row decodes it; later evals (any point) are hits.
         for point in [3u64, 7, 11, 3] {
-            match s.handle(&Request::Eval { pre: 1, point }) {
-                Response::Value(_) => {}
+            match s.handle(&Request::EvalMany {
+                pres: vec![1],
+                point,
+            }) {
+                Response::Values(_) => {}
                 other => panic!("{other:?}"),
             }
         }
@@ -656,14 +666,8 @@ mod tests {
         // Cached answers must agree with a fresh server's.
         let mut fresh = server();
         for point in 1..83u64 {
-            let a = match s.handle(&Request::Eval { pre: 2, point }) {
-                Response::Value(v) => v,
-                other => panic!("{other:?}"),
-            };
-            let b = match fresh.handle(&Request::Eval { pre: 2, point }) {
-                Response::Value(v) => v,
-                other => panic!("{other:?}"),
-            };
+            let a = eval1(&mut s, 2, point);
+            let b = eval1(&mut fresh, 2, point);
             assert_eq!(a, b, "point={point}");
         }
     }
@@ -816,10 +820,7 @@ mod tests {
             }),
             Response::Count(1)
         );
-        let before = match s.handle(&Request::Eval { pre: 6, point: 3 }) {
-            Response::Value(v) => v,
-            other => panic!("{other:?}"),
-        };
+        let before = eval1(&mut s, 6, 3);
         // Kill and re-insert the same pre with different share bytes.
         assert_eq!(
             s.handle(&Request::Delete { pres: vec![6] }),
@@ -832,17 +833,11 @@ mod tests {
             }),
             Response::Count(1)
         );
-        let after = match s.handle(&Request::Eval { pre: 6, point: 3 }) {
-            Response::Value(v) => v,
-            other => panic!("{other:?}"),
-        };
+        let after = eval1(&mut s, 6, 3);
         assert_ne!(before, after, "stale eval cache served a dead share");
         // And the fresh answer matches a cold server over the same table.
         let mut cold = ServerFilter::new(s.table().clone(), s.ring().clone());
-        let want = match cold.handle(&Request::Eval { pre: 6, point: 3 }) {
-            Response::Value(v) => v,
-            other => panic!("{other:?}"),
-        };
+        let want = eval1(&mut cold, 6, 3);
         assert_eq!(after, want);
     }
 

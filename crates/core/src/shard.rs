@@ -322,8 +322,14 @@ mod tests {
         let home = server.spec().shard_of(pre);
         // Warm the cache: second eval of the same row is a hit.
         for _ in 0..2 {
-            match server.handle(home, &Request::Eval { pre, point: 3 }) {
-                Response::Value(_) => {}
+            match server.handle(
+                home,
+                &Request::EvalMany {
+                    pres: vec![pre],
+                    point: 3,
+                },
+            ) {
+                Response::Values(_) => {}
                 other => panic!("{other:?}"),
             }
         }
@@ -345,8 +351,12 @@ mod tests {
             ),
             Response::Count(1)
         );
-        let got = match server.handle(rehomed, &Request::Eval { pre, point: 3 }) {
-            Response::Value(v) => v,
+        let eval1 = Request::EvalMany {
+            pres: vec![pre],
+            point: 3,
+        };
+        let got = match server.handle(rehomed, &eval1) {
+            Response::Values(vs) => vs[0],
             other => panic!("{other:?}"),
         };
         // No hit carried across the reshard, and the answer matches a cold
@@ -357,8 +367,8 @@ mod tests {
         );
         let final_table = server.filters()[rehomed as usize].table().clone();
         let mut cold = ServerFilter::new(final_table, ring);
-        let want = match cold.handle(&Request::Eval { pre, point: 3 }) {
-            Response::Value(v) => v,
+        let want = match cold.handle(&eval1) {
+            Response::Values(vs) => vs[0],
             other => panic!("{other:?}"),
         };
         assert_eq!(got, want, "stale eval cache survived the reshard");

@@ -2,23 +2,17 @@
 //!
 //! [`LocalTransport`] runs the server in-process but still encodes and
 //! decodes every frame, so byte/round-trip counters mean the same thing they
-//! would over a network. [`TcpTransport`]/[`serve_tcp`] carry the identical
-//! frames over a socket with 4-byte length prefixes — used by the
-//! `client_server_tcp` example and the integration tests.
+//! would over a network. Over TCP there is one host and one client:
+//! [`serve_tcp_mux`] and the pooled [`MuxPool`]/[`MuxTransport`], with
+//! one connection per shard as the single-client case.
 //!
 //! # Multiplexed transport
 //!
-//! The thread-per-connection hosts serialize a connection's waves: one
-//! request must be answered before the next is read, and every concurrent
-//! client costs an OS thread. [`serve_tcp_mux`] and the client-side
-//! [`MuxPool`]/[`MuxTransport`] replace that with a **multiplexed** plane:
-//!
-//! * a connection upgrades via a versioned [`Request::Hello`] handshake
-//!   (the extension of the [`Request::ShardCount`] exchange — the answer
-//!   carries the fleet size too), after which every frame payload is
+//! * a connection opens with a versioned [`Request::Hello`] handshake whose
+//!   answer carries the host's shard count; after it every frame payload is
 //!   prefixed with a `u64` correlation id
-//!   ([`crate::protocol::encode_corr_payload`]); pre-handshake frames keep
-//!   their exact legacy bytes, so a mux host still serves legacy clients;
+//!   ([`crate::protocol::encode_corr_payload`]), and a connection whose
+//!   first frame is anything else is refused and closed;
 //! * the host runs a *small fixed pool* of threads — one reader/dispatcher
 //!   sweeping all connections' nonblocking sockets plus `workers`
 //!   executors over the shared shard fleet, each writing its response the
@@ -29,16 +23,19 @@
 //!   number of [`MuxTransport`]s onto them: each in-flight wave parks on a
 //!   per-correlation completion slot, so many concurrent
 //!   [`crate::router::ShardRouter`]s overlap their waves on the same wire.
+//!   Dialing, the handshake, every send and every wait are bounded by the
+//!   call budget ([`Transport::set_call_budget`]).
 //!
-//! What the server observes per correlation id is exactly what it used to
-//! observe per connection (see DESIGN.md's transport section for the
-//! leakage discussion).
+//! What the server observes per correlation id is exactly what a
+//! one-request-at-a-time connection would show it (see DESIGN.md's
+//! transport section for the leakage discussion). The reader sweeps
+//! nonblocking sockets, so an idle host still spends a little CPU polling.
 
 use crate::error::CoreError;
 use crate::protocol::{
     decode_corr_payload, decode_request, decode_response, decode_response_view,
     encode_corr_payload, encode_request, encode_response, Request, Response, ResponseView,
-    MUX_PROTOCOL_VERSION, REQ_HELLO_TAG,
+    MUX_PROTOCOL_VERSION,
 };
 use crate::server::ServerFilter;
 use crate::shard::{ShardSpec, ShardedServer};
@@ -51,11 +48,12 @@ use std::time::{Duration, Instant};
 
 /// The completion deadline of one call: an absolute instant, computed when
 /// the call starts from the transport's configured budget
-/// ([`Transport::set_call_budget`]). Threaded through every blocking wait of
-/// a call — socket reads on [`TcpTransport`], completion-slot parks on
-/// [`MuxTransport`] — so a peer that *hangs* (accepts the connection, then
-/// never answers) turns into a typed [`CoreError::Timeout`] instead of a
-/// wedge. `Deadline::NONE` means "wait forever", the pre-deadline behavior.
+/// ([`Transport::set_call_budget`]). Threaded through every blocking step
+/// of a [`MuxTransport`] call — dial and handshake, the frame send, the
+/// completion-slot park — so a peer that *hangs* (accepts the connection,
+/// then never answers or never reads) turns into a typed
+/// [`CoreError::Timeout`] instead of a wedge. `Deadline::NONE` means "wait
+/// forever".
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Deadline {
     at: Option<Instant>,
@@ -334,87 +332,21 @@ impl HasStats for LocalTransport {
     }
 }
 
-/// Client side of the TCP transport. Frames are `u32` length + payload.
-pub struct TcpTransport {
-    stream: TcpStream,
-    stats: TransportStats,
-    /// Per-call budget ([`Transport::set_call_budget`]); `None` blocks.
-    budget: Option<Duration>,
-    /// Set by the first timed-out call. The request/response framing has no
-    /// correlation ids, so a late answer to the abandoned call would be
-    /// misread as the answer to the *next* one — after a timeout the socket
-    /// is shut down and every later call fails fast with this reason.
-    poisoned: Option<String>,
-}
-
-impl HasStats for TcpTransport {
-    fn stats_mut(&mut self) -> &mut TransportStats {
-        &mut self.stats
-    }
-}
-
-impl TcpTransport {
-    /// Connects to a [`serve_tcp`] endpoint.
-    pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<Self, CoreError> {
-        Self::connect_within(addr, None)
-    }
-
-    /// [`TcpTransport::connect`] bounded by `timeout`: the TCP connect
-    /// itself must complete within it (`None` = the OS default). The bound
-    /// covers the *connect* only; set a per-call budget for the calls.
-    pub fn connect_within<A: ToSocketAddrs>(
-        addr: A,
-        timeout: Option<Duration>,
-    ) -> Result<Self, CoreError> {
-        let stream = match timeout {
-            None => TcpStream::connect(addr)
-                .map_err(|e| CoreError::Transport(format!("connect: {e}")))?,
-            Some(limit) => {
-                let addr = addr
-                    .to_socket_addrs()
-                    .map_err(|e| CoreError::Transport(format!("resolve: {e}")))?
-                    .next()
-                    .ok_or_else(|| CoreError::Transport("address resolved to nothing".into()))?;
-                TcpStream::connect_timeout(&addr, limit).map_err(|e| {
-                    if e.kind() == std::io::ErrorKind::TimedOut {
-                        CoreError::Timeout(format!("connect to {addr} exceeded {limit:?}"))
-                    } else {
-                        CoreError::Transport(format!("connect: {e}"))
-                    }
-                })?
-            }
-        };
-        stream
-            .set_nodelay(true)
-            .map_err(|e| CoreError::Transport(format!("nodelay: {e}")))?;
-        Ok(TcpTransport {
-            stream,
-            stats: TransportStats::default(),
-            budget: None,
-            poisoned: None,
-        })
-    }
-}
-
 /// Largest frame any transport will read or buffer — a hostile length
 /// prefix beyond it is refused before allocation.
 pub(crate) const MAX_FRAME_BYTES: usize = 64 << 20;
 
-fn write_frame(stream: &mut TcpStream, payload: &[u8]) -> Result<(), CoreError> {
-    let io = |e: std::io::Error| CoreError::Transport(format!("write: {e}"));
-    stream
-        .write_all(&(payload.len() as u32).to_le_bytes())
-        .map_err(io)?;
-    stream.write_all(payload).map_err(io)?;
-    Ok(())
-}
-
-fn read_frame(stream: &mut TcpStream) -> Result<Option<Vec<u8>>, CoreError> {
+/// Reads one length-prefixed frame: `Ok(None)` on a clean hang-up before
+/// the prefix, `io` maps every other read failure.
+fn read_frame_io(
+    stream: &mut TcpStream,
+    io: impl Fn(std::io::Error) -> CoreError,
+) -> Result<Option<Vec<u8>>, CoreError> {
     let mut len_buf = [0u8; 4];
     match stream.read_exact(&mut len_buf) {
         Ok(()) => {}
         Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(CoreError::Transport(format!("read: {e}"))),
+        Err(e) => return Err(io(e)),
     }
     let len = u32::from_le_bytes(len_buf) as usize;
     if len > MAX_FRAME_BYTES {
@@ -423,9 +355,7 @@ fn read_frame(stream: &mut TcpStream) -> Result<Option<Vec<u8>>, CoreError> {
         )));
     }
     let mut payload = vec![0u8; len];
-    stream
-        .read_exact(&mut payload)
-        .map_err(|e| CoreError::Transport(format!("read: {e}")))?;
+    stream.read_exact(&mut payload).map_err(io)?;
     Ok(Some(payload))
 }
 
@@ -462,15 +392,21 @@ fn arm_socket_timeout(
     armed.map_err(|e| CoreError::Transport(format!("{what}: arming timeout: {e}")))
 }
 
-/// [`write_frame`] bounded by a [`Deadline`]: a send that stalls past it
-/// (peer stopped reading, kernel buffer full) fails with
-/// [`CoreError::Timeout`] instead of blocking forever.
+/// Writes one length-prefixed frame, bounded by a [`Deadline`]: a send
+/// that stalls past it (peer stopped reading, kernel buffer full) fails
+/// with [`CoreError::Timeout`] instead of blocking forever.
 fn write_frame_within(
     stream: &mut TcpStream,
     payload: &[u8],
     deadline: &Deadline,
 ) -> Result<(), CoreError> {
     arm_socket_timeout(stream, deadline, false, "write")?;
+    write_frame(stream, payload)
+}
+
+/// Writes one length-prefixed frame under whatever write timeout the
+/// socket has armed; a stall past it is a [`CoreError::Timeout`].
+fn write_frame(stream: &mut TcpStream, payload: &[u8]) -> Result<(), CoreError> {
     let io = |e: std::io::Error| {
         if is_timeout_io(&e) {
             CoreError::Timeout("write stalled past the call budget".into())
@@ -485,146 +421,47 @@ fn write_frame_within(
     Ok(())
 }
 
-/// [`read_frame`] bounded by a [`Deadline`]: re-arms the socket timeout
-/// before each blocking read so the *whole* frame must arrive within the
-/// budget, and maps a stalled read to [`CoreError::Timeout`].
+/// Reads one length-prefixed frame, bounded by a [`Deadline`]: the socket
+/// timeout is armed with what remains of it, so the *whole* frame must
+/// arrive within the budget, and a stalled read maps to
+/// [`CoreError::Timeout`].
 fn read_frame_within(
     stream: &mut TcpStream,
     deadline: &Deadline,
 ) -> Result<Option<Vec<u8>>, CoreError> {
-    let io = |e: std::io::Error| {
+    arm_socket_timeout(stream, deadline, true, "read")?;
+    read_frame_io(stream, |e| {
         if is_timeout_io(&e) {
             CoreError::Timeout("no response within the call budget".into())
         } else {
             CoreError::Transport(format!("read: {e}"))
         }
-    };
-    arm_socket_timeout(stream, deadline, true, "read")?;
-    let mut len_buf = [0u8; 4];
-    match stream.read_exact(&mut len_buf) {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(io(e)),
-    }
-    let len = u32::from_le_bytes(len_buf) as usize;
-    if len > MAX_FRAME_BYTES {
-        return Err(CoreError::Transport(format!(
-            "frame of {len} bytes refused"
-        )));
-    }
-    arm_socket_timeout(stream, deadline, true, "read")?;
-    let mut payload = vec![0u8; len];
-    stream.read_exact(&mut payload).map_err(io)?;
-    Ok(Some(payload))
+    })
 }
 
-impl TcpTransport {
-    /// One round trip, returning the raw response payload: the shared body
-    /// of [`Transport::call`] (owned decode) and [`Transport::call_with`]
-    /// (in-place view decode).
-    fn exchange(&mut self, req: &Request) -> Result<Vec<u8>, CoreError> {
-        if let Some(why) = &self.poisoned {
-            return Err(CoreError::Transport(format!(
-                "connection unusable after an earlier timeout ({why})"
-            )));
+/// Opens a TCP connection bounded by `deadline` (the OS default when
+/// unbounded).
+fn connect_within(addr: SocketAddr, deadline: &Deadline) -> Result<TcpStream, CoreError> {
+    let stream = match deadline.remaining() {
+        None => TcpStream::connect(addr),
+        Some(rem) if rem.is_zero() => {
+            return Err(CoreError::Timeout(format!(
+                "connect to {addr}: call budget exhausted"
+            )))
         }
-        let deadline = Deadline::of(self.budget);
-        let frame = encode_request(req);
-        self.stats.bytes_sent += frame.len() as u64;
-        let exchanged = write_frame_within(&mut self.stream, &frame, &deadline)
-            .and_then(|()| read_frame_within(&mut self.stream, &deadline));
-        let payload = match exchanged {
-            Ok(Some(p)) => p,
-            Ok(None) => return Err(CoreError::Transport("server closed connection".into())),
-            Err(e) => {
-                if matches!(e, CoreError::Timeout(_)) {
-                    // The legacy framing has no correlation ids: a late
-                    // answer to this abandoned call would be misread as the
-                    // answer to the next one, so the socket must die with
-                    // the call.
-                    let _ = self.stream.shutdown(std::net::Shutdown::Both);
-                    self.poisoned = Some(e.to_string());
-                }
-                return Err(e);
-            }
-        };
-        self.stats.bytes_received += payload.len() as u64;
-        self.stats.round_trips += 1;
-        Ok(payload)
+        Some(rem) => TcpStream::connect_timeout(&addr, rem),
     }
-}
-
-impl Transport for TcpTransport {
-    fn call(&mut self, req: &Request) -> Result<Response, CoreError> {
-        let payload = self.exchange(req)?;
-        decode_response(&payload)
-    }
-
-    fn call_with(
-        &mut self,
-        req: &Request,
-        sink: &mut dyn FnMut(ResponseView<'_>) -> Result<(), CoreError>,
-    ) -> Result<(), CoreError> {
-        let payload = self.exchange(req)?;
-        sink(decode_response_view(&payload)?)
-    }
-
-    fn call_batch(&mut self, reqs: &[Request]) -> Result<Vec<Response>, CoreError> {
-        framed_call_batch(self, reqs)
-    }
-
-    fn stats(&self) -> TransportStats {
-        self.stats
-    }
-
-    fn set_call_budget(&mut self, budget: Option<Duration>) {
-        self.budget = budget;
-        if budget.is_none() {
-            let _ = self.stream.set_read_timeout(None);
-            let _ = self.stream.set_write_timeout(None);
+    .map_err(|e| {
+        if is_timeout_io(&e) {
+            CoreError::Timeout(format!("connect to {addr} exceeded the call budget"))
+        } else {
+            CoreError::Transport(format!("connect: {e}"))
         }
-    }
-}
-
-/// Serves `server` on `listener`, one connection at a time, until a client
-/// sends [`Request::Shutdown`]. A connection that breaks mid-stream (I/O
-/// error, unframeable bytes) is dropped and the next one accepted — a
-/// misbehaving client cannot take the server down. Returns the server
-/// filter (with its final stats) when shut down.
-pub fn serve_tcp(
-    listener: TcpListener,
-    mut server: ServerFilter,
-) -> Result<ServerFilter, CoreError> {
-    'outer: loop {
-        let (mut stream, _) = listener
-            .accept()
-            .map_err(|e| CoreError::Transport(format!("accept: {e}")))?;
-        if stream.set_nodelay(true).is_err() {
-            continue;
-        }
-        // A clean hang-up (None) or poisoned stream (Err) both end the
-        // connection; the server accepts the next one.
-        while let Ok(Some(frame)) = read_frame(&mut stream) {
-            let resp = match decode_request(&frame) {
-                Ok(req) => {
-                    let resp = server.handle(&req);
-                    let shutdown = matches!(req, Request::Shutdown);
-                    if write_frame(&mut stream, &encode_response(&resp)).is_err() {
-                        break;
-                    }
-                    if shutdown {
-                        break 'outer;
-                    }
-                    continue;
-                }
-                Err(e) => Response::Err(e.to_string()),
-            };
-            if write_frame(&mut stream, &encode_response(&resp)).is_err() {
-                break;
-            }
-        }
-    }
-    Ok(server)
+    })?;
+    stream
+        .set_nodelay(true)
+        .map_err(|e| CoreError::Transport(format!("nodelay: {e}")))?;
+    Ok(stream)
 }
 
 /// The exact error a generation-fenced connection is answered with after an
@@ -688,74 +525,6 @@ impl ShardHost {
     }
 }
 
-/// Serves a [`ShardedServer`] on `listener`, one thread per connection,
-/// until any client sends [`Request::Shutdown`] (bare or shard-tagged, as a
-/// standalone frame). Clients address shards with [`Request::ToShard`];
-/// untagged requests go to shard 0, so a single-shard deployment speaks the
-/// exact legacy protocol. [`Request::Reshard`] repartitions the fleet
-/// online (see [`ShardedServer::reshard`]); connections that predate a
-/// reshard are fenced off with an explicit "reconnect" error — their
-/// partition is dead, and answering them could silently skip the new
-/// shards. Returns the sharded server (with its per-shard stats and final
-/// shard count) once every connection has drained.
-pub fn serve_tcp_sharded(
-    listener: TcpListener,
-    server: ShardedServer,
-) -> Result<ShardedServer, CoreError> {
-    serve_tcp_sharded_auto(listener, server, None)
-}
-
-/// [`serve_tcp_sharded`] with host-side auto-resharding: when
-/// `auto_target` is `Some(bytes)`, a tick thread sizes the fleet from the
-/// *stored* per-shard data (see [`auto_reshard_loop`]) and repartitions
-/// online whenever the suggestion differs from the current count. Results
-/// are invariant — a reshard moves rows bit-identically — but clients
-/// connected across a repartition see the generation fence and must
-/// reconnect ([`MuxPool`] heals same-count fences transparently).
-pub fn serve_tcp_sharded_auto(
-    listener: TcpListener,
-    server: ShardedServer,
-    auto_target: Option<u64>,
-) -> Result<ShardedServer, CoreError> {
-    let addr = listener
-        .local_addr()
-        .map_err(|e| CoreError::Transport(format!("local_addr: {e}")))?;
-    let host = Arc::new(ShardHost {
-        filters: RwLock::new(server.into_filters().into_iter().map(Mutex::new).collect()),
-        generation: AtomicU64::new(0),
-        stop: AtomicBool::new(false),
-    });
-    std::thread::scope(|scope| -> Result<(), CoreError> {
-        if let Some(target) = auto_target {
-            let host = Arc::clone(&host);
-            scope.spawn(move || auto_reshard_loop(&host, target));
-        }
-        loop {
-            let (stream, _) = listener
-                .accept()
-                .map_err(|e| CoreError::Transport(format!("accept: {e}")))?;
-            if host.stop.load(Ordering::SeqCst) {
-                return Ok(());
-            }
-            let host = Arc::clone(&host);
-            scope.spawn(move || {
-                // A connection failing mid-stream only ends that connection.
-                let _ = serve_sharded_connection(stream, &host, addr);
-            });
-        }
-    })?;
-    let host = Arc::into_inner(host).expect("all connection threads joined");
-    let filters: Vec<ServerFilter> = host
-        .filters
-        .into_inner()
-        .unwrap_or_else(|p| p.into_inner())
-        .into_iter()
-        .map(|m| m.into_inner().unwrap_or_else(|p| p.into_inner()))
-        .collect();
-    let spec = crate::shard::ShardSpec::new(filters.len() as u32);
-    Ok(ShardedServer::from_filters(spec, filters))
-}
-
 /// How often the auto-reshard ticker re-evaluates the stored-size
 /// suggestion. Short enough that tests converge quickly; the computation
 /// is a sum of per-shard size reports, not a scan.
@@ -802,11 +571,11 @@ fn auto_reshard_loop(host: &ShardHost, target: u64) {
     }
 }
 
-/// Handles one decoded request against the fleet, shared by the
-/// thread-per-connection host and the mux host's worker pool. `born` is the
-/// generation the connection was accepted under. Returns the response plus
-/// whether the request was an honoured [`Request::Shutdown`] (the caller
-/// stops the host after writing the response).
+/// Handles one decoded request against the fleet (the mux host's worker
+/// pool). `born` is the generation the connection was accepted under.
+/// Returns the response plus whether the request was an honoured
+/// [`Request::Shutdown`] (the caller stops the host after writing the
+/// response).
 fn host_handle_request(host: &ShardHost, born: u64, req: &Request) -> (Response, bool) {
     let (shard, inner): (u32, &Request) = match req {
         Request::ToShard { shard, req } => (*shard, req),
@@ -822,12 +591,11 @@ fn host_handle_request(host: &ShardHost, born: u64, req: &Request) -> (Response,
     if let Request::Reshard { shards } = inner {
         return (host.reshard(*shards), false);
     }
-    // A mux handshake reaching this path is out of place: the mux host's
-    // reader upgrades connections before any request is dispatched, and the
-    // thread-per-connection host never multiplexes.
+    // A handshake reaching this path is out of place: the reader upgrades
+    // connections before any request is dispatched.
     if matches!(inner, Request::Hello { .. }) {
         return (
-            Response::Err("mux handshake must be the first frame of a mux host connection".into()),
+            Response::Err("mux handshake must be the first frame of a connection".into()),
             false,
         );
     }
@@ -856,35 +624,11 @@ fn host_handle_request(host: &ShardHost, born: u64, req: &Request) -> (Response,
     (resp, shutdown)
 }
 
-fn serve_sharded_connection(
-    mut stream: TcpStream,
-    host: &ShardHost,
-    addr: SocketAddr,
-) -> Result<(), CoreError> {
-    stream
-        .set_nodelay(true)
-        .map_err(|e| CoreError::Transport(format!("nodelay: {e}")))?;
-    let born = host.generation.load(Ordering::SeqCst);
-    while let Some(frame) = read_frame(&mut stream)? {
-        let (resp, shutdown) = match decode_request(&frame) {
-            Ok(req) => host_handle_request(host, born, &req),
-            Err(e) => (Response::Err(e.to_string()), false),
-        };
-        write_frame(&mut stream, &encode_response(&resp))?;
-        if shutdown {
-            host.stop.store(true, Ordering::SeqCst);
-            // Wake the accept loop so it observes the stop flag.
-            let _ = TcpStream::connect(addr);
-            return Ok(());
-        }
-    }
-    Ok(())
-}
-
 // ---- multiplexed host -------------------------------------------------------
 
-/// Executor threads [`serve_tcp_mux`] runs when the caller passes
-/// `workers = 0`.
+/// Executor threads [`serve_tcp_mux`] runs for `workers = 0` when the
+/// machine's parallelism is unknown. Otherwise `workers = 0` sizes the pool
+/// as `available_parallelism()` clamped to `2..=8`.
 pub const DEFAULT_MUX_WORKERS: usize = 4;
 
 /// Per-connection state of the mux host, shared between the reader (which
@@ -897,9 +641,6 @@ struct MuxHostConn {
     /// *which* response goes out next is completion order, not arrival
     /// order.
     send: Mutex<()>,
-    /// Correlation framing negotiated (flipped once, by the reader, on a
-    /// successful [`Request::Hello`]).
-    mux: AtomicBool,
     /// Generation fence captured at accept time (see [`ShardHost`]).
     born: u64,
     /// A failed read or write poisons the connection; every pool thread
@@ -934,9 +675,8 @@ impl MuxHostConn {
 /// One decoded-frame unit of work for the executor pool.
 struct MuxJob {
     conn: Arc<MuxHostConn>,
-    /// `Some` on an upgraded connection (echoed on the response), `None`
-    /// on a legacy one.
-    corr: Option<u64>,
+    /// Correlation id, echoed on the response.
+    corr: u64,
     frame: Vec<u8>,
 }
 
@@ -955,8 +695,13 @@ pub struct MuxHostOptions {
     /// Executor threads; `0` sizes the pool to the machine (see
     /// [`DEFAULT_MUX_WORKERS`]).
     pub workers: usize,
-    /// Host-side auto-resharding byte budget (see
-    /// [`serve_tcp_sharded_auto`]); `None` disables the ticker.
+    /// Host-side auto-resharding byte budget: when `Some(bytes)`, a tick
+    /// thread sizes the fleet from the *stored* per-shard data and
+    /// repartitions online whenever that suggestion differs from the
+    /// current count. `None` disables the ticker. Results are invariant —
+    /// a reshard moves rows bit-identically — and [`MuxPool`] clients ride
+    /// a same-count fence transparently; count-changing repartitions
+    /// require a reconnect.
     pub auto_target: Option<u64>,
     /// How long one response send may stall before the connection is
     /// poisoned (see [`DEFAULT_MUX_WRITE_STALL`]). Exposed on the CLI as
@@ -1007,22 +752,25 @@ fn write_all_nonblocking(
 }
 
 /// Serves a [`ShardedServer`] with a **fixed thread pool over multiplexed
-/// connections** instead of one thread per connection: one
-/// reader/dispatcher thread sweeps every connection's nonblocking socket
-/// and feeds `workers` executor threads (0 = a pool sized to the machine,
-/// see [`DEFAULT_MUX_WORKERS`]) that run requests against the shared fleet
-/// and write each response as it completes, under per-connection send
-/// locks — **completion order**, out-of-order with respect to arrival, so
-/// waves from many clients overlap on the wire instead of queueing behind
-/// a thread each.
+/// connections**: one reader/dispatcher thread sweeps every connection's
+/// nonblocking socket and feeds `workers` executor threads (0 = a pool
+/// sized to the machine, see [`DEFAULT_MUX_WORKERS`]) that run requests
+/// against the shared fleet and write each response as it completes, under
+/// per-connection send locks — **completion order**, out-of-order with
+/// respect to arrival, so waves from many clients overlap on the wire.
 ///
-/// Connections start in the legacy framing ([`serve_tcp_sharded`]'s exact
-/// wire shape, byte for byte) and upgrade to correlation-tagged frames via
-/// [`Request::Hello`]; legacy clients are served unchanged. Fleet-level
+/// Every connection opens with [`Request::Hello`] and speaks
+/// correlation-tagged frames after it; any other first frame is answered
+/// with [`Response::Err`] and the connection closed. Clients address shards
+/// with [`Request::ToShard`]; untagged requests go to shard 0. Fleet-level
 /// frames ([`Request::ShardCount`], [`Request::Reshard`],
-/// [`Request::Shutdown`]) and the reshard generation fence behave exactly
-/// as on the thread-per-connection host. Returns the sharded server once a
-/// client sends [`Request::Shutdown`].
+/// [`Request::Shutdown`]) answer for the whole host. [`Request::Reshard`]
+/// repartitions the fleet online (see [`ShardedServer::reshard`]);
+/// connections that predate a reshard are fenced off with an explicit
+/// "reconnect" error — their partition is dead, and answering them could
+/// silently skip the new shards. Returns the sharded server (with its
+/// per-shard stats and final shard count) once a client sends
+/// [`Request::Shutdown`].
 pub fn serve_tcp_mux(
     listener: TcpListener,
     server: ShardedServer,
@@ -1033,27 +781,6 @@ pub fn serve_tcp_mux(
         server,
         MuxHostOptions {
             workers,
-            ..MuxHostOptions::default()
-        },
-    )
-}
-
-/// [`serve_tcp_mux`] with host-side auto-resharding (see
-/// [`serve_tcp_sharded_auto`]): same ticker, same stored-size suggestion,
-/// over the multiplexed host. [`MuxPool`] clients ride a same-count fence
-/// transparently; count-changing repartitions still require a reconnect.
-pub fn serve_tcp_mux_auto(
-    listener: TcpListener,
-    server: ShardedServer,
-    workers: usize,
-    auto_target: Option<u64>,
-) -> Result<ShardedServer, CoreError> {
-    serve_tcp_mux_opts(
-        listener,
-        server,
-        MuxHostOptions {
-            workers,
-            auto_target,
             ..MuxHostOptions::default()
         },
     )
@@ -1127,7 +854,6 @@ pub fn serve_tcp_mux_opts(
             let conn = Arc::new(MuxHostConn {
                 stream,
                 send: Mutex::new(()),
-                mux: AtomicBool::new(false),
                 born: host.generation.load(Ordering::SeqCst),
                 dead: AtomicBool::new(false),
                 write_stall,
@@ -1161,9 +887,9 @@ const MUX_SHUTDOWN_GRACE: Duration = Duration::from_millis(50);
 
 /// The mux host's reader/dispatcher: sweeps every live connection's
 /// nonblocking socket, reassembles length-prefixed frames, performs the
-/// [`Request::Hello`] upgrade synchronously with the byte stream (so a
-/// frame after the upgrade is never misparsed), and hands complete frames
-/// to the executor pool. When the host stops it lingers for
+/// [`Request::Hello`] upgrade synchronously with the byte stream (so the
+/// frame after it is never misparsed), and hands complete frames to the
+/// executor pool. When the host stops it lingers for
 /// [`MUX_SHUTDOWN_GRACE`], still sweeping — so sibling frames of a fanned
 /// shutdown are answered, not RST — then exits, dropping the job sender,
 /// which winds down the workers.
@@ -1175,6 +901,8 @@ fn mux_reader_loop(
     struct ReaderConn {
         conn: Arc<MuxHostConn>,
         buf: Vec<u8>,
+        /// Set once the connection's [`Request::Hello`] is accepted.
+        upgraded: bool,
     }
     let mut conns: Vec<ReaderConn> = Vec::new();
     let mut tmp = [0u8; 16 * 1024];
@@ -1189,6 +917,7 @@ fn mux_reader_loop(
             conns.push(ReaderConn {
                 conn,
                 buf: Vec::new(),
+                upgraded: false,
             });
         }
         if host.stop.load(Ordering::SeqCst) {
@@ -1211,7 +940,13 @@ fn mux_reader_loop(
                     Ok(n) => {
                         progress = true;
                         rc.buf.extend_from_slice(&tmp[..n]);
-                        if !drain_host_frames(&rc.conn, &mut rc.buf, &job_tx, host) {
+                        if !drain_host_frames(
+                            &rc.conn,
+                            &mut rc.buf,
+                            &mut rc.upgraded,
+                            &job_tx,
+                            host,
+                        ) {
                             rc.conn.kill();
                             return false;
                         }
@@ -1239,12 +974,14 @@ fn mux_reader_loop(
 }
 
 /// Extracts every complete frame from `buf` and dispatches it. Returns
-/// `false` when the connection's framing is beyond recovery (oversized
-/// length prefix, corr envelope shorter than its id) — the caller drops the
-/// connection, exactly as the blocking hosts drop an unframeable stream.
+/// `false` when the connection must close: its framing is beyond recovery
+/// (oversized length prefix, corr envelope shorter than its id), or its
+/// first frame was not an accepted [`Request::Hello`] — that frame is
+/// answered with a typed [`Response::Err`] first.
 fn drain_host_frames(
     conn: &Arc<MuxHostConn>,
     buf: &mut Vec<u8>,
+    upgraded: &mut bool,
     job_tx: &mpsc::Sender<MuxJob>,
     host: &ShardHost,
 ) -> bool {
@@ -1264,12 +1001,12 @@ fn drain_host_frames(
             break;
         }
         let payload = &remaining[4..4 + len];
-        if conn.mux.load(Ordering::SeqCst) {
+        if *upgraded {
             match decode_corr_payload(payload) {
                 Ok((corr, inner)) => {
                     let _ = job_tx.send(MuxJob {
                         conn: Arc::clone(conn),
-                        corr: Some(corr),
+                        corr,
                         frame: inner.to_vec(),
                     });
                 }
@@ -1277,13 +1014,13 @@ fn drain_host_frames(
                 // answer into, so the stream is unrecoverable.
                 Err(_) => alive = false,
             }
-        } else if payload.first() == Some(&REQ_HELLO_TAG) {
+        } else {
             // The upgrade is handled here, synchronously with the byte
             // stream: every later frame of this connection parses under the
             // negotiated framing even if it is already sitting in `buf`.
             let resp = match decode_request(payload) {
                 Ok(Request::Hello { version }) if version >= MUX_PROTOCOL_VERSION => {
-                    conn.mux.store(true, Ordering::SeqCst);
+                    *upgraded = true;
                     Response::Hello {
                         version: MUX_PROTOCOL_VERSION,
                         shards: host.shard_count() as u32,
@@ -1292,16 +1029,13 @@ fn drain_host_frames(
                 Ok(Request::Hello { version }) => Response::Err(format!(
                     "unsupported mux version {version}; this host speaks {MUX_PROTOCOL_VERSION}"
                 )),
-                Ok(_) => unreachable!("tag {REQ_HELLO_TAG} decodes to Hello"),
+                Ok(_) => Response::Err(
+                    "the first frame of a connection must be the mux handshake (Hello)".into(),
+                ),
                 Err(e) => Response::Err(e.to_string()),
             };
             conn.send_payload(&encode_response(&resp));
-        } else {
-            let _ = job_tx.send(MuxJob {
-                conn: Arc::clone(conn),
-                corr: None,
-                frame: payload.to_vec(),
-            });
+            alive = *upgraded;
         }
         offset += 4 + len;
     }
@@ -1310,9 +1044,9 @@ fn drain_host_frames(
 }
 
 /// One executor of the mux host's pool: decodes a job's frame, runs it
-/// against the fleet (same interception, fence and routing as the
-/// thread-per-connection host), and sends the framed response the moment
-/// it completes — out of order with respect to arrival. An honoured
+/// against the fleet ([`host_handle_request`]), and sends the framed
+/// response the moment it completes — out of order with respect to
+/// arrival. An honoured
 /// [`Request::Shutdown`] stops the host after its ack is sent.
 fn mux_worker_loop(job_rx: &Mutex<mpsc::Receiver<MuxJob>>, host: &ShardHost, addr: SocketAddr) {
     loop {
@@ -1326,12 +1060,8 @@ fn mux_worker_loop(job_rx: &Mutex<mpsc::Receiver<MuxJob>>, host: &ShardHost, add
             Ok(req) => host_handle_request(host, job.conn.born, &req),
             Err(e) => (Response::Err(e.to_string()), false),
         };
-        let frame = encode_response(&resp);
-        let payload = match job.corr {
-            Some(corr) => encode_corr_payload(corr, &frame),
-            None => frame,
-        };
-        job.conn.send_payload(&payload);
+        job.conn
+            .send_payload(&encode_corr_payload(job.corr, &encode_response(&resp)));
         if shutdown {
             host.stop.store(true, Ordering::SeqCst);
             // Wake the accept loop so it observes the stop flag.
@@ -1376,9 +1106,9 @@ impl Drop for MuxClientConn {
 }
 
 /// One shard's pooled connection plus everything needed to open it again:
-/// after an online reshard fences the socket, any transport on the slot can
-/// swap in a fresh connection (same address, same shard count) and every
-/// other rider picks it up on its next call.
+/// after an online reshard fences the socket, or a failed send kills it,
+/// any transport on the slot swaps in a fresh connection (same address,
+/// same shard count) and every other rider picks it up on its next call.
 struct MuxSlot {
     addr: SocketAddr,
     shards: u32,
@@ -1386,20 +1116,20 @@ struct MuxSlot {
 }
 
 /// A shared pool of multiplexed connections to a [`serve_tcp_mux`] host —
-/// **one socket per shard**, however many clients ride it. Cloning the pool
-/// (or calling [`MuxPool::transport`] repeatedly) hands out any number of
+/// **one socket per shard**, however many clients ride it; a single client
+/// is the degenerate case. Cloning the pool (or calling
+/// [`MuxPool::transport`] repeatedly) hands out any number of
 /// [`MuxTransport`]s onto the same sockets; their in-flight waves are told
 /// apart by correlation id, so concurrent [`crate::router::ShardRouter`]s
 /// (and the [`crate::client::ClientFilter`]s above them) overlap on the
-/// wire instead of opening a connection — and costing a server thread —
-/// each.
+/// wire instead of opening a connection each.
 ///
 /// An online reshard that keeps the shard count fences the pooled sockets
 /// (see [`ShardHost`]); the pool heals transparently — the first transport
 /// to see the fence reconnects the slot, replays its request once, and
 /// every other rider follows onto the fresh socket. A reshard that
 /// *changes* the count still surfaces an error: the pool's routing
-/// topology is wrong and the caller must reconnect with the new count.
+/// topology is wrong and the caller must reconnect.
 #[derive(Clone)]
 pub struct MuxPool {
     slots: Vec<Arc<MuxSlot>>,
@@ -1408,94 +1138,42 @@ pub struct MuxPool {
 
 impl MuxPool {
     /// Connects one multiplexed socket per shard and performs the versioned
-    /// [`Request::Hello`] handshake on each. Like
-    /// [`crate::router::ShardRouter::connect`], a shard count that
-    /// disagrees with the server's is refused (the Hello answer carries the
-    /// fleet size); a host that does not multiplex (no `--mux`) refuses the
-    /// handshake with a descriptive error.
+    /// [`Request::Hello`] handshake on each. The Hello answer carries the
+    /// host's shard count; a `shards` that disagrees with it is refused —
+    /// routing by the wrong partition would silently drop every row on the
+    /// unreached shards. [`MuxPool::dial`] adopts the host's count instead.
     pub fn connect<A: ToSocketAddrs + Copy>(addr: A, shards: u32) -> Result<Self, CoreError> {
-        let spec = ShardSpec::new(shards);
-        // Resolve once so the slots can reconnect after a reshard fence
-        // without carrying the caller's generic address type around.
-        let addr = addr
-            .to_socket_addrs()
-            .map_err(|e| CoreError::Transport(format!("resolve: {e}")))?
-            .next()
-            .ok_or_else(|| CoreError::Transport("address resolved to nothing".into()))?;
-        let slots = (0..spec.shards())
-            .map(|_| {
-                Ok(Arc::new(MuxSlot {
-                    addr,
-                    shards: spec.shards(),
-                    conn: RwLock::new(Self::open_conn(addr, spec.shards())?),
-                }))
-            })
-            .collect::<Result<Vec<_>, CoreError>>()?;
-        Ok(MuxPool {
-            slots,
-            shards: spec.shards(),
-        })
+        Self::open(resolve(addr)?, Some(ShardSpec::new(shards).shards()), None)
     }
 
-    fn open_conn<A: ToSocketAddrs>(addr: A, shards: u32) -> Result<Arc<MuxClientConn>, CoreError> {
-        let mut stream =
-            TcpStream::connect(addr).map_err(|e| CoreError::Transport(format!("connect: {e}")))?;
-        stream
-            .set_nodelay(true)
-            .map_err(|e| CoreError::Transport(format!("nodelay: {e}")))?;
-        // Legacy-framed handshake: the upgrade is only in effect from the
-        // next frame on.
-        write_frame(
-            &mut stream,
-            &encode_request(&Request::Hello {
-                version: MUX_PROTOCOL_VERSION,
-            }),
-        )?;
-        let payload = read_frame(&mut stream)?.ok_or_else(|| {
-            CoreError::Transport("server closed the connection during the mux handshake".into())
-        })?;
-        match decode_response(&payload)? {
-            Response::Hello { version, shards: n } => {
-                if version != MUX_PROTOCOL_VERSION {
-                    return Err(CoreError::Transport(format!(
-                        "server negotiated unsupported mux version {version}"
-                    )));
-                }
-                if n != shards {
-                    return Err(CoreError::Transport(format!(
-                        "server partitions across {n} shard(s) but the client asked for {shards}; \
-                         reconnect with the server's shard count"
-                    )));
-                }
-            }
-            Response::Err(e) => {
-                return Err(CoreError::Transport(format!(
-                    "mux handshake refused: {e} (serve with --mux, or connect without it)"
-                )))
-            }
-            other => {
-                return Err(CoreError::Transport(format!(
-                    "unexpected mux handshake response {other:?}"
-                )))
-            }
+    /// Connects to a host and adopts the shard count its Hello answer
+    /// reports: one socket per shard, each connect and handshake bounded by
+    /// `timeout` (`None` waits as long as the OS does).
+    pub fn dial<A: ToSocketAddrs>(addr: A, timeout: Option<Duration>) -> Result<Self, CoreError> {
+        Self::open(resolve(addr)?, None, timeout)
+    }
+
+    fn open(
+        addr: SocketAddr,
+        expect: Option<u32>,
+        timeout: Option<Duration>,
+    ) -> Result<Self, CoreError> {
+        let (first, shards) = open_conn(addr, expect, &Deadline::of(timeout))?;
+        let mut conns = vec![first];
+        for _ in 1..shards {
+            conns.push(open_conn(addr, Some(shards), &Deadline::of(timeout))?.0);
         }
-        let write = stream
-            .try_clone()
-            .map_err(|e| CoreError::Transport(format!("clone: {e}")))?;
-        let conn = Arc::new(MuxClientConn {
-            write: Mutex::new(write),
-            pending: Mutex::new(HashMap::new()),
-            next_corr: AtomicU64::new(0),
-            dead: AtomicBool::new(false),
-            stray: AtomicU64::new(0),
-        });
-        // The reader holds only a weak handle: once every transport and
-        // pool clone is gone, `MuxClientConn::drop` shuts the socket down
-        // both ways, the reader's blocking read returns, and the thread
-        // exits — no leaked fd, no parked thread.
-        let weak = Arc::downgrade(&conn);
-        std::thread::spawn(move || mux_client_reader(stream, weak));
-        Ok(conn)
+        let slots = conns
+            .into_iter()
+            .map(|conn| {
+                Arc::new(MuxSlot {
+                    addr,
+                    shards,
+                    conn: RwLock::new(conn),
+                })
+            })
+            .collect();
+        Ok(MuxPool { slots, shards })
     }
 
     /// Number of shards the pool is connected to.
@@ -1531,42 +1209,127 @@ impl MuxPool {
     }
 }
 
+/// Resolves once, so slots can reconnect without carrying the caller's
+/// generic address type around.
+fn resolve<A: ToSocketAddrs>(addr: A) -> Result<SocketAddr, CoreError> {
+    addr.to_socket_addrs()
+        .map_err(|e| CoreError::Transport(format!("resolve: {e}")))?
+        .next()
+        .ok_or_else(|| CoreError::Transport("address resolved to nothing".into()))
+}
+
+/// Opens one pooled connection: TCP connect and the [`Request::Hello`]
+/// exchange, both bounded by `deadline`, then the reader thread. Returns
+/// the connection and the host's shard count, refused when `expect` names
+/// a different one.
+fn open_conn(
+    addr: SocketAddr,
+    expect: Option<u32>,
+    deadline: &Deadline,
+) -> Result<(Arc<MuxClientConn>, u32), CoreError> {
+    let mut stream = connect_within(addr, deadline)?;
+    // The handshake is the one frame sent before correlation framing.
+    let hello = encode_request(&Request::Hello {
+        version: MUX_PROTOCOL_VERSION,
+    });
+    write_frame_within(&mut stream, &hello, deadline)?;
+    let payload = read_frame_within(&mut stream, deadline)?.ok_or_else(|| {
+        CoreError::Transport("server closed the connection during the mux handshake".into())
+    })?;
+    // The reader thread blocks on a dup of this socket, which shares its
+    // timeouts: clear the handshake's bound before handing it over.
+    stream
+        .set_read_timeout(None)
+        .map_err(|e| CoreError::Transport(format!("clearing timeout: {e}")))?;
+    let shards = match decode_response(&payload)? {
+        Response::Hello { version, .. } if version != MUX_PROTOCOL_VERSION => {
+            return Err(CoreError::Transport(format!(
+                "server negotiated unsupported mux version {version}"
+            )))
+        }
+        Response::Hello { shards: n, .. } => match expect {
+            Some(want) if want != n => {
+                return Err(CoreError::Transport(format!(
+                    "server partitions across {n} shard(s) but the client asked for {want}; \
+                     reconnect with the server's shard count"
+                )))
+            }
+            _ if n == 0 => {
+                return Err(CoreError::Transport(
+                    "server reported zero shards in its handshake".into(),
+                ))
+            }
+            _ => n,
+        },
+        Response::Err(e) => {
+            return Err(CoreError::Transport(format!("mux handshake refused: {e}")))
+        }
+        other => {
+            return Err(CoreError::Transport(format!(
+                "unexpected mux handshake response {other:?}"
+            )))
+        }
+    };
+    let write = stream
+        .try_clone()
+        .map_err(|e| CoreError::Transport(format!("clone: {e}")))?;
+    let conn = Arc::new(MuxClientConn {
+        write: Mutex::new(write),
+        pending: Mutex::new(HashMap::new()),
+        next_corr: AtomicU64::new(0),
+        dead: AtomicBool::new(false),
+        stray: AtomicU64::new(0),
+    });
+    // The reader holds only a weak handle: once every transport and pool
+    // clone is gone, `MuxClientConn::drop` shuts the socket down both ways,
+    // the reader's blocking read returns, and the thread exits — no leaked
+    // fd, no parked thread.
+    let weak = Arc::downgrade(&conn);
+    std::thread::spawn(move || mux_client_reader(stream, weak));
+    Ok((conn, shards))
+}
+
 /// The reader thread of one pooled connection: matches every incoming
 /// response to the completion slot its correlation id names. A response
 /// whose id nobody registered is dropped and counted ([`MuxPool::
 /// stray_responses`]) — it can never complete a different wave's slot. On
 /// any framing or socket error the connection is poisoned and every parked
-/// wave gets an explicit error.
+/// wave gets an explicit error naming the cause.
 fn mux_client_reader(mut stream: TcpStream, conn: Weak<MuxClientConn>) {
-    while let Ok(Some(payload)) = read_frame(&mut stream) {
+    let cause = loop {
+        let payload =
+            match read_frame_io(&mut stream, |e| CoreError::Transport(format!("read: {e}"))) {
+                Ok(Some(payload)) => payload,
+                Ok(None) => break "server closed the connection".to_string(),
+                Err(CoreError::Transport(cause)) => break cause,
+                Err(e) => break e.to_string(),
+            };
         let Some(conn) = conn.upgrade() else { return };
-        match decode_corr_payload(&payload) {
-            Ok((corr, inner)) => {
-                let slot = conn
-                    .pending
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .remove(&corr);
-                match slot {
-                    Some(tx) => {
-                        let result =
-                            decode_response(inner).map(|resp| (resp, payload.len() as u64));
-                        let _ = tx.send(result);
-                    }
-                    None => {
-                        conn.stray.fetch_add(1, Ordering::SeqCst);
-                    }
-                }
+        let Ok((corr, inner)) = decode_corr_payload(&payload) else {
+            break "short mux frame".to_string();
+        };
+        let slot = conn
+            .pending
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .remove(&corr);
+        match slot {
+            Some(tx) => {
+                let result = decode_response(inner).map(|resp| (resp, payload.len() as u64));
+                let _ = tx.send(result);
             }
-            // Unframeable: poison the connection below.
-            Err(_) => break,
+            None => {
+                conn.stray.fetch_add(1, Ordering::SeqCst);
+            }
         }
-    }
+    };
     if let Some(conn) = conn.upgrade() {
         conn.dead.store(true, Ordering::SeqCst);
         let mut pending = conn.pending.lock().unwrap_or_else(|p| p.into_inner());
         for (_, tx) in pending.drain() {
-            let _ = tx.send(Err(CoreError::Transport("mux connection lost".into())));
+            let _ = tx.send(Err(CoreError::Transport(format!(
+                "mux connection lost: {cause}"
+            ))));
         }
     }
 }
@@ -1575,7 +1338,8 @@ fn mux_client_reader(mut stream: TcpStream, conn: Weak<MuxClientConn>) {
 /// [`MuxPool`]). Each call allocates a correlation id, parks on a
 /// completion slot and returns when the reader resolves it — concurrent
 /// transports on the same socket overlap freely, and responses may complete
-/// in any order.
+/// in any order. Every blocking step of a call — re-dial, send, wait — is
+/// bounded by the call budget ([`Transport::set_call_budget`]).
 pub struct MuxTransport {
     slot: Arc<MuxSlot>,
     stats: TransportStats,
@@ -1598,53 +1362,68 @@ impl MuxTransport {
     /// Registers a completion slot and puts the frame on the wire; the
     /// caller decides when to park on the returned receiver. Also returns
     /// the connection the frame went out on, so a fence response can be
-    /// attributed to exactly that socket when healing.
+    /// attributed to exactly that socket when healing. A dead connection is
+    /// re-dialed first. A send that fails — including one that stalls past
+    /// `deadline` — leaves a partial frame on the wire, so it kills the
+    /// connection: the next call re-dials.
     fn begin(
         &mut self,
         req: &Request,
+        deadline: &Deadline,
     ) -> Result<(mpsc::Receiver<SlotResult>, u64, Arc<MuxClientConn>), CoreError> {
+        self.revive_within(deadline)?;
         let conn = Arc::clone(&self.slot.conn.read().unwrap_or_else(|p| p.into_inner()));
         let lost = || CoreError::Transport("mux connection lost".into());
-        if conn.dead.load(Ordering::SeqCst) {
-            return Err(lost());
-        }
         let corr = conn.next_corr.fetch_add(1, Ordering::SeqCst);
         let (tx, rx) = mpsc::channel();
         conn.pending
             .lock()
             .unwrap_or_else(|p| p.into_inner())
             .insert(corr, tx);
-        // The reader drains the slots *after* setting `dead`, so a slot
-        // registered before this check is either drained (rx holds the
-        // error) or removed here; either way the wave fails explicitly.
-        if conn.dead.load(Ordering::SeqCst) {
+        let unregister = || {
             conn.pending
                 .lock()
                 .unwrap_or_else(|p| p.into_inner())
                 .remove(&corr);
+        };
+        // The reader drains the slots *after* setting `dead`, so a slot
+        // registered before this check is either drained (rx holds the
+        // error) or removed here; either way the wave fails explicitly.
+        if conn.dead.load(Ordering::SeqCst) {
+            unregister();
             return Err(lost());
         }
         let payload = encode_corr_payload(corr, &encode_request(req));
-        {
-            let mut write = conn.write.lock().unwrap_or_else(|p| p.into_inner());
-            if let Err(e) = write_frame(&mut write, &payload) {
-                drop(write);
-                conn.pending
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .remove(&corr);
-                return Err(e);
+        let mut write = conn.write.lock().unwrap_or_else(|p| p.into_inner());
+        let sent = arm_socket_timeout(&write, deadline, false, "write").and_then(|()| {
+            let sent = write_frame(&mut write, &payload);
+            if sent.is_err() {
+                // Part of the frame may be on the wire: the stream can no
+                // longer be framed, so the connection dies with the call.
+                conn.dead.store(true, Ordering::SeqCst);
+                let _ = write.shutdown(std::net::Shutdown::Both);
             }
+            sent
+        });
+        drop(write);
+        if let Err(e) = sent {
+            unregister();
+            return Err(e);
         }
         self.stats.bytes_sent += payload.len() as u64;
         Ok((rx, corr, conn))
     }
 
     /// Reopens the slot's pooled connection if the current one is dead, so
-    /// a quarantined party that came back can be dialed again through the
-    /// same pool (fleet re-admission). A live connection is left untouched
-    /// — every rider keeps overlapping on it.
+    /// a party that came back can be dialed again through the same pool
+    /// (fleet retries and re-admission). Bounded by the transport's call
+    /// budget. A live connection is left untouched — every rider keeps
+    /// overlapping on it.
     pub fn revive(&self) -> Result<(), CoreError> {
+        self.revive_within(&Deadline::of(self.budget))
+    }
+
+    fn revive_within(&self, deadline: &Deadline) -> Result<(), CoreError> {
         let stale = {
             let conn = self.slot.conn.read().unwrap_or_else(|p| p.into_inner());
             if !conn.dead.load(Ordering::SeqCst) {
@@ -1652,19 +1431,19 @@ impl MuxTransport {
             }
             Arc::clone(&conn)
         };
-        self.repool(&stale)
+        self.repool(&stale, deadline)
     }
 
-    /// Swaps a fenced connection out of the slot for a fresh one — exactly
-    /// once per fence, however many transports observe it: only the caller
+    /// Swaps a fenced or dead connection out of the slot for a fresh one —
+    /// exactly once, however many transports observe it: only the caller
     /// still holding the *stale* connection reconnects (pointer identity
     /// under the write lock); everyone else finds the slot already healed
     /// and just replays. A host resharded to a *different* count refuses
     /// the new handshake, so the error keeps surfacing as it should.
-    fn repool(&self, stale: &Arc<MuxClientConn>) -> Result<(), CoreError> {
+    fn repool(&self, stale: &Arc<MuxClientConn>, deadline: &Deadline) -> Result<(), CoreError> {
         let mut conn = self.slot.conn.write().unwrap_or_else(|p| p.into_inner());
         if Arc::ptr_eq(&conn, stale) {
-            *conn = MuxPool::open_conn(self.slot.addr, self.slot.shards)?;
+            *conn = open_conn(self.slot.addr, Some(self.slot.shards), deadline)?.0;
         }
         Ok(())
     }
@@ -1717,7 +1496,7 @@ impl MuxTransport {
 impl Transport for MuxTransport {
     fn call(&mut self, req: &Request) -> Result<Response, CoreError> {
         let deadline = Deadline::of(self.budget);
-        let (rx, corr, conn) = self.begin(req)?;
+        let (rx, corr, conn) = self.begin(req, &deadline)?;
         let resp = self.wait(rx, corr, &conn, deadline)?;
         if !is_reshard_fence(&resp) {
             return Ok(resp);
@@ -1725,8 +1504,8 @@ impl Transport for MuxTransport {
         // Same-count reshard: heal the slot and replay exactly once (under
         // the original call's deadline). A second fence (another reshard
         // racing the replay) surfaces.
-        self.repool(&conn)?;
-        let (rx, corr, conn) = self.begin(req)?;
+        self.repool(&conn, &deadline)?;
+        let (rx, corr, conn) = self.begin(req, &deadline)?;
         self.wait(rx, corr, &conn, deadline)
     }
 
@@ -1740,7 +1519,7 @@ impl Transport for MuxTransport {
 
     fn call_pipelined(&mut self, req: &Request) -> Result<PendingCall, CoreError> {
         let deadline = Deadline::of(self.budget);
-        let (rx, corr, conn) = self.begin(req)?;
+        let (rx, corr, conn) = self.begin(req, &deadline)?;
         Ok(PendingCall {
             rx,
             corr,
@@ -1758,8 +1537,8 @@ impl Transport for MuxTransport {
         let Some(req) = call.retry else {
             return Ok(resp);
         };
-        self.repool(&call.conn)?;
-        let (rx, corr, conn) = self.begin(&req)?;
+        self.repool(&call.conn, &call.deadline)?;
+        let (rx, corr, conn) = self.begin(&req, &call.deadline)?;
         self.wait(rx, corr, &conn, call.deadline)
     }
 
@@ -1797,28 +1576,6 @@ mod tests {
         assert!(s.bytes_received >= 9, "count response = tag + u64");
     }
 
-    #[test]
-    fn tcp_round_trip() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let handle = std::thread::spawn(move || serve_tcp(listener, demo_server()).unwrap());
-
-        let mut t = TcpTransport::connect(addr).unwrap();
-        assert_eq!(t.call(&Request::Count).unwrap(), Response::Count(3));
-        match t.call(&Request::Root).unwrap() {
-            Response::MaybeLoc(Some(l)) => assert_eq!(l.pre, 1),
-            other => panic!("{other:?}"),
-        }
-        match t.call(&Request::Children { pre: 1 }).unwrap() {
-            Response::Locs(ls) => assert_eq!(ls.len(), 1),
-            other => panic!("{other:?}"),
-        }
-        assert_eq!(t.call(&Request::Shutdown).unwrap(), Response::Ok);
-        let server = handle.join().unwrap();
-        assert!(server.stats().requests >= 4);
-        assert_eq!(t.stats().round_trips, 4);
-    }
-
     /// A sharded host refusing a reshard (rows that cannot coexist in one
     /// partition) must keep serving from the original fleet — the refusal
     /// path restores it under the write lock instead of dropping it.
@@ -1834,9 +1591,10 @@ mod tests {
 
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let handle = std::thread::spawn(move || serve_tcp_sharded(listener, server).unwrap());
+        let handle = std::thread::spawn(move || serve_tcp_mux(listener, server, 0).unwrap());
 
-        let mut t = TcpTransport::connect(addr).unwrap();
+        let pool = MuxPool::connect(addr, 2).unwrap();
+        let mut t = pool.transport(0);
         match t.call(&Request::Reshard { shards: 1 }).unwrap() {
             Response::Err(e) => assert!(e.contains("reshard refused"), "{e}"),
             other => panic!("{other:?}"),
@@ -1872,8 +1630,8 @@ mod tests {
         let pool = MuxPool::connect(addr, 1).unwrap();
         let mut t = pool.transport(0);
         assert_eq!(t.call(&Request::Count).unwrap(), Response::Count(3));
-        match t.call(&Request::Root).unwrap() {
-            Response::MaybeLoc(Some(l)) => assert_eq!(l.pre, 1),
+        match t.call(&Request::Roots).unwrap() {
+            Response::Locs(ls) => assert_eq!(ls[0].pre, 1),
             other => panic!("{other:?}"),
         }
         let s = t.stats();
@@ -1917,50 +1675,92 @@ mod tests {
         handle.join().unwrap();
     }
 
-    /// The mux host still speaks the exact legacy protocol to a client that
-    /// never sends the handshake.
+    /// Writes one raw length-prefixed frame.
+    fn send_raw(stream: &mut TcpStream, payload: &[u8]) {
+        stream
+            .write_all(&(payload.len() as u32).to_le_bytes())
+            .unwrap();
+        stream.write_all(payload).unwrap();
+    }
+
+    /// A request sent before `Hello` — the framing no client speaks any
+    /// more — gets a typed `Response::Err`, its connection is closed, and
+    /// the host keeps serving every other connection.
     #[test]
-    fn mux_host_serves_legacy_clients_unchanged() {
+    fn request_before_hello_is_refused_and_closed() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let handle =
             std::thread::spawn(move || serve_tcp_mux(listener, demo_sharded(2), 0).unwrap());
+        let pool = MuxPool::connect(addr, 2).unwrap();
 
-        let mut t = TcpTransport::connect(addr).unwrap();
-        assert_eq!(t.call(&Request::ShardCount).unwrap(), Response::Count(2));
-        match t.call(&Request::ToShard {
-            shard: 0,
-            req: Box::new(Request::Count),
-        }) {
-            Ok(Response::Count(_)) => {}
+        let mut raw = TcpStream::connect(addr).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        send_raw(&mut raw, &encode_request(&Request::Count));
+        let reply = read_frame_io(&mut raw, |e| CoreError::Transport(e.to_string()))
+            .unwrap()
+            .expect("a typed refusal");
+        match decode_response(&reply).unwrap() {
+            Response::Err(e) => assert!(e.contains("Hello"), "{e}"),
             other => panic!("{other:?}"),
         }
-        assert!(matches!(
-            t.call(&Request::ToShard {
-                shard: 9,
-                req: Box::new(Request::Count),
-            })
-            .unwrap(),
-            Response::Err(_)
-        ));
-        t.call(&Request::Shutdown).unwrap();
+        // Closed: the next read sees EOF (or a reset), never an answer.
+        let _ = raw.write_all(&[0, 0, 0, 0]);
+        let mut rest = Vec::new();
+        assert!(raw.read_to_end(&mut rest).map_or(true, |_| rest.is_empty()));
+
+        // The pooled connections opened before it keep working.
+        let mut router = crate::router::ShardRouter::mux(&pool);
+        assert_eq!(router.call(&Request::Count).unwrap(), Response::Count(3));
+        router.call(&Request::Shutdown).unwrap();
         handle.join().unwrap();
     }
 
-    /// A host that does not multiplex refuses the handshake with a
-    /// descriptive error instead of hanging or panicking.
+    /// A host that refuses the handshake yields a descriptive error instead
+    /// of a hang or a panic.
     #[test]
-    fn non_mux_host_refuses_the_handshake() {
+    fn refused_handshake_is_a_typed_error() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let handle = std::thread::spawn(move || serve_tcp(listener, demo_server()).unwrap());
+        std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            let _ = read_frame_io(&mut s, |e| CoreError::Transport(e.to_string()));
+            send_raw(&mut s, &encode_response(&Response::Err("go away".into())));
+        });
         match MuxPool::connect(addr, 1) {
-            Err(CoreError::Transport(msg)) => assert!(msg.contains("mux"), "{msg}"),
+            Err(CoreError::Transport(msg)) => assert!(msg.contains("refused"), "{msg}"),
             other => panic!("expected a refusal, got {:?}", other.map(|_| "pool")),
         }
-        let mut t = TcpTransport::connect(addr).unwrap();
-        t.call(&Request::Shutdown).unwrap();
+    }
+
+    /// `dial` adopts whatever shard count the host reports.
+    #[test]
+    fn dial_adopts_the_host_shard_count() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let handle =
+            std::thread::spawn(move || serve_tcp_mux(listener, demo_sharded(3), 0).unwrap());
+        let pool = MuxPool::dial(addr, Some(Duration::from_secs(10))).unwrap();
+        assert_eq!(pool.shards(), 3);
+        let mut router = crate::router::ShardRouter::mux(&pool);
+        assert_eq!(router.call(&Request::Count).unwrap(), Response::Count(3));
+        router.call(&Request::Shutdown).unwrap();
         handle.join().unwrap();
+    }
+
+    /// A host that accepts the connection and never answers `Hello` costs a
+    /// dial its budget, not forever.
+    #[test]
+    fn silent_host_times_out_the_dial() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let t0 = Instant::now();
+        match MuxPool::dial(addr, Some(Duration::from_millis(200))) {
+            Err(CoreError::Timeout(_)) => {}
+            other => panic!("expected a timeout, got {:?}", other.map(|_| "pool")),
+        }
+        assert!(t0.elapsed() < Duration::from_secs(5), "{:?}", t0.elapsed());
+        drop(listener);
     }
 
     /// The Hello answer carries the fleet size: a mismatched shard count is
@@ -2026,22 +1826,5 @@ mod tests {
                 Err(other) => panic!("{other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn tcp_survives_reconnect() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let handle = std::thread::spawn(move || serve_tcp(listener, demo_server()).unwrap());
-
-        {
-            let mut t1 = TcpTransport::connect(addr).unwrap();
-            assert_eq!(t1.call(&Request::Count).unwrap(), Response::Count(3));
-            // Drop without shutdown.
-        }
-        let mut t2 = TcpTransport::connect(addr).unwrap();
-        assert_eq!(t2.call(&Request::Count).unwrap(), Response::Count(3));
-        t2.call(&Request::Shutdown).unwrap();
-        handle.join().unwrap();
     }
 }

@@ -24,11 +24,10 @@ fn arb_loc() -> impl Strategy<Value = Loc> {
 /// Every simple (non-compound) request variant with arbitrary payloads.
 fn arb_simple_request() -> BoxedStrategy<Request> {
     prop_oneof![
-        Just(Request::Root),
+        Just(Request::Roots),
         any::<u32>().prop_map(|pre| Request::GetLoc { pre }),
         any::<u32>().prop_map(|pre| Request::Children { pre }),
         arb_loc().prop_map(|loc| Request::Descendants { loc }),
-        (any::<u32>(), any::<u64>()).prop_map(|(pre, point)| Request::Eval { pre, point }),
         (proptest::collection::vec(any::<u32>(), 0..8), any::<u64>())
             .prop_map(|(pres, point)| Request::EvalMany { pres, point }),
         proptest::collection::vec(any::<u32>(), 0..8).prop_map(|pres| Request::GetPolys { pres }),
@@ -68,7 +67,6 @@ fn arb_response() -> BoxedStrategy<Response> {
     let simple = prop_oneof![
         proptest::option::of(arb_loc()).prop_map(Response::MaybeLoc),
         proptest::collection::vec(arb_loc(), 0..6).prop_map(Response::Locs),
-        any::<u64>().prop_map(Response::Value),
         proptest::collection::vec(any::<u64>(), 0..8).prop_map(Response::Values),
         proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..12), 0..5)
             .prop_map(Response::Polys),

@@ -49,8 +49,8 @@ fn server_reports_corrupt_rows_instead_of_panicking() {
     }
     let corrupt_pre = out.table.rows()[0].loc.pre;
     let mut server = ServerFilter::new(table, out.ring);
-    match server.handle(&Request::Eval {
-        pre: corrupt_pre,
+    match server.handle(&Request::EvalMany {
+        pres: vec![corrupt_pre],
         point: 5,
     }) {
         ssx_core::protocol::Response::Err(msg) => {
@@ -76,7 +76,7 @@ fn client_surfaces_corrupt_polys_from_equality_test() {
     }
     let server = ServerFilter::new(table, out.ring);
     let mut client = ClientFilter::new(LocalTransport::new(server), map, seed).unwrap();
-    let root = client.root().unwrap().unwrap();
+    let root = client.roots().unwrap()[0];
     let vsite = client.value_of("site").unwrap();
     let err = client.equality(root, vsite).unwrap_err();
     assert!(
@@ -113,13 +113,19 @@ fn zero_point_evaluation_is_well_defined_but_useless() {
     let (map, seed) = secrets();
     let out = encode_document("<site><a/></site>", &map, &seed).unwrap();
     let mut server = ServerFilter::new(out.table, out.ring);
-    match server.handle(&Request::Eval { pre: 1, point: 0 }) {
-        ssx_core::protocol::Response::Value(_) => {}
+    match server.handle(&Request::EvalMany {
+        pres: vec![1],
+        point: 0,
+    }) {
+        ssx_core::protocol::Response::Values(_) => {}
         other => panic!("{other:?}"),
     }
     // Out-of-field points are a client error the server reports.
-    match server.handle(&Request::Eval { pre: 1, point: 83 }) {
-        ssx_core::protocol::Response::Err(_) | ssx_core::protocol::Response::Value(_) => {}
+    match server.handle(&Request::EvalMany {
+        pres: vec![1],
+        point: 83,
+    }) {
+        ssx_core::protocol::Response::Err(_) | ssx_core::protocol::Response::Values(_) => {}
         other => panic!("{other:?}"),
     }
 }

@@ -13,8 +13,8 @@
 use ssxdb::core::protocol::Request;
 use ssxdb::core::transport::Transport;
 use ssxdb::core::{
-    encode_document, serve_tcp, AdvancedEngine, ClientFilter, MatchRule, ServerFilter,
-    SimpleEngine, TcpTransport,
+    encode_document, serve_tcp_mux, AdvancedEngine, ClientFilter, MatchRule, MuxPool, ShardRouter,
+    ShardedServer, SimpleEngine,
 };
 use ssxdb::prg::{Prg, Seed};
 use ssxdb::xmark::{generate, XmarkConfig, DTD_ELEMENTS};
@@ -37,15 +37,16 @@ fn main() {
     );
 
     // --- server side: receives table + public ring parameters only ------
-    let server = ServerFilter::new(out.table, out.ring);
+    let server = ShardedServer::from_table(out.table, out.ring, 1).unwrap();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     println!("server listening on {addr} (holds shares + structure, no secrets)");
-    let server_thread = std::thread::spawn(move || serve_tcp(listener, server).unwrap());
+    let server_thread = std::thread::spawn(move || serve_tcp_mux(listener, server, 0).unwrap());
 
     // --- client connects and queries ------------------------------------
-    let transport = TcpTransport::connect(addr).unwrap();
-    let mut client = ClientFilter::new(transport, map, seed).unwrap();
+    // One socket per shard; the host's handshake says how many there are.
+    let pool = MuxPool::dial(addr, None).unwrap();
+    let mut client = ClientFilter::new(ShardRouter::mux(&pool), map, seed).unwrap();
 
     let query = parse_query("/site/*/person//city").unwrap();
     let outcome = AdvancedEngine::run(&query, MatchRule::Equality, &mut client).unwrap();
@@ -68,7 +69,7 @@ fn main() {
     );
 
     // The thin-client pipeline: pull children one node at a time.
-    let root = client.root().unwrap().unwrap();
+    let root = client.roots().unwrap()[0];
     let cursor = client.open_children_cursor(vec![root.pre]).unwrap();
     print!("pipelined children of the root (one RTT per node): ");
     while let Some(loc) = client.next_node(cursor).unwrap() {
@@ -79,7 +80,7 @@ fn main() {
     // Shut the server down cleanly.
     client.transport_mut().call(&Request::Shutdown).unwrap();
     let server = server_thread.join().unwrap();
-    let stats = server.stats();
+    let stats = server.filters()[0].stats();
     println!(
         "\nserver handled {} requests: {} share evaluations, {} polynomials served",
         stats.requests, stats.evaluations, stats.polys_served

@@ -11,45 +11,48 @@
 //!               [--rule containment|equality] [--stats] <db.ssxdb> <query>
 //! ssxdb agg     --map <map> --seed <seed> --op count|sum|avg [--range LO..HI]
 //!               [--engine …] [--rule …] [--stats]
-//!               (<db.ssxdb> | --addr <host:port> [--shards S] [--mux]
-//!                | --fleet a1,a2,… --threshold t [--mux]) <query>
+//!               (<db.ssxdb> | --addr <host:port> [--deadline-ms MS]
+//!                | --fleet a1,a2,… --threshold t [--deadline-ms MS] [--retries N]
+//!                  [--hedge]) <query>
 //! ssxdb insert  --map <map> --seed <seed> [--shards S] [--no-checkpoint]
 //!               <db.ssxdb> <doc.xml>
 //! ssxdb insert  --map <map> --seed <seed>
-//!               (--addr <host:port> [--shards S] | --fleet a1,a2,… --threshold t)
-//!               [--mux] [--deadline-ms MS] [--retries N] <doc.xml>
+//!               (--addr <host:port> | --fleet a1,a2,… --threshold t [--retries N] [--hedge])
+//!               [--deadline-ms MS] <doc.xml>
 //! ssxdb delete  --map <map> --seed <seed> [--shards S] [--no-checkpoint]
 //!               <db.ssxdb> <root-pre>
 //! ssxdb delete  --map <map> --seed <seed>
-//!               (--addr <host:port> [--shards S] | --fleet a1,a2,… --threshold t)
-//!               [--mux] [--deadline-ms MS] [--retries N] <root-pre>
-//! ssxdb serve   --p <p> --e <e> --addr <host:port> [--shards S]
-//!               [--mux [--workers W] [--write-stall-ms MS]]
-//!               [--party i] [--auto-reshard-target BYTES] <db.ssxdb | party-store>
-//! ssxdb remote  --map <map> --seed <seed> --addr <host:port> [--shards S]
-//!               [--engine …] [--rule …] [--speculate] [--mux] [--deadline-ms MS]
+//!               (--addr <host:port> | --fleet a1,a2,… --threshold t [--retries N] [--hedge])
+//!               [--deadline-ms MS] <root-pre>
+//! ssxdb serve   --p <p> --e <e> --addr <host:port> [--shards S] [--workers W]
+//!               [--write-stall-ms MS] [--party i] [--auto-reshard-target BYTES]
+//!               <db.ssxdb | party-store>
+//! ssxdb remote  --map <map> --seed <seed> --addr <host:port>
+//!               [--engine …] [--rule …] [--speculate] [--deadline-ms MS]
 //!               [--stats] <query>
 //! ssxdb remote  --map <map> --seed <seed> --fleet a1,a2,… --threshold t
-//!               [--engine …] [--rule …] [--speculate] [--mux] [--deadline-ms MS]
+//!               [--engine …] [--rule …] [--speculate] [--deadline-ms MS]
 //!               [--retries N] [--hedge] [--stats] <query>
 //! ssxdb reshard --addr <host:port> --shards <S'>
 //! ```
 //!
-//! `serve --shards S` partitions the table across `S` independent server
-//! filters behind one concurrent listener; `remote --shards S` opens one
-//! connection per shard and batches each query frontier across them.
-//! `remote --speculate` overlaps dependent waves (the next frontier's
-//! expansion rides the current wave's frames). `reshard` repartitions a
-//! running sharded host **online** — rows move in memory, bit-identically;
-//! clients connected under the old shard count must reconnect.
+//! Every command refuses a flag it does not take, naming it, before doing
+//! any work.
 //!
-//! `serve --mux` swaps the thread-per-connection host for the multiplexed
-//! one: a fixed pool of reader/executor/writer threads (`--workers W`,
-//! default 4) over nonblocking sockets, answering correlation-tagged
-//! frames out of order so any number of concurrent clients overlap their
-//! query waves. Legacy (non-mux) clients are still served unchanged.
-//! `remote --mux` connects through the correlation envelope — one
-//! multiplexed socket per shard.
+//! `serve` runs the multiplexed host: a reader thread sweeping nonblocking
+//! sockets plus a fixed pool of executor threads (`--workers W`; 0, the
+//! default, sizes it to the machine's parallelism clamped to 2..=8, or 4
+//! when that is unknown), answering correlation-tagged frames out of order
+//! so any number of concurrent clients overlap their query waves.
+//! `serve --shards S` partitions the table across `S` independent server
+//! filters behind the one listener. Clients (`remote`, `agg`, `insert`,
+//! `delete` with `--addr`) open one multiplexed socket per shard and learn
+//! `S` from the host's handshake answer, so they take no `--shards`; each
+//! query frontier is batched across the shards. `remote --speculate`
+//! overlaps dependent waves (the next frontier's expansion rides the
+//! current wave's frames). `reshard` repartitions a running host
+//! **online** — rows move in memory, bit-identically; clients connected
+//! under the old shard count must reconnect.
 //!
 //! `encode --servers n --threshold t` splits the database into `n`
 //! per-party share stores (`out.party1.ssxdb` … `out.partyN.ssxdb`), any
@@ -65,8 +68,9 @@
 //! `--retries N` retries transient failures with exponential backoff over
 //! a fresh connection, and `--hedge` answers each fleet wave from the
 //! first `t` verified responses while stragglers drain in the background.
-//! On the host side, `serve --mux --write-stall-ms MS` bounds how long a
-//! non-reading client may stall a writer before its connection is shed.
+//! On the host side, `serve --write-stall-ms MS` bounds how long a
+//! non-reading client may stall a response send before its connection is
+//! shed.
 //!
 //! `insert` and `delete` are the write plane. Against a local store they
 //! open the snapshot **durably**: mutations append to a checksummed
@@ -86,11 +90,10 @@
 //! would hold).
 
 use ssxdb::core::{
-    encode_document, encode_dom, party_server, run_aggregate, serve_tcp, serve_tcp_mux_opts,
-    serve_tcp_sharded, serve_tcp_sharded_auto, split_fleet, AggOp, AggregateSpec, ClientFilter,
-    EncryptedDb, Engine, EngineKind, FleetSpec, MapFile, MatchRule, MuxHostOptions, MuxPool,
-    RemoteDb, RemoteFleetDb, RemoteMuxDb, RemoteMuxFleetDb, ResilienceConfig, ServerFilter,
-    ShardRouter, ShardedServer, Transport,
+    encode_document, encode_dom, party_server, run_aggregate, serve_tcp_mux_opts, split_fleet,
+    AggOp, AggregateSpec, ClientFilter, EncryptedDb, Engine, EngineKind, FleetSpec, MapFile,
+    MatchRule, MuxHostOptions, MuxPool, RemoteMuxDb, RemoteMuxFleetDb, ResilienceConfig,
+    ServerFilter, ShardRouter, ShardedServer, Transport,
 };
 use ssxdb::poly::RingCtx;
 use ssxdb::prg::Seed;
@@ -155,24 +158,28 @@ commands:
           [--rule containment|equality] [--stats] <db.ssxdb> <query>
   agg     --map M --seed S --op count|sum|avg [--range LO..HI]
           [--engine ..] [--rule ..] [--stats]
-          (<db.ssxdb> | --addr H:P [--shards S] [--mux]
-           | --fleet A1,.. --threshold t [--mux]) <query>
+          (<db.ssxdb> | --addr H:P [--deadline-ms MS]
+           | --fleet A1,.. --threshold t [--deadline-ms MS] [--retries N]
+             [--hedge]) <query>
   insert  --map M --seed S [--shards S] [--no-checkpoint] <db.ssxdb> <doc.xml>
-  insert  --map M --seed S (--addr H:P [--shards S] | --fleet A1,.. --threshold t)
-          [--mux] [--deadline-ms MS] [--retries N] <doc.xml>
+  insert  --map M --seed S (--addr H:P | --fleet A1,.. --threshold t
+          [--retries N] [--hedge]) [--deadline-ms MS] <doc.xml>
   delete  --map M --seed S [--shards S] [--no-checkpoint] <db.ssxdb> <root-pre>
-  delete  --map M --seed S (--addr H:P [--shards S] | --fleet A1,.. --threshold t)
-          [--mux] [--deadline-ms MS] [--retries N] <root-pre>
-  serve   --p P --e E --addr HOST:PORT [--shards S]
-          [--mux [--workers W] [--write-stall-ms MS]] [--party i]
+  delete  --map M --seed S (--addr H:P | --fleet A1,.. --threshold t
+          [--retries N] [--hedge]) [--deadline-ms MS] <root-pre>
+  serve   --p P --e E --addr HOST:PORT [--shards S] [--workers W]
+          [--write-stall-ms MS] [--party i]
           [--auto-reshard-target BYTES] <db.ssxdb | party store>
-  remote  --map M --seed S --addr HOST:PORT [--shards S]
-          [--engine ..] [--rule ..] [--speculate] [--mux]
-          [--deadline-ms MS] <query>
+  remote  --map M --seed S --addr HOST:PORT
+          [--engine ..] [--rule ..] [--speculate] [--deadline-ms MS]
+          [--stats] <query>
   remote  --map M --seed S --fleet A1,A2,.. --threshold t
-          [--engine ..] [--rule ..] [--speculate] [--mux]
-          [--deadline-ms MS] [--retries N] [--hedge] <query>
+          [--engine ..] [--rule ..] [--speculate] [--deadline-ms MS]
+          [--retries N] [--hedge] [--stats] <query>
   reshard --addr HOST:PORT --shards S'            repartition a live host
+
+Clients learn a host's shard count from its handshake. Unknown flags are
+refused.
 ";
 
 // ---- tiny argument parser ---------------------------------------------------
@@ -194,7 +201,6 @@ impl Args {
                     || name == "dtd"
                     || name == "trie-alphabet"
                     || name == "speculate"
-                    || name == "mux"
                     || name == "hedge"
                     || name == "no-checkpoint"
                 {
@@ -238,6 +244,36 @@ impl Args {
 
     fn bool(&self, name: &str) -> bool {
         self.flag(name).is_some()
+    }
+
+    /// Refuses the first flag `command` does not take — a typo or a stale
+    /// flag must fail loudly, not fall back to a default.
+    fn only(&self, command: &str, allowed: &[&[&str]]) -> Result<(), String> {
+        match self
+            .flags
+            .iter()
+            .find(|(n, _)| !allowed.iter().any(|set| set.contains(&n.as_str())))
+        {
+            Some((name, _)) => Err(format!(
+                "'{command}' does not take --{name}; try 'ssxdb help'"
+            )),
+            None => Ok(()),
+        }
+    }
+}
+
+/// Flags every query-side client command takes.
+const READ_FLAGS: &[&str] = &["map", "seed", "engine", "rule", "stats"];
+
+/// The extra flags of a command's target: a fleet (`--fleet`), one host
+/// (`--addr`), or a local store (neither).
+fn target_flags(args: &Args) -> &'static [&'static str] {
+    if args.flag("fleet").is_some() {
+        &["fleet", "threshold", "deadline-ms", "retries", "hedge"]
+    } else if args.flag("addr").is_some() {
+        &["addr", "deadline-ms"]
+    } else {
+        &[]
     }
 }
 
@@ -299,6 +335,7 @@ fn load_secrets(args: &Args) -> Result<(MapFile, Seed), String> {
 // ---- commands ---------------------------------------------------------------
 
 fn keygen(mut args: Args) -> Result<(), String> {
+    args.only("keygen", &[])?;
     let out = PathBuf::from(args.positional("seed-file")?);
     // Entropy from the OS (dev/urandom on Unix); falls back to a time+pid
     // mix if unavailable so the command still works everywhere.
@@ -328,6 +365,10 @@ fn keygen(mut args: Args) -> Result<(), String> {
 }
 
 fn genmap(mut args: Args) -> Result<(), String> {
+    args.only(
+        "genmap",
+        &[&["p", "e", "doc", "dtd", "names", "trie-alphabet"]],
+    )?;
     let p: u64 = args
         .flag("p")
         .unwrap_or("83")
@@ -383,6 +424,7 @@ fn genmap(mut args: Args) -> Result<(), String> {
 }
 
 fn xmark(mut args: Args) -> Result<(), String> {
+    args.only("xmark", &[&["bytes", "seed"]])?;
     let bytes: usize = args
         .flag("bytes")
         .unwrap_or("262144")
@@ -408,6 +450,10 @@ fn xmark(mut args: Args) -> Result<(), String> {
 }
 
 fn encode(mut args: Args) -> Result<(), String> {
+    args.only(
+        "encode",
+        &[&["map", "seed", "trie", "servers", "threshold"]],
+    )?;
     let (map, seed) = load_secrets(&args)?;
     let input = PathBuf::from(args.positional("in.xml")?);
     let output = PathBuf::from(args.positional("out.ssxdb")?);
@@ -482,6 +528,7 @@ fn party_path(base: &Path, party: u32) -> PathBuf {
 }
 
 fn info(mut args: Args) -> Result<(), String> {
+    args.only("info", &[])?;
     let path = PathBuf::from(args.positional("db.ssxdb")?);
     let (table, replay) = load_with_log(&path)?;
     let report = table.size_report();
@@ -527,6 +574,7 @@ fn open_db(
 }
 
 fn query(mut args: Args) -> Result<(), String> {
+    args.only("query", &[READ_FLAGS])?;
     let db_path = PathBuf::from(args.positional("db.ssxdb")?);
     let query_text = args.positional("query")?;
     let mut client = open_db(&args, &db_path)?;
@@ -568,6 +616,7 @@ fn parse_range(args: &Args) -> Result<Option<(u64, u64)>, String> {
 }
 
 fn agg(mut args: Args) -> Result<(), String> {
+    args.only("agg", &[READ_FLAGS, &["op", "range"], target_flags(&args)])?;
     let op = parse_op(&args)?;
     let range = parse_range(&args)?;
     let engine = parse_engine(&args)?;
@@ -585,28 +634,16 @@ fn agg(mut args: Args) -> Result<(), String> {
             .map_err(|_| "bad --threshold")?;
         let query_text = args.positional("query")?;
         let resilience = resilience_options(&args)?;
-        let out = if args.bool("mux") {
-            let mut db = RemoteMuxFleetDb::connect_fleet_mux(&addrs, threshold, map, seed)
-                .map_err(|e| e.to_string())?;
-            db.set_resilience(resilience);
-            db.aggregate(&query_text, engine, rule, op, range)
-                .map_err(|e| e.to_string())?
-        } else {
-            let mut db = RemoteFleetDb::connect_fleet(&addrs, threshold, map, seed)
-                .map_err(|e| e.to_string())?;
-            db.set_resilience(resilience);
-            db.aggregate(&query_text, engine, rule, op, range)
-                .map_err(|e| e.to_string())?
-        };
+        let mut db = RemoteMuxFleetDb::connect_fleet_mux(&addrs, threshold, map, seed)
+            .map_err(|e| e.to_string())?;
+        db.set_resilience(resilience);
+        let out = db
+            .aggregate(&query_text, engine, rule, op, range)
+            .map_err(|e| e.to_string())?;
         print_aggregate(&query_text, &out, args.bool("stats"));
         return Ok(());
     } else if let Some(addr) = args.flag("addr") {
         let addr = addr.to_string();
-        let shards: u32 = args
-            .flag("shards")
-            .unwrap_or("1")
-            .parse()
-            .map_err(|_| "bad --shards")?;
         let query_text = args.positional("query")?;
         let q = parse_query(&query_text)
             .map_err(|e| e.to_string())?
@@ -617,19 +654,11 @@ fn agg(mut args: Args) -> Result<(), String> {
             range,
         };
         let deadline = resilience_options(&args)?.deadline;
-        let out = if args.bool("mux") {
-            let pool = MuxPool::connect(addr.as_str(), shards).map_err(|e| e.to_string())?;
-            let mut router = ShardRouter::mux(&pool);
-            router.set_call_budget(deadline);
-            let mut client = ClientFilter::new(router, map, seed).map_err(|e| e.to_string())?;
-            run_aggregate(&mut client, engine, rule, &spec).map_err(|e| e.to_string())?
-        } else {
-            let mut router =
-                ShardRouter::connect(addr.as_str(), shards).map_err(|e| e.to_string())?;
-            router.set_call_budget(deadline);
-            let mut client = ClientFilter::new(router, map, seed).map_err(|e| e.to_string())?;
-            run_aggregate(&mut client, engine, rule, &spec).map_err(|e| e.to_string())?
-        };
+        let pool = MuxPool::dial(addr.as_str(), deadline).map_err(|e| e.to_string())?;
+        let mut router = ShardRouter::mux(&pool);
+        router.set_call_budget(deadline);
+        let mut client = ClientFilter::new(router, map, seed).map_err(|e| e.to_string())?;
+        let out = run_aggregate(&mut client, engine, rule, &spec).map_err(|e| e.to_string())?;
         print_aggregate(&query_text, &out, args.bool("stats"));
         return Ok(());
     }
@@ -789,41 +818,31 @@ fn remote_write(args: &Args, op: &WriteOp) -> Result<(), String> {
             .required("threshold")?
             .parse()
             .map_err(|_| "bad --threshold")?;
-        if args.bool("mux") {
-            let mut db = RemoteMuxFleetDb::connect_fleet_mux(&addrs, threshold, map, seed)
-                .map_err(|e| e.to_string())?;
-            db.set_resilience(resilience);
-            apply_write(&mut db, op)?
-        } else {
-            let mut db = RemoteFleetDb::connect_fleet(&addrs, threshold, map, seed)
-                .map_err(|e| e.to_string())?;
-            db.set_resilience(resilience);
-            apply_write(&mut db, op)?
-        }
+        let mut db = RemoteMuxFleetDb::connect_fleet_mux(&addrs, threshold, map, seed)
+            .map_err(|e| e.to_string())?;
+        db.set_resilience(resilience);
+        apply_write(&mut db, op)?
     } else {
         let addr = args.required("addr")?.to_string();
-        let shards: u32 = args
-            .flag("shards")
-            .unwrap_or("1")
-            .parse()
-            .map_err(|_| "bad --shards")?;
-        if args.bool("mux") {
-            let pool = MuxPool::connect(addr.as_str(), shards).map_err(|e| e.to_string())?;
-            let mut db = RemoteMuxDb::connect_mux(&pool, map, seed).map_err(|e| e.to_string())?;
-            db.set_deadline(resilience.deadline);
-            apply_write(&mut db, op)?
-        } else {
-            let mut db =
-                RemoteDb::connect(addr.as_str(), shards, map, seed).map_err(|e| e.to_string())?;
-            db.set_deadline(resilience.deadline);
-            apply_write(&mut db, op)?
-        }
+        let pool = MuxPool::dial(addr.as_str(), resilience.deadline).map_err(|e| e.to_string())?;
+        let mut db = RemoteMuxDb::connect_mux(&pool, map, seed).map_err(|e| e.to_string())?;
+        db.set_deadline(resilience.deadline);
+        apply_write(&mut db, op)?
     };
     println!("{msg}");
     Ok(())
 }
 
+/// Flags of a write command: its target's, or the local store's.
+fn write_flags(args: &Args) -> &'static [&'static str] {
+    match target_flags(args) {
+        [] => &["shards", "no-checkpoint"],
+        remote => remote,
+    }
+}
+
 fn insert(mut args: Args) -> Result<(), String> {
+    args.only("insert", &[&["map", "seed"], write_flags(&args)])?;
     if args.flag("addr").is_some() || args.flag("fleet").is_some() {
         let xml_path = PathBuf::from(args.positional("doc.xml")?);
         let xml = std::fs::read_to_string(&xml_path).map_err(|e| e.to_string())?;
@@ -836,6 +855,7 @@ fn insert(mut args: Args) -> Result<(), String> {
 }
 
 fn delete(mut args: Args) -> Result<(), String> {
+    args.only("delete", &[&["map", "seed"], write_flags(&args)])?;
     if args.flag("addr").is_some() || args.flag("fleet").is_some() {
         let pre: u32 = args
             .positional("root-pre")?
@@ -852,6 +872,19 @@ fn delete(mut args: Args) -> Result<(), String> {
 }
 
 fn serve(mut args: Args) -> Result<(), String> {
+    args.only(
+        "serve",
+        &[&[
+            "p",
+            "e",
+            "addr",
+            "shards",
+            "workers",
+            "write-stall-ms",
+            "party",
+            "auto-reshard-target",
+        ]],
+    )?;
     let p: u64 = args.required("p")?.parse().map_err(|_| "bad --p")?;
     let e: u32 = args
         .flag("e")
@@ -879,6 +912,7 @@ fn serve(mut args: Args) -> Result<(), String> {
             );
         }
         let party: u32 = i.parse().map_err(|_| "bad --party")?;
+        let opts = mux_host_options(&args, None)?;
         let (header, data, mac) = load_party(&db_path).map_err(|err| err.to_string())?;
         if header.party != party {
             return Err(format!(
@@ -894,12 +928,7 @@ fn serve(mut args: Args) -> Result<(), String> {
              + MAC mirror (Ctrl-C or a Shutdown request stops it)",
             header.servers, header.threshold
         );
-        let server = if args.bool("mux") {
-            let opts = mux_host_options(&args, None)?;
-            serve_tcp_mux_opts(listener, server, opts).map_err(|err| err.to_string())?
-        } else {
-            serve_tcp_sharded(listener, server).map_err(|err| err.to_string())?
-        };
+        let server = serve_tcp_mux_opts(listener, server, opts).map_err(|err| err.to_string())?;
         for (i, f) in server.filters().iter().enumerate() {
             let s = f.stats();
             let plane = if (i as u32) < shards { "data" } else { "mac" };
@@ -913,69 +942,31 @@ fn serve(mut args: Args) -> Result<(), String> {
         }
         return Ok(());
     }
+    let opts = mux_host_options(&args, auto_target)?;
     let (table, _) = load_with_log(&db_path)?;
+    let server = ShardedServer::from_table(table, ring, shards).map_err(|err| err.to_string())?;
     let listener = std::net::TcpListener::bind(&addr).map_err(|err| err.to_string())?;
-    if args.bool("mux") {
-        let opts = mux_host_options(&args, auto_target)?;
-        let server =
-            ShardedServer::from_table(table, ring, shards).map_err(|err| err.to_string())?;
+    println!(
+        "serving {} on {addr} across {shards} shard(s) \
+         (Ctrl-C or a Shutdown request stops it)",
+        db_path.display()
+    );
+    let server = serve_tcp_mux_opts(listener, server, opts).map_err(|err| err.to_string())?;
+    for (i, f) in server.filters().iter().enumerate() {
+        let s = f.stats();
         println!(
-            "serving {} on {addr} across {shards} shard(s), multiplexed \
-             (fixed thread pool; Ctrl-C or a Shutdown request stops it)",
-            db_path.display()
+            "shard {i}: {} rows, {} requests, {} evaluations, {} polynomials",
+            f.table().len(),
+            s.requests,
+            s.evaluations,
+            s.polys_served
         );
-        let server = serve_tcp_mux_opts(listener, server, opts).map_err(|err| err.to_string())?;
-        for (i, f) in server.filters().iter().enumerate() {
-            let s = f.stats();
-            println!(
-                "shard {i}: {} rows, {} requests, {} evaluations, {} polynomials",
-                f.table().len(),
-                s.requests,
-                s.evaluations,
-                s.polys_served
-            );
-        }
-        return Ok(());
-    }
-    if shards <= 1 && auto_target.is_none() {
-        let server = ServerFilter::new(table, ring);
-        println!(
-            "serving {} on {addr} (Ctrl-C or a Shutdown request stops it)",
-            db_path.display()
-        );
-        let server = serve_tcp(listener, server).map_err(|err| err.to_string())?;
-        let stats = server.stats();
-        println!(
-            "served {} requests: {} evaluations, {} polynomials",
-            stats.requests, stats.evaluations, stats.polys_served
-        );
-    } else {
-        // --auto-reshard-target always goes through the sharded host, even
-        // at --shards 1: the ticker needs a repartitionable fleet to grow.
-        let server =
-            ShardedServer::from_table(table, ring, shards).map_err(|err| err.to_string())?;
-        println!(
-            "serving {} on {addr} across {shards} shard(s), one thread per connection \
-             (Ctrl-C or a Shutdown request stops it)",
-            db_path.display()
-        );
-        let server =
-            serve_tcp_sharded_auto(listener, server, auto_target).map_err(|err| err.to_string())?;
-        for (i, f) in server.filters().iter().enumerate() {
-            let s = f.stats();
-            println!(
-                "shard {i}: {} rows, {} requests, {} evaluations, {} polynomials",
-                f.table().len(),
-                s.requests,
-                s.evaluations,
-                s.polys_served
-            );
-        }
     }
     Ok(())
 }
 
 fn remote(mut args: Args) -> Result<(), String> {
+    args.only("remote", &[READ_FLAGS, &["speculate"], target_flags(&args)])?;
     let (map, seed) = load_secrets(&args)?;
     if let Some(list) = args.flag("fleet") {
         let addrs: Vec<String> = list
@@ -991,70 +982,48 @@ fn remote(mut args: Args) -> Result<(), String> {
         let engine = parse_engine(&args)?;
         let rule = parse_rule(&args)?;
         let resilience = resilience_options(&args)?;
-        let out = if args.bool("mux") {
-            let mut db = RemoteMuxFleetDb::connect_fleet_mux(&addrs, threshold, map, seed)
-                .map_err(|e| e.to_string())?;
-            db.set_speculation(args.bool("speculate"));
-            db.set_resilience(resilience);
-            db.query(&query_text, engine, rule)
-                .map_err(|e| e.to_string())?
-        } else {
-            let mut db = RemoteFleetDb::connect_fleet(&addrs, threshold, map, seed)
-                .map_err(|e| e.to_string())?;
-            db.set_speculation(args.bool("speculate"));
-            db.set_resilience(resilience);
-            db.query(&query_text, engine, rule)
-                .map_err(|e| e.to_string())?
-        };
+        let mut db = RemoteMuxFleetDb::connect_fleet_mux(&addrs, threshold, map, seed)
+            .map_err(|e| e.to_string())?;
+        db.set_speculation(args.bool("speculate"));
+        db.set_resilience(resilience);
+        let out = db
+            .query(&query_text, engine, rule)
+            .map_err(|e| e.to_string())?;
         print_outcome(&query_text, &out, args.bool("stats"));
         return Ok(());
     }
     let addr = args.required("addr")?.to_string();
-    let shards: u32 = args
-        .flag("shards")
-        .unwrap_or("1")
-        .parse()
-        .map_err(|_| "bad --shards")?;
     let query_text = args.positional("query")?;
     let engine = parse_engine(&args)?;
     let rule = parse_rule(&args)?;
     let q = parse_query(&query_text)
         .map_err(|e| e.to_string())?
         .expand_text_predicates();
-    // Always connect through a router: its handshake refuses a shard count
-    // that disagrees with the server's (which would silently skip
-    // partitions), and with `--shards 1` it speaks the untagged legacy
-    // protocol. `--mux` rides the correlation envelope instead — one
-    // multiplexed socket per shard.
+    // One multiplexed socket per shard; the host's handshake answer says
+    // how many shards it has, so the router always routes by the live
+    // partition.
     let deadline = resilience_options(&args)?.deadline;
-    let out = if args.bool("mux") {
-        let pool = MuxPool::connect(addr.as_str(), shards).map_err(|e| e.to_string())?;
-        let mut router = ShardRouter::mux(&pool);
-        router.set_speculation(args.bool("speculate"));
-        router.set_call_budget(deadline);
-        let mut client = ClientFilter::new(router, map, seed).map_err(|e| e.to_string())?;
-        Engine::run(engine, rule, &q, &mut client).map_err(|e| e.to_string())?
-    } else {
-        let mut router = ShardRouter::connect(addr.as_str(), shards).map_err(|e| e.to_string())?;
-        router.set_speculation(args.bool("speculate"));
-        router.set_call_budget(deadline);
-        let mut client = ClientFilter::new(router, map, seed).map_err(|e| e.to_string())?;
-        Engine::run(engine, rule, &q, &mut client).map_err(|e| e.to_string())?
-    };
+    let pool = MuxPool::dial(addr.as_str(), deadline).map_err(|e| e.to_string())?;
+    let mut router = ShardRouter::mux(&pool);
+    router.set_speculation(args.bool("speculate"));
+    router.set_call_budget(deadline);
+    let mut client = ClientFilter::new(router, map, seed).map_err(|e| e.to_string())?;
+    let out = Engine::run(engine, rule, &q, &mut client).map_err(|e| e.to_string())?;
     print_outcome(&query_text, &out, args.bool("stats"));
     Ok(())
 }
 
 fn reshard(args: Args) -> Result<(), String> {
     use ssxdb::core::protocol::{Request, Response};
-    use ssxdb::core::{TcpTransport, Transport};
+    args.only("reshard", &[&["addr", "shards"]])?;
     let addr = args.required("addr")?.to_string();
     let shards: u32 = args
         .required("shards")?
         .parse()
         .map_err(|_| "bad --shards")?;
-    let mut transport = TcpTransport::connect(addr.as_str()).map_err(|e| e.to_string())?;
-    match transport
+    let pool = MuxPool::dial(addr.as_str(), None).map_err(|e| e.to_string())?;
+    match pool
+        .transport(0)
         .call(&Request::Reshard { shards })
         .map_err(|e| e.to_string())?
     {
@@ -1062,15 +1031,12 @@ fn reshard(args: Args) -> Result<(), String> {
         Response::Err(e) => return Err(format!("server refused reshard: {e}")),
         other => return Err(format!("unexpected reshard response {other:?}")),
     }
-    match transport
-        .call(&Request::ShardCount)
+    // The reshard fenced the old connections; a fresh handshake reports the
+    // new layout.
+    let now = MuxPool::dial(addr.as_str(), None)
         .map_err(|e| e.to_string())?
-    {
-        Response::Count(n) => {
-            println!("{addr} now serves {n} shard(s); reconnect clients with --shards {n}")
-        }
-        other => return Err(format!("unexpected handshake response {other:?}")),
-    }
+        .shards();
+    println!("{addr} now serves {now} shard(s); clients pick the new count up when they reconnect");
     Ok(())
 }
 

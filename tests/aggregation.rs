@@ -1,17 +1,15 @@
 //! The aggregation plane end to end, pinning the PR-10 acceptance
 //! criteria: COUNT/SUM/AVG (with and without a numeric range predicate)
 //! must be bit-identical to the plaintext oracle over the in-process
-//! plane, a sharded TCP host, a multiplexed TCP host, and a 3-process
-//! t = 2 fleet with one party killed mid-run — and the closing share-sum
+//! plane, a sharded TCP host, and a 3-process t = 2 fleet with one party killed mid-run — and the closing share-sum
 //! must cost exactly one wave beyond the predicate walk (two with a
 //! range), on every transport.
 
 use ssxdb::core::protocol::Request;
 use ssxdb::core::transport::Transport;
 use ssxdb::core::{
-    encode_document, run_aggregate, serve_tcp_mux, serve_tcp_sharded, AggOp, AggregateSpec,
-    ClientFilter, CoreError, EncryptedDb, EngineKind, MapFile, MatchRule, MuxPool, RemoteDb,
-    ShardRouter, ShardedServer, TcpTransport,
+    encode_document, run_aggregate, serve_tcp_mux, AggOp, AggregateSpec, ClientFilter, CoreError,
+    EncryptedDb, EngineKind, MapFile, MatchRule, MuxPool, RemoteMuxDb, ShardRouter, ShardedServer,
 };
 use ssxdb::prg::{Prg, Seed};
 use ssxdb::xmark::{generate, XmarkConfig, DTD_ELEMENTS};
@@ -66,27 +64,23 @@ fn aggregates_are_transport_invariant_and_cost_one_closing_wave() {
     let out = encode_document(&xml, &map, &seed).unwrap();
     let ring_len = out.ring.len();
 
-    // Three stacks over the same rows: in-process (S=2), thread-per-
-    // connection TCP (S=2), multiplexed TCP (S=2).
+    // Three clients over the same rows: in-process (S=2), and two on one
+    // TCP host (S=2), each on its own pool — one that adopted the host's
+    // shard count, one that asked for it.
     let mut local = EncryptedDb::encode_sharded(&xml, map.clone(), seed.clone(), 2).unwrap();
 
-    let tcp_server = ShardedServer::from_table(out.table.clone(), out.ring.clone(), 2).unwrap();
-    let tcp_listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let tcp_addr = tcp_listener.local_addr().unwrap();
-    let tcp_handle = std::thread::spawn(move || serve_tcp_sharded(tcp_listener, tcp_server));
-
-    let mux_server = ShardedServer::from_table(out.table, out.ring, 2).unwrap();
-    let mux_listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let mux_addr = mux_listener.local_addr().unwrap();
-    let mux_handle = std::thread::spawn(move || serve_tcp_mux(mux_listener, mux_server, 0));
+    let server = ShardedServer::from_table(out.table, out.ring, 2).unwrap();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let handle = std::thread::spawn(move || serve_tcp_mux(listener, server, 0));
 
     let mut tcp_client = ClientFilter::new(
-        ShardRouter::connect(tcp_addr, 2).unwrap(),
+        ShardRouter::mux(&MuxPool::dial(addr, None).unwrap()),
         map.clone(),
         seed.clone(),
     )
     .unwrap();
-    let pool = MuxPool::connect(mux_addr, 2).unwrap();
+    let pool = MuxPool::connect(addr, 2).unwrap();
     let mut mux_client =
         ClientFilter::new(ShardRouter::mux(&pool), map.clone(), seed.clone()).unwrap();
 
@@ -119,16 +113,10 @@ fn aggregates_are_transport_invariant_and_cost_one_closing_wave() {
         }
     }
 
-    // Thread-per-connection hosts only wind down once every client socket
-    // is gone; mux hosts shed live connections themselves.
+    // The host sheds live connections itself when it stops.
     tcp_client.transport_mut().call(&Request::Shutdown).unwrap();
-    drop(tcp_client);
-    tcp_handle.join().unwrap().unwrap();
-    let mut closer = TcpTransport::connect(mux_addr).unwrap();
-    closer.call(&Request::Shutdown).unwrap();
-    drop(mux_client);
-    drop(pool);
-    mux_handle.join().unwrap().unwrap();
+    handle.join().unwrap().unwrap();
+    assert_eq!(pool.stray_responses(), 0);
 }
 
 /// A writer racing an aggregate over TCP: the stale closing wave is a
@@ -146,16 +134,17 @@ fn aggregate_racing_a_remote_writer_is_typed_and_converges() {
     let server = ShardedServer::from_table(out.table, out.ring, 1).unwrap();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let handle = std::thread::spawn(move || serve_tcp_sharded(listener, server));
+    let handle = std::thread::spawn(move || serve_tcp_mux(listener, server, 0));
 
     // Reader and writer are independent connections to the same store.
     let mut reader = ClientFilter::new(
-        ShardRouter::connect(addr, 1).unwrap(),
+        ShardRouter::mux(&MuxPool::dial(addr, None).unwrap()),
         map.clone(),
         seed.clone(),
     )
     .unwrap();
-    let mut writer = RemoteDb::connect(addr, 1, map, seed).unwrap();
+    let mut writer =
+        RemoteMuxDb::connect_mux(&MuxPool::dial(addr, None).unwrap(), map, seed).unwrap();
 
     // Reader takes its snapshot…
     let (_roots, epochs) = reader.roots_with_epochs().unwrap();
@@ -349,7 +338,7 @@ fn three_process_fleet_aggregates_survive_a_killed_party() {
     );
 
     for addr in addrs.iter().take(2) {
-        let mut t = TcpTransport::connect(addr.as_str()).unwrap();
+        let mut t = MuxPool::dial(addr.as_str(), None).unwrap().transport(0);
         t.call(&Request::Shutdown).unwrap();
     }
     for (i, mut child) in servers.into_iter().enumerate() {

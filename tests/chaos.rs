@@ -8,10 +8,10 @@
 use ssxdb::core::protocol::{Request, Response};
 use ssxdb::core::transport::TransportStats;
 use ssxdb::core::{
-    encode_document_fleet, fleet_mac_key, party_server, serve_tcp_sharded, ChaosConfig, ChaosProxy,
+    encode_document_fleet, fleet_mac_key, party_server, serve_tcp_mux, ChaosConfig, ChaosProxy,
     ChaosTransport, ClientFilter, CoreError, Dialer, EncryptedDb, Engine, EngineKind, FleetLeg,
-    FleetSpec, FleetTransport, LocalPartyTransport, MapFile, MatchRule, PartyHealth,
-    ResilienceConfig, ShardRouter, ShardSpec, TcpTransport, Transport,
+    FleetSpec, FleetTransport, LocalPartyTransport, MapFile, MatchRule, MuxPool, MuxTransport,
+    PartyHealth, ResilienceConfig, ShardRouter, ShardSpec, Transport,
 };
 use ssxdb::prg::Seed;
 use std::net::TcpListener;
@@ -257,29 +257,38 @@ fn chaos_proxy_soak_replays_from_a_printed_seed() {
         let server = party_server(p.data, p.mac, &ring, 1).unwrap();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let handle = std::thread::spawn(move || serve_tcp_sharded(listener, server).unwrap());
+        let handle = std::thread::spawn(move || serve_tcp_mux(listener, server, 0).unwrap());
         let cfg = ChaosConfig::soak(seed_base.wrapping_add(party as u64));
         proxies.push(ChaosProxy::spawn(addr, cfg).unwrap());
         hosts.push((addr, handle));
     }
 
     // Connect through the proxies with a hard per-call deadline, so even a
-    // dropped frame can only cost the deadline, never a hang.
+    // dropped frame — the handshake included — can only cost the deadline,
+    // never a hang. Each party is one pool; its data-shard connection is
+    // the leg, and the dialer revives it within the budget it is handed.
     let budget = Some(Duration::from_millis(400));
     let legs = proxies
         .iter()
         .enumerate()
         .map(|(j, proxy)| {
             let addr = proxy.addr().to_string();
-            let dial: Dialer<TcpTransport> = {
-                let addr = addr.clone();
-                Arc::new(move |b| TcpTransport::connect_within(addr.as_str(), b))
-            };
-            let leg = match TcpTransport::connect_within(addr.as_str(), budget) {
-                Ok(t) => FleetLeg::up(j + 1, t),
+            let leg = match MuxPool::dial(proxy.addr(), budget) {
+                Ok(pool) => {
+                    let dial: Dialer<MuxTransport> = {
+                        let pool = pool.clone();
+                        Arc::new(move |b| {
+                            let mut t = pool.transport(0);
+                            t.set_call_budget(b);
+                            t.revive()?;
+                            Ok(t)
+                        })
+                    };
+                    FleetLeg::up(j + 1, pool.transport(0)).with_dialer(dial)
+                }
                 Err(e) => FleetLeg::down(j + 1, e.to_string()),
             };
-            leg.at(&addr).with_dialer(dial)
+            leg.at(&addr)
         })
         .collect();
     let mut pipe = FleetTransport::new(legs, 2, 1, 0, ring, packer, alpha, true);
@@ -322,7 +331,7 @@ fn chaos_proxy_soak_replays_from_a_printed_seed() {
     }
     drop(proxies);
     for (addr, handle) in hosts {
-        let mut closer = TcpTransport::connect(addr).unwrap();
+        let mut closer = MuxPool::dial(addr, None).unwrap().transport(0);
         closer.call(&Request::Shutdown).unwrap();
         drop(closer);
         handle.join().unwrap();

@@ -196,24 +196,24 @@ fn trie_encode_and_contains_query() {
     assert!(miss.contains("0 match(es)"), "{miss}");
 }
 
-#[test]
-fn serve_and_remote_query() {
-    let dir = fixture("serve");
+/// Starts `ssxdb serve` on a free port with `extra` flags and waits for
+/// the listener.
+fn spawn_host(dir: &Path, extra: &[&str]) -> (String, std::process::Child) {
     // Pick a free port by binding and releasing.
     let port = {
         let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         l.local_addr().unwrap().port()
     };
     let addr = format!("127.0.0.1:{port}");
-    let mut server = Command::new(bin())
-        .args([
-            "serve", "--p", "83", "--e", "1", "--addr", &addr, "db.ssxdb",
-        ])
-        .current_dir(&dir)
+    let mut args = vec!["serve", "--p", "83", "--e", "1", "--addr", &addr];
+    args.extend_from_slice(extra);
+    args.push("db.ssxdb");
+    let server = Command::new(bin())
+        .args(&args)
+        .current_dir(dir)
         .stdout(std::process::Stdio::piped())
         .spawn()
         .unwrap();
-    // Wait for the listener.
     let mut connected = false;
     for _ in 0..50 {
         if std::net::TcpStream::connect(&addr).is_ok() {
@@ -223,155 +223,86 @@ fn serve_and_remote_query() {
         std::thread::sleep(std::time::Duration::from_millis(100));
     }
     assert!(connected, "server did not come up");
-
-    let out = assert_ok(
-        &[
-            "remote",
-            "--map",
-            "map.properties",
-            "--seed",
-            "seed.hex",
-            "--addr",
-            &addr,
-            "--stats",
-            "/site/regions/europe/item",
-        ],
-        &dir,
-    );
-    assert!(out.contains("match(es)"), "{out}");
-
-    // Shut the server down via the protocol.
-    use ssxdb::core::protocol::Request;
-    use ssxdb::core::{TcpTransport, Transport};
-    let mut t = TcpTransport::connect(&addr).unwrap();
-    t.call(&Request::Shutdown).unwrap();
-    let status = server.wait().unwrap();
-    assert!(status.success());
+    (addr, server)
 }
 
-/// The multiplexed plane over the CLI: `serve --mux` hosts the same
-/// database behind the fixed thread pool, `remote --mux` queries it through
-/// the correlation envelope, and a legacy (non-mux) `remote` against the
-/// same host still answers — identically.
+/// Shuts a host down via the protocol and checks it exits cleanly.
+fn stop_host(addr: &str, mut server: std::process::Child) {
+    use ssxdb::core::protocol::Request;
+    use ssxdb::core::{MuxPool, Transport};
+    let mut t = MuxPool::dial(addr, None).unwrap().transport(0);
+    t.call(&Request::Shutdown).unwrap();
+    assert!(server.wait().unwrap().success());
+}
+
+/// `remote` (extra flags before the query) and local `query` on the same
+/// fixture; returns both outputs' match listings.
+fn remote_and_local(dir: &Path, addr: &str, extra: &[&str], query: &str) -> (String, String) {
+    let secrets = ["--map", "map.properties", "--seed", "seed.hex"];
+    let mut args = vec!["remote", "--addr", addr];
+    args.extend_from_slice(&secrets);
+    args.extend_from_slice(extra);
+    args.push(query);
+    let remote = assert_ok(&args, dir);
+    let mut args = vec!["query"];
+    args.extend_from_slice(&secrets);
+    args.extend(["db.ssxdb", query]);
+    let local = assert_ok(&args, dir);
+    let listing = |s: &str| {
+        s.lines()
+            .filter(|l| l.contains("match(es)") || l.contains("node pre="))
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    (listing(&remote), listing(&local))
+}
+
+/// `serve` then `remote` with neither a transport flag nor a shard count
+/// answers exactly what local `query` answers (S = 1).
+#[test]
+fn serve_and_remote_query() {
+    let dir = fixture("serve");
+    let (addr, server) = spawn_host(&dir, &[]);
+    let (remote, local) = remote_and_local(&dir, &addr, &["--stats"], "/site/regions/europe/item");
+    assert!(remote.contains("match(es)"), "{remote}");
+    assert_eq!(remote, local, "remote must answer exactly like query");
+    stop_host(&addr, server);
+}
+
+/// The multiplexed host over the CLI at S = 2: `remote` learns the shard
+/// count from the handshake, and with or without speculation answers
+/// exactly what local `query` answers.
 #[test]
 fn mux_serve_and_remote_via_cli() {
     let dir = fixture("mux_serve");
-    let port = {
-        let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        l.local_addr().unwrap().port()
-    };
-    let addr = format!("127.0.0.1:{port}");
-    let mut server = Command::new(bin())
-        .args([
-            "serve", "--p", "83", "--e", "1", "--addr", &addr, "--shards", "2", "--mux", "db.ssxdb",
-        ])
-        .current_dir(&dir)
-        .stdout(std::process::Stdio::piped())
-        .spawn()
-        .unwrap();
-    let mut connected = false;
-    for _ in 0..50 {
-        if std::net::TcpStream::connect(&addr).is_ok() {
-            connected = true;
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(100));
+    let (addr, server) = spawn_host(&dir, &["--shards", "2", "--workers", "2"]);
+    for extra in [&[][..], &["--speculate", "--stats"][..]] {
+        let (remote, local) = remote_and_local(&dir, &addr, extra, "/site/regions/europe/item");
+        assert!(remote.contains("match(es)"), "{remote}");
+        assert_eq!(
+            remote, local,
+            "remote {extra:?} must answer exactly like query"
+        );
     }
-    assert!(connected, "mux server did not come up");
-
-    let common = [
-        "remote",
-        "--map",
-        "map.properties",
-        "--seed",
-        "seed.hex",
-        "--addr",
-        &addr,
-        "--shards",
-        "2",
-    ];
-    let mut mux_args: Vec<&str> = common.to_vec();
-    mux_args.extend([
-        "--mux",
-        "--speculate",
-        "--stats",
-        "/site/regions/europe/item",
-    ]);
-    let muxed = assert_ok(&mux_args, &dir);
-    assert!(muxed.contains("match(es)"), "{muxed}");
-
-    let mut legacy_args: Vec<&str> = common.to_vec();
-    legacy_args.push("/site/regions/europe/item");
-    let legacy = assert_ok(&legacy_args, &dir);
-    let matches = |s: &String| {
-        s.lines()
-            .find(|l| l.contains("match(es)"))
-            .map(str::to_string)
-    };
-    assert_eq!(
-        matches(&muxed),
-        matches(&legacy),
-        "mux and legacy clients must agree"
-    );
-
-    use ssxdb::core::protocol::Request;
-    use ssxdb::core::{TcpTransport, Transport};
-    let mut t = TcpTransport::connect(&addr).unwrap();
-    t.call(&Request::Shutdown).unwrap();
-    let status = server.wait().unwrap();
-    assert!(status.success());
+    stop_host(&addr, server);
 }
 
 /// The online re-sharding workflow over the CLI: a sharded host comes up
 /// with S = 2, `ssxdb reshard` repartitions it to 3 while it runs, and a
-/// speculative `remote` client under the new count gets the same answer.
+/// speculative `remote` client adopts the new count and gets the same
+/// answer. Client commands refuse `--shards` against a host.
 #[test]
 fn reshard_and_speculative_remote_via_cli() {
     let dir = fixture("reshard");
-    let port = {
-        let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        l.local_addr().unwrap().port()
-    };
-    let addr = format!("127.0.0.1:{port}");
-    let mut server = Command::new(bin())
-        .args([
-            "serve", "--p", "83", "--e", "1", "--addr", &addr, "--shards", "2", "db.ssxdb",
-        ])
-        .current_dir(&dir)
-        .stdout(std::process::Stdio::piped())
-        .spawn()
-        .unwrap();
-    let mut connected = false;
-    for _ in 0..50 {
-        if std::net::TcpStream::connect(&addr).is_ok() {
-            connected = true;
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(100));
-    }
-    assert!(connected, "server did not come up");
-
-    let before = assert_ok(
-        &[
-            "remote",
-            "--map",
-            "map.properties",
-            "--seed",
-            "seed.hex",
-            "--addr",
-            &addr,
-            "--shards",
-            "2",
-            "/site/regions/europe/item",
-        ],
-        &dir,
-    );
+    let (addr, server) = spawn_host(&dir, &["--shards", "2"]);
+    let query = "/site/regions/europe/item";
+    let (before, local) = remote_and_local(&dir, &addr, &[], query);
+    assert_eq!(before, local);
 
     let out = assert_ok(&["reshard", "--addr", &addr, "--shards", "3"], &dir);
     assert!(out.contains("3 shard(s)"), "{out}");
 
-    // The old shard count is refused; the new one answers identically —
-    // with speculation on.
+    // A shard count is the host's to report, not the client's to claim.
     let (ok, _, err) = run(
         &[
             "remote",
@@ -383,42 +314,67 @@ fn reshard_and_speculative_remote_via_cli() {
             &addr,
             "--shards",
             "2",
-            "/site/regions/europe/item",
+            query,
         ],
         &dir,
     );
-    assert!(!ok, "stale shard count must be refused");
-    assert!(err.contains("shard"), "{err}");
-    let after = assert_ok(
+    assert!(!ok, "--shards must be refused with --addr");
+    assert!(err.contains("--shards"), "{err}");
+    let (after, _) = remote_and_local(&dir, &addr, &["--speculate", "--stats"], query);
+    assert_eq!(before, after, "answers must survive");
+    stop_host(&addr, server);
+}
+
+/// A mistyped flag fails, names the flag, and does no work: no output file.
+#[test]
+fn unknown_flags_are_refused_before_any_work() {
+    let dir = workdir("unknown_flags");
+    let (ok, _, err) = run(
+        &["xmark", "--bytes", "2000", "--sede", "5", "out.xml"],
+        &dir,
+    );
+    assert!(!ok, "a typo must not pass silently");
+    assert!(err.contains("--sede"), "{err}");
+    assert!(!dir.join("out.xml").exists(), "refused before any work");
+    // The same command with the right spelling works.
+    assert_ok(
+        &["xmark", "--bytes", "2000", "--seed", "5", "out.xml"],
+        &dir,
+    );
+    assert!(dir.join("out.xml").exists());
+}
+
+/// The retired `--mux` flag is refused by name — it would otherwise
+/// swallow the query as its value — before any connection is attempted.
+#[test]
+fn stale_mux_flag_is_refused() {
+    let dir = workdir("stale_mux");
+    for args in [
         &[
             "remote",
             "--map",
-            "map.properties",
+            "m",
             "--seed",
-            "seed.hex",
+            "s",
             "--addr",
-            &addr,
-            "--shards",
-            "3",
-            "--speculate",
-            "--stats",
-            "/site/regions/europe/item",
-        ],
-        &dir,
-    );
-    let matches = |s: &String| {
-        s.lines()
-            .find(|l| l.contains("match(es)"))
-            .map(str::to_string)
-    };
-    assert_eq!(matches(&before), matches(&after), "answers must survive");
-
-    use ssxdb::core::protocol::Request;
-    use ssxdb::core::{TcpTransport, Transport};
-    let mut t = TcpTransport::connect(&addr).unwrap();
-    t.call(&Request::Shutdown).unwrap();
-    let status = server.wait().unwrap();
-    assert!(status.success());
+            "127.0.0.1:9",
+            "--mux",
+            "/site",
+        ][..],
+        &[
+            "serve",
+            "--p",
+            "83",
+            "--addr",
+            "127.0.0.1:9",
+            "--mux",
+            "db.ssxdb",
+        ][..],
+    ] {
+        let (ok, _, err) = run(args, &dir);
+        assert!(!ok, "{args:?}");
+        assert!(err.contains("--mux"), "{args:?}: {err}");
+    }
 }
 
 #[test]

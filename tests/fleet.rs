@@ -9,9 +9,8 @@
 use ssxdb::core::protocol::Request;
 use ssxdb::core::transport::Transport;
 use ssxdb::core::{
-    encode_document_fleet, party_server, serve_tcp_mux, serve_tcp_sharded, CoreError, EncryptedDb,
-    EngineKind, FleetSpec, MapFile, MatchRule, PartyStore, RemoteFleetDb, RemoteMuxFleetDb,
-    ShardedServer, TcpTransport,
+    encode_document_fleet, party_server, serve_tcp_mux, CoreError, EncryptedDb, EngineKind,
+    FleetSpec, MapFile, MatchRule, MuxPool, PartyStore, RemoteMuxFleetDb, ShardedServer,
 };
 use ssxdb::poly::RingCtx;
 use ssxdb::prg::{Prg, Seed};
@@ -40,23 +39,16 @@ fn bench_document() -> String {
 fn spawn_party(
     party: PartyStore,
     ring: &RingCtx,
-    mux: bool,
 ) -> (SocketAddr, std::thread::JoinHandle<ShardedServer>) {
     let server = party_server(party.data, party.mac, ring, 1).unwrap();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let handle = std::thread::spawn(move || {
-        if mux {
-            serve_tcp_mux(listener, server, 0).unwrap()
-        } else {
-            serve_tcp_sharded(listener, server).unwrap()
-        }
-    });
+    let handle = std::thread::spawn(move || serve_tcp_mux(listener, server, 0).unwrap());
     (addr, handle)
 }
 
 fn stop_host(addr: SocketAddr) {
-    let mut closer = TcpTransport::connect(addr).unwrap();
+    let mut closer = MuxPool::dial(addr, None).unwrap().transport(0);
     closer.call(&Request::Shutdown).unwrap();
 }
 
@@ -74,14 +66,15 @@ fn fig5_chain_is_bit_identical_between_single_party_and_tcp_fleet() {
     let hosts: Vec<_> = fleet_out
         .parties
         .into_iter()
-        .map(|p| spawn_party(p, &ring, false))
+        .map(|p| spawn_party(p, &ring))
         .collect();
     let addrs: Vec<String> = hosts.iter().map(|(a, _)| a.to_string()).collect();
 
     for speculate in [false, true] {
         let mut single = EncryptedDb::encode(&xml, map.clone(), seed.clone()).unwrap();
         single.set_speculation(speculate);
-        let mut fleet = RemoteFleetDb::connect_fleet(&addrs, 2, map.clone(), seed.clone()).unwrap();
+        let mut fleet =
+            RemoteMuxFleetDb::connect_fleet_mux(&addrs, 2, map.clone(), seed.clone()).unwrap();
         fleet.set_speculation(speculate);
 
         let a = single
@@ -138,12 +131,12 @@ fn killing_any_single_server_mid_run_returns_correct_results() {
     for victim in 0..3usize {
         let fleet_out = encode_document_fleet(&xml, &map, &seed, spec).unwrap();
         let ring = fleet_out.ring.clone();
-        // Mux hosts wind down their sockets even under live connections —
-        // the abrupt-death shape.
+        // Hosts wind down their sockets even under live connections — the
+        // abrupt-death shape.
         let hosts: Vec<_> = fleet_out
             .parties
             .into_iter()
-            .map(|p| spawn_party(p, &ring, true))
+            .map(|p| spawn_party(p, &ring))
             .collect();
         let addrs: Vec<String> = hosts.iter().map(|(a, _)| a.to_string()).collect();
 
@@ -215,11 +208,11 @@ fn corrupted_share_is_detected_and_attributed() {
     let hosts: Vec<_> = fleet_out
         .parties
         .into_iter()
-        .map(|p| spawn_party(p, &ring, false))
+        .map(|p| spawn_party(p, &ring))
         .collect();
     let addrs: Vec<String> = hosts.iter().map(|(a, _)| a.to_string()).collect();
 
-    let mut db = RemoteFleetDb::connect_fleet(&addrs, 2, map.clone(), seed.clone()).unwrap();
+    let mut db = RemoteMuxFleetDb::connect_fleet_mux(&addrs, 2, map.clone(), seed.clone()).unwrap();
     let err = db
         .query(query, EngineKind::Simple, MatchRule::Equality)
         .unwrap_err();
@@ -260,9 +253,9 @@ fn party_hosts_refuse_resharding() {
     let fleet_out = encode_document_fleet(xml, &map, &seed, spec).unwrap();
     let ring = fleet_out.ring.clone();
     let party = fleet_out.parties.into_iter().next().unwrap();
-    let (addr, handle) = spawn_party(party, &ring, false);
+    let (addr, handle) = spawn_party(party, &ring);
 
-    let mut admin = TcpTransport::connect(addr).unwrap();
+    let mut admin = MuxPool::dial(addr, None).unwrap().transport(0);
     match admin.call(&Request::Reshard { shards: 4 }).unwrap() {
         Response::Err(e) => assert!(e.contains("refused"), "{e}"),
         other => panic!("a party host accepted a reshard: {other:?}"),
@@ -397,7 +390,7 @@ fn cli_three_process_fleet_round_trips() {
     );
 
     for addr in &addrs {
-        let mut t = TcpTransport::connect(addr.as_str()).unwrap();
+        let mut t = MuxPool::dial(addr.as_str(), None).unwrap().transport(0);
         t.call(&Request::Shutdown).unwrap();
     }
     for mut child in servers {

@@ -2,7 +2,7 @@
 //! one [`MuxPool`] (one socket per shard) must each see exactly the answers
 //! the single-client plaintext oracle (`reference.rs`) predicts, for every
 //! engine × rule; wave and speculation counters must be invariant between
-//! the threaded and mux transports; a reshard racing the pool must surface
+//! the in-process and mux transports; a reshard racing the pool must surface
 //! as explicit errors, never wrong answers; and garbage on a neighbouring
 //! connection must not confuse anyone's completion slots.
 //!
@@ -12,9 +12,8 @@
 use ssxdb::core::protocol::{Request, Response};
 use ssxdb::core::transport::Transport;
 use ssxdb::core::{
-    encode_document, reference_eval, serve_tcp_mux, serve_tcp_sharded, ClientFilter, EncryptedDb,
-    Engine, EngineKind, MapFile, MatchRule, MuxPool, RemoteMuxDb, ShardRouter, ShardedServer,
-    TcpTransport,
+    encode_document, reference_eval, serve_tcp_mux, ClientFilter, EncryptedDb, Engine, EngineKind,
+    MapFile, MatchRule, MuxPool, RemoteMuxDb, ShardRouter, ShardedServer,
 };
 use ssxdb::prg::{Prg, Seed};
 use ssxdb::xmark::{generate, XmarkConfig, DTD_ELEMENTS};
@@ -59,7 +58,7 @@ fn spawn_mux_host(
 }
 
 fn shutdown_mux(addr: std::net::SocketAddr) {
-    let mut closer = TcpTransport::connect(addr).unwrap();
+    let mut closer = MuxPool::dial(addr, None).unwrap().transport(0);
     closer.call(&Request::Shutdown).unwrap();
 }
 
@@ -135,8 +134,8 @@ fn concurrent_mux_clients_match_the_plaintext_oracle() {
 }
 
 /// The acceptance criterion pinned end to end: on the fig5 chain, results
-/// are **bit-identical** across the local plane, the thread-per-connection
-/// TCP host and the mux TCP host for S ∈ {1, 2, 4} — and the wave count,
+/// are **bit-identical** across the local plane and the mux TCP host for
+/// S ∈ {1, 2, 4} — and the wave count,
 /// `speculative_hits` and `speculative_wasted` are invariant too, with
 /// speculation off and on. The mux transport may change how frames travel;
 /// it must not change how many waves the router runs or what it prefetches.
@@ -151,13 +150,6 @@ fn waves_and_speculation_counters_invariant_across_transports() {
     });
     let query = parse_query(FIG5_CHAIN).unwrap().expand_text_predicates();
     for shards in [1u32, 2, 4] {
-        // Threaded host.
-        let out = encode_document(&xml, &map, &seed).unwrap();
-        let server = ShardedServer::from_table(out.table, out.ring, shards).unwrap();
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let tcp_addr = listener.local_addr().unwrap();
-        let tcp_handle = std::thread::spawn(move || serve_tcp_sharded(listener, server).unwrap());
-        // Mux host.
         let (mux_addr, mux_handle) = spawn_mux_host(&xml, &map, &seed, shards);
 
         for speculate in [false, true] {
@@ -168,17 +160,6 @@ fn waves_and_speculation_counters_invariant_across_transports() {
             let want = local
                 .run(&query, EngineKind::Simple, MatchRule::Containment)
                 .unwrap();
-
-            let mut tcp_router = ShardRouter::connect(tcp_addr, shards).unwrap();
-            tcp_router.set_speculation(speculate);
-            let mut tcp_client = ClientFilter::new(tcp_router, map.clone(), seed.clone()).unwrap();
-            let threaded = Engine::run(
-                EngineKind::Simple,
-                MatchRule::Containment,
-                &query,
-                &mut tcp_client,
-            )
-            .unwrap();
 
             let pool = MuxPool::connect(mux_addr, shards).unwrap();
             let mut mux_router = ShardRouter::mux(&pool);
@@ -193,35 +174,26 @@ fn waves_and_speculation_counters_invariant_across_transports() {
             .unwrap();
 
             let label = format!("S={shards} speculate={speculate}");
-            assert_eq!(want.pres(), threaded.pres(), "{label}: threaded results");
             assert_eq!(want.pres(), muxed.pres(), "{label}: mux results");
-            for (name, got) in [("threaded", &threaded), ("mux", &muxed)] {
-                assert_eq!(
-                    got.stats.round_trips, want.stats.round_trips,
-                    "{label}: {name} must not add or remove waves"
-                );
-                assert_eq!(
-                    got.stats.speculative_hits, want.stats.speculative_hits,
-                    "{label}: {name} speculative hits"
-                );
-                assert_eq!(
-                    got.stats.speculative_wasted, want.stats.speculative_wasted,
-                    "{label}: {name} speculative waste"
-                );
-                assert_eq!(
-                    got.stats.evaluations(),
-                    want.stats.evaluations(),
-                    "{label}: {name} cryptographic work"
-                );
-            }
+            assert_eq!(
+                muxed.stats.round_trips, want.stats.round_trips,
+                "{label}: mux must not add or remove waves"
+            );
+            assert_eq!(
+                muxed.stats.speculative_hits, want.stats.speculative_hits,
+                "{label}: mux speculative hits"
+            );
+            assert_eq!(
+                muxed.stats.speculative_wasted, want.stats.speculative_wasted,
+                "{label}: mux speculative waste"
+            );
+            assert_eq!(
+                muxed.stats.evaluations(),
+                want.stats.evaluations(),
+                "{label}: mux cryptographic work"
+            );
             assert_eq!(pool.stray_responses(), 0, "{label}");
-            // Release the threaded connections so the host scope can drain.
-            drop(tcp_client);
         }
-        let mut closer = TcpTransport::connect(tcp_addr).unwrap();
-        closer.call(&Request::Shutdown).unwrap();
-        drop(closer);
-        tcp_handle.join().unwrap();
         shutdown_mux(mux_addr);
         mux_handle.join().unwrap();
     }
@@ -251,9 +223,9 @@ fn mux_pool_heals_a_same_count_reshard_transparently() {
         .unwrap()
         .pres();
 
-    // Reshard 2 → 2 over a legacy admin connection: rows repartition in
-    // place, the generation bumps, and every pooled socket is fenced.
-    let mut admin = TcpTransport::connect(addr).unwrap();
+    // Reshard 2 → 2 over an admin connection: rows repartition in place,
+    // the generation bumps, and every pooled socket is fenced.
+    let mut admin = MuxPool::dial(addr, None).unwrap().transport(0);
     assert_eq!(
         admin.call(&Request::Reshard { shards: 2 }).unwrap(),
         Response::Ok
@@ -303,8 +275,8 @@ fn mux_pool_heals_a_same_count_reshard_transparently() {
 /// Online reshards racing a shared mux pool: a query that completes is
 /// exactly correct; a query interrupted by the fence errors explicitly
 /// ("reconnect"), never answers wrong, and a fresh pool under the new
-/// count always works. Mirrors the PR-4 threaded-host race, now with the
-/// fence observed through multiplexed connections.
+/// count always works. Mirrors the resharding suite's race, with the fence
+/// observed through multiplexed connections.
 #[test]
 fn reshard_races_the_mux_pool_safely() {
     let xml = generate(&XmarkConfig {
@@ -332,18 +304,10 @@ fn reshard_races_the_mux_pool_safely() {
             let expected = expected.clone();
             scope.spawn(move || {
                 for _ in 0..6 {
-                    // The host may repartition at any moment; probe the
-                    // current count over a legacy connection and pool up
-                    // fresh under it.
-                    let Ok(mut probe) = TcpTransport::connect(addr) else {
-                        continue;
-                    };
-                    let shards = match probe.call(&Request::ShardCount) {
-                        Ok(Response::Count(n)) => n as u32,
-                        _ => continue,
-                    };
-                    let Ok(pool) = MuxPool::connect(addr, shards) else {
-                        continue; // count changed between probe and connect
+                    // The host may repartition at any moment; pool up fresh
+                    // under whatever count its handshake reports.
+                    let Ok(pool) = MuxPool::dial(addr, None) else {
+                        continue; // count changed between two sockets' handshakes
                     };
                     let Ok(mut db) = RemoteMuxDb::connect_mux(&pool, map.clone(), seed.clone())
                     else {
@@ -357,7 +321,7 @@ fn reshard_races_the_mux_pool_safely() {
                 }
             });
         }
-        let mut admin = TcpTransport::connect(addr).unwrap();
+        let mut admin = MuxPool::dial(addr, None).unwrap().transport(0);
         for shards in [2u32, 4, 3, 1, 2] {
             assert_eq!(
                 admin.call(&Request::Reshard { shards }).unwrap(),
@@ -432,8 +396,8 @@ fn rogue_frames_do_not_confuse_concurrent_mux_clients() {
                     }
                     2 => {
                         // A mux-looking corr frame without the handshake:
-                        // parsed as a legacy frame, answered with an error
-                        // on the rogue's own connection only.
+                        // refused with an error on the rogue's own
+                        // connection, which the host then closes.
                         let mut frame = 7u64.to_le_bytes().to_vec();
                         frame.extend_from_slice(&[0xAB; 9]);
                         let _ = bad.write_all(&(frame.len() as u32).to_le_bytes());

@@ -6,8 +6,9 @@
 use ssxdb::core::protocol::{Request, Response};
 use ssxdb::core::transport::Transport;
 use ssxdb::core::{
-    encode_document, serve_tcp_sharded, serve_tcp_sharded_auto, ClientFilter, EncryptedDb, Engine,
-    EngineKind, MapFile, MatchRule, ShardRouter, ShardedServer, TcpTransport,
+    encode_document, serve_tcp_mux, serve_tcp_mux_opts, ClientFilter, EncryptedDb, Engine,
+    EngineKind, LocalTransport, MapFile, MatchRule, MuxHostOptions, MuxPool, ShardRouter,
+    ShardedServer,
 };
 use ssxdb::prg::{Prg, Seed};
 use ssxdb::xmark::{generate, XmarkConfig, DTD_ELEMENTS};
@@ -82,7 +83,7 @@ fn reshard_preserves_every_fetch_family() {
     let (map, seed) = secrets();
     let mut db = EncryptedDb::encode_sharded(&xml, map, seed, 2).unwrap();
     let client = db.client_mut();
-    let root = client.root().unwrap().unwrap();
+    let root = client.roots().unwrap()[0];
     let all: Vec<_> = {
         let mut v = vec![root];
         v.extend(client.descendants(root).unwrap());
@@ -151,9 +152,9 @@ fn reshard_round_trip_saves_bit_identical_bytes() {
 }
 
 /// Online re-shard over TCP: a live sharded host repartitions on a
-/// `Reshard` frame; fresh clients (with the new shard count) get identical
-/// answers, stale clients are refused by the handshake, and the host
-/// returns the re-sharded fleet on shutdown.
+/// `Reshard` frame; fresh clients (adopting the new shard count) get
+/// identical answers, clients insisting on the stale count are refused by
+/// the handshake, and the host returns the re-sharded fleet on shutdown.
 #[test]
 fn tcp_host_reshards_online() {
     let xml = generate(&XmarkConfig {
@@ -167,12 +168,12 @@ fn tcp_host_reshards_online() {
 
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let handle = std::thread::spawn(move || serve_tcp_sharded(listener, server).unwrap());
+    let handle = std::thread::spawn(move || serve_tcp_mux(listener, server, 0).unwrap());
 
     let query = parse_query("//bidder/date").unwrap();
     let expected = {
         let mut c = ClientFilter::new(
-            ShardRouter::connect(addr, 2).unwrap(),
+            ShardRouter::mux(&MuxPool::connect(addr, 2).unwrap()),
             map.clone(),
             seed.clone(),
         )
@@ -183,7 +184,7 @@ fn tcp_host_reshards_online() {
     };
 
     // Repartition the live host: 2 → 3.
-    let mut admin = TcpTransport::connect(addr).unwrap();
+    let mut admin = MuxPool::dial(addr, None).unwrap().transport(0);
     assert_eq!(
         admin.call(&Request::Reshard { shards: 3 }).unwrap(),
         Response::Ok
@@ -192,16 +193,15 @@ fn tcp_host_reshards_online() {
         admin.call(&Request::ShardCount).unwrap(),
         Response::Count(3)
     );
-
-    // The host's scope drains every connection on shutdown; release the
-    // admin connection so join() below can finish.
     drop(admin);
 
     // A stale client (old shard count) is refused at connect.
-    assert!(ShardRouter::connect(addr, 2).is_err());
+    assert!(MuxPool::connect(addr, 2).is_err());
 
-    // A fresh client under the new partition gets identical answers.
-    let mut c = ClientFilter::new(ShardRouter::connect(addr, 3).unwrap(), map, seed).unwrap();
+    // A fresh client adopts the new partition and gets identical answers.
+    let pool = MuxPool::dial(addr, None).unwrap();
+    assert_eq!(pool.shards(), 3);
+    let mut c = ClientFilter::new(ShardRouter::mux(&pool), map, seed).unwrap();
     let out = Engine::run(EngineKind::Simple, MatchRule::Containment, &query, &mut c).unwrap();
     assert_eq!(out.pres(), expected, "answers survive the online reshard");
 
@@ -229,12 +229,12 @@ fn tcp_reshard_races_with_live_queries_safely() {
     let server = ShardedServer::from_table(out.table, out.ring, 1).unwrap();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let handle = std::thread::spawn(move || serve_tcp_sharded(listener, server).unwrap());
+    let handle = std::thread::spawn(move || serve_tcp_mux(listener, server, 0).unwrap());
 
     let query = parse_query("//bidder/date").unwrap();
     let expected = {
         let mut c = ClientFilter::new(
-            ShardRouter::connect(addr, 1).unwrap(),
+            ShardRouter::mux(&MuxPool::connect(addr, 1).unwrap()),
             map.clone(),
             seed.clone(),
         )
@@ -254,16 +254,8 @@ fn tcp_reshard_races_with_live_queries_safely() {
                 for _ in 0..6 {
                     // The host may repartition at any moment; connect fresh
                     // each round with whatever count it reports.
-                    let mut probe = match TcpTransport::connect(addr) {
-                        Ok(t) => t,
-                        Err(_) => continue,
-                    };
-                    let shards = match probe.call(&Request::ShardCount) {
-                        Ok(Response::Count(n)) => n as u32,
-                        _ => continue,
-                    };
-                    let Ok(router) = ShardRouter::connect(addr, shards) else {
-                        continue; // count changed between probe and connect
+                    let Ok(router) = MuxPool::dial(addr, None).map(|p| ShardRouter::mux(&p)) else {
+                        continue; // count changed between two sockets' handshakes
                     };
                     let mut c = ClientFilter::new(router, map.clone(), seed.clone()).unwrap();
                     // The invariant: a *completed* query is exactly correct;
@@ -278,7 +270,7 @@ fn tcp_reshard_races_with_live_queries_safely() {
         })
         .collect();
 
-    let mut admin = TcpTransport::connect(addr).unwrap();
+    let mut admin = MuxPool::dial(addr, None).unwrap().transport(0);
     for shards in [2u32, 4, 3, 1, 2] {
         assert_eq!(
             admin.call(&Request::Reshard { shards }).unwrap(),
@@ -288,9 +280,7 @@ fn tcp_reshard_races_with_live_queries_safely() {
     for w in workers {
         w.join().unwrap();
     }
-    drop(admin);
-    let mut closer = TcpTransport::connect(addr).unwrap();
-    closer.call(&Request::Shutdown).unwrap();
+    admin.call(&Request::Shutdown).unwrap();
     let server = handle.join().unwrap();
     assert_eq!(server.spec().shards(), 2);
 }
@@ -319,8 +309,11 @@ fn auto_reshard_converges_and_never_changes_results() {
 
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let handle =
-        std::thread::spawn(move || serve_tcp_sharded_auto(listener, server, Some(target)).unwrap());
+    let opts = MuxHostOptions {
+        auto_target: Some(target),
+        ..MuxHostOptions::default()
+    };
+    let handle = std::thread::spawn(move || serve_tcp_mux_opts(listener, server, opts).unwrap());
 
     let query = parse_query("//bidder/date").unwrap();
     let expected = {
@@ -333,11 +326,11 @@ fn auto_reshard_converges_and_never_changes_results() {
     // Convergence: the live count reaches the fixed point…
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
     loop {
-        let mut probe = TcpTransport::connect(addr).unwrap();
-        match probe.call(&Request::ShardCount).unwrap() {
-            Response::Count(n) if n as u32 == expected_shards => break,
-            Response::Count(_) => {}
-            other => panic!("unexpected probe response {other:?}"),
+        // A dial racing a repartition is refused; that is "not yet".
+        if let Ok(pool) = MuxPool::dial(addr, None) {
+            if pool.shards() == expected_shards {
+                break;
+            }
         }
         assert!(
             std::time::Instant::now() < deadline,
@@ -347,21 +340,15 @@ fn auto_reshard_converges_and_never_changes_results() {
     }
     // …and stays there: several tick periods later nothing has moved.
     std::thread::sleep(std::time::Duration::from_millis(150));
-    let mut probe = TcpTransport::connect(addr).unwrap();
+    let pool = MuxPool::dial(addr, None).unwrap();
     assert_eq!(
-        probe.call(&Request::ShardCount).unwrap(),
-        Response::Count(expected_shards as u64),
+        pool.shards(),
+        expected_shards,
         "converged count must be a fixed point"
     );
-    drop(probe);
 
     // Results under the converged partition are the single-shard answers.
-    let mut c = ClientFilter::new(
-        ShardRouter::connect(addr, expected_shards).unwrap(),
-        map,
-        seed,
-    )
-    .unwrap();
+    let mut c = ClientFilter::new(ShardRouter::mux(&pool), map, seed).unwrap();
     let out = Engine::run(EngineKind::Simple, MatchRule::Containment, &query, &mut c).unwrap();
     assert_eq!(out.pres(), expected, "auto-reshard never changes results");
 
@@ -370,7 +357,8 @@ fn auto_reshard_converges_and_never_changes_results() {
     assert_eq!(server.spec().shards(), expected_shards);
 }
 
-/// A legacy unsharded `serve_tcp` endpoint refuses the new frame cleanly.
+/// A bare single-filter endpoint — no host around it to repartition —
+/// refuses the frame cleanly.
 #[test]
 fn legacy_server_refuses_reshard() {
     let (map, seed) = secrets();
@@ -384,14 +372,10 @@ fn legacy_server_refuses_reshard() {
     )
     .unwrap();
     let server = ssxdb::core::ServerFilter::new(out.table, out.ring);
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let handle = std::thread::spawn(move || ssxdb::core::serve_tcp(listener, server).unwrap());
-    let mut t = TcpTransport::connect(addr).unwrap();
+    let mut t = LocalTransport::new(server);
     assert!(matches!(
         t.call(&Request::Reshard { shards: 2 }).unwrap(),
         Response::Err(_)
     ));
-    t.call(&Request::Shutdown).unwrap();
-    handle.join().unwrap();
+    assert!(matches!(t.call(&Request::Count).unwrap(), Response::Count(n) if n > 0));
 }

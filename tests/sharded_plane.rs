@@ -1,12 +1,12 @@
 //! The sharded, batched query plane end to end: identical results for
-//! `S ∈ {1, 2, 4}` over both transports, concurrent TCP serving, and the
-//! round-trip economics the plane exists for.
+//! `S ∈ {1, 2, 4}` in process and over TCP, concurrent TCP serving, and
+//! the round-trip economics the plane exists for.
 
 use ssxdb::core::protocol::Request;
 use ssxdb::core::transport::Transport;
 use ssxdb::core::{
-    encode_document, serve_tcp_sharded, ClientFilter, EncryptedDb, Engine, EngineKind, FetchMode,
-    MapFile, MatchRule, ShardRouter, ShardedServer, SimpleEngine,
+    encode_document, serve_tcp_mux, ClientFilter, EncryptedDb, Engine, EngineKind, FetchMode,
+    MapFile, MatchRule, MuxPool, ShardRouter, ShardedServer, SimpleEngine,
 };
 use ssxdb::prg::{Prg, Seed};
 use ssxdb::xmark::{generate, XmarkConfig, DTD_ELEMENTS};
@@ -74,12 +74,16 @@ fn sharded_tcp_serving_matches_local() {
 
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let handle = std::thread::spawn(move || serve_tcp_sharded(listener, tcp_server).unwrap());
+    let handle = std::thread::spawn(move || serve_tcp_mux(listener, tcp_server, 0).unwrap());
 
     let mut local_client =
         ClientFilter::new(ShardRouter::local(local_server), map.clone(), seed.clone()).unwrap();
-    let mut tcp_client =
-        ClientFilter::new(ShardRouter::connect(addr, shards).unwrap(), map, seed).unwrap();
+    let mut tcp_client = ClientFilter::new(
+        ShardRouter::mux(&MuxPool::connect(addr, shards).unwrap()),
+        map,
+        seed,
+    )
+    .unwrap();
 
     for q in [
         "/site//europe/item",
@@ -125,12 +129,12 @@ fn concurrent_clients_share_the_sharded_host() {
     let server = ShardedServer::from_table(out.table, out.ring, 2).unwrap();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let handle = std::thread::spawn(move || serve_tcp_sharded(listener, server).unwrap());
+    let handle = std::thread::spawn(move || serve_tcp_mux(listener, server, 0).unwrap());
 
     let query = parse_query("//bidder/date").unwrap();
     let expected = {
         let mut c = ClientFilter::new(
-            ShardRouter::connect(addr, 2).unwrap(),
+            ShardRouter::mux(&MuxPool::connect(addr, 2).unwrap()),
             map.clone(),
             seed.clone(),
         )
@@ -146,8 +150,12 @@ fn concurrent_clients_share_the_sharded_host() {
             let query = query.clone();
             let expected = expected.clone();
             std::thread::spawn(move || {
-                let mut c =
-                    ClientFilter::new(ShardRouter::connect(addr, 2).unwrap(), map, seed).unwrap();
+                let mut c = ClientFilter::new(
+                    ShardRouter::mux(&MuxPool::connect(addr, 2).unwrap()),
+                    map,
+                    seed,
+                )
+                .unwrap();
                 for _ in 0..3 {
                     let out =
                         Engine::run(EngineKind::Simple, MatchRule::Containment, &query, &mut c)
@@ -160,7 +168,7 @@ fn concurrent_clients_share_the_sharded_host() {
     for w in workers {
         w.join().unwrap();
     }
-    let mut closer = ShardRouter::connect(addr, 2).unwrap();
+    let mut closer = ShardRouter::mux(&MuxPool::connect(addr, 2).unwrap());
     closer.call(&Request::Shutdown).unwrap();
     handle.join().unwrap();
 }

@@ -6,8 +6,8 @@
 use ssxdb::core::protocol::Request;
 use ssxdb::core::transport::Transport;
 use ssxdb::core::{
-    encode_document, serve_tcp_sharded, ClientFilter, EncryptedDb, Engine, EngineKind, FetchMode,
-    MapFile, MatchRule, ShardRouter, ShardedServer, SimpleEngine,
+    encode_document, serve_tcp_mux, ClientFilter, EncryptedDb, Engine, EngineKind, FetchMode,
+    MapFile, MatchRule, MuxPool, ShardRouter, ShardedServer, SimpleEngine,
 };
 use ssxdb::prg::{Prg, Seed};
 use ssxdb::xmark::{generate, XmarkConfig, DTD_ELEMENTS};
@@ -189,8 +189,8 @@ fn speculation_leaves_cursor_hygiene_intact() {
 }
 
 /// Speculation over real sockets: a sharded TCP host, tagged frames, same
-/// answers, fewer waves. The speculative prefetches ride the same frames a
-/// PR-3 host already understands — no server change is needed.
+/// answers, fewer waves. The speculative prefetches are ordinary
+/// `Children` frames — no server change is needed.
 #[test]
 fn speculation_over_tcp_matches_and_saves_waves() {
     let xml = generate(&XmarkConfig {
@@ -204,16 +204,16 @@ fn speculation_over_tcp_matches_and_saves_waves() {
     let server = ShardedServer::from_table(out.table, out.ring, shards).unwrap();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let handle = std::thread::spawn(move || serve_tcp_sharded(listener, server).unwrap());
+    let handle = std::thread::spawn(move || serve_tcp_mux(listener, server, 0).unwrap());
 
     let query = parse_query("/site/regions/europe/item").unwrap();
     let mut plain = ClientFilter::new(
-        ShardRouter::connect(addr, shards).unwrap(),
+        ShardRouter::mux(&MuxPool::connect(addr, shards).unwrap()),
         map.clone(),
         seed.clone(),
     )
     .unwrap();
-    let mut router = ShardRouter::connect(addr, shards).unwrap();
+    let mut router = ShardRouter::mux(&MuxPool::connect(addr, shards).unwrap());
     router.set_speculation(true);
     let mut spec = ClientFilter::new(router, map, seed).unwrap();
 

@@ -1,57 +1,91 @@
 //! TCP failure paths must surface as typed `CoreError`s on the client and
-//! must not take servers down: truncated frames, absurd length prefixes,
-//! mid-query disconnects — and, since PR 6, the fleet plane's faults: a
-//! party dead at connect, a party dying mid-stream, and a byzantine party
-//! serving bit-flipped shares (detected and *named*, never wrong results).
+//! must not take the host down: truncated frames, absurd length prefixes,
+//! mid-query disconnects, stalled sends and silent peers — and the fleet
+//! plane's faults: a party dead at connect, a party dying mid-stream, and
+//! a byzantine party serving bit-flipped shares (detected and *named*,
+//! never wrong results).
 
-use ssxdb::core::protocol::{encode_request, encode_response, Request, Response};
+use ssxdb::core::protocol::{
+    encode_request, encode_response, Request, Response, MUX_PROTOCOL_VERSION,
+};
 use ssxdb::core::transport::Transport;
 use ssxdb::core::{
-    encode_document, encode_document_fleet, party_server, serve_tcp, serve_tcp_mux,
-    serve_tcp_mux_opts, serve_tcp_sharded, CoreError, EncryptedDb, EngineKind, FleetSpec, MapFile,
-    MatchRule, MuxHostOptions, MuxPool, PartyHealth, PartyStore, RemoteFleetDb, RemoteMuxFleetDb,
-    ResilienceConfig, ServerFilter, ShardRouter, ShardedServer, TcpTransport,
+    encode_document, encode_document_fleet, party_server, serve_tcp_mux, serve_tcp_mux_opts,
+    CoreError, EncryptedDb, EngineKind, FleetSpec, MapFile, MatchRule, MuxHostOptions, MuxPool,
+    PartyHealth, PartyStore, RemoteMuxFleetDb, ResilienceConfig, ShardRouter, ShardedServer,
 };
 use ssxdb::poly::RingCtx;
 use ssxdb::prg::Seed;
 use ssxdb::store::{Row, Table};
-use std::io::Write;
-use std::net::{TcpListener, TcpStream};
+use std::io::{Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::{Duration, Instant};
 
-fn demo_server() -> ServerFilter {
+fn demo_host(shards: u32) -> (SocketAddr, std::thread::JoinHandle<ShardedServer>) {
     let map = MapFile::sequential(29, 1, &["site", "a", "b"]).unwrap();
     let seed = Seed::from_test_key(9);
     let out = encode_document("<site><a><b/></a></site>", &map, &seed).unwrap();
-    ServerFilter::new(out.table, out.ring)
+    let server = ShardedServer::from_table(out.table, out.ring, shards).unwrap();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let handle = std::thread::spawn(move || serve_tcp_mux(listener, server, 0).unwrap());
+    (addr, handle)
 }
 
-/// A fake server that accepts one connection, runs `script` on it, and
-/// drops it.
-fn fake_server(script: impl FnOnce(TcpStream) + Send + 'static) -> std::net::SocketAddr {
+fn read_frame_raw(s: &mut TcpStream) -> Option<Vec<u8>> {
+    let mut len = [0u8; 4];
+    s.read_exact(&mut len).ok()?;
+    let mut buf = vec![0u8; u32::from_le_bytes(len) as usize];
+    s.read_exact(&mut buf).ok()?;
+    Some(buf)
+}
+
+fn write_frame_raw(s: &mut TcpStream, payload: &[u8]) {
+    s.write_all(&(payload.len() as u32).to_le_bytes()).unwrap();
+    s.write_all(payload).unwrap();
+}
+
+/// Answers a connection's `Hello` as a host with `shards` shards.
+fn answer_hello(s: &mut TcpStream, shards: u32) {
+    read_frame_raw(s).expect("the client opens with Hello");
+    let hello = Response::Hello {
+        version: MUX_PROTOCOL_VERSION,
+        shards,
+    };
+    write_frame_raw(s, &encode_response(&hello));
+}
+
+/// A fake one-shard host that accepts one connection, answers its
+/// handshake, runs `script` on it, and drops it.
+fn fake_host(script: impl FnOnce(TcpStream) + Send + 'static) -> SocketAddr {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     std::thread::spawn(move || {
-        let (stream, _) = listener.accept().unwrap();
+        let (mut stream, _) = listener.accept().unwrap();
+        answer_hello(&mut stream, 1);
         script(stream);
     });
     addr
 }
 
+/// Stops a host through a fresh pool.
+fn stop_host(addr: SocketAddr) {
+    let pool = MuxPool::dial(addr, None).unwrap();
+    pool.transport(0).call(&Request::Shutdown).unwrap();
+}
+
 #[test]
 fn oversized_length_prefix_is_refused_not_allocated() {
-    let addr = fake_server(|mut stream| {
+    let addr = fake_host(|mut stream| {
         // Read the request frame, answer with a 4 GiB length prefix.
-        let mut buf = [0u8; 256];
-        use std::io::Read;
-        let _ = stream.read(&mut buf);
+        read_frame_raw(&mut stream);
         stream.write_all(&u32::MAX.to_le_bytes()).unwrap();
         // Keep the socket open long enough for the client to read the prefix.
-        std::thread::sleep(std::time::Duration::from_millis(50));
+        std::thread::sleep(Duration::from_millis(50));
     });
-    let mut t = TcpTransport::connect(addr).unwrap();
+    let mut t = MuxPool::connect(addr, 1).unwrap().transport(0);
     match t.call(&Request::Count) {
         Err(CoreError::Transport(msg)) => assert!(msg.contains("refused"), "{msg}"),
         other => panic!("expected a transport error, got {other:?}"),
@@ -60,15 +94,13 @@ fn oversized_length_prefix_is_refused_not_allocated() {
 
 #[test]
 fn truncated_response_frame_errors() {
-    let addr = fake_server(|mut stream| {
-        let mut buf = [0u8; 256];
-        use std::io::Read;
-        let _ = stream.read(&mut buf);
+    let addr = fake_host(|mut stream| {
+        read_frame_raw(&mut stream);
         // Promise 100 bytes, deliver 3, hang up.
         stream.write_all(&100u32.to_le_bytes()).unwrap();
         stream.write_all(&[1, 2, 3]).unwrap();
     });
-    let mut t = TcpTransport::connect(addr).unwrap();
+    let mut t = MuxPool::connect(addr, 1).unwrap().transport(0);
     match t.call(&Request::Count) {
         Err(CoreError::Transport(msg)) => assert!(msg.contains("read"), "{msg}"),
         other => panic!("expected a transport error, got {other:?}"),
@@ -77,10 +109,10 @@ fn truncated_response_frame_errors() {
 
 #[test]
 fn server_disconnect_mid_query_errors() {
-    let addr = fake_server(drop);
-    let mut t = TcpTransport::connect(addr).unwrap();
-    // The server is gone: either the write fails or the read sees EOF —
-    // both must be typed errors, never a panic.
+    let addr = fake_host(drop);
+    let mut t = MuxPool::connect(addr, 1).unwrap().transport(0);
+    // The server is gone: the write fails, the read sees EOF, or the
+    // re-dial is refused — all typed errors, never a panic.
     match t.call(&Request::Count) {
         Err(CoreError::Transport(_)) => {}
         other => panic!("expected a transport error, got {other:?}"),
@@ -88,10 +120,8 @@ fn server_disconnect_mid_query_errors() {
 }
 
 #[test]
-fn malformed_client_frames_do_not_kill_serve_tcp() {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let handle = std::thread::spawn(move || serve_tcp(listener, demo_server()).unwrap());
+fn malformed_client_frames_do_not_kill_the_host() {
+    let (addr, handle) = demo_host(1);
 
     // A client that promises 50 bytes and delivers 5, then vanishes.
     {
@@ -104,12 +134,9 @@ fn malformed_client_frames_do_not_kill_serve_tcp() {
         let mut bad = TcpStream::connect(addr).unwrap();
         bad.write_all(&u32::MAX.to_le_bytes()).unwrap();
     }
-    // The server must still answer a well-behaved client.
-    let mut good = TcpTransport::connect(addr).unwrap();
-    match good.call(&Request::Count).unwrap() {
-        ssxdb::core::protocol::Response::Count(3) => {}
-        other => panic!("{other:?}"),
-    }
+    // The host must still answer a well-behaved client.
+    let mut good = MuxPool::connect(addr, 1).unwrap().transport(0);
+    assert_eq!(good.call(&Request::Count).unwrap(), Response::Count(3));
     good.call(&Request::Shutdown).unwrap();
     handle.join().unwrap();
 }
@@ -117,22 +144,21 @@ fn malformed_client_frames_do_not_kill_serve_tcp() {
 /// A server dying in the middle of a *batch* response — the frame is
 /// promised, half the multi-slot payload arrives, the socket drops — must
 /// surface as a typed transport error on `call_batch`, exactly like the
-/// single-request disconnects above (which were the only shape tested
-/// before PR 5).
+/// single-request disconnects above.
 #[test]
 fn mid_batch_disconnect_errors_cleanly_on_the_client() {
-    let addr = fake_server(|mut stream| {
-        let mut buf = [0u8; 1024];
-        use std::io::Read;
-        let _ = stream.read(&mut buf);
+    let addr = fake_host(|mut stream| {
+        let req = read_frame_raw(&mut stream).unwrap();
         // Promise a 400-byte batch response, deliver a plausible prefix
-        // (the batch tag and a slot count), vanish mid-frame.
+        // (the request's correlation id, the batch tag and a slot count),
+        // vanish mid-frame.
         stream.write_all(&400u32.to_le_bytes()).unwrap();
+        stream.write_all(&req[..8]).unwrap();
         stream.write_all(&[9u8]).unwrap();
         stream.write_all(&3u32.to_le_bytes()).unwrap();
     });
-    let mut t = TcpTransport::connect(addr).unwrap();
-    let reqs = vec![Request::Count, Request::Root, Request::Count];
+    let mut t = MuxPool::connect(addr, 1).unwrap().transport(0);
+    let reqs = vec![Request::Count, Request::Roots, Request::Count];
     match t.call_batch(&reqs) {
         Err(CoreError::Transport(msg)) => assert!(msg.contains("read"), "{msg}"),
         other => panic!("expected a transport error, got {other:?}"),
@@ -144,19 +170,15 @@ fn mid_batch_disconnect_errors_cleanly_on_the_client() {
 /// accounted for or the whole batch errors.
 #[test]
 fn short_batch_response_is_an_error_not_a_truncation() {
-    let addr = fake_server(|mut stream| {
-        let mut buf = [0u8; 1024];
-        use std::io::Read;
-        let _ = stream.read(&mut buf);
-        let payload = ssxdb::core::protocol::encode_response(&Response::Batch(vec![Response::Ok]));
-        stream
-            .write_all(&(payload.len() as u32).to_le_bytes())
-            .unwrap();
-        stream.write_all(&payload).unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(50));
+    let addr = fake_host(|mut stream| {
+        let req = read_frame_raw(&mut stream).unwrap();
+        let mut payload = req[..8].to_vec();
+        payload.extend_from_slice(&encode_response(&Response::Batch(vec![Response::Ok])));
+        write_frame_raw(&mut stream, &payload);
+        std::thread::sleep(Duration::from_millis(50));
     });
-    let mut t = TcpTransport::connect(addr).unwrap();
-    let reqs = vec![Request::Count, Request::Root, Request::Count];
+    let mut t = MuxPool::connect(addr, 1).unwrap().transport(0);
+    let reqs = vec![Request::Count, Request::Roots, Request::Count];
     match t.call_batch(&reqs) {
         Err(CoreError::Transport(msg)) => {
             assert!(msg.contains("1 of 3"), "{msg}");
@@ -167,11 +189,11 @@ fn short_batch_response_is_an_error_not_a_truncation() {
 
 /// A client vanishing halfway through a *batch* frame (length prefix says
 /// the whole batch, half the bytes arrive, the connection drops) must only
-/// end that connection — on the thread-per-connection host AND on the mux
-/// host, where the partial frame sits in the reader's reassembly buffer
-/// when the socket dies.
+/// end that connection — before the handshake and after it, where the
+/// partial frame sits in the reader's reassembly buffer when the socket
+/// dies.
 #[test]
-fn client_vanishing_mid_batch_leaves_both_hosts_serving() {
+fn client_vanishing_mid_batch_leaves_the_host_serving() {
     let batch = encode_request(&Request::Batch(vec![
         Request::Count,
         Request::Children { pre: 1 },
@@ -180,79 +202,46 @@ fn client_vanishing_mid_batch_leaves_both_hosts_serving() {
             point: 17,
         },
     ]));
-    for mux_host in [false, true] {
-        let map = MapFile::sequential(29, 1, &["site", "a", "b"]).unwrap();
-        let seed = Seed::from_test_key(9);
-        let out = encode_document("<site><a><b/></a></site>", &map, &seed).unwrap();
-        let server = ShardedServer::from_table(out.table, out.ring, 2).unwrap();
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let handle = std::thread::spawn(move || {
-            if mux_host {
-                serve_tcp_mux(listener, server, 0).unwrap()
-            } else {
-                serve_tcp_sharded(listener, server).unwrap()
-            }
-        });
+    let (addr, handle) = demo_host(2);
 
-        // Legacy connection: full length prefix, half the batch, gone.
-        {
-            let mut bad = TcpStream::connect(addr).unwrap();
-            bad.write_all(&(batch.len() as u32).to_le_bytes()).unwrap();
-            bad.write_all(&batch[..batch.len() / 2]).unwrap();
-        }
-        // On the mux host, also vanish mid-batch on an *upgraded*
-        // connection: handshake, then a corr-framed batch cut in half.
-        if mux_host {
-            let mut bad = TcpStream::connect(addr).unwrap();
-            let hello = encode_request(&Request::Hello { version: 1 });
-            bad.write_all(&(hello.len() as u32).to_le_bytes()).unwrap();
-            bad.write_all(&hello).unwrap();
-            let mut ack = [0u8; 64];
-            use std::io::Read;
-            let _ = bad.read(&mut ack);
-            let mut framed = 42u64.to_le_bytes().to_vec();
-            framed.extend_from_slice(&batch);
-            bad.write_all(&(framed.len() as u32).to_le_bytes()).unwrap();
-            bad.write_all(&framed[..framed.len() / 2]).unwrap();
-        }
-
-        // A well-behaved batched client is unaffected.
-        let mut router = ShardRouter::connect(addr, 2).unwrap();
-        let resps = router
-            .call_batch(&[Request::Count, Request::Children { pre: 1 }])
-            .unwrap();
-        assert!(
-            matches!(resps[0], Response::Count(3)),
-            "mux_host={mux_host}: {resps:?}"
-        );
-        if mux_host {
-            let pool = MuxPool::connect(addr, 2).unwrap();
-            let mut t = pool.transport(0);
-            assert_eq!(t.call(&Request::Count).unwrap(), Response::Count(2));
-        }
-        drop(router);
-        let mut closer = TcpTransport::connect(addr).unwrap();
-        closer.call(&Request::Shutdown).unwrap();
-        drop(closer);
-        handle.join().unwrap();
+    // Before the handshake: full length prefix, half the batch, gone.
+    {
+        let mut bad = TcpStream::connect(addr).unwrap();
+        bad.write_all(&(batch.len() as u32).to_le_bytes()).unwrap();
+        bad.write_all(&batch[..batch.len() / 2]).unwrap();
     }
+    // After the handshake: a corr-framed batch cut in half.
+    {
+        let mut bad = TcpStream::connect(addr).unwrap();
+        write_frame_raw(&mut bad, &encode_request(&Request::Hello { version: 1 }));
+        read_frame_raw(&mut bad).expect("hello answered");
+        let mut framed = 42u64.to_le_bytes().to_vec();
+        framed.extend_from_slice(&batch);
+        bad.write_all(&(framed.len() as u32).to_le_bytes()).unwrap();
+        bad.write_all(&framed[..framed.len() / 2]).unwrap();
+    }
+
+    // A well-behaved batched client is unaffected.
+    let pool = MuxPool::connect(addr, 2).unwrap();
+    let mut router = ShardRouter::mux(&pool);
+    let resps = router
+        .call_batch(&[Request::Count, Request::Children { pre: 1 }])
+        .unwrap();
+    assert!(matches!(resps[0], Response::Count(3)), "{resps:?}");
+    let mut t = pool.transport(0);
+    assert_eq!(t.call(&Request::Count).unwrap(), Response::Count(2));
+    router.call(&Request::Shutdown).unwrap();
+    handle.join().unwrap();
 }
 
 #[test]
 fn shard_count_mismatch_is_refused_at_connect() {
-    let map = MapFile::sequential(29, 1, &["site", "a", "b"]).unwrap();
-    let seed = Seed::from_test_key(9);
-    let out = encode_document("<site><a><b/></a></site>", &map, &seed).unwrap();
-    let server = ShardedServer::from_table(out.table, out.ring, 4).unwrap();
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let handle = std::thread::spawn(move || serve_tcp_sharded(listener, server).unwrap());
+    let (addr, handle) = demo_host(4);
 
     // Too few shards would silently skip partitions; too many would route
     // to nonexistent ones. Both must be refused by the handshake.
     for wrong in [1u32, 2, 8] {
-        match ShardRouter::connect(addr, wrong) {
+        match MuxPool::connect(addr, wrong) {
             Err(CoreError::Transport(msg)) => {
                 assert!(msg.contains("4 shard"), "{msg}");
             }
@@ -261,27 +250,19 @@ fn shard_count_mismatch_is_refused_at_connect() {
         }
     }
     // The right count connects and works.
-    let mut router = ShardRouter::connect(addr, 4).unwrap();
-    match router.call(&Request::Count).unwrap() {
-        ssxdb::core::protocol::Response::Count(3) => {}
-        other => panic!("{other:?}"),
-    }
+    let mut router = ShardRouter::mux(&MuxPool::connect(addr, 4).unwrap());
+    assert_eq!(router.call(&Request::Count).unwrap(), Response::Count(3));
     router.call(&Request::Shutdown).unwrap();
     handle.join().unwrap();
 }
 
 #[test]
 fn shutdown_to_a_nonexistent_shard_does_not_stop_the_host() {
-    let map = MapFile::sequential(29, 1, &["site", "a", "b"]).unwrap();
-    let seed = Seed::from_test_key(9);
-    let out = encode_document("<site><a><b/></a></site>", &map, &seed).unwrap();
-    let server = ShardedServer::from_table(out.table, out.ring, 2).unwrap();
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let handle = std::thread::spawn(move || serve_tcp_sharded(listener, server).unwrap());
+    let (addr, handle) = demo_host(2);
 
     // A raw mis-addressed Shutdown gets an error and must NOT stop the host.
-    let mut raw = TcpTransport::connect(addr).unwrap();
+    let pool = MuxPool::connect(addr, 2).unwrap();
+    let mut raw = pool.transport(0);
     match raw
         .call(&Request::ToShard {
             shard: 99,
@@ -289,20 +270,75 @@ fn shutdown_to_a_nonexistent_shard_does_not_stop_the_host() {
         })
         .unwrap()
     {
-        ssxdb::core::protocol::Response::Err(msg) => assert!(msg.contains("no shard"), "{msg}"),
+        Response::Err(msg) => assert!(msg.contains("no shard"), "{msg}"),
         other => panic!("{other:?}"),
     }
-    // Still serving.
-    let mut router = ShardRouter::connect(addr, 2).unwrap();
-    match router.call(&Request::Count).unwrap() {
-        ssxdb::core::protocol::Response::Count(3) => {}
-        other => panic!("{other:?}"),
-    }
-    // Close every connection (the host joins its connection threads before
-    // returning, so the raw socket must go first), then stop.
-    drop(raw);
+    // Still serving, on fresh sockets too.
+    let mut router = ShardRouter::mux(&MuxPool::connect(addr, 2).unwrap());
+    assert_eq!(router.call(&Request::Count).unwrap(), Response::Count(3));
     router.call(&Request::Shutdown).unwrap();
     handle.join().unwrap();
+}
+
+#[test]
+fn malformed_frames_only_drop_their_connection_on_sharded_host() {
+    let (addr, handle) = demo_host(2);
+    let mut router = ShardRouter::mux(&MuxPool::connect(addr, 2).unwrap());
+    // Poison a separate connection mid-stream.
+    {
+        let mut bad = TcpStream::connect(addr).unwrap();
+        bad.write_all(&33u32.to_le_bytes()).unwrap();
+        bad.write_all(&[7; 4]).unwrap();
+    }
+    // The router's connections keep working.
+    assert_eq!(router.call(&Request::Count).unwrap(), Response::Count(3));
+    router.call(&Request::Shutdown).unwrap();
+    handle.join().unwrap();
+}
+
+/// A send that stalls — the host answered `Hello`, then stopped reading —
+/// fails with a typed timeout within the call budget instead of blocking
+/// with the connection's write lock held. Half a frame is left on the
+/// wire, so the connection dies and the slot re-dials on the next call
+/// (bounded by the budget too).
+#[test]
+fn stalled_send_times_out_and_kills_the_connection() {
+    let (release, parked) = mpsc::channel::<()>();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        answer_hello(&mut stream, 1);
+        // Never read again; keep the socket (and the listener) open.
+        let _ = parked.recv();
+        drop((stream, listener));
+    });
+    let pool = MuxPool::connect(addr, 1).unwrap();
+    let mut t = pool.transport(0);
+    t.set_call_budget(Some(Duration::from_millis(200)));
+    // A 16 MB frame: more than the kernel buffers of both ends hold.
+    let big = Request::Insert {
+        rows: vec![(
+            ssxdb::store::Loc {
+                pre: 1,
+                post: 1,
+                parent: 0,
+            },
+            vec![0u8; 16 << 20],
+        )],
+    };
+    let t0 = Instant::now();
+    match t.call(&big) {
+        Err(CoreError::Timeout(msg)) => assert!(msg.contains("write stalled"), "{msg}"),
+        other => panic!("expected a send timeout, got {other:?}"),
+    }
+    assert!(t0.elapsed() < Duration::from_secs(3), "{:?}", t0.elapsed());
+    // The next call re-dials; nobody answers that handshake, and the
+    // budget bounds it.
+    let t1 = Instant::now();
+    assert!(t.call(&Request::Count).is_err());
+    assert!(t1.elapsed() < Duration::from_secs(3), "{:?}", t1.elapsed());
+    drop(release);
 }
 
 // ---- fleet fault injection --------------------------------------------------
@@ -314,41 +350,47 @@ fn fleet_secrets() -> (MapFile, Seed) {
     (map, Seed::from_test_key(21))
 }
 
-/// Hosts one party's 2·S-filter server on an ephemeral port; threaded or
-/// multiplexed.
+/// Hosts one party's 2·S-filter server on an ephemeral port.
 fn spawn_party(
     party: PartyStore,
     ring: &RingCtx,
-    mux: bool,
-) -> (std::net::SocketAddr, std::thread::JoinHandle<ShardedServer>) {
+) -> (SocketAddr, std::thread::JoinHandle<ShardedServer>) {
     let server = party_server(party.data, party.mac, ring, 1).unwrap();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let handle = std::thread::spawn(move || {
-        if mux {
-            serve_tcp_mux(listener, server, 0).unwrap()
-        } else {
-            serve_tcp_sharded(listener, server).unwrap()
-        }
-    });
+    let handle = std::thread::spawn(move || serve_tcp_mux(listener, server, 0).unwrap());
     (addr, handle)
 }
 
 /// An address nobody listens on (bound, resolved, released).
-fn dead_addr() -> std::net::SocketAddr {
+fn dead_addr() -> SocketAddr {
     TcpListener::bind("127.0.0.1:0")
         .unwrap()
         .local_addr()
         .unwrap()
 }
 
-fn stop_host(addr: std::net::SocketAddr) {
-    let mut closer = TcpTransport::connect(addr).unwrap();
-    closer.call(&Request::Shutdown).unwrap();
+/// The single-party answer every fleet query must reproduce.
+fn fleet_expected(query: &str, kind: EngineKind) -> Vec<ssxdb::store::Loc> {
+    let (map, seed) = fleet_secrets();
+    EncryptedDb::encode(FLEET_XML, map, seed)
+        .unwrap()
+        .query(query, kind, MatchRule::Equality)
+        .unwrap()
+        .result
 }
 
-/// One of n parties is dead before the client even connects: `connect_fleet`
-/// tolerates it down to the threshold, and every result matches the
+/// Stops every host and joins it.
+fn stop_all(hosts: Vec<(SocketAddr, std::thread::JoinHandle<ShardedServer>)>) {
+    for (i, (a, h)) in hosts.into_iter().enumerate() {
+        stop_host(a);
+        h.join()
+            .unwrap_or_else(|_| panic!("party {} host panicked", i + 1));
+    }
+}
+
+/// One of n parties is dead before the client even connects: the fleet
+/// connect tolerates it down to the threshold, and every result matches the
 /// single-party plane exactly.
 #[test]
 fn fleet_tolerates_a_party_dead_at_connect() {
@@ -357,28 +399,19 @@ fn fleet_tolerates_a_party_dead_at_connect() {
     let fleet = encode_document_fleet(FLEET_XML, &map, &seed, spec).unwrap();
     let ring = fleet.ring.clone();
     let mut parties = fleet.parties.into_iter();
-    let (a1, h1) = spawn_party(parties.next().unwrap(), &ring, false);
+    let p1 = spawn_party(parties.next().unwrap(), &ring);
     let _party2_never_started = parties.next().unwrap();
-    let (a3, h3) = spawn_party(parties.next().unwrap(), &ring, false);
-    let addrs = vec![a1.to_string(), dead_addr().to_string(), a3.to_string()];
+    let p3 = spawn_party(parties.next().unwrap(), &ring);
+    let addrs = vec![p1.0.to_string(), dead_addr().to_string(), p3.0.to_string()];
 
-    let expected = EncryptedDb::encode(FLEET_XML, map.clone(), seed.clone())
-        .unwrap()
-        .query("//b", EngineKind::Simple, MatchRule::Equality)
-        .unwrap()
-        .result;
-
-    let mut db = RemoteFleetDb::connect_fleet(&addrs, 2, map, seed).unwrap();
+    let mut db = RemoteMuxFleetDb::connect_fleet_mux(&addrs, 2, map, seed).unwrap();
     let out = db
         .query("//b", EngineKind::Simple, MatchRule::Equality)
         .unwrap();
-    assert_eq!(out.result, expected);
+    assert_eq!(out.result, fleet_expected("//b", EngineKind::Simple));
 
     drop(db);
-    stop_host(a1);
-    stop_host(a3);
-    h1.join().unwrap();
-    h3.join().unwrap();
+    stop_all(vec![p1, p3]);
 }
 
 /// A party dying *mid-stream* — its host winds down between two queries on
@@ -390,20 +423,15 @@ fn fleet_party_dying_mid_stream_degrades_without_corruption() {
     let spec = FleetSpec::new(3, 2).unwrap();
     let fleet = encode_document_fleet(FLEET_XML, &map, &seed, spec).unwrap();
     let ring = fleet.ring.clone();
-    // Mux hosts: winding one down closes its sockets even while clients
-    // hold connections, which is exactly the abrupt-death shape we want.
-    let hosts: Vec<_> = fleet
+    // Winding a host down closes its sockets even while clients hold
+    // connections, which is exactly the abrupt-death shape we want.
+    let mut hosts: Vec<_> = fleet
         .parties
         .into_iter()
-        .map(|p| spawn_party(p, &ring, true))
+        .map(|p| spawn_party(p, &ring))
         .collect();
     let addrs: Vec<String> = hosts.iter().map(|(a, _)| a.to_string()).collect();
-
-    let expected = EncryptedDb::encode(FLEET_XML, map.clone(), seed.clone())
-        .unwrap()
-        .query("//a/b", EngineKind::Advanced, MatchRule::Equality)
-        .unwrap()
-        .result;
+    let expected = fleet_expected("//a/b", EngineKind::Advanced);
 
     let mut db = RemoteMuxFleetDb::connect_fleet_mux(&addrs, 2, map, seed).unwrap();
     let out = db
@@ -412,7 +440,9 @@ fn fleet_party_dying_mid_stream_degrades_without_corruption() {
     assert_eq!(out.result, expected);
 
     // Kill party 2's host under the live connection.
-    stop_host(hosts[1].0);
+    let (a2, h2) = hosts.remove(1);
+    stop_host(a2);
+    h2.join().expect("party 2 host panicked");
 
     // The same fleet connection keeps answering, bit-identically.
     for _ in 0..2 {
@@ -426,12 +456,7 @@ fn fleet_party_dying_mid_stream_degrades_without_corruption() {
     }
 
     drop(db);
-    stop_host(hosts[0].0);
-    stop_host(hosts[2].0);
-    for (i, (_, h)) in hosts.into_iter().enumerate() {
-        h.join()
-            .unwrap_or_else(|_| panic!("party {} host panicked", i + 1));
-    }
+    stop_all(hosts);
 }
 
 /// A byzantine party serving bit-flipped shares over TCP: the MAC check
@@ -462,17 +487,11 @@ fn fleet_byzantine_shares_over_tcp_are_detected_and_named() {
     let hosts: Vec<_> = fleet
         .parties
         .into_iter()
-        .map(|p| spawn_party(p, &ring, false))
+        .map(|p| spawn_party(p, &ring))
         .collect();
     let addrs: Vec<String> = hosts.iter().map(|(a, _)| a.to_string()).collect();
 
-    let expected = EncryptedDb::encode(FLEET_XML, map.clone(), seed.clone())
-        .unwrap()
-        .query("//b", EngineKind::Simple, MatchRule::Equality)
-        .unwrap()
-        .result;
-
-    let mut db = RemoteFleetDb::connect_fleet(&addrs, 2, map.clone(), seed.clone()).unwrap();
+    let mut db = RemoteMuxFleetDb::connect_fleet_mux(&addrs, 2, map, seed).unwrap();
     let err = db
         .query("//b", EngineKind::Simple, MatchRule::Equality)
         .unwrap_err();
@@ -488,61 +507,21 @@ fn fleet_byzantine_shares_over_tcp_are_detected_and_named() {
         .query("//b", EngineKind::Simple, MatchRule::Equality)
         .unwrap();
     assert_eq!(
-        out.result, expected,
+        out.result,
+        fleet_expected("//b", EngineKind::Simple),
         "post-quarantine results must be exact"
     );
 
     drop(db);
-    for (a, _) in &hosts {
-        stop_host(*a);
-    }
-    for (_, h) in hosts {
-        h.join().unwrap();
-    }
-}
-
-#[test]
-fn malformed_frames_only_drop_their_connection_on_sharded_host() {
-    let map = MapFile::sequential(29, 1, &["site", "a", "b"]).unwrap();
-    let seed = Seed::from_test_key(9);
-    let out = encode_document("<site><a><b/></a></site>", &map, &seed).unwrap();
-    let server = ShardedServer::from_table(out.table, out.ring, 2).unwrap();
-
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let handle = std::thread::spawn(move || serve_tcp_sharded(listener, server).unwrap());
-
-    let mut router = ShardRouter::connect(addr, 2).unwrap();
-    // Poison a separate connection mid-stream.
-    {
-        let mut bad = TcpStream::connect(addr).unwrap();
-        bad.write_all(&33u32.to_le_bytes()).unwrap();
-        bad.write_all(&[7; 4]).unwrap();
-    }
-    // The router's connections keep working.
-    match router.call(&Request::Count).unwrap() {
-        ssxdb::core::protocol::Response::Count(3) => {}
-        other => panic!("{other:?}"),
-    }
-    router.call(&Request::Shutdown).unwrap();
-    handle.join().unwrap();
+    stop_all(hosts);
 }
 
 // ---- resilience: deadlines and write stalls ---------------------------------
 
-fn read_frame_raw(s: &mut TcpStream) -> Option<Vec<u8>> {
-    use std::io::Read;
-    let mut len = [0u8; 4];
-    s.read_exact(&mut len).ok()?;
-    let mut buf = vec![0u8; u32::from_le_bytes(len) as usize];
-    s.read_exact(&mut buf).ok()?;
-    Some(buf)
-}
-
-/// A slow-loris party: every connection gets its first frame answered (the
-/// `ShardCount` probe, reported as the fleet layout `Count(2)`), after
-/// which the socket swallows frames forever without responding.
-fn slow_loris_party() -> (std::net::SocketAddr, Arc<AtomicBool>) {
+/// A slow-loris party: every connection gets its handshake answered (as a
+/// one-data-shard party, `2` shards), after which the socket swallows
+/// frames forever without responding.
+fn slow_loris_party() -> (SocketAddr, Arc<AtomicBool>) {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let stop = Arc::new(AtomicBool::new(false));
@@ -555,13 +534,7 @@ fn slow_loris_party() -> (std::net::SocketAddr, Arc<AtomicBool>) {
             let Ok(mut s) = stream else { return };
             let flag = Arc::clone(&flag);
             std::thread::spawn(move || {
-                use std::io::Read;
-                if read_frame_raw(&mut s).is_none() {
-                    return;
-                }
-                let payload = encode_response(&Response::Count(2));
-                let _ = s.write_all(&(payload.len() as u32).to_le_bytes());
-                let _ = s.write_all(&payload);
+                answer_hello(&mut s, 2);
                 // Now go silent: read everything, answer nothing.
                 let mut buf = [0u8; 4096];
                 loop {
@@ -580,7 +553,7 @@ fn slow_loris_party() -> (std::net::SocketAddr, Arc<AtomicBool>) {
     (addr, stop)
 }
 
-/// A slow-loris party — answers the connect probe, then never responds to
+/// A slow-loris party — answers the handshake, then never responds to
 /// another frame. With a per-call deadline the wave times that leg out,
 /// completes bit-identically from the two honest parties, and the fault on
 /// record names the party, its address, and the exceeded deadline.
@@ -591,30 +564,25 @@ fn fleet_slow_loris_party_is_timed_out_not_waited_for() {
     let fleet = encode_document_fleet(FLEET_XML, &map, &seed, spec).unwrap();
     let ring = fleet.ring.clone();
     let mut parties = fleet.parties.into_iter();
-    let (a1, h1) = spawn_party(parties.next().unwrap(), &ring, false);
+    let p1 = spawn_party(parties.next().unwrap(), &ring);
     let _party2_shares_stay_offline = parties.next().unwrap();
-    let (a3, h3) = spawn_party(parties.next().unwrap(), &ring, false);
+    let p3 = spawn_party(parties.next().unwrap(), &ring);
     let (loris, stop) = slow_loris_party();
-    let addrs = vec![a1.to_string(), loris.to_string(), a3.to_string()];
+    let addrs = vec![p1.0.to_string(), loris.to_string(), p3.0.to_string()];
 
-    let expected = EncryptedDb::encode(FLEET_XML, map.clone(), seed.clone())
-        .unwrap()
-        .query("//b", EngineKind::Simple, MatchRule::Equality)
-        .unwrap()
-        .result;
-
-    let mut db = RemoteFleetDb::connect_fleet(&addrs, 2, map, seed).unwrap();
+    let mut db = RemoteMuxFleetDb::connect_fleet_mux(&addrs, 2, map, seed).unwrap();
     db.set_resilience(ResilienceConfig {
         deadline: Some(Duration::from_millis(200)),
         retries: 0,
         ..Default::default()
     });
-    let t0 = std::time::Instant::now();
+    let t0 = Instant::now();
     let out = db
         .query("//b", EngineKind::Simple, MatchRule::Equality)
         .unwrap();
     assert_eq!(
-        out.result, expected,
+        out.result,
+        fleet_expected("//b", EngineKind::Simple),
         "the honest quorum must answer exactly"
     );
     // Timeouts are bounded: the hung leg costs at most a few deadlines
@@ -640,10 +608,125 @@ fn fleet_slow_loris_party_is_timed_out_not_waited_for() {
     drop(db);
     stop.store(true, Ordering::SeqCst);
     let _ = TcpStream::connect(loris);
-    stop_host(a1);
-    stop_host(a3);
-    h1.join().unwrap();
-    h3.join().unwrap();
+    stop_all(vec![p1, p3]);
+}
+
+/// A byte relay in front of one host. `go_silent` resets every relayed
+/// connection; from then on the relay accepts connections and never
+/// answers them.
+struct SilentRelay {
+    addr: SocketAddr,
+    silent: Arc<AtomicBool>,
+    relayed: Arc<Mutex<Vec<TcpStream>>>,
+}
+
+impl SilentRelay {
+    fn spawn(upstream: SocketAddr) -> Self {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let silent = Arc::new(AtomicBool::new(false));
+        let relayed: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
+        let (flag, streams) = (Arc::clone(&silent), Arc::clone(&relayed));
+        std::thread::spawn(move || {
+            let mut held = Vec::new();
+            for client in listener.incoming() {
+                let Ok(client) = client else { return };
+                if flag.load(Ordering::SeqCst) {
+                    held.push(client);
+                    continue;
+                }
+                let Ok(server) = TcpStream::connect(upstream) else {
+                    continue;
+                };
+                let mut list = streams.lock().unwrap();
+                list.push(client.try_clone().unwrap());
+                list.push(server.try_clone().unwrap());
+                drop(list);
+                let pipes = [
+                    (client.try_clone().unwrap(), server.try_clone().unwrap()),
+                    (server, client),
+                ];
+                for (mut from, mut to) in pipes {
+                    std::thread::spawn(move || {
+                        let _ = std::io::copy(&mut from, &mut to);
+                        let _ = to.shutdown(Shutdown::Both);
+                    });
+                }
+            }
+        });
+        SilentRelay {
+            addr,
+            silent,
+            relayed,
+        }
+    }
+
+    fn go_silent(&self) {
+        self.silent.store(true, Ordering::SeqCst);
+        for s in self.relayed.lock().unwrap().drain(..) {
+            let _ = s.shutdown(Shutdown::Both);
+        }
+    }
+}
+
+/// Re-admission probes dial on the client thread, so each must be bounded
+/// by the deadline: a quarantined party whose address accepts TCP but
+/// never answers the handshake costs each probe its budget, not the whole
+/// client. Forty queries finish, exactly, and the party ends quarantined
+/// with the probe's timeout on record.
+#[test]
+fn readmission_probe_against_a_silent_party_is_bounded() {
+    let (map, seed) = fleet_secrets();
+    let spec = FleetSpec::new(3, 2).unwrap();
+    let fleet = encode_document_fleet(FLEET_XML, &map, &seed, spec).unwrap();
+    let ring = fleet.ring.clone();
+    let hosts: Vec<_> = fleet
+        .parties
+        .into_iter()
+        .map(|p| spawn_party(p, &ring))
+        .collect();
+    let relay = SilentRelay::spawn(hosts[1].0);
+    let addrs = vec![
+        hosts[0].0.to_string(),
+        relay.addr.to_string(),
+        hosts[2].0.to_string(),
+    ];
+    let expected = fleet_expected("//b", EngineKind::Simple);
+
+    let mut db = RemoteMuxFleetDb::connect_fleet_mux(&addrs, 2, map, seed).unwrap();
+    db.set_resilience(ResilienceConfig {
+        deadline: Some(Duration::from_millis(200)),
+        retries: 0,
+        cooldown_waves: 1,
+        ..Default::default()
+    });
+    let query = |db: &mut RemoteMuxFleetDb| {
+        db.query("//b", EngineKind::Simple, MatchRule::Equality)
+            .unwrap()
+            .result
+    };
+    assert_eq!(query(&mut db), expected);
+
+    relay.go_silent();
+    let t0 = Instant::now();
+    for round in 0..40 {
+        assert_eq!(query(&mut db), expected, "round {round}");
+    }
+    assert!(
+        t0.elapsed() < Duration::from_secs(20),
+        "probes against the silent party were not bounded: {:?}",
+        t0.elapsed()
+    );
+    let p2 = db.party_status().remove(1);
+    assert_eq!(p2.health, PartyHealth::Quarantined);
+    let fault = p2.fault.unwrap_or_default();
+    assert!(
+        fault.contains("re-admission probe failed") && fault.contains("deadline exceeded"),
+        "{fault}"
+    );
+
+    drop(db);
+    stop_all(hosts);
 }
 
 /// The mux host's write-stall knob (`serve --write-stall-ms`): a client
@@ -669,14 +752,11 @@ fn mux_write_stall_knob_cuts_off_a_non_reading_client() {
     // it will never read. Writes are best-effort — the host is expected to
     // kill this connection under us.
     let mut stalled = TcpStream::connect(addr).unwrap();
-    let hello = encode_request(&Request::Hello { version: 1 });
-    stalled
-        .write_all(&(hello.len() as u32).to_le_bytes())
-        .unwrap();
-    stalled.write_all(&hello).unwrap();
-    let mut ack = [0u8; 64];
-    use std::io::Read;
-    let _ = stalled.read(&mut ack);
+    write_frame_raw(
+        &mut stalled,
+        &encode_request(&Request::Hello { version: 1 }),
+    );
+    read_frame_raw(&mut stalled).expect("hello answered");
     let req = encode_request(&Request::GetPolys {
         pres: vec![1; 40_000],
     });
@@ -689,7 +769,7 @@ fn mux_write_stall_knob_cuts_off_a_non_reading_client() {
 
     // The well-behaved client is served well under the 5 s default: the
     // stalled connection is poisoned after ~150 ms and the executor moves on.
-    let t0 = std::time::Instant::now();
+    let t0 = Instant::now();
     let pool = MuxPool::connect(addr, 1).unwrap();
     let mut good = pool.transport(0);
     assert_eq!(good.call(&Request::Count).unwrap(), Response::Count(3));
@@ -699,11 +779,7 @@ fn mux_write_stall_knob_cuts_off_a_non_reading_client() {
         t0.elapsed()
     );
 
-    drop(good);
-    drop(pool);
     drop(stalled);
-    let mut closer = TcpTransport::connect(addr).unwrap();
-    closer.call(&Request::Shutdown).unwrap();
-    drop(closer);
+    good.call(&Request::Shutdown).unwrap();
     handle.join().unwrap();
 }

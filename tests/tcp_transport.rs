@@ -1,11 +1,13 @@
-//! The same query must produce identical results and byte-identical
-//! traffic counters over the in-process transport and over a real socket.
+//! The same query must produce identical results and the same traffic
+//! counters over the in-process transport and over a real socket — the
+//! socket adds exactly the 8-byte correlation id to every frame.
 
 use ssxdb::core::protocol::Request;
+use ssxdb::core::protocol::CORR_BYTES;
 use ssxdb::core::transport::Transport;
 use ssxdb::core::{
-    encode_document, serve_tcp, ClientFilter, Engine, EngineKind, LocalTransport, MapFile,
-    MatchRule, ServerFilter, TcpTransport,
+    encode_document, serve_tcp_mux, ClientFilter, Engine, EngineKind, LocalTransport, MapFile,
+    MatchRule, MuxPool, ServerFilter, ShardedServer,
 };
 use ssxdb::prg::{Prg, Seed};
 use ssxdb::xmark::{generate, XmarkConfig, DTD_ELEMENTS};
@@ -28,16 +30,16 @@ fn local_and_tcp_agree() {
 
     // Two identical servers: one local, one behind TCP.
     let local_server = ServerFilter::new(out.table.clone(), out.ring.clone());
-    let tcp_server = ServerFilter::new(out.table, out.ring);
+    let tcp_server = ShardedServer::from_table(out.table, out.ring, 1).unwrap();
 
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let handle = std::thread::spawn(move || serve_tcp(listener, tcp_server).unwrap());
+    let handle = std::thread::spawn(move || serve_tcp_mux(listener, tcp_server, 0).unwrap());
 
     let mut local_client =
         ClientFilter::new(LocalTransport::new(local_server), map.clone(), seed.clone()).unwrap();
-    let mut tcp_client =
-        ClientFilter::new(TcpTransport::connect(addr).unwrap(), map, seed).unwrap();
+    let pool = MuxPool::dial(addr, None).unwrap();
+    let mut tcp_client = ClientFilter::new(pool.transport(0), map, seed).unwrap();
 
     for q in [
         "/site//europe/item",
@@ -55,8 +57,14 @@ fn local_and_tcp_agree() {
                     a.stats.round_trips, b.stats.round_trips,
                     "{q} {kind:?} {rule:?}"
                 );
-                assert_eq!(a.stats.bytes_sent, b.stats.bytes_sent, "{q}");
-                assert_eq!(a.stats.bytes_received, b.stats.bytes_received, "{q}");
+                // Identical frames; the wire wraps each in a correlation id.
+                let envelope = CORR_BYTES as u64 * b.stats.round_trips;
+                assert_eq!(a.stats.bytes_sent + envelope, b.stats.bytes_sent, "{q}");
+                assert_eq!(
+                    a.stats.bytes_received + envelope,
+                    b.stats.bytes_received,
+                    "{q}"
+                );
             }
         }
     }
@@ -72,11 +80,12 @@ fn pipelined_cursor_over_tcp() {
     let out = encode_document(xml, &map, &seed).unwrap();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let server = ServerFilter::new(out.table, out.ring);
-    let handle = std::thread::spawn(move || serve_tcp(listener, server).unwrap());
+    let server = ShardedServer::from_table(out.table, out.ring, 1).unwrap();
+    let handle = std::thread::spawn(move || serve_tcp_mux(listener, server, 0).unwrap());
 
-    let mut client = ClientFilter::new(TcpTransport::connect(addr).unwrap(), map, seed).unwrap();
-    let root = client.root().unwrap().unwrap();
+    let pool = MuxPool::dial(addr, None).unwrap();
+    let mut client = ClientFilter::new(pool.transport(0), map, seed).unwrap();
+    let root = client.roots().unwrap()[0];
     let before = client.transport_stats().round_trips;
     let cursor = client.open_children_cursor(vec![root.pre]).unwrap();
     let mut count = 0;

@@ -9,8 +9,8 @@ use ssxdb::core::protocol::Request;
 use ssxdb::core::transport::Transport;
 use ssxdb::core::{
     encode_document, encode_document_at, encode_document_fleet, party_server, serve_tcp_mux,
-    serve_tcp_sharded, ClientFilter, EncryptedDb, EngineKind, FleetSpec, MapFile, MatchRule,
-    MuxPool, PartyStore, RemoteFleetDb, RemoteMuxDb, ShardRouter, ShardedServer, TcpTransport,
+    ClientFilter, EncryptedDb, EngineKind, FleetSpec, MapFile, MatchRule, MuxPool, PartyStore,
+    RemoteMuxDb, RemoteMuxFleetDb, ShardRouter, ShardedServer,
 };
 use ssxdb::poly::RingCtx;
 use ssxdb::prg::Seed;
@@ -28,7 +28,7 @@ fn secrets() -> (MapFile, Seed) {
 }
 
 fn stop_host(addr: SocketAddr) {
-    let mut closer = TcpTransport::connect(addr).unwrap();
+    let mut closer = MuxPool::dial(addr, None).unwrap().transport(0);
     closer.call(&Request::Shutdown).unwrap();
 }
 
@@ -88,7 +88,7 @@ fn spawn_party(
     let server = party_server(party.data, party.mac, ring, 1).unwrap();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let handle = std::thread::spawn(move || serve_tcp_sharded(listener, server).unwrap());
+    let handle = std::thread::spawn(move || serve_tcp_mux(listener, server, 0).unwrap());
     (addr, handle)
 }
 
@@ -110,9 +110,10 @@ fn tcp_fleet_ingests_interleaved_writes_while_queries_run() {
         .map(|p| spawn_party(p, &ring))
         .collect();
     let addrs: Vec<String> = hosts.iter().map(|(a, _)| a.to_string()).collect();
-    let mut fleet = RemoteFleetDb::connect_fleet(&addrs, 2, map.clone(), seed.clone()).unwrap();
+    let mut fleet =
+        RemoteMuxFleetDb::connect_fleet_mux(&addrs, 2, map.clone(), seed.clone()).unwrap();
 
-    let b_pres = |db: &mut RemoteFleetDb| {
+    let b_pres = |db: &mut RemoteMuxFleetDb| {
         db.query("//b", EngineKind::Simple, MatchRule::Equality)
             .unwrap()
             .pres()
@@ -150,8 +151,6 @@ fn tcp_fleet_ingests_interleaved_writes_while_queries_run() {
         }
     }
 
-    // The hosts join per-connection threads on shutdown: close the fleet's
-    // leg sockets first.
     drop(fleet);
     for (a, _) in &hosts {
         stop_host(*a);
