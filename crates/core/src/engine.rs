@@ -187,10 +187,10 @@ impl StatWindow {
                 share_cache_evictions: c.share_cache_evictions
                     - self.client_before.share_cache_evictions,
                 round_trips: t.round_trips - self.transport_before.round_trips,
-                // Saturating: a fleet leg leased to a hedged wave's
-                // straggler worker is invisible to the aggregate until
-                // harvested, so cumulative byte counts can transiently dip
-                // below the window's opening snapshot.
+                // Saturating only as a guard: a fleet pipe counts a leg out
+                // with a hedged wave's straggler at its last snapshot, so
+                // cumulative byte counts do not dip below the window's
+                // opening snapshot.
                 bytes_sent: t
                     .bytes_sent
                     .saturating_sub(self.transport_before.bytes_sent),

@@ -18,9 +18,10 @@
 //! filters `0..S` hold the party's Shamir share of the data plane (the
 //! familiar partitions), filters `S..2S` hold its share of the MAC plane
 //! `α ⊙ data` ([`crate::encode::split_fleet`]). A fleet pipe mirrors every
-//! data-plane request (`EvalMany`/`GetPolys`/`Agg`) to the MAC shard as a
-//! second frame on the same connection, so each wire frame still addresses
-//! exactly one shard and the frame format is untouched.
+//! data-plane request (`EvalMany`/`GetPolys`/`Agg`) to the MAC shard and
+//! sends the frame and its mirror as one [`Request::Pair`]: one round trip
+//! per party per wave. Each half still addresses exactly one shard, and the
+//! party host answers it exactly as it would answer that frame alone.
 //!
 //! # Reconstruction and verification
 //!
@@ -45,10 +46,11 @@
 //! simply mirror them: each party must receive its *own* Shamir share of
 //! every row. The pipe re-splits each row on the client side
 //! ([`crate::encode::split_fleet_row`], bit-identical to the build-time
-//! split) and sends per-party frame pairs — share rows to the data shard,
-//! MAC rows to its mirror. Writes are never hedged and never answered
-//! early: every participating leg must acknowledge, both planes of a
-//! party must agree, and the acks must form a `≥ t` structural quorum.
+//! split) and sends each party one [`Request::Pair`] — share rows to the
+//! data shard, MAC rows to its mirror. Writes are never hedged and never
+//! answered early: every participating leg must acknowledge, both planes
+//! of a party must agree, and the acks must form a `≥ t` structural
+//! quorum.
 //! A party that misses a write — absent from the wave, or failing
 //! mid-application — has permanently diverged from the fleet's state and
 //! is retired exactly like a party caught lying.
@@ -62,10 +64,13 @@ use crate::protocol::{
 use crate::router::ShardRouter;
 use crate::server::ServerFilter;
 use crate::shard::{partition_table, ShardSpec, ShardedServer};
-use crate::transport::{MuxPool, MuxTransport, Transport, TransportStats};
+use crate::transport::{
+    answer_pair, shard_target, MuxPool, MuxTransport, Transport, TransportStats,
+};
 use ssx_poly::{lagrange_at_zero, Packer, RingCtx};
 use ssx_prg::{Prg, Seed};
 use ssx_store::{Loc, Table};
+use std::borrow::Cow;
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -93,9 +98,10 @@ pub fn party_server(
 }
 
 /// In-process transport onto one fleet party: routes `ToShard` frames to
-/// the party's filters like the TCP host does, with the same encode/decode
-/// round trip so counted bytes match the wire exactly. Pipes of the same
-/// party share the host through an `Arc<Mutex<_>>`.
+/// the party's filters and answers `Pair` frames half by half like the TCP
+/// host does, with the same encode/decode round trip so counted bytes match
+/// the wire exactly. Pipes of the same party share the host through an
+/// `Arc<Mutex<_>>`.
 pub struct LocalPartyTransport {
     host: Arc<Mutex<ShardedServer>>,
     stats: TransportStats,
@@ -116,16 +122,21 @@ impl Transport for LocalPartyTransport {
         let frame = encode_request(req);
         self.stats.bytes_sent += frame.len() as u64;
         let decoded = decode_request(&frame)?;
-        let (shard, inner): (u32, &Request) = match &decoded {
-            Request::ToShard { shard, req } => (*shard, req),
-            other => (0, other),
-        };
         let resp = {
             let mut host = self.host.lock().unwrap_or_else(|p| p.into_inner());
-            if matches!(inner, Request::ShardCount) {
-                Response::Count(host.spec().shards() as u64)
-            } else {
-                host.handle(shard, inner)
+            let mut answer = |shard: u32, inner: &Request| {
+                if matches!(inner, Request::ShardCount) {
+                    Response::Count(host.spec().shards() as u64)
+                } else {
+                    host.handle(shard, inner)
+                }
+            };
+            match &decoded {
+                Request::Pair { data, mac } => answer_pair(data, mac, answer),
+                single => {
+                    let (shard, inner) = shard_target(single);
+                    answer(shard, inner)
+                }
             }
         };
         let resp_frame = encode_response(&resp);
@@ -256,6 +267,10 @@ pub struct FleetLeg<T> {
     party: usize,
     addr: String,
     transport: Option<T>,
+    /// The transport's counters when a wave took it ([`FleetLeg::lend`]);
+    /// they stand in for it in [`FleetTransport::stats`] until it comes
+    /// home, so a hedged straggler never makes the pipe's byte counts dip.
+    lent: Option<TransportStats>,
     dial: Option<Dialer<T>>,
     health: PartyHealth,
     strikes: u32,
@@ -272,6 +287,7 @@ impl<T> FleetLeg<T> {
             party,
             addr: "local".into(),
             transport: Some(transport),
+            lent: None,
             dial: None,
             health: PartyHealth::Live,
             strikes: 0,
@@ -291,6 +307,7 @@ impl<T> FleetLeg<T> {
             party,
             addr: "local".into(),
             transport: None,
+            lent: None,
             dial: None,
             health: PartyHealth::Quarantined,
             strikes: 0,
@@ -327,14 +344,34 @@ impl<T> FleetLeg<T> {
 }
 
 impl<T: Transport> FleetLeg<T> {
-    /// Folds the leg transport's traffic counters into the pipe carry and
-    /// drops the connection.
+    /// Hands the leg's transport to a wave, noting its counters first.
+    fn lend(&mut self) -> T {
+        let t = self.transport.take().expect("leg checked live");
+        self.lent = Some(t.stats());
+        t
+    }
+
+    /// Puts a transport back after a wave.
+    fn home(&mut self, t: T) {
+        self.transport = Some(t);
+        self.lent = None;
+    }
+
+    /// The traffic counters this leg contributes: its transport's, or the
+    /// last ones seen while a wave has it out.
+    fn seen(&self) -> Option<TransportStats> {
+        self.transport.as_ref().map(T::stats).or(self.lent)
+    }
+
+    /// Folds the leg's traffic counters into the pipe carry and drops the
+    /// connection (or forgets the one a lost worker took with it).
     fn fold_transport(&mut self, carry: &mut TransportStats) {
-        if let Some(t) = self.transport.take() {
-            let s = t.stats();
+        if let Some(s) = self.seen() {
             carry.bytes_sent += s.bytes_sent;
             carry.bytes_received += s.bytes_received;
         }
+        self.transport = None;
+        self.lent = None;
     }
 
     /// Records a failed wave. The first strike on a `Live` leg demotes it
@@ -367,13 +404,17 @@ impl<T: Transport> FleetLeg<T> {
     }
 }
 
+/// One leg's answer to a wave: its data-plane response and, for a mirrored
+/// wave, the MAC mirror's.
+type LegOutcome = Result<(Response, Option<Response>), CoreError>;
+
 /// What a detached leg worker reports back: the leg's transport (returned
 /// to its slot), the exchange outcome, and the traffic counters of any
 /// connections discarded by in-wave re-dials (folded into the pipe carry
 /// so cumulative stats never regress).
 struct LegReport<T> {
     transport: T,
-    outcome: Result<(Response, Option<Response>), CoreError>,
+    outcome: LegOutcome,
     finished: Instant,
     lost: TransportStats,
 }
@@ -387,18 +428,26 @@ struct PendingWave<T> {
     done: Instant,
 }
 
-/// Sends the data frame (and MAC mirror, when present) down one leg.
-fn exchange<T: Transport>(
-    transport: &mut T,
-    data_frame: &Request,
-    mirror_frame: Option<&Request>,
-) -> Result<(Response, Option<Response>), CoreError> {
-    let data = transport.call(data_frame)?;
-    let mac = match mirror_frame {
-        Some(f) => Some(transport.call(f)?),
-        None => None,
-    };
-    Ok((data, mac))
+/// One wave's leg outcomes as they land: `(party, data, mac)` for every
+/// answering leg, those legs' indices (credited once the wave verifies),
+/// and the legs that failed.
+#[derive(Default)]
+struct Answers {
+    live: Vec<(usize, Response, Option<Response>)>,
+    ok_legs: Vec<usize>,
+    failed: Vec<(usize, CoreError)>,
+}
+
+/// Sends one leg's wave frame and splits the answer into the data-plane
+/// response and, when the frame is a [`Request::Pair`], its MAC mirror's.
+/// A pair answered as a whole (one top-level reply, such as the reshard
+/// fence or a refusal) stands for both halves, as two refused frames did.
+fn exchange<T: Transport>(transport: &mut T, frame: &Request) -> LegOutcome {
+    Ok(match (frame, transport.call(frame)?) {
+        (Request::Pair { .. }, Response::Pair { data, mac }) => (*data, Some(*mac)),
+        (Request::Pair { .. }, whole) => (whole.clone(), Some(whole)),
+        (_, single) => (single, None),
+    })
 }
 
 /// One leg's wave: exchange, and on a transient failure retry up to
@@ -407,8 +456,7 @@ fn exchange<T: Transport>(
 /// available. Always hands the transport back.
 fn exchange_with_retry<T: Transport>(
     mut transport: T,
-    data_frame: &Request,
-    mirror_frame: Option<&Request>,
+    frame: &Request,
     cfg: &ResilienceConfig,
     dial: Option<&Dialer<T>>,
     jitter_seed: u64,
@@ -417,7 +465,7 @@ fn exchange_with_retry<T: Transport>(
     let mut attempt = 0u32;
     let mut lost = TransportStats::default();
     loop {
-        match exchange(&mut transport, data_frame, mirror_frame) {
+        match exchange(&mut transport, frame) {
             Ok(v) => {
                 return LegReport {
                     transport,
@@ -611,6 +659,46 @@ impl<T: Transport> FleetTransport<T> {
             .collect()
     }
 
+    /// Indices of the legs whose transport is home, in party order.
+    fn available(&self) -> Vec<usize> {
+        self.legs
+            .iter()
+            .enumerate()
+            .filter(|(_, l)| l.transport.is_some())
+            .map(|(i, _)| i)
+            .collect()
+    }
+
+    /// Lends leg `idx`'s transport to wave `wave`, with the leg's dialer
+    /// and its deterministic backoff-jitter seed for that wave.
+    fn lend(&mut self, idx: usize, wave: u64) -> (T, Option<Dialer<T>>, u64) {
+        let leg = &mut self.legs[idx];
+        let seed = self.config.jitter_seed ^ ((leg.party as u64) << 32) ^ wave;
+        (leg.lend(), leg.dial.clone(), seed)
+    }
+
+    /// Books a returning leg worker: traffic of the connections it re-dialed
+    /// away joins the carry and the transport goes home. Returns the
+    /// exchange outcome.
+    fn land(&mut self, idx: usize, report: LegReport<T>) -> LegOutcome {
+        self.stats.bytes_sent += report.lost.bytes_sent;
+        self.stats.bytes_received += report.lost.bytes_received;
+        self.legs[idx].home(report.transport);
+        report.outcome
+    }
+
+    /// [`FleetTransport::land`]s a worker of the running wave and files its
+    /// outcome.
+    fn land_in(&mut self, idx: usize, report: LegReport<T>, answers: &mut Answers) {
+        match self.land(idx, report) {
+            Ok((data, mac)) => {
+                answers.live.push((self.legs[idx].party, data, mac));
+                answers.ok_legs.push(idx);
+            }
+            Err(e) => answers.failed.push((idx, e)),
+        }
+    }
+
     /// Collects answers from hedged-wave stragglers, returning their
     /// transports to the rotation and crediting
     /// [`TransportStats::straggler_ms`] with how long each ran past its
@@ -638,13 +726,9 @@ impl<T: Transport> FleetTransport<T> {
                         wave.outstanding.retain(|&i| i != idx);
                         let lag = report.finished.saturating_duration_since(wave.done);
                         self.stats.straggler_ms += lag.as_millis() as u64;
-                        self.stats.bytes_sent += report.lost.bytes_sent;
-                        self.stats.bytes_received += report.lost.bytes_received;
-                        let leg = &mut self.legs[idx];
-                        leg.transport = Some(report.transport);
-                        match report.outcome {
-                            Ok(_) => leg.note_success(),
-                            Err(e) => leg.strike(&mut self.stats, base, e.to_string()),
+                        match self.land(idx, report) {
+                            Ok(_) => self.legs[idx].note_success(),
+                            Err(e) => self.legs[idx].strike(&mut self.stats, base, e.to_string()),
                         }
                     }
                     Err(mpsc::TryRecvError::Empty) => break,
@@ -699,7 +783,7 @@ impl<T: Transport> FleetTransport<T> {
             });
             match outcome {
                 Ok(t) => {
-                    leg.transport = Some(t);
+                    leg.home(t);
                     leg.health = PartyHealth::Probation;
                     leg.strikes = 0;
                     // The fault stays on record until a successful wave.
@@ -1046,18 +1130,31 @@ impl<T: Transport> FleetTransport<T> {
 }
 
 impl<T: Transport + Send + 'static> FleetTransport<T> {
-    /// One write wave. Inserts are re-split per party so each leg gets
-    /// its own `(data, MAC)` frame pair; deletes fan the same pair to
-    /// every leg. Never hedged: the wave waits for every participating
-    /// leg, requires both planes of a party to acknowledge identically,
-    /// and answers from a `≥ t` structural quorum. Any party that misses
-    /// the write — absent, failed mid-application, or deviant — is
-    /// quarantined permanently, because its state has diverged and a
-    /// re-admission probe cannot detect that.
+    /// One write wave. Every leg gets one `(data, MAC)` [`Request::Pair`]:
+    /// inserts are re-split per party, so each leg's pair carries its own
+    /// shares; a delete sends every leg the same pair. Never hedged: the
+    /// wave waits for every participating leg, requires both planes of a
+    /// party to acknowledge identically, and answers from a `≥ t`
+    /// structural quorum. Any party that misses the write — absent, failed
+    /// mid-application, or deviant — is quarantined permanently, because
+    /// its state has diverged and a re-admission probe cannot detect that.
     fn write_wave(&mut self, dshard: u32, inner: &Request) -> Result<Response, CoreError> {
         let n = self.legs.len();
-        // Per-leg frame pairs (data plane, MAC plane), indexed like `legs`.
-        let frames: Vec<(Request, Request)> = match inner {
+        let mirror = self.data_shards + dshard;
+        let pair = |data: Request, mac: Request| {
+            Arc::new(Request::Pair {
+                data: Box::new(Request::ToShard {
+                    shard: dshard,
+                    req: Box::new(data),
+                }),
+                mac: Box::new(Request::ToShard {
+                    shard: mirror,
+                    req: Box::new(mac),
+                }),
+            })
+        };
+        // Per-leg frames, indexed like `legs`.
+        let frames: Vec<Arc<Request>> = match inner {
             Request::Insert { rows } => {
                 let seed = self.write_seed.clone().ok_or_else(|| {
                     CoreError::Transport("fleet pipe has no split seed; writes are disabled".into())
@@ -1077,34 +1174,16 @@ impl<T: Transport + Send + 'static> FleetTransport<T> {
                 }
                 data.into_iter()
                     .zip(mac)
-                    .map(|(d, m)| {
-                        (
-                            Request::ToShard {
-                                shard: dshard,
-                                req: Box::new(Request::Insert { rows: d }),
-                            },
-                            Request::ToShard {
-                                shard: self.data_shards + dshard,
-                                req: Box::new(Request::Insert { rows: m }),
-                            },
-                        )
-                    })
+                    .map(|(d, m)| pair(Request::Insert { rows: d }, Request::Insert { rows: m }))
                     .collect()
             }
-            Request::Delete { pres } => (0..n)
-                .map(|_| {
-                    (
-                        Request::ToShard {
-                            shard: dshard,
-                            req: Box::new(Request::Delete { pres: pres.clone() }),
-                        },
-                        Request::ToShard {
-                            shard: self.data_shards + dshard,
-                            req: Box::new(Request::Delete { pres: pres.clone() }),
-                        },
-                    )
-                })
-                .collect(),
+            Request::Delete { pres } => {
+                let frame = pair(
+                    Request::Delete { pres: pres.clone() },
+                    Request::Delete { pres: pres.clone() },
+                );
+                vec![frame; n]
+            }
             other => unreachable!("write_wave on non-write frame {other:?}"),
         };
 
@@ -1119,32 +1198,18 @@ impl<T: Transport + Send + 'static> FleetTransport<T> {
             }
         }
 
-        let avail: Vec<usize> = self
-            .legs
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| l.transport.is_some())
-            .map(|(i, _)| i)
-            .collect();
+        let avail = self.available();
         let cfg = self.config;
         let wave = self.stats.round_trips;
-        let leg_seed = |party: usize| cfg.jitter_seed ^ ((party as u64) << 32) ^ wave;
-
-        let mut live: Vec<(usize, Response, Option<Response>)> = Vec::new();
-        let mut ok_legs: Vec<usize> = Vec::new();
-        let mut failed: Vec<(usize, CoreError)> = Vec::new();
+        let mut answers = Answers::default();
         if self.concurrent && avail.len() > 1 {
             let (tx, rx) = mpsc::channel::<(usize, LegReport<T>)>();
             for &idx in &avail {
-                let leg = &mut self.legs[idx];
-                let transport = leg.transport.take().expect("leg checked live");
-                let dial = leg.dial.clone();
-                let seed = leg_seed(leg.party);
+                let (transport, dial, seed) = self.lend(idx, wave);
+                let frame = Arc::clone(&frames[idx]);
                 let tx = tx.clone();
-                let (df, mf) = frames[idx].clone();
                 std::thread::spawn(move || {
-                    let report =
-                        exchange_with_retry(transport, &df, Some(&mf), &cfg, dial.as_ref(), seed);
+                    let report = exchange_with_retry(transport, &frame, &cfg, dial.as_ref(), seed);
                     let _ = tx.send((idx, report));
                 });
             }
@@ -1153,18 +1218,7 @@ impl<T: Transport + Send + 'static> FleetTransport<T> {
             while !outstanding.is_empty() {
                 let Ok((idx, report)) = rx.recv() else { break };
                 outstanding.retain(|&i| i != idx);
-                self.stats.bytes_sent += report.lost.bytes_sent;
-                self.stats.bytes_received += report.lost.bytes_received;
-                let leg = &mut self.legs[idx];
-                let party = leg.party;
-                leg.transport = Some(report.transport);
-                match report.outcome {
-                    Ok((d, m)) => {
-                        live.push((party, d, m));
-                        ok_legs.push(idx);
-                    }
-                    Err(e) => failed.push((idx, e)),
-                }
+                self.land_in(idx, report, &mut answers);
             }
             for idx in outstanding {
                 self.legs[idx].quarantine_integrity(
@@ -1174,27 +1228,17 @@ impl<T: Transport + Send + 'static> FleetTransport<T> {
             }
         } else {
             for &idx in &avail {
-                let leg = &mut self.legs[idx];
-                let transport = leg.transport.take().expect("leg checked live");
-                let dial = leg.dial.clone();
-                let seed = leg_seed(leg.party);
-                let (df, mf) = &frames[idx];
+                let (transport, dial, seed) = self.lend(idx, wave);
                 let report =
-                    exchange_with_retry(transport, df, Some(mf), &cfg, dial.as_ref(), seed);
-                self.stats.bytes_sent += report.lost.bytes_sent;
-                self.stats.bytes_received += report.lost.bytes_received;
-                let leg = &mut self.legs[idx];
-                let party = leg.party;
-                leg.transport = Some(report.transport);
-                match report.outcome {
-                    Ok((d, m)) => {
-                        live.push((party, d, m));
-                        ok_legs.push(idx);
-                    }
-                    Err(e) => failed.push((idx, e)),
-                }
+                    exchange_with_retry(transport, &frames[idx], &cfg, dial.as_ref(), seed);
+                self.land_in(idx, report, &mut answers);
             }
         }
+        let Answers {
+            live,
+            ok_legs,
+            failed,
+        } = answers;
 
         // A leg that failed a write frame may have applied half of it;
         // like an absent party, it is divergent and retired for good.
@@ -1286,53 +1330,37 @@ impl<T: Transport + Send + 'static> Transport for FleetTransport<T> {
             return self.write_wave(dshard, inner);
         }
         let (mirror, plan) = mirror_of(inner);
-        let mirror_frame = mirror.map(|m| Request::ToShard {
-            shard: self.data_shards + dshard,
-            req: Box::new(m),
-        });
+        // A mirrored wave sends every leg the data frame and its MAC mirror
+        // as one pair, built once for the whole wave.
+        let frame: Cow<Request> = match mirror {
+            Some(m) => Cow::Owned(Request::Pair {
+                data: Box::new(req.clone()),
+                mac: Box::new(Request::ToShard {
+                    shard: self.data_shards + dshard,
+                    req: Box::new(m),
+                }),
+            }),
+            None => Cow::Borrowed(req),
+        };
 
-        let avail: Vec<usize> = self
-            .legs
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| l.transport.is_some())
-            .map(|(i, _)| i)
-            .collect();
+        let avail = self.available();
         let cfg = self.config;
         let base = cfg.cooldown_waves;
         let wave = self.stats.round_trips;
-        let leg_seed = |party: usize| cfg.jitter_seed ^ ((party as u64) << 32) ^ wave;
-
-        // `live` holds (party, data, mac) for combine_wave; `ok_legs` the
-        // matching leg indices so health can be credited afterwards.
-        let mut live: Vec<(usize, Response, Option<Response>)> = Vec::new();
-        let mut ok_legs: Vec<usize> = Vec::new();
-        let mut failed: Vec<(usize, CoreError)> = Vec::new();
+        let mut answers = Answers::default();
 
         if (self.concurrent || cfg.hedge) && avail.len() > 1 {
             // One detached worker per leg; transports travel to the worker
             // and come back through the channel, so a hedged wave can
             // return while stragglers are still out.
             let (tx, rx) = mpsc::channel::<(usize, LegReport<T>)>();
-            let data = Arc::new(req.clone());
-            let mirror = mirror_frame.map(Arc::new);
+            let frame = Arc::new(frame.into_owned());
             for &idx in &avail {
-                let leg = &mut self.legs[idx];
-                let transport = leg.transport.take().expect("leg checked live");
-                let dial = leg.dial.clone();
-                let seed = leg_seed(leg.party);
+                let (transport, dial, seed) = self.lend(idx, wave);
                 let tx = tx.clone();
-                let data = Arc::clone(&data);
-                let mirror = mirror.clone();
+                let frame = Arc::clone(&frame);
                 std::thread::spawn(move || {
-                    let report = exchange_with_retry(
-                        transport,
-                        &data,
-                        mirror.as_deref(),
-                        &cfg,
-                        dial.as_ref(),
-                        seed,
-                    );
+                    let report = exchange_with_retry(transport, &frame, &cfg, dial.as_ref(), seed);
                     let _ = tx.send((idx, report));
                 });
             }
@@ -1342,24 +1370,13 @@ impl<T: Transport + Send + 'static> Transport for FleetTransport<T> {
             while !outstanding.is_empty() {
                 let Ok((idx, report)) = rx.recv() else { break };
                 outstanding.retain(|&i| i != idx);
-                self.stats.bytes_sent += report.lost.bytes_sent;
-                self.stats.bytes_received += report.lost.bytes_received;
-                let leg = &mut self.legs[idx];
-                let party = leg.party;
-                leg.transport = Some(report.transport);
-                match report.outcome {
-                    Ok((d, m)) => {
-                        live.push((party, d, m));
-                        ok_legs.push(idx);
-                    }
-                    Err(e) => failed.push((idx, e)),
-                }
+                self.land_in(idx, report, &mut answers);
                 // t-first: with hedging on, try to answer the wave as soon
                 // as a verifiable t-quorum is in. A combination that does
                 // not yet verify (e.g. a corrupt share among the first t)
                 // simply keeps waiting for more responders.
-                if cfg.hedge && !outstanding.is_empty() && live.len() >= self.threshold {
-                    if let Ok(resp) = self.combine_wave(&live, &plan) {
+                if cfg.hedge && !outstanding.is_empty() && answers.live.len() >= self.threshold {
+                    if let Ok(resp) = self.combine_wave(&answers.live, &plan) {
                         hedged = Some(resp);
                         break;
                     }
@@ -1372,10 +1389,10 @@ impl<T: Transport + Send + 'static> Transport for FleetTransport<T> {
                     outstanding,
                     done: Instant::now(),
                 });
-                for (idx, e) in failed {
+                for (idx, e) in answers.failed {
                     self.legs[idx].strike(&mut self.stats, base, e.to_string());
                 }
-                for idx in ok_legs {
+                for idx in answers.ok_legs {
                     self.legs[idx].note_success();
                 }
                 return Ok(resp);
@@ -1386,32 +1403,16 @@ impl<T: Transport + Send + 'static> Transport for FleetTransport<T> {
             }
         } else {
             for &idx in &avail {
-                let leg = &mut self.legs[idx];
-                let transport = leg.transport.take().expect("leg checked live");
-                let dial = leg.dial.clone();
-                let seed = leg_seed(leg.party);
-                let report = exchange_with_retry(
-                    transport,
-                    req,
-                    mirror_frame.as_ref(),
-                    &cfg,
-                    dial.as_ref(),
-                    seed,
-                );
-                self.stats.bytes_sent += report.lost.bytes_sent;
-                self.stats.bytes_received += report.lost.bytes_received;
-                let leg = &mut self.legs[idx];
-                let party = leg.party;
-                leg.transport = Some(report.transport);
-                match report.outcome {
-                    Ok((d, m)) => {
-                        live.push((party, d, m));
-                        ok_legs.push(idx);
-                    }
-                    Err(e) => failed.push((idx, e)),
-                }
+                let (transport, dial, seed) = self.lend(idx, wave);
+                let report = exchange_with_retry(transport, &frame, &cfg, dial.as_ref(), seed);
+                self.land_in(idx, report, &mut answers);
             }
         }
+        let Answers {
+            live,
+            ok_legs,
+            failed,
+        } = answers;
 
         for (idx, e) in failed {
             self.legs[idx].strike(&mut self.stats, base, e.to_string());
@@ -1459,12 +1460,9 @@ impl<T: Transport + Send + 'static> Transport for FleetTransport<T> {
 
     fn stats(&self) -> TransportStats {
         let mut s = self.stats;
-        for leg in &self.legs {
-            if let Some(t) = &leg.transport {
-                let u = t.stats();
-                s.bytes_sent += u.bytes_sent;
-                s.bytes_received += u.bytes_received;
-            }
+        for u in self.legs.iter().filter_map(FleetLeg::seen) {
+            s.bytes_sent += u.bytes_sent;
+            s.bytes_received += u.bytes_received;
         }
         s
     }
@@ -2022,6 +2020,52 @@ mod tests {
             Response::Polys(polys) => assert_eq!(polys, vec![poly]),
             other => panic!("expected Polys, got {other:?}"),
         }
+    }
+
+    /// The in-process party host answers pairs like the TCP host: half by
+    /// half, data first, and refuses a pair with a host-level half whole.
+    #[test]
+    fn local_party_answers_pairs_half_by_half() {
+        let (map, seed) = setup();
+        let spec = FleetSpec::new(3, 2).unwrap();
+        let out = encode_document_fleet(XML, &map, &seed, spec).unwrap();
+        let ring = out.ring.clone();
+        let p = out.parties.into_iter().next().unwrap();
+        let host = party_server(p.data, p.mac, &ring, 1).unwrap();
+        let mut t = LocalPartyTransport::new(Arc::new(Mutex::new(host)));
+        let polys = |shard| Request::ToShard {
+            shard,
+            req: Box::new(Request::GetPolys { pres: vec![2] }),
+        };
+        let pair = Request::Pair {
+            data: Box::new(polys(0)),
+            mac: Box::new(polys(1)),
+        };
+        let (alone_data, alone_mac) = (t.call(&polys(0)).unwrap(), t.call(&polys(1)).unwrap());
+        assert_ne!(alone_data, alone_mac, "the planes hold different shares");
+        assert_eq!(
+            t.call(&pair).unwrap(),
+            Response::Pair {
+                data: Box::new(alone_data),
+                mac: Box::new(alone_mac),
+            }
+        );
+        for bad in [
+            Request::ShardCount,
+            Request::Shutdown,
+            Request::Reshard { shards: 2 },
+            Request::Hello { version: 1 },
+        ] {
+            let refused = Request::Pair {
+                data: Box::new(polys(0)),
+                mac: Box::new(bad.clone()),
+            };
+            match t.call(&refused).unwrap() {
+                Response::Err(e) => assert!(e.contains("pair refused"), "{bad:?}: {e}"),
+                other => panic!("{bad:?}: {other:?}"),
+            }
+        }
+        assert_eq!(t.stats().round_trips, 7, "one round trip per pair");
     }
 
     #[test]

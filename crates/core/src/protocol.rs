@@ -186,13 +186,27 @@ pub enum Request {
     /// `ToShard` frames (enforced by the codec).
     Batch(Vec<Request>),
     /// Addresses `req` to one shard of a sharded server. The inner request
-    /// may be anything except another `ToShard` (a `Batch` is common: one
-    /// tagged frame carries a whole per-shard batch).
+    /// may be anything except another `ToShard` or a `Pair` (a `Batch` is
+    /// common: one tagged frame carries a whole per-shard batch).
     ToShard {
         /// Target shard index.
         shard: u32,
         /// The request the shard should handle.
         req: Box<Request>,
+    },
+    /// A fleet leg's data-plane frame and its MAC mirror in one round trip,
+    /// answered by [`Response::Pair`]. The host answers each half exactly
+    /// as it would answer that frame alone, data half first. Pairs are
+    /// top-level only: a half may be any top-level frame except another
+    /// pair, and no `Batch` or `ToShard` carries a pair (enforced by the
+    /// codec). A half addressed to the connection or the whole host
+    /// (`Hello`, `ShardCount`, `Reshard`, `Shutdown`) makes the host refuse
+    /// the pair with one [`Response::Err`].
+    Pair {
+        /// The data-plane frame.
+        data: Box<Request>,
+        /// Its MAC-plane mirror.
+        mac: Box<Request>,
     },
 }
 
@@ -240,6 +254,16 @@ pub enum Response {
         /// How many shards this host partitions the table across (the same
         /// figure the [`Request::ShardCount`] handshake reports).
         shards: u32,
+    },
+    /// Answers a [`Request::Pair`]: each half's response, exactly as that
+    /// frame alone would have been answered. A pair refused as a whole
+    /// (the reshard fence, a refused half) gets one top-level
+    /// [`Response::Err`] instead. Top-level only, like the request.
+    Pair {
+        /// The data-plane half's response.
+        data: Box<Response>,
+        /// The MAC-plane half's response.
+        mac: Box<Response>,
     },
 }
 
@@ -502,18 +526,33 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             w.bytes(&encode_request(req));
             w.buf
         }
+        Request::Pair { data, mac } => {
+            let mut w = Writer::new(24);
+            for half in [data, mac] {
+                debug_assert!(
+                    !matches!(**half, Request::Pair { .. }),
+                    "pairs must not nest"
+                );
+                w.bytes(&encode_request(half));
+            }
+            w.buf
+        }
     }
 }
 
-/// How deep compound frames may nest when decoding: a `ToShard` may carry a
-/// `Batch`, a `Batch` carries only simple requests.
+/// How deep compound frames may nest when decoding: a `Pair` carries two
+/// top-level frames, a `ToShard` may carry a `Batch`, a `Batch` carries
+/// only simple frames. Responses nest the same way (`Batch` and `Pair`
+/// only; `InShard` never arises).
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Nesting {
     /// Top level: every frame allowed.
     Top,
-    /// Inside `ToShard`: `Batch` allowed, `ToShard` not.
+    /// A half of a `Pair`: everything the top level allows but a `Pair`.
+    InPair,
+    /// Inside `ToShard`: `Batch` allowed, `ToShard` and `Pair` not.
     InShard,
-    /// Inside `Batch`: simple requests only.
+    /// Inside `Batch`: simple frames only.
     InBatch,
 }
 
@@ -581,30 +620,37 @@ fn decode_request_nested(buf: &[u8], nesting: Nesting) -> Result<Request, CoreEr
             }
         }
         13 => {
-            if nesting != Nesting::Top && nesting != Nesting::InShard {
+            if nesting == Nesting::InBatch {
                 return Err(CoreError::Transport("nested batch refused".into()));
             }
             let n = r.u32()? as usize;
             // Each sub-frame costs at least its length prefix plus a tag.
             let n = r.items(n, 5)?;
             let subs = (0..n)
-                .map(|_| {
-                    let frame = r.bytes()?;
-                    decode_request_nested(&frame, Nesting::InBatch)
-                })
+                .map(|_| decode_request_nested(r.bytes_ref()?, Nesting::InBatch))
                 .collect::<Result<Vec<_>, _>>()?;
             Request::Batch(subs)
         }
         14 => {
-            if nesting != Nesting::Top {
+            if !matches!(nesting, Nesting::Top | Nesting::InPair) {
                 return Err(CoreError::Transport("nested shard tag refused".into()));
             }
             let shard = r.u32()?;
-            let frame = r.bytes()?;
-            let req = decode_request_nested(&frame, Nesting::InShard)?;
+            let req = decode_request_nested(r.bytes_ref()?, Nesting::InShard)?;
             Request::ToShard {
                 shard,
                 req: Box::new(req),
+            }
+        }
+        24 => {
+            if nesting != Nesting::Top {
+                return Err(CoreError::Transport("nested pair refused".into()));
+            }
+            let data = decode_request_nested(r.bytes_ref()?, Nesting::InPair)?;
+            let mac = decode_request_nested(r.bytes_ref()?, Nesting::InPair)?;
+            Request::Pair {
+                data: Box::new(data),
+                mac: Box::new(mac),
             }
         }
         t => return Err(CoreError::Transport(format!("unknown request tag {t}"))),
@@ -691,15 +737,26 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             }
             w.buf
         }
+        Response::Pair { data, mac } => {
+            let mut w = Writer::new(12);
+            for half in [data, mac] {
+                debug_assert!(
+                    !matches!(**half, Response::Pair { .. }),
+                    "pairs must not nest"
+                );
+                w.bytes(&encode_response(half));
+            }
+            w.buf
+        }
     }
 }
 
 /// Deserialises a response.
 pub fn decode_response(buf: &[u8]) -> Result<Response, CoreError> {
-    decode_response_nested(buf, true)
+    decode_response_nested(buf, Nesting::Top)
 }
 
-fn decode_response_nested(buf: &[u8], allow_batch: bool) -> Result<Response, CoreError> {
+fn decode_response_nested(buf: &[u8], nesting: Nesting) -> Result<Response, CoreError> {
     let mut r = Reader::new(buf);
     let tag = r.u8()?;
     let resp = match tag {
@@ -731,17 +788,14 @@ fn decode_response_nested(buf: &[u8], allow_batch: bool) -> Result<Response, Cor
             Response::Err(String::from_utf8_lossy(&msg).into_owned())
         }
         9 => {
-            if !allow_batch {
+            if nesting == Nesting::InBatch {
                 return Err(CoreError::Transport("nested batch refused".into()));
             }
             let n = r.u32()? as usize;
             // Each sub-frame costs at least its length prefix plus a tag.
             let n = r.items(n, 5)?;
             let subs = (0..n)
-                .map(|_| {
-                    let frame = r.bytes()?;
-                    decode_response_nested(&frame, false)
-                })
+                .map(|_| decode_response_nested(r.bytes_ref()?, Nesting::InBatch))
                 .collect::<Result<Vec<_>, _>>()?;
             Response::Batch(subs)
         }
@@ -749,6 +803,17 @@ fn decode_response_nested(buf: &[u8], allow_batch: bool) -> Result<Response, Cor
             version: r.u32()?,
             shards: r.u32()?,
         },
+        12 => {
+            if nesting != Nesting::Top {
+                return Err(CoreError::Transport("nested pair refused".into()));
+            }
+            let data = decode_response_nested(r.bytes_ref()?, Nesting::InPair)?;
+            let mac = decode_response_nested(r.bytes_ref()?, Nesting::InPair)?;
+            Response::Pair {
+                data: Box::new(data),
+                mac: Box::new(mac),
+            }
+        }
         11 => {
             let found = r.u32s()?;
             let n = r.u32()? as usize;
@@ -876,12 +941,12 @@ impl<'a> ResponseView<'a> {
 /// elements, `Polys` bytes) stay borrowed from `buf`; everything else is
 /// decoded as usual. Same validation, same errors.
 pub fn decode_response_view(buf: &[u8]) -> Result<ResponseView<'_>, CoreError> {
-    decode_response_view_nested(buf, true)
+    decode_response_view_nested(buf, Nesting::Top)
 }
 
 fn decode_response_view_nested(
     buf: &[u8],
-    allow_batch: bool,
+    nesting: Nesting,
 ) -> Result<ResponseView<'_>, CoreError> {
     let mut r = Reader::new(buf);
     let tag = r.u8()?;
@@ -901,23 +966,21 @@ fn decode_response_view_nested(
             )
         }
         9 => {
-            if !allow_batch {
+            if nesting == Nesting::InBatch {
                 return Err(CoreError::Transport("nested batch refused".into()));
             }
             let n = r.u32()? as usize;
             let n = r.items(n, 5)?;
             let subs = (0..n)
-                .map(|_| {
-                    let frame = r.bytes_ref()?;
-                    decode_response_view_nested(frame, false)
-                })
+                .map(|_| decode_response_view_nested(r.bytes_ref()?, Nesting::InBatch))
                 .collect::<Result<Vec<_>, _>>()?;
             ResponseView::Batch(subs)
         }
         _ => {
-            // No bulk payload behind this tag: the owned decoder is already
-            // copy-free for it. `allow_batch` was only consumed above.
-            return decode_response_nested(buf, allow_batch).map(ResponseView::Other);
+            // No bulk payload behind this tag (a `Pair` is answered owned:
+            // the fleet combines its halves, nobody views them): the owned
+            // decoder takes it under the same nesting rules.
+            return decode_response_nested(buf, nesting).map(ResponseView::Other);
         }
     };
     r.finish()?;
@@ -1028,6 +1091,41 @@ mod tests {
                 shard: 0,
                 req: Box::new(Request::Batch(vec![Request::Roots, Request::Count])),
             },
+            Request::Pair {
+                data: Box::new(Request::EvalMany {
+                    pres: vec![1, 2],
+                    point: 9,
+                }),
+                mac: Box::new(Request::ToShard {
+                    shard: 1,
+                    req: Box::new(Request::EvalMany {
+                        pres: vec![1, 2],
+                        point: 9,
+                    }),
+                }),
+            },
+            Request::Pair {
+                data: Box::new(Request::Batch(vec![
+                    Request::Roots,
+                    Request::GetPolys { pres: vec![3] },
+                ])),
+                mac: Box::new(Request::ToShard {
+                    shard: 1,
+                    req: Box::new(Request::Batch(vec![Request::GetPolys { pres: vec![3] }])),
+                }),
+            },
+            Request::Pair {
+                data: Box::new(Request::ToShard {
+                    shard: 0,
+                    req: Box::new(Request::Insert {
+                        rows: vec![(loc(4), vec![7; 5])],
+                    }),
+                }),
+                mac: Box::new(Request::ToShard {
+                    shard: 1,
+                    req: Box::new(Request::Delete { pres: vec![4] }),
+                }),
+            },
         ];
         for req in cases {
             let bytes = encode_request(&req);
@@ -1065,6 +1163,17 @@ mod tests {
             Response::Agg {
                 found: vec![1 << 30, (1 << 30) + 4],
                 partials: vec![vec![7, 8, 9], vec![]],
+            },
+            Response::Pair {
+                data: Box::new(Response::Values(vec![3, 4])),
+                mac: Box::new(Response::Values(vec![5, 6])),
+            },
+            Response::Pair {
+                data: Box::new(Response::Batch(vec![
+                    Response::Ok,
+                    Response::Polys(vec![vec![1]]),
+                ])),
+                mac: Box::new(Response::Err("one refused half".into())),
             },
         ];
         for resp in cases {
@@ -1228,6 +1337,59 @@ mod tests {
         w.extend_from_slice(&(inner.len() as u32).to_le_bytes());
         w.extend_from_slice(&inner);
         assert!(decode_response(&w).is_err(), "nested response batch");
+
+        // Pairs are top-level only: a pair inside a `Batch`, a `ToShard` or
+        // another pair is refused by both decoders.
+        let pair = encode_request(&Request::Pair {
+            data: Box::new(Request::Count),
+            mac: Box::new(Request::Count),
+        });
+        let count = encode_request(&Request::Count);
+        let mut in_batch = vec![13u8];
+        in_batch.extend_from_slice(&1u32.to_le_bytes());
+        in_batch.extend(framed(&[&pair]));
+        assert!(decode_request(&in_batch).is_err(), "pair inside a batch");
+        let mut in_shard = vec![14u8];
+        in_shard.extend_from_slice(&1u32.to_le_bytes());
+        in_shard.extend(framed(&[&pair]));
+        assert!(
+            decode_request(&in_shard).is_err(),
+            "pair inside a shard tag"
+        );
+        for halves in [[&pair[..], &count[..]], [&count[..], &pair[..]]] {
+            let mut in_pair = vec![24u8];
+            in_pair.extend(framed(&halves));
+            assert!(decode_request(&in_pair).is_err(), "pair inside a pair");
+        }
+
+        let resp = encode_response(&Response::Pair {
+            data: Box::new(Response::Ok),
+            mac: Box::new(Response::Ok),
+        });
+        let ok = encode_response(&Response::Ok);
+        let mut in_batch = vec![9u8];
+        in_batch.extend_from_slice(&1u32.to_le_bytes());
+        in_batch.extend(framed(&[&resp]));
+        let mut in_pair = vec![12u8];
+        in_pair.extend(framed(&[&ok, &resp]));
+        // A batch inside a response pair's half is legal; inside that
+        // batch, a pair is not.
+        let mut batch_in_pair = vec![12u8];
+        batch_in_pair.extend(framed(&[&in_batch, &ok]));
+        for frame in [in_batch, in_pair, batch_in_pair] {
+            assert!(decode_response(&frame).is_err(), "nested response pair");
+            assert!(decode_response_view(&frame).is_err(), "nested (view)");
+        }
+    }
+
+    /// Length-prefixes each frame, as a compound frame carries it.
+    fn framed(frames: &[&[u8]]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for f in frames {
+            out.extend_from_slice(&(f.len() as u32).to_le_bytes());
+            out.extend_from_slice(f);
+        }
+        out
     }
 
     /// The single-request frames of the seed protocol must stay bit-identical
@@ -1294,6 +1456,25 @@ mod tests {
             v
         });
         assert_eq!(encode_response(&Response::Ok), vec![7]);
+        assert_eq!(
+            encode_request(&Request::Pair {
+                data: Box::new(Request::Count),
+                mac: Box::new(Request::ToShard {
+                    shard: 1,
+                    req: Box::new(Request::Count)
+                }),
+            }),
+            vec![24, 1, 0, 0, 0, 11, 10, 0, 0, 0, 14, 1, 0, 0, 0, 1, 0, 0, 0, 11],
+            "the pair frame claims a fresh tag and carries both frames unchanged"
+        );
+        assert_eq!(
+            encode_response(&Response::Pair {
+                data: Box::new(Response::Ok),
+                mac: Box::new(Response::Count(2)),
+            }),
+            vec![12, 1, 0, 0, 0, 7, 9, 0, 0, 0, 6, 2, 0, 0, 0, 0, 0, 0, 0],
+            "the pair answer claims a fresh tag and carries both answers unchanged"
+        );
     }
 
     /// The view decoder must accept exactly what the owned decoder accepts
@@ -1321,6 +1502,10 @@ mod tests {
             Response::Hello {
                 version: 1,
                 shards: 4,
+            },
+            Response::Pair {
+                data: Box::new(Response::Batch(vec![Response::Values(vec![1, 2])])),
+                mac: Box::new(Response::Polys(vec![vec![3]])),
             },
         ];
         for resp in cases {

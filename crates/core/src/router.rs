@@ -635,9 +635,9 @@ impl<T: Transport + Send> ShardRouter<T> {
             Request::Hello { .. } => Slot::Ready(Response::Err(
                 "mux handshakes are performed by the owning transport at connect time".into(),
             )),
-            Request::Batch(_) | Request::ToShard { .. } => Slot::Ready(Response::Err(
-                "routers build their own envelopes; send plain requests".into(),
-            )),
+            Request::Batch(_) | Request::ToShard { .. } | Request::Pair { .. } => Slot::Ready(
+                Response::Err("routers build their own envelopes; send plain requests".into()),
+            ),
             Request::OpenChildrenCursor { .. }
             | Request::OpenDescendantsCursor { .. }
             | Request::Next { .. }

@@ -292,7 +292,7 @@ impl ServerFilter {
                 let mut out = Vec::with_capacity(subs.len());
                 for sub in subs {
                     out.push(match sub {
-                        Request::Batch(_) | Request::ToShard { .. } => {
+                        Request::Batch(_) | Request::ToShard { .. } | Request::Pair { .. } => {
                             Response::Err("nested batch refused".into())
                         }
                         // The codec refuses these too; in-process callers get
@@ -309,6 +309,9 @@ impl ServerFilter {
             Request::ToShard { .. } => {
                 Response::Err("shard-tagged request reached an unsharded endpoint".into())
             }
+            // Data/MAC pairs address a fleet party host, which answers each
+            // half on its own filter.
+            Request::Pair { .. } => Response::Err("pair frame reached a bare filter".into()),
         }
     }
 

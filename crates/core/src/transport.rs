@@ -571,16 +571,77 @@ fn auto_reshard_loop(host: &ShardHost, target: u64) {
     }
 }
 
+/// The shard a host-bound frame addresses and the request it carries:
+/// [`Request::ToShard`] names its shard, an untagged frame goes to shard 0.
+pub(crate) fn shard_target(req: &Request) -> (u32, &Request) {
+    match req {
+        Request::ToShard { shard, req } => (*shard, req),
+        other => (0, other),
+    }
+}
+
+/// Answers a [`Request::Pair`] on a party host: each half goes to
+/// `answer(shard, request)`, exactly as that frame alone would, data half
+/// first. A half addressed to the connection or the whole host (`Hello`,
+/// `ShardCount`, `Reshard`, `Shutdown`) has no place in a fleet leg's wave,
+/// so it refuses the whole pair with one typed [`Response::Err`] before
+/// either half runs.
+pub(crate) fn answer_pair(
+    data: &Request,
+    mac: &Request,
+    mut answer: impl FnMut(u32, &Request) -> Response,
+) -> Response {
+    for half in [data, mac] {
+        if matches!(
+            shard_target(half).1,
+            Request::Hello { .. }
+                | Request::ShardCount
+                | Request::Reshard { .. }
+                | Request::Shutdown
+        ) {
+            return Response::Err(
+                "pair refused: a half addresses the connection or the host \
+                 (Hello, ShardCount, Reshard, Shutdown), not a shard"
+                    .into(),
+            );
+        }
+    }
+    let (shard, req) = shard_target(data);
+    let data = answer(shard, req);
+    let (shard, req) = shard_target(mac);
+    let mac = answer(shard, req);
+    Response::Pair {
+        data: Box::new(data),
+        mac: Box::new(mac),
+    }
+}
+
+/// Runs `req` on filter `shard` of a host's fleet.
+fn handle_on(filters: &[Mutex<ServerFilter>], shard: u32, req: &Request) -> Response {
+    match filters.get(shard as usize) {
+        Some(m) => m.lock().unwrap_or_else(|p| p.into_inner()).handle(req),
+        None => Response::Err(format!("no shard {shard} (server has {})", filters.len())),
+    }
+}
+
 /// Handles one decoded request against the fleet (the mux host's worker
 /// pool). `born` is the generation the connection was accepted under.
 /// Returns the response plus whether the request was an honoured
 /// [`Request::Shutdown`] (the caller stops the host after writing the
 /// response).
 fn host_handle_request(host: &ShardHost, born: u64, req: &Request) -> (Response, bool) {
-    let (shard, inner): (u32, &Request) = match req {
-        Request::ToShard { shard, req } => (*shard, req),
-        other => (0, other),
-    };
+    if let Request::Pair { data, mac } = req {
+        // One generation fence for both halves: the read lock is held
+        // across them, so no reshard lands between a frame and its mirror.
+        // A fenced pair gets the one top-level fence error the pool heals.
+        let filters = host.filters.read().unwrap_or_else(|p| p.into_inner());
+        if host.generation.load(Ordering::SeqCst) != born {
+            return (Response::Err(RESHARD_FENCE.into()), false);
+        }
+        let resp = answer_pair(data, mac, |shard, half| handle_on(&filters, shard, half));
+        return (resp, false);
+    }
+    let (shard, inner) = shard_target(req);
     // The handshake answers for the whole host, whatever shard it was
     // addressed to.
     if matches!(inner, Request::ShardCount) {
@@ -613,13 +674,8 @@ fn host_handle_request(host: &ShardHost, born: u64, req: &Request) -> (Response,
         if host.generation.load(Ordering::SeqCst) != born && !shutdown {
             return (Response::Err(RESHARD_FENCE.into()), false);
         }
-        match filters.get(shard as usize) {
-            Some(m) => m.lock().unwrap_or_else(|p| p.into_inner()).handle(inner),
-            None => {
-                shutdown = false;
-                Response::Err(format!("no shard {shard} (server has {})", filters.len()))
-            }
-        }
+        shutdown &= (shard as usize) < filters.len();
+        handle_on(&filters, shard, inner)
     };
     (resp, shutdown)
 }
@@ -764,13 +820,15 @@ fn write_all_nonblocking(
 /// with [`Response::Err`] and the connection closed. Clients address shards
 /// with [`Request::ToShard`]; untagged requests go to shard 0. Fleet-level
 /// frames ([`Request::ShardCount`], [`Request::Reshard`],
-/// [`Request::Shutdown`]) answer for the whole host. [`Request::Reshard`]
-/// repartitions the fleet online (see [`ShardedServer::reshard`]);
-/// connections that predate a reshard are fenced off with an explicit
-/// "reconnect" error — their partition is dead, and answering them could
-/// silently skip the new shards. Returns the sharded server (with its
-/// per-shard stats and final shard count) once a client sends
-/// [`Request::Shutdown`].
+/// [`Request::Shutdown`]) answer for the whole host. A [`Request::Pair`] is
+/// answered half by half under one reshard fence check, each half as it
+/// would be answered alone; a fleet-level half refuses the pair.
+/// [`Request::Reshard`] repartitions the fleet online (see
+/// [`ShardedServer::reshard`]); connections that predate a reshard are
+/// fenced off with an explicit "reconnect" error — their partition is
+/// dead, and answering them could silently skip the new shards. Returns
+/// the sharded server (with its per-shard stats and final shard count)
+/// once a client sends [`Request::Shutdown`].
 pub fn serve_tcp_mux(
     listener: TcpListener,
     server: ShardedServer,
@@ -1641,6 +1699,60 @@ mod tests {
         let server = handle.join().unwrap();
         assert!(server.filters()[0].stats().requests >= 3);
         assert_eq!(pool.stray_responses(), 0);
+    }
+
+    /// A data/MAC pair on a fenced connection gets exactly one top-level
+    /// fence error — the generation is checked once for both halves — so
+    /// the pool heals it like any fenced frame: after an online reshard the
+    /// replayed pair is answered half by half, bit-identically.
+    #[test]
+    fn fenced_pair_gets_one_fence_error_and_the_pool_heals_it() {
+        let pair = Request::Pair {
+            data: Box::new(Request::GetLoc { pre: 1 }),
+            mac: Box::new(Request::ToShard {
+                shard: 1,
+                req: Box::new(Request::GetLoc { pre: 2 }),
+            }),
+        };
+        let host = ShardHost {
+            filters: RwLock::new(
+                demo_sharded(2)
+                    .into_filters()
+                    .into_iter()
+                    .map(Mutex::new)
+                    .collect(),
+            ),
+            generation: AtomicU64::new(1),
+            stop: AtomicBool::new(false),
+        };
+        assert_eq!(
+            host_handle_request(&host, 0, &pair),
+            (Response::Err(RESHARD_FENCE.into()), false)
+        );
+        match host_handle_request(&host, 1, &pair).0 {
+            Response::Pair { data, mac } => {
+                assert!(matches!(*data, Response::MaybeLoc(Some(l)) if l.pre == 1));
+                assert!(matches!(*mac, Response::MaybeLoc(Some(l)) if l.pre == 2));
+            }
+            other => panic!("{other:?}"),
+        }
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let handle =
+            std::thread::spawn(move || serve_tcp_mux(listener, demo_sharded(2), 0).unwrap());
+        let pool = MuxPool::connect(addr, 2).unwrap();
+        let mut t = pool.transport(0);
+        let before = t.call(&pair).unwrap();
+        assert!(matches!(before, Response::Pair { .. }), "{before:?}");
+        let mut admin = MuxPool::dial(addr, None).unwrap().transport(0);
+        assert_eq!(
+            admin.call(&Request::Reshard { shards: 2 }).unwrap(),
+            Response::Ok
+        );
+        assert_eq!(t.call(&pair).unwrap(), before, "healed and replayed");
+        admin.call(&Request::Shutdown).unwrap();
+        handle.join().unwrap();
     }
 
     /// Two transports multiplexed on the *same* pooled socket, driven from

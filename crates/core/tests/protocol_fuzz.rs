@@ -46,8 +46,9 @@ fn arb_simple_request() -> BoxedStrategy<Request> {
     .boxed()
 }
 
-/// Simple, batched, or shard-tagged requests (the full legal wire surface).
-fn arb_request() -> BoxedStrategy<Request> {
+/// Simple, batched, or shard-tagged requests: every legal top-level frame
+/// except a pair, i.e. every legal half of one.
+fn arb_unpaired_request() -> BoxedStrategy<Request> {
     prop_oneof![
         4 => arb_simple_request(),
         1 => proptest::collection::vec(arb_simple_request(), 0..5)
@@ -63,7 +64,34 @@ fn arb_request() -> BoxedStrategy<Request> {
     .boxed()
 }
 
-fn arb_response() -> BoxedStrategy<Response> {
+/// A data/MAC pair of any two legal halves.
+fn arb_pair() -> BoxedStrategy<Request> {
+    (arb_unpaired_request(), arb_unpaired_request())
+        .prop_map(|(data, mac)| Request::Pair {
+            data: Box::new(data),
+            mac: Box::new(mac),
+        })
+        .boxed()
+}
+
+/// The full legal wire surface: simple, batched, shard-tagged and paired.
+fn arb_request() -> BoxedStrategy<Request> {
+    prop_oneof![6 => arb_unpaired_request(), 1 => arb_pair()].boxed()
+}
+
+/// Length-prefixes each frame, as a compound frame carries it.
+fn framed(frames: &[&[u8]]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for f in frames {
+        out.extend_from_slice(&(f.len() as u32).to_le_bytes());
+        out.extend_from_slice(f);
+    }
+    out
+}
+
+/// Every legal top-level response except a pair, i.e. every legal half
+/// of one.
+fn arb_unpaired_response() -> BoxedStrategy<Response> {
     let simple = prop_oneof![
         proptest::option::of(arb_loc()).prop_map(Response::MaybeLoc),
         proptest::collection::vec(arb_loc(), 0..6).prop_map(Response::Locs),
@@ -83,6 +111,20 @@ fn arb_response() -> BoxedStrategy<Response> {
     prop_oneof![4 => simple, 1 => batch].boxed()
 }
 
+/// The answer to a pair: any two legal halves.
+fn arb_response_pair() -> BoxedStrategy<Response> {
+    (arb_unpaired_response(), arb_unpaired_response())
+        .prop_map(|(data, mac)| Response::Pair {
+            data: Box::new(data),
+            mac: Box::new(mac),
+        })
+        .boxed()
+}
+
+fn arb_response() -> BoxedStrategy<Response> {
+    prop_oneof![6 => arb_unpaired_response(), 1 => arb_response_pair()].boxed()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -97,7 +139,7 @@ proptest! {
     /// with garbage payloads (pure random bytes rarely pick small tags).
     #[test]
     fn decoders_total_behind_every_tag(
-        tag in 0u8..20,
+        tag in 0u8..26,
         body in proptest::collection::vec(any::<u8>(), 0..256),
     ) {
         let mut frame = vec![tag];
@@ -144,6 +186,66 @@ proptest! {
             let i = at.index(bytes.len());
             bytes[i] ^= xor;
             let _ = decode_request(&bytes);
+        }
+    }
+
+    /// Pairs are top-level only: a well-formed pair carried inside a
+    /// `Batch`, inside a `ToShard`, or as either half of another pair is
+    /// refused, never decoded.
+    #[test]
+    fn nested_pairs_are_refused(
+        pair in arb_pair(),
+        other in arb_unpaired_request(),
+        shard in any::<u32>(),
+        first in any::<bool>(),
+    ) {
+        let pair = encode_request(&pair);
+        let other = encode_request(&other);
+        let mut in_batch = vec![13u8];
+        in_batch.extend_from_slice(&1u32.to_le_bytes());
+        in_batch.extend(framed(&[&pair]));
+        prop_assert!(decode_request(&in_batch).is_err(), "pair inside a batch");
+        let mut in_shard = vec![14u8];
+        in_shard.extend_from_slice(&shard.to_le_bytes());
+        in_shard.extend(framed(&[&pair]));
+        prop_assert!(decode_request(&in_shard).is_err(), "pair inside a shard tag");
+        let mut in_pair = vec![24u8];
+        if first {
+            in_pair.extend(framed(&[&pair, &other]));
+        } else {
+            in_pair.extend(framed(&[&other, &pair]));
+        }
+        prop_assert!(decode_request(&in_pair).is_err(), "pair inside a pair");
+    }
+
+    /// Truncating or bit-flipping a well-formed pair — either direction —
+    /// errors or decodes to some other value; it never panics, and a
+    /// truncation never decodes.
+    #[test]
+    fn damaged_pairs_never_panic(
+        req in arb_pair(),
+        resp in arb_response_pair(),
+        cut in any::<proptest::sample::Index>(),
+        at in any::<proptest::sample::Index>(),
+        xor in 1u8..=255,
+    ) {
+        let req = encode_request(&req);
+        let resp = encode_response(&resp);
+        for (bytes, is_req) in [(req, true), (resp, false)] {
+            let decode = |b: &[u8]| {
+                if is_req {
+                    decode_request(b).is_ok()
+                } else {
+                    decode_response(b).is_ok()
+                        | ssx_core::protocol::decode_response_view(b).is_ok()
+                }
+            };
+            let keep = cut.index(bytes.len());
+            prop_assert!(!decode(&bytes[..keep]), "truncated frame decoded");
+            let mut flipped = bytes.clone();
+            let i = at.index(flipped.len());
+            flipped[i] ^= xor;
+            let _ = decode(&flipped);
         }
     }
 

@@ -163,12 +163,9 @@ fn quarantined_party_recovers_probation_then_live() {
     assert_eq!(pipe.party_status()[2].waves_ok, before + 1);
 }
 
-/// Hedged reconstruction: with one party fix-delayed 120 ms, a t-first
-/// wave answers from the two fast parties without waiting, counts the
-/// hedged win, and later harvests the straggler's answer — crediting both
-/// the party (it stays `Live` with successful waves) and the saved wait.
-#[test]
-fn hedged_waves_answer_at_threshold_and_credit_stragglers() {
+/// A hedged 3-party t = 2 pipe whose party 3 answers every call `delay`
+/// late.
+fn hedged_pipe(delay: Duration) -> FleetTransport<ChaosTransport<LocalPartyTransport>> {
     let (map, seed) = secrets();
     let spec = FleetSpec::new(3, 2).unwrap();
     let fleet = encode_document_fleet(XML, &map, &seed, spec).unwrap();
@@ -182,7 +179,7 @@ fn hedged_waves_answer_at_threshold_and_credit_stragglers() {
             let party = p.party;
             let host = Arc::new(Mutex::new(party_server(p.data, p.mac, &ring, 1).unwrap()));
             let cfg = if party == 3 {
-                ChaosConfig::fixed_delay(7, Duration::from_millis(120))
+                ChaosConfig::fixed_delay(7, delay)
             } else {
                 ChaosConfig::quiet(7)
             };
@@ -197,6 +194,16 @@ fn hedged_waves_answer_at_threshold_and_credit_stragglers() {
         hedge: true,
         ..Default::default()
     });
+    pipe
+}
+
+/// Hedged reconstruction: with one party fix-delayed 120 ms, a t-first
+/// wave answers from the two fast parties without waiting, counts the
+/// hedged win, and later harvests the straggler's answer — crediting both
+/// the party (it stays `Live` with successful waves) and the saved wait.
+#[test]
+fn hedged_waves_answer_at_threshold_and_credit_stragglers() {
+    let mut pipe = hedged_pipe(Duration::from_millis(120));
 
     let t0 = Instant::now();
     let reference = pipe.call(&Request::Count).unwrap();
@@ -222,6 +229,34 @@ fn hedged_waves_answer_at_threshold_and_credit_stragglers() {
     let st = pipe.party_status().remove(2);
     assert_eq!(st.health, PartyHealth::Live);
     assert!(st.waves_ok >= 1, "the straggler's answers must count");
+}
+
+/// A hedged wave leaves the slow party's transport out with its straggler,
+/// yet the pipe's cumulative byte counters never go backwards: over reads
+/// (each hedged, the slow leg out when it returns) alternating with no-op
+/// deletes (each waits every straggler home), every snapshot is at least
+/// the one before it.
+#[test]
+fn hedged_fleet_byte_counters_never_go_backwards() {
+    let mut pipe = hedged_pipe(Duration::from_millis(100));
+    let mut last = pipe.stats();
+    for wave in 0..8 {
+        let resp = if wave % 2 == 0 {
+            pipe.call(&Request::GetPolys { pres: vec![1, 2] })
+        } else {
+            pipe.call(&Request::Delete {
+                pres: vec![1_000_000],
+            })
+        };
+        resp.unwrap();
+        let now = pipe.stats();
+        assert!(
+            now.bytes_sent >= last.bytes_sent && now.bytes_received >= last.bytes_received,
+            "wave {wave}: byte counters went backwards: {last:?} -> {now:?}"
+        );
+        last = now;
+    }
+    assert!(last.hedged_wins >= 3, "reads must hedge: {last:?}");
 }
 
 /// A 3-party fleet queried through per-party seeded chaos proxies (delay,

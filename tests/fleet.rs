@@ -3,20 +3,25 @@
 //! *bit-identical* between the single-party in-process plane and a
 //! 3-server (t = 2) TCP fleet; killing any single server mid-run must
 //! still return correct results; a corrupted share must be detected and
-//! attributed to the lying party; and the 3-process `ssxdb` CLI fleet
-//! (encode --servers / serve --party / remote --fleet) must round-trip.
+//! attributed to the lying party; the 3-process `ssxdb` CLI fleet
+//! (encode --servers / serve --party / remote --fleet) must round-trip;
+//! and every wave costs each party exactly one frame.
 
-use ssxdb::core::protocol::Request;
-use ssxdb::core::transport::Transport;
+use ssxdb::core::protocol::{Request, Response};
+use ssxdb::core::transport::{Transport, TransportStats};
 use ssxdb::core::{
-    encode_document_fleet, party_server, serve_tcp_mux, CoreError, EncryptedDb, EngineKind,
-    FleetSpec, MapFile, MatchRule, MuxPool, PartyStore, RemoteMuxFleetDb, ShardedServer,
+    encode_document_fleet, local_fleet_router_wrapped, party_server, run_aggregate, serve_tcp_mux,
+    AggOp, AggregateSpec, ClientFilter, CoreError, EncryptedDb, Engine, EngineKind, FleetSpec,
+    LocalPartyTransport, MapFile, MatchRule, MuxPool, PartyStore, RemoteMuxFleetDb, ShardedServer,
 };
 use ssxdb::poly::RingCtx;
 use ssxdb::prg::{Prg, Seed};
 use ssxdb::store::{Row, Table};
 use ssxdb::xmark::{generate, XmarkConfig, DTD_ELEMENTS};
+use ssxdb::xpath::parse_query;
 use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// The Table-1 chain and the bench harness's exact secrets/document (same
 /// as `speculation.rs`), so "fig5" here is the committed figure.
@@ -107,6 +112,77 @@ fn fig5_chain_is_bit_identical_between_single_party_and_tcp_fleet() {
     for (_, h) in hosts {
         h.join().unwrap();
     }
+}
+
+/// A party leg that counts every call it carries.
+struct CountingLeg {
+    inner: LocalPartyTransport,
+    calls: Arc<AtomicU64>,
+}
+
+impl Transport for CountingLeg {
+    fn call(&mut self, req: &Request) -> Result<Response, CoreError> {
+        self.calls.fetch_add(1, Ordering::SeqCst);
+        self.inner.call(req)
+    }
+
+    fn stats(&self) -> TransportStats {
+        self.inner.stats()
+    }
+}
+
+/// One frame per party per wave: on an in-process 3-party t = 2 fleet with
+/// legs called in turn and no hedging, the fig5 chain and a ranged SUM cost
+/// exactly three leg calls per fleet wave — a mirrored wave sends its data
+/// frame and MAC mirror as one pair — while answers and wave counts stay
+/// bit-identical to the single-party plane.
+#[test]
+fn every_fleet_wave_costs_one_frame_per_party() {
+    let xml = bench_document();
+    let (map, seed) = bench_secrets();
+    let spec = FleetSpec::new(3, 2).unwrap();
+    let fleet_out = encode_document_fleet(&xml, &map, &seed, spec).unwrap();
+    let calls = Arc::new(AtomicU64::new(0));
+    let router = local_fleet_router_wrapped(fleet_out, &seed, 1, |_, inner| CountingLeg {
+        inner,
+        calls: Arc::clone(&calls),
+    })
+    .unwrap();
+    let mut fleet = ClientFilter::new(router, map.clone(), seed.clone()).unwrap();
+    let mut single = EncryptedDb::encode(&xml, map, seed).unwrap();
+
+    let chain = parse_query(FIG5_CHAIN).unwrap();
+    let (kind, rule) = (EngineKind::Simple, MatchRule::Containment);
+    let a = single.run(&chain, kind, rule).unwrap();
+    let b = Engine::run(kind, rule, &chain, &mut fleet).unwrap();
+    assert!(!a.result.is_empty());
+    assert_eq!(a.result, b.result, "fig5 results");
+    assert_eq!(a.stats.round_trips, b.stats.round_trips, "fig5 waves");
+
+    let sum = AggregateSpec {
+        query: parse_query("//item/quantity").unwrap(),
+        op: AggOp::Sum,
+        range: Some((1, 3)),
+    };
+    let (kind, rule) = (EngineKind::Advanced, MatchRule::Equality);
+    let a = single.run_aggregate(&sum, kind, rule).unwrap();
+    let b = run_aggregate(&mut fleet, kind, rule, &sum).unwrap();
+    assert!(a.count > 0, "the range must match something");
+    assert_eq!(
+        (a.count, a.contributing, a.sum),
+        (b.count, b.contributing, b.sum),
+        "ranged SUM"
+    );
+    assert_eq!(a.walk.round_trips, b.walk.round_trips, "SUM walk waves");
+    assert_eq!(a.closing_waves, b.closing_waves, "SUM closing waves");
+
+    let waves = fleet.transport().transports()[0].stats().round_trips;
+    assert!(waves > 0);
+    assert_eq!(
+        calls.load(Ordering::SeqCst),
+        3 * waves,
+        "leg calls per fleet wave must be one per party"
+    );
 }
 
 /// Killing *any single* server mid-run: for each victim in turn, a live

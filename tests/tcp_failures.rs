@@ -280,6 +280,62 @@ fn shutdown_to_a_nonexistent_shard_does_not_stop_the_host() {
     handle.join().unwrap();
 }
 
+/// A data/MAC pair whose half addresses the connection or the whole host
+/// (`Hello`, `ShardCount`, `Reshard`, `Shutdown`) gets one typed refusal —
+/// neither half runs, the host keeps serving (no shutdown, no reshard), and
+/// the next well-formed pair on the same connection is answered half by
+/// half.
+#[test]
+fn pairs_with_host_level_halves_are_refused_and_the_host_keeps_serving() {
+    let (addr, handle) = demo_host(2);
+    let pool = MuxPool::connect(addr, 2).unwrap();
+    let mut t = pool.transport(0);
+    let count_on = |shard| Request::ToShard {
+        shard,
+        req: Box::new(Request::Count),
+    };
+    let good = Request::Pair {
+        data: Box::new(Request::Count),
+        mac: Box::new(count_on(1)),
+    };
+    let bad_halves = [
+        Request::Hello {
+            version: MUX_PROTOCOL_VERSION,
+        },
+        Request::ShardCount,
+        Request::Reshard { shards: 1 },
+        Request::Shutdown,
+    ];
+    for bad in bad_halves {
+        for (data, mac) in [(bad.clone(), count_on(1)), (Request::Count, bad.clone())] {
+            let pair = Request::Pair {
+                data: Box::new(data),
+                mac: Box::new(mac),
+            };
+            match t.call(&pair).unwrap() {
+                Response::Err(msg) => assert!(msg.contains("pair refused"), "{bad:?}: {msg}"),
+                other => panic!("{bad:?} half was not refused: {other:?}"),
+            }
+            match t.call(&good).unwrap() {
+                Response::Pair { data, mac } => {
+                    let (Response::Count(a), Response::Count(b)) = (*data, *mac) else {
+                        panic!("after {bad:?}: halves are not counts");
+                    };
+                    assert_eq!(a + b, 3, "after {bad:?}: both shards answered");
+                }
+                other => panic!("after {bad:?}: {other:?}"),
+            }
+        }
+    }
+    assert_eq!(
+        t.call(&Request::ShardCount).unwrap(),
+        Response::Count(2),
+        "no reshard ran"
+    );
+    stop_host(addr);
+    assert_eq!(handle.join().unwrap().total_rows(), 3);
+}
+
 #[test]
 fn malformed_frames_only_drop_their_connection_on_sharded_host() {
     let (addr, handle) = demo_host(2);
