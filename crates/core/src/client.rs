@@ -16,12 +16,6 @@ use crate::transport::{Transport, TransportStats};
 use ssx_poly::{extract_root_evals, random_poly, EvalPoly, Packer, RingCtx, RingPoly, RootOutcome};
 use ssx_prg::{node_prg, Seed};
 use ssx_store::Loc;
-use std::collections::HashMap;
-
-/// Default capacity of the bounded client-share cache (shares, not bytes):
-/// at the paper's `q = 83` this is ~2.7 MB — generous for a thin client yet
-/// bounded regardless of database size.
-pub const DEFAULT_SHARE_CACHE_CAP: usize = 4096;
 
 /// Client-side cost counters; the per-query deltas become [`crate::engine::QueryStats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -36,77 +30,10 @@ pub struct ClientStats {
     pub equality_tests: u64,
     /// Client shares regenerated from the seed.
     pub shares_regenerated: u64,
-    /// Client shares served from the optional cache instead of the PRG.
-    pub share_cache_hits: u64,
-    /// Cache lookups that missed (share had to be regenerated).
-    pub share_cache_misses: u64,
-    /// Cached shares evicted to stay within the capacity cap.
-    pub share_cache_evictions: u64,
     /// Full polynomials fetched from the server.
     pub polys_fetched: u64,
     /// Polynomial reconstructions (share additions).
     pub reconstructions: u64,
-}
-
-/// A fixed-capacity clock (second-chance) cache of regenerated client
-/// shares, keyed by `pre`. O(1) amortised get/insert, no allocation after
-/// warm-up, and a hard memory bound of `cap · (q − 1)` words — the
-/// share-cache policy the ROADMAP called for.
-struct ShareCache {
-    cap: usize,
-    /// `(pre, share, referenced-since-last-sweep)` slots.
-    entries: Vec<(u32, RingPoly, bool)>,
-    index: HashMap<u32, usize>,
-    hand: usize,
-}
-
-impl ShareCache {
-    fn new(cap: usize) -> Self {
-        let cap = cap.max(1);
-        ShareCache {
-            cap,
-            entries: Vec::new(),
-            index: HashMap::new(),
-            hand: 0,
-        }
-    }
-
-    fn get(&mut self, pre: u32) -> Option<&RingPoly> {
-        let &i = self.index.get(&pre)?;
-        self.entries[i].2 = true;
-        Some(&self.entries[i].1)
-    }
-
-    /// Inserts a share, returning `true` when an older entry was evicted.
-    fn insert(&mut self, pre: u32, share: RingPoly) -> bool {
-        if self.index.contains_key(&pre) {
-            return false;
-        }
-        if self.entries.len() < self.cap {
-            self.index.insert(pre, self.entries.len());
-            self.entries.push((pre, share, true));
-            return false;
-        }
-        // Clock sweep: give referenced entries a second chance, replace the
-        // first unreferenced one.
-        loop {
-            let slot = &mut self.entries[self.hand];
-            if slot.2 {
-                slot.2 = false;
-                self.hand = (self.hand + 1) % self.cap;
-                continue;
-            }
-            self.index.remove(&slot.0);
-            *slot = (pre, share, true);
-            self.index.insert(pre, self.hand);
-            self.hand = (self.hand + 1) % self.cap;
-            return true;
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
 }
 
 /// The `ClientFilter`.
@@ -120,12 +47,6 @@ pub struct ClientFilter<T: Transport> {
     /// Verify equality-test quotients against every evaluation point.
     /// Exact; on by default (tests), disabled in timing runs.
     pub verify_equality: bool,
-    /// Optional bounded memo of regenerated client shares. Off by default —
-    /// the paper's thin client holds one node at a time — but a client with
-    /// memory to spare trades a capped `cap · (q−1)` words for skipping
-    /// repeat PRG regenerations (queries revisit nodes across steps and
-    /// look-ahead prunes).
-    share_cache: Option<ShareCache>,
     /// Cap on sub-requests per batch frame (`None` = one frame per
     /// frontier). `Some(1)` reproduces the unbatched one-request-per-round-
     /// trip wire shape — the ablation baseline.
@@ -145,7 +66,6 @@ impl<T: Transport> ClientFilter<T> {
             map,
             stats: ClientStats::default(),
             verify_equality: true,
-            share_cache: None,
             batch_limit: None,
         })
     }
@@ -173,37 +93,6 @@ impl<T: Transport> ClientFilter<T> {
             out.extend(self.transport.call_batch(group)?);
         }
         Ok(out)
-    }
-
-    /// Enables (at [`DEFAULT_SHARE_CACHE_CAP`]) or disables the client-share
-    /// cache (disabled = the paper's thin-client memory profile). Disabling
-    /// clears any cached shares.
-    pub fn set_share_cache(&mut self, enabled: bool) {
-        self.share_cache = if enabled {
-            Some(ShareCache::new(DEFAULT_SHARE_CACHE_CAP))
-        } else {
-            None
-        };
-    }
-
-    /// Enables the share cache with an explicit capacity (in shares);
-    /// `cap = 0` disables it. Replacing the cache clears it.
-    pub fn set_share_cache_capacity(&mut self, cap: usize) {
-        self.share_cache = if cap == 0 {
-            None
-        } else {
-            Some(ShareCache::new(cap))
-        };
-    }
-
-    /// The configured cache capacity (`None` when disabled).
-    pub fn share_cache_capacity(&self) -> Option<usize> {
-        self.share_cache.as_ref().map(|c| c.cap)
-    }
-
-    /// Number of shares currently cached.
-    pub fn cached_shares(&self) -> usize {
-        self.share_cache.as_ref().map_or(0, |c| c.len())
     }
 
     /// The tag map (client secret).
@@ -495,25 +384,11 @@ impl<T: Transport> ClientFilter<T> {
         Ok(self.ring.to_evals(&sum))
     }
 
-    /// Regenerates the client share of node `pre` from the seed (or serves
-    /// it from the cache when enabled).
+    /// Regenerates the client share of node `pre` from the seed.
     fn client_share(&mut self, pre: u32) -> RingPoly {
-        if let Some(cache) = &mut self.share_cache {
-            if let Some(share) = cache.get(pre) {
-                self.stats.share_cache_hits += 1;
-                return share.clone();
-            }
-            self.stats.share_cache_misses += 1;
-        }
         self.stats.shares_regenerated += 1;
         let mut prg = node_prg(&self.seed, pre as u64);
-        let share = random_poly(&self.ring, &mut prg);
-        if let Some(cache) = &mut self.share_cache {
-            if cache.insert(pre, share.clone()) {
-                self.stats.share_cache_evictions += 1;
-            }
-        }
-        share
+        random_poly(&self.ring, &mut prg)
     }
 
     // ---- writes -----------------------------------------------------------
@@ -523,23 +398,19 @@ impl<T: Transport> ClientFilter<T> {
     /// fleet each row is re-split per party. Returns how many rows were
     /// applied.
     pub fn insert_rows(&mut self, rows: Vec<(Loc, Vec<u8>)>) -> Result<u64, CoreError> {
-        let n = match self.transport.call(&Request::Insert { rows })? {
-            Response::Count(n) => n,
-            other => return Err(unexpected(other)),
-        };
-        self.invalidate_shares();
-        Ok(n)
+        match self.transport.call(&Request::Insert { rows })? {
+            Response::Count(n) => Ok(n),
+            other => Err(unexpected(other)),
+        }
     }
 
     /// Deletes rows by `pre` (idempotent: missing `pre`s are skipped).
     /// Returns how many rows were removed.
     pub fn delete_pres(&mut self, pres: Vec<u32>) -> Result<u64, CoreError> {
-        let n = match self.transport.call(&Request::Delete { pres })? {
-            Response::Count(n) => n,
-            other => return Err(unexpected(other)),
-        };
-        self.invalidate_shares();
-        Ok(n)
+        match self.transport.call(&Request::Delete { pres })? {
+            Response::Count(n) => Ok(n),
+            other => Err(unexpected(other)),
+        }
     }
 
     /// The highest `pre` the store holds (0 when empty) — the write
@@ -549,18 +420,6 @@ impl<T: Transport> ClientFilter<T> {
         match self.transport.call(&Request::MaxPre)? {
             Response::Count(n) => Ok(n as u32),
             other => Err(unexpected(other)),
-        }
-    }
-
-    /// Drops every cached client share. Shares derive from `(seed, pre)`
-    /// alone, so cached entries never become *incorrect* — but after a
-    /// delete the memo would keep paying capacity for nodes that no longer
-    /// exist, and a cursor-fenced caller re-walking the store should start
-    /// from the PRG, not a working set shaped by the pre-write tree.
-    /// Called automatically by the write passthroughs.
-    pub fn invalidate_shares(&mut self) {
-        if let Some(cache) = &mut self.share_cache {
-            *cache = ShareCache::new(cache.cap);
         }
     }
 
@@ -656,45 +515,6 @@ impl<T: Transport> ClientFilter<T> {
         let v = self.group_total(&[pre], packed)?;
         u64::try_from(v)
             .map_err(|_| CoreError::Corrupt(format!("numeric row pre={pre} decodes beyond u64")))
-    }
-
-    // ---- pipelined access (the nextNode() protocol) -----------------------
-
-    /// Opens a server-side cursor over the children of `pres`.
-    pub fn open_children_cursor(&mut self, pres: Vec<u32>) -> Result<u32, CoreError> {
-        match self.transport.call(&Request::OpenChildrenCursor { pres })? {
-            Response::Cursor(c) => Ok(c),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    /// Opens a server-side cursor over the descendants of `locs`.
-    pub fn open_descendants_cursor(&mut self, locs: Vec<Loc>) -> Result<u32, CoreError> {
-        match self
-            .transport
-            .call(&Request::OpenDescendantsCursor { locs })?
-        {
-            Response::Cursor(c) => Ok(c),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    /// Pulls the next node from a cursor (`None` = exhausted). One round
-    /// trip per node — the paper's thin-client pipeline.
-    pub fn next_node(&mut self, cursor: u32) -> Result<Option<Loc>, CoreError> {
-        match self.transport.call(&Request::Next { cursor })? {
-            Response::MaybeLoc(l) => Ok(l),
-            Response::Err(e) => Err(CoreError::Transport(e)),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    /// Releases a cursor early.
-    pub fn close_cursor(&mut self, cursor: u32) -> Result<(), CoreError> {
-        match self.transport.call(&Request::CloseCursor { cursor })? {
-            Response::Ok => Ok(()),
-            other => Err(unexpected(other)),
-        }
     }
 }
 
@@ -793,95 +613,6 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_cursor_walk() {
-        let mut c = client();
-        let cursor = c.open_children_cursor(vec![1]).unwrap();
-        let mut pres = Vec::new();
-        while let Some(l) = c.next_node(cursor).unwrap() {
-            pres.push(l.pre);
-        }
-        assert_eq!(pres, vec![2, 5]);
-        // Each Next was its own round trip (thin client).
-        assert!(c.transport_stats().round_trips >= 4);
-    }
-
-    #[test]
-    fn share_cache_changes_costs_not_answers() {
-        let mut plain = client();
-        let mut cached = client();
-        cached.set_share_cache(true);
-        let root = plain.roots().unwrap()[0];
-        let vb = plain.value_of("b").unwrap();
-        let all = {
-            let mut v = vec![root];
-            v.extend(plain.descendants(root).unwrap());
-            v
-        };
-        // Run the same containment workload three times on each client.
-        let mut answers_plain = Vec::new();
-        let mut answers_cached = Vec::new();
-        let root_c = cached.roots().unwrap()[0];
-        let all_c = {
-            let mut v = vec![root_c];
-            v.extend(cached.descendants(root_c).unwrap());
-            v
-        };
-        for _ in 0..3 {
-            answers_plain.push(plain.containment_many(&all, vb).unwrap());
-            answers_cached.push(cached.containment_many(&all_c, vb).unwrap());
-        }
-        assert_eq!(answers_plain, answers_cached, "cache must be transparent");
-        // The cached client regenerated each share once; repeats were hits.
-        assert_eq!(cached.stats().shares_regenerated, all.len() as u64);
-        assert_eq!(cached.stats().share_cache_hits, 2 * all.len() as u64);
-        assert_eq!(cached.cached_shares(), all.len());
-        // The plain client regenerated every time.
-        assert_eq!(plain.stats().shares_regenerated, 3 * all.len() as u64);
-        assert_eq!(plain.stats().share_cache_hits, 0);
-        // Disabling clears the memo.
-        cached.set_share_cache(false);
-        assert_eq!(cached.cached_shares(), 0);
-    }
-
-    #[test]
-    fn share_cache_capacity_bounds_memory_and_evicts() {
-        let mut c = client();
-        c.set_share_cache_capacity(2);
-        assert_eq!(c.share_cache_capacity(), Some(2));
-        let root = c.roots().unwrap()[0];
-        let vb = c.value_of("b").unwrap();
-        let all = {
-            let mut v = vec![root];
-            v.extend(c.descendants(root).unwrap());
-            v
-        };
-        assert!(all.len() > 2, "fixture must exceed the cap");
-        // Repeated sweeps over 5 nodes through a 2-slot cache: the cache
-        // never exceeds its cap and must evict.
-        let mut uncached = client();
-        for _ in 0..3 {
-            let a = c.containment_many(&all, vb).unwrap();
-            let b = uncached.containment_many(&all, vb).unwrap();
-            assert_eq!(a, b, "bounded cache must stay transparent");
-            assert!(c.cached_shares() <= 2);
-        }
-        let s = c.stats();
-        assert!(s.share_cache_evictions > 0, "{s:?}");
-        assert_eq!(
-            s.share_cache_misses, s.shares_regenerated,
-            "every miss regenerates"
-        );
-        assert_eq!(
-            s.share_cache_hits + s.share_cache_misses,
-            3 * all.len() as u64
-        );
-        // cap = 0 disables.
-        c.set_share_cache_capacity(0);
-        assert_eq!(c.share_cache_capacity(), None);
-        assert_eq!(c.cached_shares(), 0);
-    }
-
-    #[test]
     fn batched_structure_fetches_match_singles() {
         let mut c = client();
         let root = c.roots().unwrap()[0];
@@ -957,15 +688,9 @@ mod tests {
     }
 
     #[test]
-    fn writes_pass_through_and_fence_cursors() {
+    fn writes_pass_through() {
         let mut c = client();
-        c.set_share_cache(true);
-        let root = c.roots().unwrap()[0];
-        let vb = c.value_of("b").unwrap();
-        c.containment(root, vb).unwrap();
-        assert!(c.cached_shares() > 0);
         let n0 = c.count().unwrap();
-        let cursor = c.open_children_cursor(vec![1]).unwrap();
 
         // A decodable packed polynomial for the new row.
         let poly = {
@@ -990,12 +715,6 @@ mod tests {
         assert_eq!(c.insert_rows(vec![(loc, poly)]).unwrap(), 1);
         assert_eq!(c.count().unwrap(), n0 + 1);
         assert_eq!(c.max_pre().unwrap(), 40);
-        assert_eq!(c.cached_shares(), 0, "a write clears the share memo");
-
-        // The pre-write cursor is fenced, not silently wrong.
-        let err = c.next_node(cursor).unwrap_err();
-        assert!(err.to_string().contains("epoch"), "{err}");
-
         assert_eq!(c.delete_pres(vec![40, 77]).unwrap(), 1);
         assert_eq!(c.count().unwrap(), n0);
     }

@@ -58,12 +58,6 @@ pub struct QueryStats {
     pub server_evals: u64,
     /// Full polynomials transferred for equality tests.
     pub polys_fetched: u64,
-    /// Client-share cache hits (0 when the cache is disabled).
-    pub share_cache_hits: u64,
-    /// Client-share cache misses (0 when the cache is disabled).
-    pub share_cache_misses: u64,
-    /// Client-share cache evictions under the capacity cap.
-    pub share_cache_evictions: u64,
     /// Protocol round trips (logical waves: a batch or a concurrent
     /// multi-shard dispatch counts once).
     pub round_trips: u64,
@@ -147,9 +141,7 @@ impl Engine {
         frontier: Vec<Loc>,
     ) -> Result<QueryOutcome, CoreError> {
         match kind {
-            EngineKind::Simple => {
-                SimpleEngine::run_with_mode_from(query, rule, filter, FetchMode::Bulk, frontier)
-            }
+            EngineKind::Simple => SimpleEngine::run_from(query, rule, filter, frontier),
             EngineKind::Advanced => AdvancedEngine::run_from(query, rule, filter, frontier),
         }
     }
@@ -182,10 +174,6 @@ impl StatWindow {
                 client_evals: c.client_evals - self.client_before.client_evals,
                 server_evals: c.server_evals - self.client_before.server_evals,
                 polys_fetched: c.polys_fetched - self.client_before.polys_fetched,
-                share_cache_hits: c.share_cache_hits - self.client_before.share_cache_hits,
-                share_cache_misses: c.share_cache_misses - self.client_before.share_cache_misses,
-                share_cache_evictions: c.share_cache_evictions
-                    - self.client_before.share_cache_evictions,
                 round_trips: t.round_trips - self.transport_before.round_trips,
                 // Saturating only as a guard: a fleet pipe counts a leg out
                 // with a hedged wave's straggler at its last snapshot, so
@@ -320,69 +308,42 @@ fn parents_of<T: Transport>(
     Ok(dedup(out))
 }
 
-/// How candidate sets travel from the server to the client.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FetchMode {
-    /// Whole candidate sets per round trip, containment tests batched
-    /// through `EvalMany` — the fast configuration.
-    Bulk,
-    /// The paper's §5.2 thin-client pipeline: a server-side cursor is
-    /// opened, `nextNode()` pulls **one node per round trip**, and each
-    /// candidate is "generated/retrieved, evaluated and added together"
-    /// individually. The client holds one node in memory at a time; the
-    /// server buffers the intermediate results.
-    Pipelined,
-}
-
 /// The left-to-right engine.
 pub struct SimpleEngine;
 
 impl SimpleEngine {
-    /// Runs a (structural) query with bulk fetching.
+    /// Runs a (structural) query. Each step expands its whole frontier in
+    /// one batched wave and tests the candidates in batched waves too.
     pub fn run<T: Transport>(
         query: &Query,
         rule: MatchRule,
         filter: &mut ClientFilter<T>,
-    ) -> Result<QueryOutcome, CoreError> {
-        Self::run_with_mode(query, rule, filter, FetchMode::Bulk)
-    }
-
-    /// Runs a (structural) query with an explicit [`FetchMode`]. Both modes
-    /// return identical result sets; they differ only in protocol shape
-    /// (tested in `pipelined_equals_bulk`).
-    pub fn run_with_mode<T: Transport>(
-        query: &Query,
-        rule: MatchRule,
-        filter: &mut ClientFilter<T>,
-        mode: FetchMode,
     ) -> Result<QueryOutcome, CoreError> {
         check_expanded(query)?;
         let window = StatWindow::open(filter);
         // Every document root: the write plane grows a forest, and an
         // absolute query addresses all of it.
         let frontier = filter.roots()?;
-        Self::run_inner(query, rule, filter, mode, window, frontier)
+        Self::run_inner(query, rule, filter, window, frontier)
     }
 
-    /// Like [`SimpleEngine::run_with_mode`] but starting from an
-    /// externally supplied root frontier (see [`Engine::run_from`]).
-    pub fn run_with_mode_from<T: Transport>(
+    /// Like [`SimpleEngine::run`] but starting from an externally supplied
+    /// root frontier (see [`Engine::run_from`]).
+    pub fn run_from<T: Transport>(
         query: &Query,
         rule: MatchRule,
         filter: &mut ClientFilter<T>,
-        mode: FetchMode,
         frontier: Vec<Loc>,
     ) -> Result<QueryOutcome, CoreError> {
         check_expanded(query)?;
         let window = StatWindow::open(filter);
-        Self::run_inner(query, rule, filter, mode, window, frontier)
+        Self::run_inner(query, rule, filter, window, frontier)
     }
 
     fn run_inner<T: Transport>(
         query: &Query,
         rule: MatchRule,
         filter: &mut ClientFilter<T>,
-        mode: FetchMode,
         window: StatWindow,
         mut frontier: Vec<Loc>,
     ) -> Result<QueryOutcome, CoreError> {
@@ -403,90 +364,15 @@ impl SimpleEngine {
                     }
                     parents_of(filter, &frontier)?
                 }
-                NodeTest::Star => match mode {
-                    FetchMode::Bulk => expand_candidates(filter, &frontier, step, i == 0)?,
-                    FetchMode::Pipelined => {
-                        Self::pipelined_expand(filter, &frontier, step, i == 0, None, rule)?
-                    }
-                },
+                NodeTest::Star => expand_candidates(filter, &frontier, step, i == 0)?,
                 NodeTest::Name(name) => {
                     let value = filter.value_of(name)?;
-                    match mode {
-                        FetchMode::Bulk => {
-                            let candidates = expand_candidates(filter, &frontier, step, i == 0)?;
-                            filter_by_rule(filter, rule, candidates, value)?
-                        }
-                        FetchMode::Pipelined => Self::pipelined_expand(
-                            filter,
-                            &frontier,
-                            step,
-                            i == 0,
-                            Some(value),
-                            rule,
-                        )?,
-                    }
+                    let candidates = expand_candidates(filter, &frontier, step, i == 0)?;
+                    filter_by_rule(filter, rule, candidates, value)?
                 }
             };
         }
         Ok(window.close(filter, frontier))
-    }
-
-    /// Candidate expansion through a server-side cursor: one `Next` round
-    /// trip per candidate, one test per candidate as it arrives.
-    fn pipelined_expand<T: Transport>(
-        filter: &mut ClientFilter<T>,
-        frontier: &[Loc],
-        step: &Step,
-        first_step: bool,
-        value: Option<u64>,
-        rule: MatchRule,
-    ) -> Result<Vec<Loc>, CoreError> {
-        let mut out = Vec::new();
-        // Step 0 evaluates against the root element itself (no cursor).
-        let inline: Vec<Loc> = if first_step {
-            frontier.to_vec()
-        } else {
-            Vec::new()
-        };
-        let cursor = match step.axis {
-            Axis::Child if first_step => None,
-            Axis::Child => {
-                Some(filter.open_children_cursor(frontier.iter().map(|l| l.pre).collect())?)
-            }
-            Axis::Descendant => Some(filter.open_descendants_cursor(frontier.to_vec())?),
-        };
-        let test_and_push =
-            |filter: &mut ClientFilter<T>, loc: Loc, out: &mut Vec<Loc>| -> Result<(), CoreError> {
-                let keep = match value {
-                    None => true,
-                    Some(v) => match rule {
-                        MatchRule::Containment => filter.containment(loc, v)?,
-                        MatchRule::Equality => filter.equality(loc, v)?,
-                    },
-                };
-                if keep {
-                    out.push(loc);
-                }
-                Ok(())
-            };
-        for loc in inline {
-            test_and_push(filter, loc, &mut out)?;
-        }
-        if let Some(cursor) = cursor {
-            let drained = (|| -> Result<(), CoreError> {
-                while let Some(loc) = filter.next_node(cursor)? {
-                    test_and_push(filter, loc, &mut out)?;
-                }
-                Ok(())
-            })();
-            if let Err(e) = drained {
-                // Release the server-side buffer instead of leaking it;
-                // the original error wins over any close failure.
-                let _ = filter.close_cursor(cursor);
-                return Err(e);
-            }
-        }
-        Ok(dedup(out))
     }
 }
 
@@ -688,11 +574,12 @@ mod tests {
     /// ├── a(5) ── c(6)
     /// └── b(7) ── a(8) ── c(9)
     /// ```
+    const FIXTURE: &str = "<site><a><b><c/></b></a><a><c/></a><b><a><c/></a></b></site>";
+
     fn client() -> ClientFilter<LocalTransport> {
         let map = MapFile::sequential(83, 1, &["site", "a", "b", "c"]).unwrap();
         let seed = Seed::from_test_key(21);
-        let xml = "<site><a><b><c/></b></a><a><c/></a><b><a><c/></a></b></site>";
-        let out = encode_document(xml, &map, &seed).unwrap();
+        let out = encode_document(FIXTURE, &map, &seed).unwrap();
         let server = ServerFilter::new(out.table, out.ring);
         ClientFilter::new(LocalTransport::new(server), map, seed).unwrap()
     }
@@ -896,7 +783,8 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_equals_bulk() {
+    fn simple_engine_matches_the_reference() {
+        let doc = ssx_xml::Document::parse(FIXTURE).unwrap();
         let queries = [
             "/site",
             "/site/a",
@@ -907,44 +795,12 @@ mod tests {
             "/site/a/../b",
         ];
         for q in queries {
+            let query = parse_query(q).unwrap();
             for rule in [MatchRule::Containment, MatchRule::Equality] {
-                let mut c1 = client();
-                let query = parse_query(q).unwrap();
-                let bulk =
-                    SimpleEngine::run_with_mode(&query, rule, &mut c1, FetchMode::Bulk).unwrap();
-                let mut c2 = client();
-                let piped =
-                    SimpleEngine::run_with_mode(&query, rule, &mut c2, FetchMode::Pipelined)
-                        .unwrap();
-                assert_eq!(bulk.pres(), piped.pres(), "{q} {rule:?}");
-                // The pipeline pays one round trip per node, so it must use
-                // at least as many round trips (strictly more whenever a
-                // cursor was opened).
-                assert!(
-                    piped.stats.round_trips >= bulk.stats.round_trips,
-                    "{q}: piped {} < bulk {}",
-                    piped.stats.round_trips,
-                    bulk.stats.round_trips
-                );
+                let want = crate::reference::reference_eval(&doc, &query, rule).unwrap();
+                assert_eq!(run(EngineKind::Simple, rule, q), want, "{q} {rule:?}");
             }
         }
-    }
-
-    #[test]
-    fn pipelined_round_trip_shape() {
-        // //c on the fixture: cursor open + (9 candidates + None) pulls +
-        // one eval round trip per candidate — far more round trips than the
-        // batched mode's handful.
-        let mut c = client();
-        let query = parse_query("//c").unwrap();
-        let piped = SimpleEngine::run_with_mode(
-            &query,
-            MatchRule::Containment,
-            &mut c,
-            FetchMode::Pipelined,
-        )
-        .unwrap();
-        assert!(piped.stats.round_trips > 15, "{}", piped.stats.round_trips);
     }
 
     #[test]

@@ -349,20 +349,6 @@ impl<T: Transport + Send> EncryptedDb<T> {
         self.client.verify_equality = verify;
     }
 
-    /// Toggle the client-share cache (memory for speed; transparent to
-    /// query results). Enabling uses
-    /// [`crate::client::DEFAULT_SHARE_CACHE_CAP`].
-    pub fn set_share_cache(&mut self, enabled: bool) {
-        self.client.set_share_cache(enabled);
-    }
-
-    /// Enable the client-share cache with an explicit capacity (in shares);
-    /// `cap = 0` disables it. The cache is a bounded clock cache: memory
-    /// stays under `cap · (q − 1)` words no matter the database size.
-    pub fn set_share_cache_capacity(&mut self, cap: usize) {
-        self.client.set_share_cache_capacity(cap);
-    }
-
     /// Caps batch frames at `limit` sub-requests (`None` = whole-frontier
     /// batches; `Some(1)` = the unbatched wire shape, the ablation
     /// baseline).
@@ -465,8 +451,9 @@ impl<T: Transport + Send> EncryptedDb<T> {
 
     /// Replaces the document rooted at `root_pre` with a fresh encode of
     /// `xml` (delete + insert). The replacement gets new `pre` numbers:
-    /// `max_pre` is a high-water mark, so `pre`s are never reused and an
-    /// open cursor can never see a reborn node under a stale number.
+    /// `max_pre` is a high-water mark, so `pre`s are never reused and a
+    /// client holding an old frontier can never see a reborn node under a
+    /// stale number.
     pub fn update_document(
         &mut self,
         root_pre: u32,
@@ -481,15 +468,6 @@ impl<T: Transport + Send> EncryptedDb<ShardRouter<T>> {
     /// Number of shards the table is partitioned across.
     pub fn shards(&self) -> u32 {
         self.client.transport().spec().shards()
-    }
-
-    /// The shard count the observed per-shard traffic argues for (the
-    /// auto-tuning heuristic; see
-    /// [`crate::router::ShardRouter::suggest_shards`]). Pair with
-    /// [`EncryptedDb::reshard`] (local) or `ssxdb reshard` (remote) — the
-    /// facade never repartitions on its own.
-    pub fn suggest_shards(&self) -> u32 {
-        self.client.transport().suggest_shards()
     }
 
     /// Enables or disables speculative wave pipelining: dependent query
@@ -891,7 +869,7 @@ mod tests {
         let mut db = EncryptedDb::encode(doc_a, map(), seed()).unwrap();
         // max_pre is a high-water mark: even though the delete empties the
         // store, the replacement starts past the old block — a stale
-        // cursor can never see a reborn node under an old number.
+        // frontier can never see a reborn node under an old number.
         let ins = db.update_document(1, doc_b).unwrap();
         assert_eq!(ins.root_pre, 5);
         let out = crate::encode::encode_document_at(doc_b, &map(), &seed(), 4).unwrap();

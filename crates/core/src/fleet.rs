@@ -32,7 +32,7 @@
 //!   culprit is named and quarantined; with exactly `t` responders the
 //!   corruption is still detected (the query errors), it just cannot be
 //!   pinned on one party.
-//! * **Structural responses** (locations, cursors, counts) carry no
+//! * **Structural responses** (locations, counts) carry no
 //!   shares; they must agree byte-for-byte on a `≥ t` quorum, and any
 //!   deviant is named.
 //! * A party that fails at the transport level (dead at connect,
@@ -197,6 +197,16 @@ pub struct PartyStatus {
 /// off for good.
 pub const COOLDOWN_PENALTY_CAP: u64 = 64;
 
+/// First backoff step of a leg retry; doubles per attempt.
+const BACKOFF_BASE: Duration = Duration::from_millis(5);
+
+/// Ceiling of a leg retry's backoff.
+const BACKOFF_CAP: Duration = Duration::from_millis(200);
+
+/// Seed of the deterministic backoff jitter, mixed with the party and the
+/// wave.
+const JITTER_SEED: u64 = 0x5f33_7d1e;
+
 /// Resilience policy for a fleet pipe: deadlines, bounded retry, hedged
 /// reconstruction and quarantine cooldowns. Installed with
 /// [`FleetTransport::set_resilience`].
@@ -205,20 +215,15 @@ pub struct ResilienceConfig {
     /// Per-call budget applied to every leg transport (`None` = wait
     /// forever, the pre-resilience behaviour).
     pub deadline: Option<Duration>,
-    /// Transient-failure retries per leg per wave (0 = fail fast).
+    /// Transient-failure retries per leg per wave (0 = fail fast), with
+    /// exponential backoff and deterministic jitter between attempts.
     pub retries: u32,
-    /// First backoff step; doubles per attempt.
-    pub backoff_base: Duration,
-    /// Backoff ceiling.
-    pub backoff_cap: Duration,
     /// Answer each wave as soon as `t` verified responses arrive, draining
     /// stragglers in the background ([`TransportStats::hedged_wins`]).
     pub hedge: bool,
     /// Waves a quarantined party sits out before its first re-admission
     /// probe; doubles per failed probe up to [`COOLDOWN_PENALTY_CAP`]×.
     pub cooldown_waves: u64,
-    /// Seed for the deterministic backoff jitter.
-    pub jitter_seed: u64,
 }
 
 impl Default for ResilienceConfig {
@@ -226,24 +231,19 @@ impl Default for ResilienceConfig {
         ResilienceConfig {
             deadline: None,
             retries: 1,
-            backoff_base: Duration::from_millis(5),
-            backoff_cap: Duration::from_millis(200),
             hedge: false,
             cooldown_waves: 4,
-            jitter_seed: 0x5f33_7d1e,
         }
     }
 }
 
-impl ResilienceConfig {
-    /// Backoff before retry `attempt` (1-based): `base · 2^(attempt−1)`
-    /// plus deterministic jitter in `[0, base)`, capped at `backoff_cap`.
-    pub fn backoff(&self, attempt: u32, jitter_raw: u64) -> Duration {
-        let base = self.backoff_base.max(Duration::from_micros(100));
-        let exp = base.saturating_mul(1u32 << attempt.saturating_sub(1).min(16));
-        let jitter = Duration::from_micros(jitter_raw % base.as_micros().max(1) as u64);
-        (exp + jitter).min(self.backoff_cap)
-    }
+/// Backoff before retry `attempt` (1-based): `BACKOFF_BASE · 2^(attempt−1)`
+/// plus deterministic jitter in `[0, BACKOFF_BASE)`, capped at
+/// `BACKOFF_CAP`.
+fn backoff(attempt: u32, jitter_raw: u64) -> Duration {
+    let exp = BACKOFF_BASE.saturating_mul(1u32 << attempt.saturating_sub(1).min(16));
+    let jitter = Duration::from_micros(jitter_raw % BACKOFF_BASE.as_micros() as u64);
+    (exp + jitter).min(BACKOFF_CAP)
 }
 
 /// `Timeout` and `Transport` failures are worth retrying — the party may
@@ -476,7 +476,7 @@ fn exchange_with_retry<T: Transport>(
             }
             Err(e) if attempt < cfg.retries && is_transient(&e) => {
                 attempt += 1;
-                std::thread::sleep(cfg.backoff(attempt, prg.next_u64()));
+                std::thread::sleep(backoff(attempt, prg.next_u64()));
                 if let Some(dial) = dial {
                     if let Ok(mut fresh) = dial(cfg.deadline) {
                         fresh.set_call_budget(cfg.deadline);
@@ -673,7 +673,7 @@ impl<T: Transport> FleetTransport<T> {
     /// and its deterministic backoff-jitter seed for that wave.
     fn lend(&mut self, idx: usize, wave: u64) -> (T, Option<Dialer<T>>, u64) {
         let leg = &mut self.legs[idx];
-        let seed = self.config.jitter_seed ^ ((leg.party as u64) << 32) ^ wave;
+        let seed = JITTER_SEED ^ ((leg.party as u64) << 32) ^ wave;
         (leg.lend(), leg.dial.clone(), seed)
     }
 

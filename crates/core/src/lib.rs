@@ -9,7 +9,7 @@
 //! |------------------|--------|
 //! | map file         | [`map`] — secret tag-name → `F_q` assignment |
 //! | `MySQLEncode`    | [`encode`] — streaming SAX encoder filling the server table |
-//! | `ServerFilter`   | [`server`] — evaluates stored shares, walks the tree, buffers cursors |
+//! | `ServerFilter`   | [`server`] — evaluates stored shares, walks the tree a frontier per request |
 //! | RMI              | [`protocol`] + [`transport`] — binary message protocol (single + batch frames) over an in-process link or one multiplexed TCP host/client pair |
 //! | `ClientFilter`   | [`client`] — regenerates client shares from the seed, combines evaluations, batch-first fetch APIs |
 //! | —                | [`shard`] — deterministic `pre → shard` partition, `ShardedServer` (S independent filters) |
@@ -52,8 +52,7 @@ pub use encode::{
     FleetEncodeOutput, FleetSpec, PartyStore,
 };
 pub use engine::{
-    AdvancedEngine, Engine, EngineKind, FetchMode, MatchRule, QueryOutcome, QueryStats,
-    SimpleEngine,
+    AdvancedEngine, Engine, EngineKind, MatchRule, QueryOutcome, QueryStats, SimpleEngine,
 };
 pub use error::CoreError;
 pub use facade::{EncryptedDb, FleetDb, InsertOutcome, RemoteMuxDb, RemoteMuxFleetDb};

@@ -61,27 +61,6 @@ pub enum Request {
         /// Node `pre`s.
         pres: Vec<u32>,
     },
-    /// Open a server-buffered cursor over the children of a node set
-    /// (models the `nextNode()` pipeline, §5.2).
-    OpenChildrenCursor {
-        /// Parent `pre`s.
-        pres: Vec<u32>,
-    },
-    /// Open a cursor over the descendants of a node set.
-    OpenDescendantsCursor {
-        /// Subtree roots.
-        locs: Vec<Loc>,
-    },
-    /// Pull the next node from a cursor.
-    Next {
-        /// Cursor id.
-        cursor: u32,
-    },
-    /// Release a cursor.
-    CloseCursor {
-        /// Cursor id.
-        cursor: u32,
-    },
     /// Number of stored nodes.
     Count,
     /// Ask a TCP server loop to stop (tests/examples).
@@ -127,8 +106,9 @@ pub enum Request {
     /// public `Loc` triples. Answered with [`Response::Count`] (rows
     /// applied); a failed row rolls the whole frame back before the error
     /// returns. Every applied insert bumps the store epoch, fencing off
-    /// cursors opened before it. Allowed bare or inside `ToShard`, never
-    /// inside a `Batch` (writes are not reorderable against reads).
+    /// aggregates that snapshotted it earlier. Allowed bare or inside
+    /// `ToShard`, never inside a `Batch` (writes are not reorderable
+    /// against reads).
     Insert {
         /// Rows to insert: location plus packed share polynomial.
         rows: Vec<(Loc, Vec<u8>)>,
@@ -221,8 +201,6 @@ pub enum Response {
     Values(Vec<u64>),
     /// Packed polynomials, parallel to the request's `pres`.
     Polys(Vec<Vec<u8>>),
-    /// A cursor handle.
-    Cursor(u32),
     /// Node count.
     Count(u64),
     /// Generic acknowledgement.
@@ -440,29 +418,6 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             w.u32s(pres);
             w.buf
         }
-        Request::OpenChildrenCursor { pres } => {
-            let mut w = Writer::new(7);
-            w.u32s(pres);
-            w.buf
-        }
-        Request::OpenDescendantsCursor { locs } => {
-            let mut w = Writer::new(8);
-            w.u32(locs.len() as u32);
-            for &l in locs {
-                w.loc(l);
-            }
-            w.buf
-        }
-        Request::Next { cursor } => {
-            let mut w = Writer::new(9);
-            w.u32(*cursor);
-            w.buf
-        }
-        Request::CloseCursor { cursor } => {
-            let mut w = Writer::new(10);
-            w.u32(*cursor);
-            w.buf
-        }
         Request::Count => Writer::new(11).buf,
         Request::Shutdown => Writer::new(12).buf,
         Request::ShardCount => Writer::new(15).buf,
@@ -573,15 +528,6 @@ fn decode_request_nested(buf: &[u8], nesting: Nesting) -> Result<Request, CoreEr
             point: r.u64()?,
         },
         6 => Request::GetPolys { pres: r.u32s()? },
-        7 => Request::OpenChildrenCursor { pres: r.u32s()? },
-        8 => {
-            let n = r.u32()? as usize;
-            let n = r.items(n, 12)?;
-            let locs = (0..n).map(|_| r.loc()).collect::<Result<Vec<_>, _>>()?;
-            Request::OpenDescendantsCursor { locs }
-        }
-        9 => Request::Next { cursor: r.u32()? },
-        10 => Request::CloseCursor { cursor: r.u32()? },
         11 => Request::Count,
         12 => Request::Shutdown,
         15 => Request::ShardCount,
@@ -697,11 +643,6 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             }
             w.buf
         }
-        Response::Cursor(c) => {
-            let mut w = Writer::new(5);
-            w.u32(*c);
-            w.buf
-        }
         Response::Count(n) => {
             let mut w = Writer::new(6);
             w.u64(*n);
@@ -780,7 +721,6 @@ fn decode_response_nested(buf: &[u8], nesting: Nesting) -> Result<Response, Core
             let n = r.items(n, 4)?;
             Response::Polys((0..n).map(|_| r.bytes()).collect::<Result<Vec<_>, _>>()?)
         }
-        5 => Response::Cursor(r.u32()?),
         6 => Response::Count(r.u64()?),
         7 => Response::Ok,
         8 => {
@@ -1018,12 +958,6 @@ mod tests {
                 point: 0,
             },
             Request::GetPolys { pres: vec![9, 8] },
-            Request::OpenChildrenCursor { pres: vec![1] },
-            Request::OpenDescendantsCursor {
-                locs: vec![loc(1), loc(5)],
-            },
-            Request::Next { cursor: 2 },
-            Request::CloseCursor { cursor: 2 },
             Request::Count,
             Request::Shutdown,
             Request::ShardCount,
@@ -1142,7 +1076,6 @@ mod tests {
             Response::Locs(vec![loc(1), loc(2)]),
             Response::Values(vec![0, 1, 82]),
             Response::Polys(vec![vec![1, 2, 3], vec![]]),
-            Response::Cursor(9),
             Response::Count(1234),
             Response::Ok,
             Response::Err("boom".into()),
@@ -1197,30 +1130,78 @@ mod tests {
         assert!(decode_request(&ok).is_err());
     }
 
-    /// The retired single-shot frames (`Root` = request tag 0, `Eval` =
-    /// request tag 4, `Value` = response tag 2) decode like any unknown tag:
-    /// a typed error. `Roots` and a one-item `EvalMany` cover them, and no
-    /// surviving tag was renumbered.
+    /// The retired frames decode like any unknown tag: the same typed
+    /// error, bare or inside a batch. The single-shot frames (`Root` =
+    /// request tag 0, `Eval` = request tag 4, `Value` = response tag 2) are
+    /// covered by `Roots` and a one-item `EvalMany`; the cursor frames
+    /// (request tags 7–10 opened a children or descendants cursor, pulled
+    /// its next node and closed it; response tag 5 carried the cursor id)
+    /// by the batched `Children`/`Descendants` waves. No surviving tag was
+    /// renumbered.
     #[test]
     fn retired_tags_are_rejected_like_unknown_ones() {
-        assert!(decode_request(&[0]).is_err(), "retired Root");
-        let mut eval = vec![4u8];
-        eval.extend_from_slice(&1u32.to_le_bytes());
-        eval.extend_from_slice(&82u64.to_le_bytes());
-        assert!(decode_request(&eval).is_err(), "retired Eval");
-        let mut value = vec![2u8];
-        value.extend_from_slice(&81u64.to_le_bytes());
-        assert!(decode_response(&value).is_err(), "retired Value");
-        assert!(
-            decode_response_view(&value).is_err(),
-            "retired Value (view)"
-        );
+        // The frame a retired tag used to carry: its tag, then a payload.
+        let frame = |tag: u8, payload: &[u32]| {
+            let mut w = vec![tag];
+            for v in payload {
+                w.extend_from_slice(&v.to_le_bytes());
+            }
+            w
+        };
+        let unknown = |msg: &str, tag: u8| msg.replace("99", &tag.to_string());
+        let requests = [
+            frame(0, &[]),           // Root
+            frame(4, &[1, 82, 0]),   // Eval
+            frame(7, &[1, 1]),       // open a children cursor
+            frame(8, &[1, 9, 9, 0]), // open a descendants cursor
+            frame(9, &[1]),          // pull the next node
+            frame(10, &[1]),         // close a cursor
+        ];
+        let unknown_request = decode_request(&[99]).unwrap_err().to_string();
+        for req in &requests {
+            let want = unknown(&unknown_request, req[0]);
+            let got = decode_request(req).unwrap_err().to_string();
+            assert_eq!(got, want, "request tag {}", req[0]);
+            let mut batch = frame(13, &[1]);
+            batch.extend(framed(&[req]));
+            assert_eq!(
+                decode_request(&batch).unwrap_err().to_string(),
+                want,
+                "request tag {} in a batch",
+                req[0]
+            );
+        }
+        let responses = [
+            frame(2, &[81, 0]), // Value
+            frame(5, &[3]),     // Cursor
+        ];
+        let unknown_response = decode_response(&[99]).unwrap_err().to_string();
+        for resp in &responses {
+            let want = unknown(&unknown_response, resp[0]);
+            let mut batch = frame(9, &[1]);
+            batch.extend(framed(&[resp]));
+            for bytes in [resp, &batch] {
+                let owned = decode_response(bytes).unwrap_err().to_string();
+                let view = decode_response_view(bytes).unwrap_err().to_string();
+                assert_eq!(owned, want, "response tag {}", resp[0]);
+                assert_eq!(view, want, "response tag {} (view)", resp[0]);
+            }
+        }
         for (req, tag) in [
             (Request::GetLoc { pre: 1 }, 1u8),
+            (Request::GetPolys { pres: vec![] }, 6),
+            (Request::Count, 11),
             (Request::Roots, 21),
             (Request::Epoch, 22),
         ] {
             assert_eq!(encode_request(&req)[0], tag, "{req:?}");
+        }
+        for (resp, tag) in [
+            (Response::Polys(vec![]), 4u8),
+            (Response::Count(0), 6),
+            (Response::Ok, 7),
+        ] {
+            assert_eq!(encode_response(&resp)[0], tag, "{resp:?}");
         }
     }
 
@@ -1243,11 +1224,6 @@ mod tests {
         let mut w = vec![4u8];
         w.extend_from_slice(&(1u32 << 30).to_le_bytes());
         assert!(decode_response(&w).is_err());
-        // OpenDescendantsCursor with a count that cannot fit.
-        let mut w = vec![8u8];
-        w.extend_from_slice(&1000u32.to_le_bytes());
-        w.extend_from_slice(&[0u8; 12]);
-        assert!(decode_request(&w).is_err());
         // Insert claiming more rows than 16 bytes each allow.
         let mut w = vec![18u8];
         w.extend_from_slice(&100u32.to_le_bytes());
@@ -1489,7 +1465,6 @@ mod tests {
             Response::Values(vec![0, 1, 82, u64::MAX]),
             Response::Values((0..100).collect()),
             Response::Polys(vec![vec![1, 2, 3], vec![]]),
-            Response::Cursor(9),
             Response::Count(1234),
             Response::Ok,
             Response::Err("boom".into()),

@@ -20,11 +20,6 @@
 //!    k-way merged by `pre` (shards hold disjoint `pre` sets, so the merge
 //!    reproduces the unsharded answer exactly).
 //!
-//! Cursors (the §5.2 `nextNode()` pipeline) keep working over shards: the
-//! router opens one cursor per shard, holds one look-ahead head per stream,
-//! and answers each `Next` with the minimum-`pre` head — the same document
-//! order a single server streams, at one wave per node.
-//!
 //! # Speculative wave pipelining
 //!
 //! With [`ShardRouter::set_speculation`] on, the router overlaps dependent
@@ -102,14 +97,6 @@ enum FanKind {
 /// evicting — a bounded memory footprint with no cache-churn pathology.
 const SPEC_CACHE_MAX: usize = 1 << 16;
 
-/// Default per-shard traffic budget (bytes, client-observed send + receive)
-/// behind [`ShardRouter::suggest_shards`]: the fleet is sized so one
-/// shard's share of a measurement window stays under ~1 MiB.
-pub const SUGGEST_TARGET_BYTES: u64 = 1 << 20;
-
-/// Ceiling on what [`ShardRouter::suggest_shards`] will ever recommend.
-pub const MAX_SUGGESTED_SHARDS: u32 = 64;
-
 /// A speculative `Children` prefetch riding an `EvalMany` wave: one fanned
 /// sub-request per shard, harvested into the cache on arrival.
 struct SpecFetch {
@@ -123,17 +110,6 @@ struct SpecFetch {
 struct SpecEntry {
     locs: Vec<Loc>,
     consumed: bool,
-}
-
-/// One per-shard cursor stream of a merged cursor, with one look-ahead head.
-struct ShardStream {
-    cursor: u32,
-    head: Loc,
-}
-
-/// A router-level cursor: the live per-shard streams (index = shard).
-struct MergeCursor {
-    streams: Vec<Option<ShardStream>>,
 }
 
 /// The shard-aware batch-first transport (see the module docs).
@@ -150,8 +126,6 @@ pub struct ShardRouter<T: Transport> {
     waves: u64,
     batches: u64,
     batched_requests: u64,
-    cursors: HashMap<u32, MergeCursor>,
-    next_cursor: u32,
     /// Speculative wave pipelining (see the module docs). Off by default —
     /// the PR-3 wire shape — because it trades bytes for waves.
     speculate: bool,
@@ -195,14 +169,11 @@ impl ShardRouter<LocalTransport> {
     /// Repartitions the in-process fleet across `shards` filters without a
     /// save/load cycle ([`ShardedServer::reshard`]): rows move
     /// bit-identically, the router re-wires one transport per new shard,
-    /// and cumulative byte counters carry over. Open merged cursors are
-    /// invalidated (their server-side buffers die with the old placement;
-    /// the next `Next` gets an explicit error), and the speculation cache
-    /// is cleared. A refused repartition (see [`ShardedServer::reshard`])
+    /// cumulative byte counters carry over, and the speculation cache is
+    /// cleared. A refused repartition (see [`ShardedServer::reshard`])
     /// re-wires the *original* fleet and surfaces the error — the router
     /// stays fully usable either way.
     pub fn reshard(&mut self, shards: u32) -> Result<(), CoreError> {
-        self.cursors.clear();
         self.spec_cache.clear();
         for t in &self.transports {
             let u = t.stats();
@@ -255,8 +226,6 @@ impl<T: Transport + Send> ShardRouter<T> {
             waves: 0,
             batches: 0,
             batched_requests: 0,
-            cursors: HashMap::new(),
-            next_cursor: 1,
             speculate: false,
             spec_cache: HashMap::new(),
             spec_issued: 0,
@@ -290,44 +259,6 @@ impl<T: Transport + Send> ShardRouter<T> {
         self.transports.iter().map(|t| t.stats()).collect()
     }
 
-    /// Auto-tuning: the shard count the observed per-shard load argues for,
-    /// at the default [`SUGGEST_TARGET_BYTES`] per-shard budget. See
-    /// [`ShardRouter::suggest_shards_for_target`].
-    pub fn suggest_shards(&self) -> u32 {
-        self.suggest_shards_for_target(SUGGEST_TARGET_BYTES)
-    }
-
-    /// Auto-tuning with an explicit per-shard byte budget: sizes the fleet
-    /// so that the *busiest* shard's observed traffic, taken as what any
-    /// shard may attract (conservative under load skew), would fit under
-    /// `target_bytes` — `⌈busiest · S / target⌉`, clamped to
-    /// `[1, MAX_SUGGESTED_SHARDS]`. Under the balanced round-robin
-    /// partition this reduces to `⌈total / target⌉`; skew (one shard
-    /// hotter than the mean) pushes the suggestion up. With no traffic
-    /// observed it keeps the current count. Feed the result to
-    /// [`ShardRouter::reshard`] (or `ssxdb reshard`) — the router never
-    /// repartitions behind the caller's back.
-    pub fn suggest_shards_for_target(&self, target_bytes: u64) -> u32 {
-        let target = target_bytes.max(1);
-        let loads = self
-            .transports
-            .iter()
-            .map(|t| {
-                let s = t.stats();
-                s.bytes_sent + s.bytes_received
-            })
-            .collect::<Vec<u64>>();
-        let busiest = loads.iter().copied().max().unwrap_or(0);
-        if busiest == 0 {
-            return self.spec.shards();
-        }
-        let needed = busiest
-            .saturating_mul(self.spec.shards() as u64)
-            .div_ceil(target)
-            .min(MAX_SUGGESTED_SHARDS as u64) as u32;
-        needed.max(1)
-    }
-
     /// The underlying per-shard transports.
     pub fn transports(&self) -> &[T] {
         &self.transports
@@ -344,11 +275,22 @@ impl<T: Transport + Send> ShardRouter<T> {
 
     /// Sends one frame per shard with work queued (batching multi-request
     /// shards), one wave. Returns per-shard response lists parallel to
-    /// `per_shard`.
+    /// `per_shard`; the first failed shard's error fails the wave.
     fn dispatch(&mut self, per_shard: Vec<Vec<Request>>) -> Result<Vec<Vec<Response>>, CoreError> {
+        self.dispatch_each(per_shard).into_iter().collect()
+    }
+
+    /// [`ShardRouter::dispatch`] with one outcome per shard: a shard whose
+    /// link fails does not hide what the other shards answered (the write
+    /// path needs both to compensate). Shards with nothing queued answer an
+    /// empty list.
+    fn dispatch_each(
+        &mut self,
+        per_shard: Vec<Vec<Request>>,
+    ) -> Vec<Result<Vec<Response>, CoreError>> {
         debug_assert_eq!(per_shard.len(), self.transports.len());
         if per_shard.iter().all(|v| v.is_empty()) {
-            return Ok(per_shard.into_iter().map(|_| Vec::new()).collect());
+            return per_shard.into_iter().map(|_| Ok(Vec::new())).collect();
         }
         self.waves += 1;
         let tag = self.tag_frames;
@@ -417,45 +359,34 @@ impl<T: Transport + Send> ShardRouter<T> {
                     .collect()
             };
         // Unwrap batch envelopes back into per-shard response lists.
-        let mut out = Vec::with_capacity(results.len());
-        for (res, frame) in results.into_iter().zip(frames) {
-            match (res, frame) {
-                (None, _) => out.push(Vec::new()),
+        results
+            .into_iter()
+            .zip(frames)
+            .map(|(res, frame)| match (res, frame) {
+                (None, _) => Ok(Vec::new()),
+                (Some(res), Some((_, 1))) => res.map(|resp| vec![resp]),
                 (Some(res), Some((_, expected))) => {
-                    let resp = res?;
-                    if expected == 1 {
-                        out.push(vec![resp]);
-                    } else {
-                        out.push(crate::transport::unwrap_batch(resp, expected)?);
-                    }
+                    res.and_then(|resp| crate::transport::unwrap_batch(resp, expected))
                 }
                 (Some(_), None) => unreachable!("response without a frame"),
-            }
-        }
-        Ok(out)
+            })
+            .collect()
     }
 
     /// Splits `reqs` by shard, dispatches one wave, merges the answers back
-    /// in request order. Cursor requests need router-held merge state and
-    /// are answered through it (each is its own wave).
+    /// in request order. Write frames go through the write path instead,
+    /// one by one (each is its own wave).
     fn route_batch(&mut self, reqs: &[Request]) -> Result<Vec<Response>, CoreError> {
-        if reqs.iter().any(|r| {
-            matches!(
-                r,
-                Request::OpenChildrenCursor { .. }
-                    | Request::OpenDescendantsCursor { .. }
-                    | Request::Next { .. }
-                    | Request::CloseCursor { .. }
-                    | Request::Insert { .. }
-                    | Request::Delete { .. }
-            )
-        }) {
+        if reqs
+            .iter()
+            .any(|r| matches!(r, Request::Insert { .. } | Request::Delete { .. }))
+        {
             return reqs.iter().map(|r| self.route_one(r)).collect();
         }
         self.route_batch_core(reqs)
     }
 
-    /// The non-cursor wave: plan every request, piggyback speculative
+    /// The read wave: plan every request, piggyback speculative
     /// prefetches, dispatch (at most) once, harvest, merge. A wave whose
     /// every request was answered from the speculation cache dispatches
     /// nothing and costs zero round trips.
@@ -546,7 +477,7 @@ impl<T: Transport + Send> ShardRouter<T> {
         }
     }
 
-    /// Routes one request that is not a cursor operation.
+    /// Routes one read request.
     fn plan(&mut self, req: &Request, per_shard: &mut [Vec<Request>]) -> Slot {
         match req {
             Request::GetLoc { pre } => {
@@ -638,12 +569,6 @@ impl<T: Transport + Send> ShardRouter<T> {
             Request::Batch(_) | Request::ToShard { .. } | Request::Pair { .. } => Slot::Ready(
                 Response::Err("routers build their own envelopes; send plain requests".into()),
             ),
-            Request::OpenChildrenCursor { .. }
-            | Request::OpenDescendantsCursor { .. }
-            | Request::Next { .. }
-            | Request::CloseCursor { .. } => {
-                unreachable!("cursor requests are answered by the merge-cursor path")
-            }
             Request::Insert { .. } | Request::Delete { .. } => {
                 unreachable!("write frames are answered by the write path")
             }
@@ -690,11 +615,6 @@ impl<T: Transport + Send> ShardRouter<T> {
 
     fn route_one(&mut self, req: &Request) -> Result<Response, CoreError> {
         match req {
-            Request::OpenChildrenCursor { .. } | Request::OpenDescendantsCursor { .. } => {
-                self.open_merge_cursor(req)
-            }
-            Request::Next { cursor } => self.next_merged(*cursor),
-            Request::CloseCursor { cursor } => self.close_merged(*cursor),
             Request::Insert { rows } => self.route_insert(rows),
             Request::Delete { pres } => self.route_delete(pres),
             _ => {
@@ -706,20 +626,23 @@ impl<T: Transport + Send> ShardRouter<T> {
 
     // ---- the write plane --------------------------------------------------
 
-    /// Every derived answer the router holds was computed against the
-    /// pre-write table: prefetched children lists and merged cursor state
-    /// both die with the write (open cursors surface "no cursor" on their
-    /// next pull — the router-side face of the server's epoch fence).
+    /// Prefetched children lists were computed against the pre-write
+    /// table, so they die with the write.
     fn invalidate_for_write(&mut self) {
         self.spec_cache.clear();
-        self.cursors.clear();
     }
 
     /// Splits `rows` by owning shard and dispatches one `Insert` per shard
-    /// with work, one wave. If any shard refuses, the rows the *other*
-    /// shards already applied are deleted again (compensation) so a
-    /// multi-shard document never survives half-inserted; the error then
-    /// surfaces as the answer.
+    /// with work, one wave. If any shard refuses or its link fails, the
+    /// insert is compensated so a multi-shard document never survives
+    /// half-inserted: one more wave sends an idempotent `Delete` of their
+    /// rows to every shard that applied its part, and to every shard whose
+    /// link failed (its part may have landed before the failure). A shard
+    /// that refused has already rolled its frame back and is left alone:
+    /// its refused rows may name `pre`s it holds for another document.
+    /// The first failure in shard order is the answer — a refusal as a
+    /// [`Response::Err`], a link failure as the error itself. Compensation
+    /// is best effort: a shard still unreachable keeps whatever landed.
     fn route_insert(&mut self, rows: &[(Loc, Vec<u8>)]) -> Result<Response, CoreError> {
         self.invalidate_for_write();
         let shards = self.transports.len();
@@ -727,49 +650,64 @@ impl<T: Transport + Send> ShardRouter<T> {
         for (loc, poly) in rows {
             grouped[self.shard_of(loc.pre)].push((*loc, poly.clone()));
         }
-        let pres_by_shard: Vec<Vec<u32>> = grouped
+        let mut pres_by_shard: Vec<Vec<u32>> = grouped
             .iter()
             .map(|g| g.iter().map(|(l, _)| l.pre).collect())
             .collect();
-        let mut sent = Vec::new();
-        let mut per_shard: Vec<Vec<Request>> = Vec::with_capacity(shards);
-        for (shard, group) in grouped.into_iter().enumerate() {
-            if group.is_empty() {
-                per_shard.push(Vec::new());
-            } else {
-                sent.push(shard);
-                per_shard.push(vec![Request::Insert { rows: group }]);
-            }
-        }
-        let mut responses = self.dispatch(per_shard)?;
+        let per_shard = grouped
+            .into_iter()
+            .map(|group| {
+                if group.is_empty() {
+                    Vec::new()
+                } else {
+                    vec![Request::Insert { rows: group }]
+                }
+            })
+            .collect();
         let mut total = 0u64;
-        let mut failed = None;
-        let mut applied = Vec::new();
-        for &shard in &sent {
-            match take_response(&mut responses, shard, 0) {
-                Response::Count(n) => {
+        let mut failure = None;
+        for (shard, outcome) in self.dispatch_each(per_shard).into_iter().enumerate() {
+            // Whether the shard may now hold rows of this insert.
+            let may_hold = match outcome.map(|mut parts| parts.pop()) {
+                Ok(None) => false, // nothing sent
+                Ok(Some(Response::Count(n))) => {
                     total += n;
-                    applied.push(shard);
+                    true
                 }
-                Response::Err(e) => failed = Some(e),
-                other => {
-                    return Err(CoreError::Transport(format!(
+                Ok(Some(Response::Err(e))) => {
+                    failure.get_or_insert(Ok(Response::Err(e)));
+                    false
+                }
+                Ok(Some(other)) => {
+                    failure.get_or_insert(Err(CoreError::Transport(format!(
                         "unexpected insert part {other:?}"
-                    )))
+                    ))));
+                    true
                 }
+                Err(e) => {
+                    failure.get_or_insert(Err(e));
+                    true
+                }
+            };
+            if !may_hold {
+                pres_by_shard[shard].clear();
             }
         }
-        if let Some(e) = failed {
-            let mut undo: Vec<Vec<Request>> = vec![Vec::new(); shards];
-            for shard in applied {
-                undo[shard].push(Request::Delete {
-                    pres: pres_by_shard[shard].clone(),
-                });
-            }
-            self.dispatch(undo)?;
-            return Ok(Response::Err(e));
-        }
-        Ok(Response::Count(total))
+        let Some(failure) = failure else {
+            return Ok(Response::Count(total));
+        };
+        let undo = pres_by_shard
+            .into_iter()
+            .map(|pres| {
+                if pres.is_empty() {
+                    Vec::new()
+                } else {
+                    vec![Request::Delete { pres }]
+                }
+            })
+            .collect();
+        let _ = self.dispatch_each(undo);
+        failure
     }
 
     /// Splits `pres` by owning shard and dispatches one `Delete` per shard
@@ -806,117 +744,6 @@ impl<T: Transport + Send> ShardRouter<T> {
             }
         }
         Ok(Response::Count(total))
-    }
-
-    // ---- merged cursors ---------------------------------------------------
-
-    /// Opens one per-shard cursor plus one look-ahead head per stream (two
-    /// waves), registering a router-level cursor id.
-    fn open_merge_cursor(&mut self, req: &Request) -> Result<Response, CoreError> {
-        let shards = self.transports.len();
-        let opened = self.dispatch(vec![vec![req.clone()]; shards])?;
-        let mut shard_cursors = Vec::with_capacity(shards);
-        for resp in opened {
-            match resp.into_iter().next() {
-                Some(Response::Cursor(c)) => shard_cursors.push(c),
-                Some(Response::Err(e)) => return Ok(Response::Err(e)),
-                other => {
-                    return Err(CoreError::Transport(format!(
-                        "unexpected cursor-open response {other:?}"
-                    )))
-                }
-            }
-        }
-        let heads = self.dispatch(
-            shard_cursors
-                .iter()
-                .map(|&c| vec![Request::Next { cursor: c }])
-                .collect(),
-        )?;
-        let mut streams = Vec::with_capacity(shards);
-        for (cursor, resp) in shard_cursors.into_iter().zip(heads) {
-            match resp.into_iter().next() {
-                Some(Response::MaybeLoc(Some(head))) => {
-                    streams.push(Some(ShardStream { cursor, head }))
-                }
-                // Exhausted immediately; the shard already dropped it.
-                Some(Response::MaybeLoc(None)) => streams.push(None),
-                Some(Response::Err(e)) => return Ok(Response::Err(e)),
-                other => {
-                    return Err(CoreError::Transport(format!(
-                        "unexpected cursor-head response {other:?}"
-                    )))
-                }
-            }
-        }
-        let id = self.next_cursor;
-        self.next_cursor = self.next_cursor.wrapping_add(1).max(1);
-        self.cursors.insert(id, MergeCursor { streams });
-        Ok(Response::Cursor(id))
-    }
-
-    /// Pops the minimum-`pre` head across the live streams and refills that
-    /// stream (one wave to one shard).
-    fn next_merged(&mut self, id: u32) -> Result<Response, CoreError> {
-        let Some(cursor) = self.cursors.get(&id) else {
-            return Ok(Response::Err(format!("no cursor {id}")));
-        };
-        let Some((shard, _)) = cursor
-            .streams
-            .iter()
-            .enumerate()
-            .filter_map(|(s, st)| st.as_ref().map(|st| (s, st.head.pre)))
-            .min_by_key(|&(_, pre)| pre)
-        else {
-            // Every stream drained: mirror the server's auto-close.
-            self.cursors.remove(&id);
-            return Ok(Response::MaybeLoc(None));
-        };
-        let shard_cursor = cursor.streams[shard].as_ref().expect("live stream").cursor;
-        let mut per_shard: Vec<Vec<Request>> = vec![Vec::new(); self.transports.len()];
-        per_shard[shard].push(Request::Next {
-            cursor: shard_cursor,
-        });
-        let resp = self.dispatch(per_shard)?;
-        let refill = match resp
-            .into_iter()
-            .nth(shard)
-            .and_then(|v| v.into_iter().next())
-        {
-            Some(Response::MaybeLoc(l)) => l,
-            Some(Response::Err(e)) => return Ok(Response::Err(e)),
-            other => {
-                return Err(CoreError::Transport(format!(
-                    "unexpected cursor-next response {other:?}"
-                )))
-            }
-        };
-        let cursor = self.cursors.get_mut(&id).expect("checked above");
-        let stream = cursor.streams[shard].as_mut().expect("live stream");
-        let head = stream.head;
-        match refill {
-            Some(next) => stream.head = next,
-            None => cursor.streams[shard] = None,
-        }
-        Ok(Response::MaybeLoc(Some(head)))
-    }
-
-    /// Closes the remaining per-shard cursors (one wave) and drops the
-    /// merge state. Unknown ids ack like the server does.
-    fn close_merged(&mut self, id: u32) -> Result<Response, CoreError> {
-        let Some(cursor) = self.cursors.remove(&id) else {
-            return Ok(Response::Ok);
-        };
-        let mut per_shard: Vec<Vec<Request>> = vec![Vec::new(); self.transports.len()];
-        for (shard, stream) in cursor.streams.into_iter().enumerate() {
-            if let Some(stream) = stream {
-                per_shard[shard].push(Request::CloseCursor {
-                    cursor: stream.cursor,
-                });
-            }
-        }
-        self.dispatch(per_shard)?;
-        Ok(Response::Ok)
     }
 }
 
@@ -1131,13 +958,17 @@ mod tests {
     use crate::map::MapFile;
     use ssx_prg::Seed;
 
-    fn router(shards: u32) -> ShardRouter<LocalTransport> {
+    /// The fixture document over `shards` in-process shards.
+    fn server(shards: u32) -> ShardedServer {
         let map = MapFile::sequential(83, 1, &["site", "a", "b", "c"]).unwrap();
         let seed = Seed::from_test_key(21);
         let xml = "<site><a><b><c/></b></a><a><c/></a><b><a><c/></a></b></site>";
         let out = encode_document(xml, &map, &seed).unwrap();
-        let server = ShardedServer::from_table(out.table, out.ring, shards).unwrap();
-        ShardRouter::local(server)
+        ShardedServer::from_table(out.table, out.ring, shards).unwrap()
+    }
+
+    fn router(shards: u32) -> ShardRouter<LocalTransport> {
+        ShardRouter::local(server(shards))
     }
 
     fn locs(resp: Response) -> Vec<u32> {
@@ -1219,53 +1050,6 @@ mod tests {
         assert_eq!(s.round_trips, 1, "one wave for the whole frontier");
         assert!(s.batches >= 1);
         assert!(s.batched_requests >= 4);
-    }
-
-    #[test]
-    fn merged_cursors_stream_in_document_order() {
-        for shards in [1u32, 2, 4] {
-            let mut r = router(shards);
-            let cursor = match r
-                .call(&Request::OpenChildrenCursor { pres: vec![1, 2] })
-                .unwrap()
-            {
-                Response::Cursor(c) => c,
-                other => panic!("{other:?}"),
-            };
-            let mut pres = Vec::new();
-            loop {
-                match r.call(&Request::Next { cursor }).unwrap() {
-                    Response::MaybeLoc(Some(l)) => pres.push(l.pre),
-                    Response::MaybeLoc(None) => break,
-                    other => panic!("{other:?}"),
-                }
-            }
-            assert_eq!(pres, vec![2, 3, 5, 7], "{shards} shards");
-            // Drained merge cursor is gone, like the server's.
-            assert!(matches!(
-                r.call(&Request::Next { cursor }).unwrap(),
-                Response::Err(_)
-            ));
-        }
-    }
-
-    #[test]
-    fn close_cursor_releases_every_shard() {
-        let mut r = router(4);
-        let cursor = match r
-            .call(&Request::OpenChildrenCursor { pres: vec![1] })
-            .unwrap()
-        {
-            Response::Cursor(c) => c,
-            other => panic!("{other:?}"),
-        };
-        assert_eq!(
-            r.call(&Request::CloseCursor { cursor }).unwrap(),
-            Response::Ok
-        );
-        for server in r.servers() {
-            assert_eq!(server.open_cursors(), 0, "abandoned per-shard cursor");
-        }
     }
 
     #[test]
@@ -1421,27 +1205,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn reshard_invalidates_open_cursors_explicitly() {
-        let mut r = router(2);
-        let cursor = match r
-            .call(&Request::OpenChildrenCursor { pres: vec![1] })
-            .unwrap()
-        {
-            Response::Cursor(c) => c,
-            other => panic!("{other:?}"),
-        };
-        r.reshard(3).unwrap();
-        assert!(
-            matches!(r.call(&Request::Next { cursor }).unwrap(), Response::Err(_)),
-            "stale cursor surfaces as an error, not a wrong answer"
-        );
-        // The new fleet holds no leaked per-shard cursors.
-        for server in r.servers() {
-            assert_eq!(server.open_cursors(), 0);
-        }
-    }
-
     /// A refused repartition (here: the same rows on both shards, which
     /// cannot coexist in one partition) must leave the router fully wired —
     /// not an empty-transport husk that panics on the next call.
@@ -1471,88 +1234,6 @@ mod tests {
             r.call(&Request::Reshard { shards: 4 }).unwrap(),
             Response::Err(_)
         ));
-    }
-
-    #[test]
-    fn suggest_shards_scales_with_observed_load() {
-        let mut r = router(2);
-        // No traffic: keep the current fleet.
-        assert_eq!(r.suggest_shards_for_target(1024), 2);
-        // Generate some traffic, then ask with a tiny budget: grow.
-        for _ in 0..20 {
-            r.call(&Request::EvalMany {
-                pres: vec![1, 2, 3, 4, 5, 6, 7, 8, 9],
-                point: 17,
-            })
-            .unwrap();
-        }
-        let grown = r.suggest_shards_for_target(64);
-        assert!(grown > 2, "heavy load must suggest growth, got {grown}");
-        assert!(grown <= MAX_SUGGESTED_SHARDS);
-        // A huge budget suggests shrinking to a single shard.
-        assert_eq!(r.suggest_shards_for_target(u64::MAX), 1);
-    }
-
-    /// The boundary cases of the auto-tuner: a zero budget clamps to one
-    /// byte instead of dividing by zero, an absurd budget pressure saturates
-    /// at [`MAX_SUGGESTED_SHARDS`] instead of overflowing, the suggestion
-    /// never drops below one shard, and load *skew* (all traffic on one
-    /// shard) is costed as if every shard could attract the busiest
-    /// shard's load — strictly more shards than the balanced mean implies.
-    #[test]
-    fn suggest_shards_boundaries() {
-        let mut r = router(2);
-        // Zero budget behaves exactly like a 1-byte budget (the documented
-        // clamp), and with traffic observed both saturate at the cap.
-        assert_eq!(r.suggest_shards_for_target(0), 2, "no traffic: keep");
-        for _ in 0..4 {
-            r.call(&Request::EvalMany {
-                pres: vec![1, 2, 3, 4, 5, 6],
-                point: 17,
-            })
-            .unwrap();
-        }
-        assert_eq!(
-            r.suggest_shards_for_target(0),
-            r.suggest_shards_for_target(1)
-        );
-        assert_eq!(r.suggest_shards_for_target(0), MAX_SUGGESTED_SHARDS);
-        // Floor: even when the busiest shard fits many times over, the
-        // suggestion is a fleet of one, never zero.
-        assert_eq!(r.suggest_shards_for_target(u64::MAX), 1);
-
-        // Skew: route traffic at a *single* pre so one shard takes it all.
-        let mut skewed = router(2);
-        for _ in 0..8 {
-            skewed
-                .call(&Request::EvalMany {
-                    pres: vec![1, 1, 1, 1],
-                    point: 17,
-                })
-                .unwrap();
-        }
-        let loads: Vec<u64> = skewed
-            .transports()
-            .iter()
-            .map(|t| {
-                let s = t.stats();
-                s.bytes_sent + s.bytes_received
-            })
-            .collect();
-        let busiest = *loads.iter().max().unwrap();
-        let total: u64 = loads.iter().sum();
-        assert!(busiest > total - busiest, "traffic must actually skew");
-        // Pick a budget between the balanced mean and the busiest shard:
-        // the conservative costing must suggest growth where a
-        // total-divided-evenly estimate would keep the fleet as-is.
-        let budget = total.div_ceil(2);
-        assert!(budget < busiest);
-        let suggested = skewed.suggest_shards_for_target(budget);
-        let balanced = total.div_ceil(budget).max(1) as u32;
-        assert!(
-            suggested > balanced.min(2),
-            "skew must push past the balanced estimate: got {suggested}, balanced {balanced}"
-        );
     }
 
     /// Valid packed share bytes in the router's ring.
@@ -1647,17 +1328,67 @@ mod tests {
         );
     }
 
+    /// A shard link that fails every `Insert` frame before it reaches the
+    /// shard, and forwards everything else.
+    struct DropsInserts {
+        inner: LocalTransport,
+        drop_inserts: bool,
+    }
+
+    impl Transport for DropsInserts {
+        fn call(&mut self, req: &Request) -> Result<Response, CoreError> {
+            if self.drop_inserts && matches!(req, Request::Insert { .. }) {
+                return Err(CoreError::Transport("link dropped the insert frame".into()));
+            }
+            self.inner.call(req)
+        }
+
+        fn stats(&self) -> TransportStats {
+            self.inner.stats()
+        }
+    }
+
+    /// A multi-shard insert whose frame is lost on one shard's link must
+    /// not survive as a half document either: the rows the other shards
+    /// applied are deleted again and the transport error surfaces.
     #[test]
-    fn writes_invalidate_router_cursors_and_prefetches() {
+    fn link_failure_mid_insert_compensates_applied_shards() {
+        let plain = router(2);
+        // Pres 10 and 12 live on shard 1 (lost), 11 and 13 on shard 0.
+        let rows = (10u32..14)
+            .map(|pre| (root_loc(pre), share_bytes(&plain, pre as u64)))
+            .collect();
+        let host = server(2);
+        let spec = host.spec();
+        let links = host
+            .into_filters()
+            .into_iter()
+            .enumerate()
+            .map(|(shard, f)| DropsInserts {
+                inner: LocalTransport::new(f),
+                drop_inserts: shard == 1,
+            })
+            .collect();
+        let mut r = ShardRouter::new(spec, links, false, false);
+        let err = r.call(&Request::Insert { rows }).unwrap_err();
+        assert!(err.to_string().contains("dropped the insert"), "{err}");
+        match r.call(&Request::Count).unwrap() {
+            Response::Count(9) => {}
+            other => panic!("the store must be unchanged: {other:?}"),
+        }
+        for pre in 10..14 {
+            assert_eq!(
+                r.call(&Request::GetLoc { pre }).unwrap(),
+                Response::MaybeLoc(None),
+                "pre={pre} must be gone"
+            );
+        }
+    }
+
+    #[test]
+    fn writes_invalidate_router_prefetches() {
         let mut r = router(2);
         r.set_speculation(true);
-        let cursor = match r
-            .call(&Request::OpenChildrenCursor { pres: vec![1] })
-            .unwrap()
-        {
-            Response::Cursor(c) => c,
-            other => panic!("{other:?}"),
-        };
         // Prefetch children of 1 into the cache.
         r.call(&Request::EvalMany {
             pres: vec![1],
@@ -1669,14 +1400,8 @@ mod tests {
             r.call(&Request::Insert { rows: vec![row] }).unwrap(),
             Response::Count(1)
         );
-        // The merged cursor died with the write — explicit error, no stale
-        // stream.
-        assert!(matches!(
-            r.call(&Request::Next { cursor }).unwrap(),
-            Response::Err(_)
-        ));
-        // And the prefetched children list was dropped: answering costs a
-        // real wave, not a cache hit.
+        // The prefetched children list was dropped: answering costs a real
+        // wave, not a cache hit.
         let hits_before = r.stats().speculative_hits;
         r.call(&Request::Children { pre: 1 }).unwrap();
         assert_eq!(r.stats().speculative_hits, hits_before);

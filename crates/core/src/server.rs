@@ -1,35 +1,28 @@
 //! The server side of the filter (§5.2).
 //!
 //! The server holds only server shares and the public tree structure. It can
-//! evaluate its shares at points the client names, enumerate children and
-//! descendants through the B-tree indices, and buffer intermediate result
-//! queues as cursors ("the big server will do the buffering of the
-//! intermediate results" — §5.2). It learns evaluation points and access
-//! patterns, never tag names or plaintext polynomials.
+//! evaluate its shares at points the client names and enumerate children
+//! and descendants through the B-tree indices. Clients send it a whole
+//! frontier per wave (a `Batch` frame), where the paper's client pulled one
+//! node per round trip from a server-buffered cursor (§5.2). It learns
+//! evaluation points and access patterns, never tag names or plaintext
+//! polynomials.
 
 use crate::protocol::{Request, Response, AGG_CHECK, AGG_FENCE, AGG_FETCH, AGG_SUM};
 use ssx_poly::{EvalPoly, Packer, RingCtx, RingPoly};
 use ssx_store::{Loc, Row, Table, NUM_PLANE_BASE};
 use std::collections::HashMap;
-use std::collections::VecDeque;
 
-/// Error message a [`Request::Next`] gets when the store mutated after the
-/// cursor was opened: the buffered queue may no longer reflect the table, so
-/// the merge would be silently wrong — the client must re-plan instead. The
-/// prefix is stable for client-side detection (the write-plane analogue of
-/// the reshard fence).
+/// Inert: no server answer carries this message any more. It was the
+/// refusal of a cursor pull across a write, and the cursor plane is gone;
+/// it stays only because the repository benchmark (`perfbench/`) still
+/// matches errors against it.
 pub const EPOCH_FENCE: &str = "store epoch changed (write since cursor opened); reopen cursor";
 
 /// Upper bound on decoded evaluation-domain rows kept in memory. Each entry
 /// costs `q − 1` words; at the paper's `q = 83` a full cache of this size is
 /// ~0.7 GB — beyond it the server still answers, it just re-decodes.
 const EVAL_CACHE_MAX_ENTRIES: usize = 1 << 20;
-
-/// Upper bound on concurrently open cursors. Drained cursors are dropped on
-/// their final `Next` and clients release abandoned ones with `CloseCursor`,
-/// so a well-behaved client keeps a handful alive; the cap turns a leaky or
-/// hostile client into an explicit error instead of unbounded server memory.
-pub const MAX_OPEN_CURSORS: usize = 1024;
 
 /// Server-side counters (reported by benches and the TCP example).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -43,20 +36,15 @@ pub struct ServerStats {
     pub eval_cache_hits: u64,
     /// Packed polynomials served to the client.
     pub polys_served: u64,
-    /// Cursors opened.
+    /// Inert, always 0: the cursor plane is gone. Kept only because the
+    /// repository benchmark (`perfbench/`) still reads it.
     pub cursors_opened: u64,
-    /// Locations streamed through cursors.
+    /// Inert, always 0 (see [`ServerStats::cursors_opened`]).
     pub cursor_items: u64,
     /// Rows added through the write plane.
     pub rows_inserted: u64,
     /// Rows removed through the write plane.
     pub rows_removed: u64,
-}
-
-/// A server-buffered result queue plus the store epoch it was built under.
-struct Cursor {
-    birth: u64,
-    queue: VecDeque<Loc>,
 }
 
 /// The `ServerFilter`: table + ring + request handler.
@@ -65,11 +53,9 @@ pub struct ServerFilter {
     ring: RingCtx,
     packer: Packer,
     stats: ServerStats,
-    cursors: HashMap<u32, Cursor>,
-    next_cursor: u32,
-    /// Bumped by every applied mutation. Cursors record the epoch they were
-    /// opened under; a `Next` across a bump is refused with [`EPOCH_FENCE`]
-    /// instead of merging a stale buffer.
+    /// Bumped by every applied mutation. Aggregates record it in their
+    /// snapshot wave; a closing frame across a bump is refused with an
+    /// [`AGG_FENCE`] error instead of summing torn state.
     epoch: u64,
     /// Rows decoded into the evaluation domain on first touch: every later
     /// evaluation of that share is an O(1) lookup ("the big server will do
@@ -97,8 +83,6 @@ impl ServerFilter {
             ring,
             packer,
             stats: ServerStats::default(),
-            cursors: HashMap::new(),
-            next_cursor: 1,
             epoch: 0,
             eval_cache: HashMap::new(),
             scratch_row,
@@ -122,7 +106,7 @@ impl ServerFilter {
 
     /// Consumes the filter, yielding its table — the rows move out intact
     /// (bit-identical packed bytes), which is what online re-sharding
-    /// repartitions. Derived state (eval cache, cursors, counters) is
+    /// repartitions. Derived state (eval cache, counters) is
     /// dropped: it is rebuilt lazily on the new placement.
     pub fn into_table(self) -> Table {
         self.table
@@ -225,43 +209,6 @@ impl ServerFilter {
                     }
                 }
                 Response::Polys(out)
-            }
-            Request::OpenChildrenCursor { pres } => {
-                let mut queue = Vec::new();
-                for &pre in pres {
-                    queue.extend(self.table.children_of(pre));
-                }
-                self.open_cursor(queue)
-            }
-            Request::OpenDescendantsCursor { locs } => {
-                let mut queue = Vec::new();
-                for &loc in locs {
-                    queue.extend(self.table.descendants_of(loc));
-                }
-                self.open_cursor(queue)
-            }
-            Request::Next { cursor } => match self.cursors.get_mut(cursor) {
-                Some(c) => {
-                    if c.birth != self.epoch {
-                        // The buffer was built against a table that has since
-                        // mutated; drop it and refuse explicitly rather than
-                        // stream possibly-dangling locations.
-                        self.cursors.remove(cursor);
-                        return Response::Err(EPOCH_FENCE.into());
-                    }
-                    let item = c.queue.pop_front();
-                    if item.is_some() {
-                        self.stats.cursor_items += 1;
-                    } else {
-                        self.cursors.remove(cursor);
-                    }
-                    Response::MaybeLoc(item)
-                }
-                None => Response::Err(format!("no cursor {cursor}")),
-            },
-            Request::CloseCursor { cursor } => {
-                self.cursors.remove(cursor);
-                Response::Ok
             }
             Request::Count => Response::Count(self.table.len() as u64),
             Request::Shutdown => Response::Ok,
@@ -435,38 +382,6 @@ impl ServerFilter {
         }
         Response::Count(removed)
     }
-
-    /// Number of cursors currently held open (leak diagnostics).
-    pub fn open_cursors(&self) -> usize {
-        self.cursors.len()
-    }
-
-    /// Opens a cursor over `queue` normalised to document order (sorted by
-    /// `pre`, duplicates dropped) — the order every other node-set answer
-    /// uses, and the order a sharded deployment can reproduce by merging
-    /// per-shard cursor streams.
-    fn open_cursor(&mut self, mut queue: Vec<Loc>) -> Response {
-        if self.cursors.len() >= MAX_OPEN_CURSORS {
-            return Response::Err(format!(
-                "cursor limit reached ({MAX_OPEN_CURSORS} open); close or drain cursors first"
-            ));
-        }
-        // Structural streams never surface numeric-plane value rows.
-        queue.retain(|l| l.pre < NUM_PLANE_BASE);
-        queue.sort_by_key(|l| l.pre);
-        queue.dedup_by_key(|l| l.pre);
-        let id = self.next_cursor;
-        self.next_cursor = self.next_cursor.wrapping_add(1).max(1);
-        self.cursors.insert(
-            id,
-            Cursor {
-                birth: self.epoch,
-                queue: VecDeque::from(queue),
-            },
-        );
-        self.stats.cursors_opened += 1;
-        Response::Cursor(id)
-    }
 }
 
 #[cfg(test)]
@@ -539,82 +454,6 @@ mod tests {
             other => panic!("{other:?}"),
         }
         assert_eq!(s.stats().evaluations, 4);
-    }
-
-    #[test]
-    fn cursor_pipeline() {
-        let mut s = server();
-        let cursor = match s.handle(&Request::OpenChildrenCursor { pres: vec![1, 2] }) {
-            Response::Cursor(c) => c,
-            other => panic!("{other:?}"),
-        };
-        // Children of 1 = {2, 5}; children of 2 = {3, 4}: four pulls + None,
-        // streamed in document order.
-        let mut pres = Vec::new();
-        loop {
-            match s.handle(&Request::Next { cursor }) {
-                Response::MaybeLoc(Some(l)) => pres.push(l.pre),
-                Response::MaybeLoc(None) => break,
-                other => panic!("{other:?}"),
-            }
-        }
-        assert_eq!(pres, vec![2, 3, 4, 5]);
-        // Cursor auto-closed after exhaustion.
-        match s.handle(&Request::Next { cursor }) {
-            Response::Err(_) => {}
-            other => panic!("{other:?}"),
-        }
-        assert_eq!(s.stats().cursor_items, 4);
-        assert_eq!(s.open_cursors(), 0, "drained cursor must be dropped");
-    }
-
-    #[test]
-    fn abandoned_cursors_are_bounded_and_closeable() {
-        let mut s = server();
-        // Open up to the cap without ever pulling.
-        for _ in 0..MAX_OPEN_CURSORS {
-            match s.handle(&Request::OpenChildrenCursor { pres: vec![1] }) {
-                Response::Cursor(_) => {}
-                other => panic!("{other:?}"),
-            }
-        }
-        assert_eq!(s.open_cursors(), MAX_OPEN_CURSORS);
-        // One more is refused, not buffered.
-        let refused = match s.handle(&Request::OpenChildrenCursor { pres: vec![1] }) {
-            Response::Err(msg) => msg,
-            other => panic!("{other:?}"),
-        };
-        assert!(refused.contains("cursor limit"), "{refused}");
-        // CloseCursor releases capacity.
-        assert_eq!(s.handle(&Request::CloseCursor { cursor: 1 }), Response::Ok);
-        assert_eq!(s.open_cursors(), MAX_OPEN_CURSORS - 1);
-        match s.handle(&Request::OpenChildrenCursor { pres: vec![1] }) {
-            Response::Cursor(_) => {}
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn cursor_queue_is_document_ordered_and_deduped() {
-        let mut s = server();
-        // Overlapping descendant roots: root subtree contains the <a>
-        // subtree; duplicates must collapse and order must be by pre.
-        let root = match s.handle(&Request::Roots) {
-            Response::Locs(ls) => ls[0],
-            other => panic!("{other:?}"),
-        };
-        let a = s.table().children_of(root.pre)[0];
-        let cursor = match s.handle(&Request::OpenDescendantsCursor {
-            locs: vec![root, a, root],
-        }) {
-            Response::Cursor(c) => c,
-            other => panic!("{other:?}"),
-        };
-        let mut pres = Vec::new();
-        while let Response::MaybeLoc(Some(l)) = s.handle(&Request::Next { cursor }) {
-            pres.push(l.pre);
-        }
-        assert_eq!(pres, vec![2, 3, 4, 5]);
     }
 
     #[test]
@@ -760,18 +599,12 @@ mod tests {
         assert_eq!(s.stats().rows_inserted, 0);
     }
 
+    /// Every applied write bumps the epoch aggregates fence on; a delete
+    /// that removes nothing leaves it alone.
     #[test]
-    fn writes_fence_open_cursors() {
+    fn effective_writes_bump_the_epoch() {
         let mut s = server();
-        let cursor = match s.handle(&Request::OpenChildrenCursor { pres: vec![1] }) {
-            Response::Cursor(c) => c,
-            other => panic!("{other:?}"),
-        };
-        // One pull works before the write.
-        assert!(matches!(
-            s.handle(&Request::Next { cursor }),
-            Response::MaybeLoc(Some(_))
-        ));
+        let e0 = s.epoch();
         let new = Loc {
             pre: 6,
             post: 6,
@@ -784,26 +617,18 @@ mod tests {
             }),
             Response::Count(1)
         );
-        // The cursor crossed an epoch bump: explicit fence, cursor dropped.
-        match s.handle(&Request::Next { cursor }) {
-            Response::Err(msg) => assert_eq!(msg, EPOCH_FENCE),
-            other => panic!("{other:?}"),
-        }
-        assert_eq!(s.open_cursors(), 0, "fenced cursor must be dropped");
-        // A cursor opened after the write streams normally, and an
-        // ineffective delete (nothing removed) does not fence it.
-        let cursor = match s.handle(&Request::OpenChildrenCursor { pres: vec![1] }) {
-            Response::Cursor(c) => c,
-            other => panic!("{other:?}"),
-        };
+        assert_eq!(s.epoch(), e0 + 1);
+        assert_eq!(s.handle(&Request::Epoch), Response::Count(e0 + 1));
         assert_eq!(
             s.handle(&Request::Delete { pres: vec![99] }),
             Response::Count(0)
         );
-        assert!(matches!(
-            s.handle(&Request::Next { cursor }),
-            Response::MaybeLoc(Some(_))
-        ));
+        assert_eq!(s.epoch(), e0 + 1, "an ineffective delete is no write");
+        assert_eq!(
+            s.handle(&Request::Delete { pres: vec![6] }),
+            Response::Count(1)
+        );
+        assert_eq!(s.epoch(), e0 + 2);
     }
 
     /// A pre that dies and is reborn with a different share must never

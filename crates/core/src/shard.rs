@@ -120,10 +120,9 @@ impl ShardedServer {
     /// new `(pre − 1) mod S'` home with its packed polynomial bytes
     /// untouched (the partition only decides placement), so `S → S' → S`
     /// round trips are bit-identical row-for-row. Derived per-shard state
-    /// (eval caches, counters, any open cursors) is dropped with the old
-    /// filters: caches rebuild lazily, and an invalidated cursor surfaces
-    /// as an explicit `no cursor` error on its next use — never a wrong
-    /// answer. `S' = S` still rebuilds (a cheap no-op placement-wise).
+    /// (eval caches, counters) is dropped with the old filters: caches
+    /// rebuild lazily. `S' = S` still rebuilds (a cheap no-op
+    /// placement-wise).
     ///
     /// Failure is **non-destructive**: the fleet is validated *before*
     /// anything moves (a hand-built [`ShardedServer::from_filters`] fleet

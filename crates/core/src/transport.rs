@@ -530,15 +530,17 @@ impl ShardHost {
 /// is a sum of per-shard size reports, not a scan.
 const AUTO_RESHARD_TICK: std::time::Duration = std::time::Duration::from_millis(25);
 
+/// Ceiling on the shard count [`stored_suggestion`] will ever recommend.
+const MAX_SUGGESTED_SHARDS: u32 = 64;
+
 /// The host-side shard suggestion: sizes the fleet so each shard *stores*
 /// at most `target` data bytes under the balanced partition —
-/// `⌈total / target⌉`, clamped to `[1, MAX_SUGGESTED_SHARDS]`. The
-/// client-side [`crate::router::ShardRouter::suggest_shards`] works from
-/// observed traffic, which the host cannot use for auto-tuning: cumulative
-/// counters grow forever, so a traffic-based host would reshard without
-/// bound. Stored size is stationary — it is invariant under repartition —
-/// so this suggestion is a fixed point: one reshard reaches it and every
-/// later tick agrees.
+/// `⌈total / target⌉`, clamped to `[1, MAX_SUGGESTED_SHARDS]`. It works
+/// from stored size, not traffic: cumulative traffic counters grow
+/// forever, so a traffic-based host would reshard without bound. Stored
+/// size is stationary — it is invariant under repartition — so this
+/// suggestion is a fixed point: one reshard reaches it and every later
+/// tick agrees.
 fn stored_suggestion(host: &ShardHost, target: u64) -> (u32, u32) {
     let filters = host.filters.read().unwrap_or_else(|p| p.into_inner());
     let current = filters.len() as u32;
@@ -551,7 +553,7 @@ fn stored_suggestion(host: &ShardHost, target: u64) -> (u32, u32) {
         .sum();
     let suggested = total
         .div_ceil(target.max(1))
-        .clamp(1, crate::router::MAX_SUGGESTED_SHARDS as u64) as u32;
+        .clamp(1, MAX_SUGGESTED_SHARDS as u64) as u32;
     (current, suggested)
 }
 

@@ -31,12 +31,6 @@ fn arb_simple_request() -> BoxedStrategy<Request> {
         (proptest::collection::vec(any::<u32>(), 0..8), any::<u64>())
             .prop_map(|(pres, point)| Request::EvalMany { pres, point }),
         proptest::collection::vec(any::<u32>(), 0..8).prop_map(|pres| Request::GetPolys { pres }),
-        proptest::collection::vec(any::<u32>(), 0..8)
-            .prop_map(|pres| Request::OpenChildrenCursor { pres }),
-        proptest::collection::vec(arb_loc(), 0..6)
-            .prop_map(|locs| Request::OpenDescendantsCursor { locs }),
-        any::<u32>().prop_map(|cursor| Request::Next { cursor }),
-        any::<u32>().prop_map(|cursor| Request::CloseCursor { cursor }),
         Just(Request::Count),
         Just(Request::Shutdown),
         Just(Request::ShardCount),
@@ -98,7 +92,6 @@ fn arb_unpaired_response() -> BoxedStrategy<Response> {
         proptest::collection::vec(any::<u64>(), 0..8).prop_map(Response::Values),
         proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..12), 0..5)
             .prop_map(Response::Polys),
-        any::<u32>().prop_map(Response::Cursor),
         any::<u64>().prop_map(Response::Count),
         Just(Response::Ok),
         proptest::collection::vec(any::<u8>(), 0..12)

@@ -2,9 +2,9 @@
 //! architecture with the RMI link replaced by our wire protocol.
 //!
 //! The server thread owns only the encrypted table (it was "filled by the
-//! client", §5.1). The client connects over a socket, runs queries with the
-//! pipelined `nextNode()` cursor and with batched evaluation, and reports
-//! exact byte/round-trip counts.
+//! client", §5.1). The client connects over a socket, runs queries whose
+//! every step expands and tests a whole frontier in batched waves, and
+//! reports exact byte/round-trip counts.
 //!
 //! ```text
 //! cargo run --release --example client_server_tcp
@@ -68,11 +68,15 @@ fn main() {
         outcome2.stats.round_trips
     );
 
-    // The thin-client pipeline: pull children one node at a time.
+    // A frontier expands in one wave, however many nodes it holds.
     let root = client.roots().unwrap()[0];
-    let cursor = client.open_children_cursor(vec![root.pre]).unwrap();
-    print!("pipelined children of the root (one RTT per node): ");
-    while let Some(loc) = client.next_node(cursor).unwrap() {
+    let before = client.transport_stats().round_trips;
+    let children = client.children_many(&[root.pre]).unwrap().remove(0);
+    print!(
+        "children of the root ({} round trip): ",
+        client.transport_stats().round_trips - before
+    );
+    for loc in &children {
         print!("pre={} ", loc.pre);
     }
     println!();

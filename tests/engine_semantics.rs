@@ -1,8 +1,9 @@
 //! Hand-crafted fixtures pinning down the engines' step semantics —
 //! the cases where XPath subtleties hide.
 
-use ssxdb::core::{EncryptedDb, EngineKind, FetchMode, MapFile, MatchRule, SimpleEngine};
+use ssxdb::core::{reference_eval, EncryptedDb, EngineKind, MapFile, MatchRule, SimpleEngine};
 use ssxdb::prg::Seed;
+use ssxdb::xml::Document;
 use ssxdb::xpath::parse_query;
 
 const TAGS: [&str; 6] = ["r", "a", "b", "c", "d", "e"];
@@ -109,18 +110,16 @@ fn containment_on_chains_counts_ancestors() {
 }
 
 #[test]
-fn pipelined_mode_agrees_on_fixtures() {
+fn simple_engine_matches_the_reference_on_fixtures() {
     let xml = "<r><a><c/></a><b><d/><e/></b><a><d/></a></r>";
+    let doc = Document::parse(xml).unwrap();
+    let mut db = db(xml);
     for q in ["/r/a", "//d", "/r/*/d", "/r/b/../a/d", "//a//d"] {
-        let mut d1 = db(xml);
         let query = parse_query(q).unwrap();
         for rule in [MatchRule::Containment, MatchRule::Equality] {
-            let bulk = SimpleEngine::run_with_mode(&query, rule, d1.client_mut(), FetchMode::Bulk)
-                .unwrap();
-            let piped =
-                SimpleEngine::run_with_mode(&query, rule, d1.client_mut(), FetchMode::Pipelined)
-                    .unwrap();
-            assert_eq!(bulk.pres(), piped.pres(), "{q} {rule:?}");
+            let out = SimpleEngine::run(&query, rule, db.client_mut()).unwrap();
+            let oracle = reference_eval(&doc, &query, rule).unwrap();
+            assert_eq!(out.pres(), oracle, "{q} {rule:?}");
         }
     }
 }

@@ -209,9 +209,6 @@ fn tcp_host_reshards_online() {
     let server = handle.join().unwrap();
     assert_eq!(server.spec().shards(), 3, "host kept the new partition");
     assert_eq!(server.total_rows(), rows, "no row lost in flight");
-    for f in server.filters() {
-        assert_eq!(f.open_cursors(), 0);
-    }
 }
 
 /// Concurrent queries keep answering correctly while another connection

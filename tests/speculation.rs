@@ -6,8 +6,8 @@
 use ssxdb::core::protocol::Request;
 use ssxdb::core::transport::Transport;
 use ssxdb::core::{
-    encode_document, serve_tcp_mux, ClientFilter, EncryptedDb, Engine, EngineKind, FetchMode,
-    MapFile, MatchRule, MuxPool, ShardRouter, ShardedServer, SimpleEngine,
+    encode_document, serve_tcp_mux, ClientFilter, EncryptedDb, Engine, EngineKind, MapFile,
+    MatchRule, MuxPool, ShardRouter, ShardedServer,
 };
 use ssxdb::prg::{Prg, Seed};
 use ssxdb::xmark::{generate, XmarkConfig, DTD_ELEMENTS};
@@ -143,51 +143,6 @@ fn mis_speculation_is_counted_and_harmless() {
     );
 }
 
-/// The §5.2 cursor pipeline under speculation: identical streams, and no
-/// cursor is leaked on any server — the `MAX_OPEN_CURSORS` budget stays
-/// untouched after clean runs.
-#[test]
-fn speculation_leaves_cursor_hygiene_intact() {
-    let xml = generate(&XmarkConfig {
-        seed: 12,
-        target_bytes: 4 * 1024,
-    });
-    let map = MapFile::random(83, 1, &DTD_ELEMENTS, &mut Prg::from_u64(5)).unwrap();
-    let seed = Seed::from_test_key(77);
-    for shards in [1u32, 2, 4] {
-        let mut db = EncryptedDb::encode_sharded(&xml, map.clone(), seed.clone(), shards).unwrap();
-        db.set_speculation(true);
-        let query = parse_query("//bidder/date").unwrap();
-        let bulk = SimpleEngine::run_with_mode(
-            &query,
-            MatchRule::Containment,
-            db.client_mut(),
-            FetchMode::Bulk,
-        )
-        .unwrap();
-        let piped = SimpleEngine::run_with_mode(
-            &query,
-            MatchRule::Containment,
-            db.client_mut(),
-            FetchMode::Pipelined,
-        )
-        .unwrap();
-        assert_eq!(bulk.pres(), piped.pres(), "S={shards}");
-        for server in db.client_mut().transport().servers() {
-            assert_eq!(server.open_cursors(), 0, "S={shards}: leaked cursor");
-        }
-        // Abandoning a cursor mid-stream while speculating still releases
-        // every per-shard cursor on close.
-        let client = db.client_mut();
-        let cursor = client.open_children_cursor(vec![1]).unwrap();
-        let _ = client.next_node(cursor).unwrap();
-        client.close_cursor(cursor).unwrap();
-        for server in db.client_mut().transport().servers() {
-            assert_eq!(server.open_cursors(), 0, "S={shards}: close must release");
-        }
-    }
-}
-
 /// Speculation over real sockets: a sharded TCP host, tagged frames, same
 /// answers, fewer waves. The speculative prefetches are ordinary
 /// `Children` frames — no server change is needed.
@@ -243,8 +198,5 @@ fn speculation_over_tcp_matches_and_saves_waves() {
     // Release the idle router so the host's connection scope can drain.
     drop(plain);
     spec.transport_mut().call(&Request::Shutdown).unwrap();
-    let server = handle.join().unwrap();
-    for f in server.filters() {
-        assert_eq!(f.open_cursors(), 0);
-    }
+    handle.join().unwrap();
 }

@@ -72,31 +72,3 @@ fn local_and_tcp_agree() {
     tcp_client.transport_mut().call(&Request::Shutdown).unwrap();
     handle.join().unwrap();
 }
-
-#[test]
-fn pipelined_cursor_over_tcp() {
-    let xml = "<site><regions><africa/><asia/><australia/><europe/><namerica/><samerica/></regions><categories><category><name/><description><text/></description></category></categories><catgraph/><people/><open_auctions/><closed_auctions/></site>";
-    let (map, seed) = secrets();
-    let out = encode_document(xml, &map, &seed).unwrap();
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let server = ShardedServer::from_table(out.table, out.ring, 1).unwrap();
-    let handle = std::thread::spawn(move || serve_tcp_mux(listener, server, 0).unwrap());
-
-    let pool = MuxPool::dial(addr, None).unwrap();
-    let mut client = ClientFilter::new(pool.transport(0), map, seed).unwrap();
-    let root = client.roots().unwrap()[0];
-    let before = client.transport_stats().round_trips;
-    let cursor = client.open_children_cursor(vec![root.pre]).unwrap();
-    let mut count = 0;
-    while client.next_node(cursor).unwrap().is_some() {
-        count += 1;
-    }
-    assert_eq!(count, 6, "six site sections");
-    let after = client.transport_stats().round_trips;
-    // One RTT to open + one per node + one for the exhausted None.
-    assert_eq!(after - before, 1 + 6 + 1);
-
-    client.transport_mut().call(&Request::Shutdown).unwrap();
-    handle.join().unwrap();
-}

@@ -1,6 +1,6 @@
-//! The write plane end to end, over real sockets: an insert racing an
-//! open cursor must surface the epoch fence through the mux TCP transport
-//! (never a silently wrong merge), and a 3-server (t = 2) TCP fleet must
+//! The write plane end to end, over real sockets: an insert on a shared
+//! mux pool must be visible to the next wave of a reader on the same
+//! sockets, and a 3-server (t = 2) TCP fleet must
 //! accept interleaved inserts and deletes while queries run, with every
 //! answer bit-identical to a freshly encoded store of the same final
 //! document set at the same offsets — the PR-9 acceptance criteria.
@@ -32,13 +32,11 @@ fn stop_host(addr: SocketAddr) {
     closer.call(&Request::Shutdown).unwrap();
 }
 
-/// An insert landing between a cursor's open and its next pull must fence
-/// the cursor with an explicit epoch error — through the mux TCP
-/// transport, where the reader and the writer share one socket per shard.
-/// A reopened cursor then walks the store, and the grown forest is
-/// visible to the same reader connection.
+/// An insert through the mux TCP transport, from a writer sharing the
+/// reader's pool (one socket per shard), is visible to the reader's very
+/// next wave: the forest has both roots and their children.
 #[test]
-fn insert_fences_an_open_cursor_over_mux_tcp() {
+fn insert_on_a_shared_mux_pool_is_visible_to_its_reader() {
     let (map, seed) = secrets();
     let out = encode_document(DOC_A, &map, &seed).unwrap();
     let server = ShardedServer::from_table(out.table, out.ring, 2).unwrap();
@@ -48,19 +46,20 @@ fn insert_fences_an_open_cursor_over_mux_tcp() {
 
     let pool = MuxPool::connect(addr, 2).unwrap();
     let mut reader = ClientFilter::new(ShardRouter::mux(&pool), map.clone(), seed.clone()).unwrap();
-    let cursor = reader.open_children_cursor(vec![1]).unwrap();
-    assert_eq!(reader.next_node(cursor).unwrap().map(|l| l.pre), Some(2));
+    let pres = |lists: Vec<Vec<ssxdb::store::Loc>>| -> Vec<Vec<u32>> {
+        lists
+            .iter()
+            .map(|l| l.iter().map(|l| l.pre).collect())
+            .collect()
+    };
+    assert_eq!(pres(reader.children_many(&[1]).unwrap()), vec![vec![2, 4]]);
 
     // A second facade client on the *same* pool inserts a document.
     let mut writer = RemoteMuxDb::connect_mux(&pool, map.clone(), seed.clone()).unwrap();
     let ins = writer.insert_document(DOC_B).unwrap();
     assert_eq!(ins.root_pre, 5);
 
-    // The pre-write cursor is fenced, not silently wrong.
-    let err = reader.next_node(cursor).unwrap_err();
-    assert!(err.to_string().contains("epoch"), "{err}");
-
-    // A fresh cursor walks the current store; the forest has both roots.
+    // The reader's next waves see the grown forest.
     assert_eq!(
         reader
             .roots()
@@ -70,12 +69,11 @@ fn insert_fences_an_open_cursor_over_mux_tcp() {
             .collect::<Vec<_>>(),
         vec![1, 5]
     );
-    let cursor = reader.open_children_cursor(vec![1, 5]).unwrap();
-    let mut walked = Vec::new();
-    while let Some(l) = reader.next_node(cursor).unwrap() {
-        walked.push(l.pre);
-    }
-    assert_eq!(walked, vec![2, 4, 6], "children of both roots, pre order");
+    assert_eq!(
+        pres(reader.children_many(&[1, 5]).unwrap()),
+        vec![vec![2, 4], vec![6]],
+        "children of both roots"
+    );
 
     stop_host(addr);
     host.join().unwrap();
