@@ -6,11 +6,27 @@
 //! [`FleetTransport`] implements [`Transport`] and sits *under* the
 //! existing [`ShardRouter`]: the router still plans waves, batches, and
 //! speculation against `S` logical data shards, and each of its `S`
-//! per-shard pipes is a fleet pipe fanning every frame to all `n` parties
-//! over independent connections. Wave structure, batching decisions and
+//! per-shard pipes is a fleet pipe sending every frame to the parties over
+//! independent connections. Wave structure, batching decisions and
 //! speculation counters are therefore **bit-identical** between the `n = 1`
 //! single-party deployment and any fleet — the trust boundary moves, the
 //! waves do not.
+//!
+//! # Which parties a wave asks
+//!
+//! * A **read wave** asks `k = max(t, 2)` of the available parties (all of
+//!   them if fewer are up). Parties on probation or suspicion go first; the
+//!   rest rotate with the count of read waves of the same kind (share or
+//!   structural), so every party keeps being asked. The wave is answered
+//!   when all `k` answer and their combination verifies.
+//! * It **widens** to every other available party on a transport fault or
+//!   timeout of an asked leg, a MAC mismatch, or a structural
+//!   disagreement, and is then settled exactly like a wave that asked
+//!   everyone: strikes, the quorum-loss error, leave-one-out attribution
+//!   and quarantine all run unchanged.
+//! * A **hedged** read wave ([`ResilienceConfig::hedge`]) asks every
+//!   available party and is answered by the first `t` that verify.
+//! * A **write wave** goes to every party.
 //!
 //! # Party layout
 //!
@@ -26,15 +42,16 @@
 //! # Reconstruction and verification
 //!
 //! * **Data-plane responses** (values, value vectors, packed polynomials)
-//!   are Lagrange-combined at zero over the live responders and checked
-//!   against the combined MAC: `α · s = m`. A mismatch with more than `t`
-//!   responders is *attributed* by leave-one-out re-combination and the
-//!   culprit is named and quarantined; with exactly `t` responders the
-//!   corruption is still detected (the query errors), it just cannot be
-//!   pinned on one party.
+//!   are Lagrange-combined at zero over the responders and checked
+//!   against the combined MAC: `α · s = m`. A mismatch widens the wave;
+//!   with more than `t` responders it is then *attributed* by leave-one-out
+//!   re-combination and the culprit is named and quarantined; with exactly
+//!   `t` parties up the corruption is still detected (the query errors),
+//!   it just cannot be pinned on one party.
 //! * **Structural responses** (locations, counts) carry no
 //!   shares; they must agree byte-for-byte on a `≥ t` quorum, and any
-//!   deviant is named.
+//!   deviant is named. Two asked parties that disagree widen the wave, so
+//!   a lie is never believed on one party's word, even at `t = 1`.
 //! * A party that fails at the transport level (dead at connect,
 //!   mid-wave disconnect) is retired from the pipe; as long as `≥ t`
 //!   parties answer, the wave completes with the correct result —
@@ -70,7 +87,6 @@ use crate::transport::{
 use ssx_poly::{lagrange_at_zero, Packer, RingCtx};
 use ssx_prg::{Prg, Seed};
 use ssx_store::{Loc, Table};
-use std::borrow::Cow;
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -218,8 +234,12 @@ pub struct ResilienceConfig {
     /// Transient-failure retries per leg per wave (0 = fail fast), with
     /// exponential backoff and deterministic jitter between attempts.
     pub retries: u32,
-    /// Answer each wave as soon as `t` verified responses arrive, draining
-    /// stragglers in the background ([`TransportStats::hedged_wins`]).
+    /// Ask every available party on each read wave and answer as soon as
+    /// `t` verified responses arrive, draining stragglers in the background
+    /// ([`TransportStats::hedged_wins`]). Off, a read wave asks only
+    /// `max(t, 2)` parties and widens on a fault, which costs fewer party
+    /// requests but waits on every party it asked; hedging spends the extra
+    /// requests to hide one slow party.
     pub hedge: bool,
     /// Waves a quarantined party sits out before its first re-admission
     /// probe; doubles per failed probe up to [`COOLDOWN_PENALTY_CAP`]×.
@@ -438,6 +458,14 @@ struct Answers {
     failed: Vec<(usize, CoreError)>,
 }
 
+impl Answers {
+    /// Files legs whose workers never reported (they panicked) as failed.
+    fn lost(&mut self, legs: Vec<usize>) {
+        let lost = |idx| (idx, CoreError::Transport("fleet leg worker lost".into()));
+        self.failed.extend(legs.into_iter().map(lost));
+    }
+}
+
 /// Sends one leg's wave frame and splits the answer into the data-plane
 /// response and, when the frame is a [`Request::Pair`], its MAC mirror's.
 /// A pair answered as a whole (one top-level reply, such as the reshard
@@ -554,9 +582,10 @@ enum FleetError {
     Fatal(String),
 }
 
-/// Fans every wave to all parties of one data shard, reconstructs with
-/// MAC verification, and tolerates up to `n − t` dead parties. See the
-/// module docs for the full protocol.
+/// Sends each wave of one data shard to a quorum of its parties (a read),
+/// or to all of them (a write or a hedged read), reconstructs with MAC
+/// verification, and tolerates up to `n − t` dead parties. See the module
+/// docs for the full protocol.
 pub struct FleetTransport<T> {
     legs: Vec<FleetLeg<T>>,
     threshold: usize,
@@ -570,12 +599,15 @@ pub struct FleetTransport<T> {
     pending: Vec<PendingWave<T>>,
     stats: TransportStats,
     write_seed: Option<Seed>,
+    /// Plain read waves sent so far, structural and share apart; each
+    /// kind's count rotates its quorum ([`FleetTransport::quorum`]).
+    turns: [u64; 2],
 }
 
 impl<T: Transport> FleetTransport<T> {
     /// Assembles a fleet pipe for data shard `shard` of `data_shards`.
-    /// `alpha` is the MAC key ([`fleet_mac_key`]); `concurrent` fans the
-    /// legs out on scoped threads (use for network legs).
+    /// `alpha` is the MAC key ([`fleet_mac_key`]); `concurrent` runs the
+    /// legs of a wave on threads of their own (use for network legs).
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         legs: Vec<FleetLeg<T>>,
@@ -601,6 +633,7 @@ impl<T: Transport> FleetTransport<T> {
             pending: Vec::new(),
             stats: TransportStats::default(),
             write_seed: None,
+            turns: [0; 2],
         }
     }
 
@@ -667,6 +700,30 @@ impl<T: Transport> FleetTransport<T> {
             .filter(|(_, l)| l.transport.is_some())
             .map(|(i, _)| i)
             .collect()
+    }
+
+    /// The legs a plain read wave asks first, in party order: `max(t, 2)`
+    /// of the available ones, or all of them if fewer are up. Two is the
+    /// floor because a structural answer carries no MAC and needs a second
+    /// witness. Legs on probation or suspicion go first, so a re-admitted
+    /// or struck party is tried again by the next wave. The rest rotate
+    /// with the count of waves of this one's kind, share or structural, so
+    /// a query shape that repeats cannot keep a party off every share wave.
+    fn quorum(&mut self, avail: &[usize], plan: &MirrorPlan) -> Vec<usize> {
+        let k = self.threshold.max(2).min(avail.len());
+        let (mut asked, mut rest): (Vec<usize>, Vec<usize>) = avail
+            .iter()
+            .partition(|&&i| self.legs[i].health != PartyHealth::Live);
+        let turn = &mut self.turns[usize::from(!matches!(plan, MirrorPlan::None))];
+        *turn += 1;
+        if !rest.is_empty() {
+            let by = *turn % rest.len() as u64;
+            rest.rotate_left(by as usize);
+        }
+        asked.extend(rest);
+        asked.truncate(k);
+        asked.sort_unstable();
+        asked
     }
 
     /// Lends leg `idx`'s transport to wave `wave`, with the leg's dialer
@@ -1130,6 +1187,103 @@ impl<T: Transport> FleetTransport<T> {
 }
 
 impl<T: Transport + Send + 'static> FleetTransport<T> {
+    /// Lends each of `legs` to a detached worker that sends it `frame(leg)`
+    /// and reports back, with the transport, on the returned channel.
+    fn spawn_legs(
+        &mut self,
+        legs: &[usize],
+        frame: impl Fn(usize) -> Arc<Request>,
+    ) -> mpsc::Receiver<(usize, LegReport<T>)> {
+        let (cfg, wave) = (self.config, self.stats.round_trips);
+        let (tx, rx) = mpsc::channel();
+        for &idx in legs {
+            let (transport, dial, seed) = self.lend(idx, wave);
+            let (frame, tx) = (frame(idx), tx.clone());
+            std::thread::spawn(move || {
+                let report = exchange_with_retry(transport, &frame, &cfg, dial.as_ref(), seed);
+                let _ = tx.send((idx, report));
+            });
+        }
+        rx
+    }
+
+    /// Sends `frame(leg)` on each of `legs` and files every outcome in
+    /// `answers`: on one detached thread per leg when the pipe is
+    /// concurrent and more than one leg runs, otherwise one leg after the
+    /// other on the caller's thread. Every transport is home when it
+    /// returns; a leg whose worker was lost is filed as failed.
+    fn run_legs(
+        &mut self,
+        legs: &[usize],
+        frame: impl Fn(usize) -> Arc<Request>,
+        answers: &mut Answers,
+    ) {
+        if !self.concurrent || legs.len() < 2 {
+            let (cfg, wave) = (self.config, self.stats.round_trips);
+            for &idx in legs {
+                let (transport, dial, seed) = self.lend(idx, wave);
+                let report = exchange_with_retry(transport, &frame(idx), &cfg, dial.as_ref(), seed);
+                self.land_in(idx, report, answers);
+            }
+            return;
+        }
+        let rx = self.spawn_legs(legs, frame);
+        let mut outstanding = legs.to_vec();
+        while let Ok((idx, report)) = rx.recv() {
+            outstanding.retain(|&i| i != idx);
+            self.land_in(idx, report, answers);
+        }
+        answers.lost(outstanding);
+    }
+
+    /// A hedged read wave: every available leg gets `frame` on a detached
+    /// worker, and the wave is answered by the first `t` responses that
+    /// verify, leaving the stragglers to [`FleetTransport::harvest_stragglers`].
+    /// Returns `None`, with every outcome filed in `answers`, when no early
+    /// answer verified; the caller then settles the wave as a full one.
+    fn hedged_wave(
+        &mut self,
+        avail: &[usize],
+        frame: &Arc<Request>,
+        plan: &MirrorPlan,
+        answers: &mut Answers,
+    ) -> Option<Response> {
+        // Transports travel to the workers and come back through the
+        // channel, so the wave can return while stragglers are still out.
+        let rx = self.spawn_legs(avail, |_| Arc::clone(frame));
+        let mut outstanding = avail.to_vec();
+        while !outstanding.is_empty() {
+            let Ok((idx, report)) = rx.recv() else { break };
+            outstanding.retain(|&i| i != idx);
+            self.land_in(idx, report, answers);
+            // t-first: answer as soon as a verifiable t-quorum is in. A
+            // combination that does not yet verify (e.g. a corrupt share
+            // among the first t) simply keeps waiting for more responders.
+            if outstanding.is_empty() || answers.live.len() < self.threshold {
+                continue;
+            }
+            let Ok(resp) = self.combine_wave(&answers.live, plan) else {
+                continue;
+            };
+            self.stats.hedged_wins += 1;
+            self.pending.push(PendingWave {
+                rx,
+                outstanding,
+                done: Instant::now(),
+            });
+            let base = self.config.cooldown_waves;
+            for (idx, e) in answers.failed.drain(..) {
+                self.legs[idx].strike(&mut self.stats, base, e.to_string());
+            }
+            for &idx in &answers.ok_legs {
+                self.legs[idx].note_success();
+            }
+            return Some(resp);
+        }
+        answers.lost(outstanding);
+        None
+    }
+
     /// One write wave. Every leg gets one `(data, MAC)` [`Request::Pair`]:
     /// inserts are re-split per party, so each leg's pair carries its own
     /// shares; a delete sends every leg the same pair. Never hedged: the
@@ -1199,41 +1353,8 @@ impl<T: Transport + Send + 'static> FleetTransport<T> {
         }
 
         let avail = self.available();
-        let cfg = self.config;
-        let wave = self.stats.round_trips;
         let mut answers = Answers::default();
-        if self.concurrent && avail.len() > 1 {
-            let (tx, rx) = mpsc::channel::<(usize, LegReport<T>)>();
-            for &idx in &avail {
-                let (transport, dial, seed) = self.lend(idx, wave);
-                let frame = Arc::clone(&frames[idx]);
-                let tx = tx.clone();
-                std::thread::spawn(move || {
-                    let report = exchange_with_retry(transport, &frame, &cfg, dial.as_ref(), seed);
-                    let _ = tx.send((idx, report));
-                });
-            }
-            drop(tx);
-            let mut outstanding = avail.clone();
-            while !outstanding.is_empty() {
-                let Ok((idx, report)) = rx.recv() else { break };
-                outstanding.retain(|&i| i != idx);
-                self.land_in(idx, report, &mut answers);
-            }
-            for idx in outstanding {
-                self.legs[idx].quarantine_integrity(
-                    &mut self.stats,
-                    "fleet leg panicked during a write".into(),
-                );
-            }
-        } else {
-            for &idx in &avail {
-                let (transport, dial, seed) = self.lend(idx, wave);
-                let report =
-                    exchange_with_retry(transport, &frames[idx], &cfg, dial.as_ref(), seed);
-                self.land_in(idx, report, &mut answers);
-            }
-        }
+        self.run_legs(&avail, |idx| Arc::clone(&frames[idx]), &mut answers);
         let Answers {
             live,
             ok_legs,
@@ -1332,81 +1453,41 @@ impl<T: Transport + Send + 'static> Transport for FleetTransport<T> {
         let (mirror, plan) = mirror_of(inner);
         // A mirrored wave sends every leg the data frame and its MAC mirror
         // as one pair, built once for the whole wave.
-        let frame: Cow<Request> = match mirror {
-            Some(m) => Cow::Owned(Request::Pair {
+        let frame = Arc::new(match mirror {
+            Some(m) => Request::Pair {
                 data: Box::new(req.clone()),
                 mac: Box::new(Request::ToShard {
                     shard: self.data_shards + dshard,
                     req: Box::new(m),
                 }),
-            }),
-            None => Cow::Borrowed(req),
-        };
+            },
+            None => req.clone(),
+        });
 
         let avail = self.available();
-        let cfg = self.config;
-        let base = cfg.cooldown_waves;
-        let wave = self.stats.round_trips;
+        let base = self.config.cooldown_waves;
         let mut answers = Answers::default();
-
-        if (self.concurrent || cfg.hedge) && avail.len() > 1 {
-            // One detached worker per leg; transports travel to the worker
-            // and come back through the channel, so a hedged wave can
-            // return while stragglers are still out.
-            let (tx, rx) = mpsc::channel::<(usize, LegReport<T>)>();
-            let frame = Arc::new(frame.into_owned());
-            for &idx in &avail {
-                let (transport, dial, seed) = self.lend(idx, wave);
-                let tx = tx.clone();
-                let frame = Arc::clone(&frame);
-                std::thread::spawn(move || {
-                    let report = exchange_with_retry(transport, &frame, &cfg, dial.as_ref(), seed);
-                    let _ = tx.send((idx, report));
-                });
-            }
-            drop(tx);
-            let mut outstanding = avail.clone();
-            let mut hedged: Option<Response> = None;
-            while !outstanding.is_empty() {
-                let Ok((idx, report)) = rx.recv() else { break };
-                outstanding.retain(|&i| i != idx);
-                self.land_in(idx, report, &mut answers);
-                // t-first: with hedging on, try to answer the wave as soon
-                // as a verifiable t-quorum is in. A combination that does
-                // not yet verify (e.g. a corrupt share among the first t)
-                // simply keeps waiting for more responders.
-                if cfg.hedge && !outstanding.is_empty() && answers.live.len() >= self.threshold {
-                    if let Ok(resp) = self.combine_wave(&answers.live, &plan) {
-                        hedged = Some(resp);
-                        break;
-                    }
-                }
-            }
-            if let Some(resp) = hedged {
-                self.stats.hedged_wins += 1;
-                self.pending.push(PendingWave {
-                    rx,
-                    outstanding,
-                    done: Instant::now(),
-                });
-                for (idx, e) in answers.failed {
-                    self.legs[idx].strike(&mut self.stats, base, e.to_string());
-                }
-                for idx in answers.ok_legs {
-                    self.legs[idx].note_success();
-                }
+        if self.config.hedge && avail.len() > 1 {
+            if let Some(resp) = self.hedged_wave(&avail, &frame, &plan, &mut answers) {
                 return Ok(resp);
             }
-            // The channel disconnected early only if workers panicked.
-            for idx in outstanding {
-                self.legs[idx].strike(&mut self.stats, base, "fleet leg panicked".into());
-            }
         } else {
-            for &idx in &avail {
-                let (transport, dial, seed) = self.lend(idx, wave);
-                let report = exchange_with_retry(transport, &frame, &cfg, dial.as_ref(), seed);
-                self.land_in(idx, report, &mut answers);
+            // Ask a quorum first; the wave is answered if every asked leg
+            // answers and the combination verifies.
+            let asked = self.quorum(&avail, &plan);
+            self.run_legs(&asked, |_| Arc::clone(&frame), &mut answers);
+            if answers.failed.is_empty() && answers.live.len() >= self.threshold {
+                if let Ok(resp) = self.combine_wave(&answers.live, &plan) {
+                    for idx in answers.ok_legs {
+                        self.legs[idx].note_success();
+                    }
+                    return Ok(resp);
+                }
             }
+            // A fault, a MAC mismatch or a disagreement: widen to every
+            // other available leg, then settle the wave as a full one.
+            let rest: Vec<usize> = avail.into_iter().filter(|i| !asked.contains(i)).collect();
+            self.run_legs(&rest, |_| Arc::clone(&frame), &mut answers);
         }
         let Answers {
             live,
@@ -1554,18 +1635,29 @@ pub const FLEET_CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
 /// One party's pool after the connect-time handshake, or why it has none.
 type Probe = Result<MuxPool, String>;
 
-/// Resolves the host shard count the reachable parties agree on, requiring
-/// at least `threshold` of them. A party whose count disagrees with the
-/// first reachable one is faulted in place.
+/// Resolves the host shard count of the fleet: the count the most
+/// reachable parties report, which at least `threshold` of them must share.
+/// Every party reporting another count is faulted in place, by name. Two
+/// counts that each reach the threshold are refused: the fleet's layout is
+/// then ambiguous, and neither side can be blamed.
 fn fleet_consensus(probes: &mut [Probe], threshold: usize) -> Result<u32, CoreError> {
-    let mut agreed: Option<u32> = None;
-    for p in probes.iter_mut() {
+    // Reachable parties by the count they report, most-reported first.
+    let mut tally: Vec<(u32, Vec<usize>)> = Vec::new();
+    for (j, p) in probes.iter().enumerate() {
         let Ok(pool) = p else { continue };
         let c = pool.shards();
-        match agreed {
-            None => agreed = Some(c),
-            Some(a) if a != c => *p = Err(format!("shard count mismatch: {c} vs fleet's {a}")),
-            _ => {}
+        match tally.iter_mut().find(|(k, _)| *k == c) {
+            Some((_, parties)) => parties.push(j + 1),
+            None => tally.push((c, vec![j + 1])),
+        }
+    }
+    tally.sort_by_key(|(_, parties)| std::cmp::Reverse(parties.len()));
+    if let [(a, pa), (b, pb), ..] = tally.as_slice() {
+        if pb.len() >= threshold {
+            return Err(CoreError::Transport(format!(
+                "fleet layout ambiguous at connect: parties {pa:?} serve {a} shards, \
+                 parties {pb:?} serve {b}, and each reaches threshold {threshold}"
+            )));
         }
     }
     let faults = |probes: &[Probe]| -> String {
@@ -1576,16 +1668,24 @@ fn fleet_consensus(probes: &mut [Probe], threshold: usize) -> Result<u32, CoreEr
             .collect::<Vec<_>>()
             .join("; ")
     };
-    let Some(total) = agreed else {
+    let Some(&(total, ref agreed)) = tally.first() else {
         return Err(CoreError::Transport(format!(
             "no fleet party reachable ({})",
             faults(probes)
         )));
     };
-    let live = probes.iter().filter(|p| p.is_ok()).count();
-    if live < threshold {
+    for p in probes.iter_mut() {
+        if let Ok(pool) = p {
+            let c = pool.shards();
+            if c != total {
+                *p = Err(format!("shard count mismatch: {c} vs fleet's {total}"));
+            }
+        }
+    }
+    if agreed.len() < threshold {
         return Err(CoreError::Transport(format!(
-            "fleet quorum unreachable at connect: {live} live, threshold {threshold} ({})",
+            "fleet quorum unreachable at connect: {} live, threshold {threshold} ({})",
+            agreed.len(),
             faults(probes)
         )));
     }
@@ -1783,15 +1883,142 @@ mod tests {
         let mut fleet = encode_document_fleet(XML, &map, &seed, spec).unwrap();
         fleet.parties[2].mac =
             corrupt_table(std::mem::replace(&mut fleet.parties[2].mac, Table::new(0)));
+        let mut single = EncryptedDb::encode(XML, map.clone(), seed.clone()).unwrap();
         let mut db = FleetDb::from_fleet_output(fleet, map, seed, 1).unwrap();
-        let err = db
-            .query("//b", EngineKind::Simple, MatchRule::Containment)
-            .unwrap_err();
+        // A read wave asks two of the three parties, so the liar is caught
+        // by the first share wave that asks it. Queries of different wave
+        // counts shift the rotation; until then every answer is exact.
+        let queries = ["//b", "/site/a/b", "//a", "/site/c/a/b"];
+        let err = queries
+            .iter()
+            .cycle()
+            .take(8)
+            .find_map(|q| {
+                let want = single.query(q, EngineKind::Simple, MatchRule::Containment);
+                match db.query(q, EngineKind::Simple, MatchRule::Containment) {
+                    Ok(got) => {
+                        assert_eq!(got.result, want.unwrap().result, "{q}");
+                        None
+                    }
+                    Err(e) => Some(e),
+                }
+            })
+            .expect("no share wave asked party 3");
         let msg = err.to_string();
         assert!(
             msg.contains("integrity") && msg.contains("party 3"),
             "expected an integrity error naming party 3, got: {msg}"
         );
+    }
+
+    /// An in-process party leg that logs its party on every call and, while
+    /// `down`, fails every call like an unreachable host.
+    struct LoggedLeg {
+        party: usize,
+        inner: LocalPartyTransport,
+        down: bool,
+        log: Arc<Mutex<Vec<usize>>>,
+    }
+
+    impl Transport for LoggedLeg {
+        fn call(&mut self, req: &Request) -> Result<Response, CoreError> {
+            self.log.lock().unwrap().push(self.party);
+            if self.down {
+                return Err(CoreError::Transport("party host unreachable (test)".into()));
+            }
+            self.inner.call(req)
+        }
+
+        fn stats(&self) -> TransportStats {
+            self.inner.stats()
+        }
+    }
+
+    /// A 3-party t = 2 pipe without retries over logged legs, with party
+    /// `down` unreachable and party `corrupt` serving flipped data shares
+    /// (0 for neither); plus the single-party plane's answer to
+    /// `GetPolys` of pres 1–3.
+    fn logged_pipe(
+        down: usize,
+        corrupt: usize,
+    ) -> (FleetTransport<LoggedLeg>, Arc<Mutex<Vec<usize>>>, Response) {
+        let (map, seed) = setup();
+        let single = crate::encode::encode_document(XML, &map, &seed).unwrap();
+        let want = ServerFilter::new(single.table, single.ring).handle(&polys_1_to_3());
+        let mut out =
+            encode_document_fleet(XML, &map, &seed, FleetSpec::new(3, 2).unwrap()).unwrap();
+        for p in out.parties.iter_mut().filter(|p| p.party == corrupt) {
+            p.data = corrupt_table(std::mem::replace(&mut p.data, Table::new(0)));
+        }
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let legs = out
+            .parties
+            .into_iter()
+            .map(|p| {
+                let host = party_server(p.data, p.mac, &out.ring, 1).unwrap();
+                let leg = LoggedLeg {
+                    party: p.party,
+                    inner: LocalPartyTransport::new(Arc::new(Mutex::new(host))),
+                    down: p.party == down,
+                    log: Arc::clone(&log),
+                };
+                FleetLeg::up(p.party, leg)
+            })
+            .collect();
+        let alpha = fleet_mac_key(&seed, &out.ring);
+        let mut pipe = FleetTransport::new(legs, 2, 1, 0, out.ring, out.packer, alpha, false);
+        pipe.set_resilience(ResilienceConfig {
+            retries: 0,
+            ..Default::default()
+        });
+        (pipe, log, want)
+    }
+
+    fn polys_1_to_3() -> Request {
+        Request::GetPolys {
+            pres: vec![1, 2, 3],
+        }
+    }
+
+    /// The first share wave asks parties 2 and 3. Party 2 is down: the wave
+    /// widens to party 1, answers exactly, and strikes party 2 once, at
+    /// three leg calls in all.
+    #[test]
+    fn a_failed_asked_leg_widens_the_wave_and_is_struck_once() {
+        let (mut pipe, log, want) = logged_pipe(2, 0);
+        assert_eq!(pipe.call(&polys_1_to_3()).unwrap(), want);
+        assert_eq!(
+            *log.lock().unwrap(),
+            vec![2, 3, 1],
+            "asked 2 and 3, widened to 1"
+        );
+        let p2 = pipe.party_status().remove(1);
+        assert_eq!(p2.health, PartyHealth::Suspect, "one strike");
+        assert!(p2.fault.is_some_and(|f| f.contains("unreachable")));
+        let others = pipe.party_status();
+        assert!(others
+            .iter()
+            .filter(|s| s.party != 2)
+            .all(|s| s.health == PartyHealth::Live));
+    }
+
+    /// Party 2 serves corrupt data shares and is one of the exactly t
+    /// parties the first share wave asks. The MAC check fails, the wave
+    /// widens to party 1, leave-one-out attribution names party 2, and the
+    /// quarantined fleet answers the retry exactly.
+    #[test]
+    fn a_corrupt_party_among_t_asked_is_attributed_after_widening() {
+        let (mut pipe, log, want) = logged_pipe(0, 2);
+        let err = pipe.call(&polys_1_to_3()).unwrap_err();
+        assert!(matches!(err, CoreError::Corrupt(_)), "{err}");
+        assert!(err.to_string().contains("attributed to party 2"), "{err}");
+        assert_eq!(
+            *log.lock().unwrap(),
+            vec![2, 3, 1],
+            "asked 2 and 3, widened to 1"
+        );
+        assert_eq!(pipe.party_status()[1].health, PartyHealth::Quarantined);
+        assert_eq!(pipe.call(&polys_1_to_3()).unwrap(), want);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! | `SimpleQuery`    | [`engine::SimpleEngine`] |
 //! | `AdvancedQuery`  | [`engine::AdvancedEngine`] |
 //! | —                | [`mod@reference`] — plaintext XPath oracle (ground truth for Fig 7 accuracy) |
-//! | —                | [`fleet`] — t-of-n multi-party deployment: per-party share stores, fan-out transport, verified reconstruction |
+//! | —                | [`fleet`] — t-of-n multi-party deployment: per-party share stores, quorum-read transport, verified reconstruction |
 //! | —                | [`facade::EncryptedDb`] — one-stop construction for examples and tests |
 //!
 //! The two *matching rules* (§6.3 "strictness") are [`engine::MatchRule`]:

@@ -58,16 +58,20 @@
 //! per-party share stores (`out.party1.ssxdb` … `out.partyN.ssxdb`), any
 //! `t` of which reconstruct; fewer reveal nothing beyond table shape.
 //! `serve --party i` hosts one party's store (data + MAC planes behind
-//! `2·S` shard ids); `remote --fleet a1,a2,… --threshold t` fans every
-//! wave out to all live parties and reconstructs client-side with MAC
+//! `2·S` shard ids); `remote --fleet a1,a2,… --threshold t` sends each
+//! read wave to `max(t, 2)` live parties, in turn, widening to the rest
+//! only on a fault, a MAC mismatch or a disagreement, and sends every
+//! write to all of them; it reconstructs client-side with MAC
 //! verification — a corrupted share is detected and attributed, a dead
 //! party is tolerated down to `t` responders.
 //!
 //! The resilience knobs: `--deadline-ms MS` bounds every call (a hung
 //! party fails with a typed timeout instead of hanging the query),
 //! `--retries N` retries transient failures with exponential backoff over
-//! a fresh connection, and `--hedge` answers each fleet wave from the
-//! first `t` verified responses while stragglers drain in the background.
+//! a fresh connection, and `--hedge` asks every live party on each read
+//! wave and answers from the first `t` verified responses while
+//! stragglers drain in the background: more party requests, in exchange
+//! for not waiting on one slow party.
 //! On the host side, `serve --write-stall-ms MS` bounds how long a
 //! non-reading client may stall a response send before its connection is
 //! shed.
@@ -179,7 +183,8 @@ commands:
   reshard --addr HOST:PORT --shards S'            repartition a live host
 
 Clients learn a host's shard count from its handshake. Unknown flags are
-refused.
+refused. A fleet read asks max(t, 2) parties and widens to the rest on a
+fault; --hedge asks every party and answers from the first t that verify.
 ";
 
 // ---- tiny argument parser ---------------------------------------------------

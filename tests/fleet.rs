@@ -5,23 +5,26 @@
 //! still return correct results; a corrupted share must be detected and
 //! attributed to the lying party; the 3-process `ssxdb` CLI fleet
 //! (encode --servers / serve --party / remote --fleet) must round-trip;
-//! and every wave costs each party exactly one frame.
+//! every wave costs each party it asks exactly one frame, a read asking
+//! t parties and a write all n; and a party lying about structure is
+//! caught, at t = 1 too.
 
 use ssxdb::core::protocol::{Request, Response};
 use ssxdb::core::transport::{Transport, TransportStats};
 use ssxdb::core::{
-    encode_document_fleet, local_fleet_router_wrapped, party_server, run_aggregate, serve_tcp_mux,
-    AggOp, AggregateSpec, ClientFilter, CoreError, EncryptedDb, Engine, EngineKind, FleetSpec,
-    LocalPartyTransport, MapFile, MatchRule, MuxPool, PartyStore, RemoteMuxFleetDb, ShardedServer,
+    encode_document_at, encode_document_fleet, fleet_mac_key, local_fleet_router_wrapped,
+    party_server, run_aggregate, serve_tcp_mux, AggOp, AggregateSpec, ClientFilter, CoreError,
+    EncryptedDb, Engine, EngineKind, FleetEncodeOutput, FleetLeg, FleetSpec, FleetTransport,
+    LocalPartyTransport, MapFile, MatchRule, MuxPool, PartyHealth, PartyStore, RemoteMuxFleetDb,
+    ShardRouter, ShardSpec, ShardedServer,
 };
 use ssxdb::poly::RingCtx;
 use ssxdb::prg::{Prg, Seed};
-use ssxdb::store::{Row, Table};
+use ssxdb::store::{Loc, Row, Table};
 use ssxdb::xmark::{generate, XmarkConfig, DTD_ELEMENTS};
 use ssxdb::xpath::parse_query;
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// The Table-1 chain and the bench harness's exact secrets/document (same
 /// as `speculation.rs`), so "fig5" here is the committed figure.
@@ -114,15 +117,26 @@ fn fig5_chain_is_bit_identical_between_single_party_and_tcp_fleet() {
     }
 }
 
-/// A party leg that counts every call it carries.
+/// What a fleet pipe did, in order: a wave began (`Wave`, logged by the
+/// pipe wrapper before the wave runs) or a leg carried a call (`Leg`).
+#[derive(Clone, Copy, Debug)]
+enum Event {
+    Wave { write: bool },
+    Leg(usize),
+}
+
+type EventLog = Arc<Mutex<Vec<Event>>>;
+
+/// A party leg that logs every call it carries.
 struct CountingLeg {
+    party: usize,
     inner: LocalPartyTransport,
-    calls: Arc<AtomicU64>,
+    log: EventLog,
 }
 
 impl Transport for CountingLeg {
     fn call(&mut self, req: &Request) -> Result<Response, CoreError> {
-        self.calls.fetch_add(1, Ordering::SeqCst);
+        self.log.lock().unwrap().push(Event::Leg(self.party));
         self.inner.call(req)
     }
 
@@ -131,25 +145,82 @@ impl Transport for CountingLeg {
     }
 }
 
-/// One frame per party per wave: on an in-process 3-party t = 2 fleet with
-/// legs called in turn and no hedging, the fig5 chain and a ranged SUM cost
-/// exactly three leg calls per fleet wave — a mirrored wave sends its data
-/// frame and MAC mirror as one pair — while answers and wave counts stay
-/// bit-identical to the single-party plane.
+/// A fleet pipe that logs the start of every wave it runs.
+struct MarkedPipe {
+    pipe: FleetTransport<CountingLeg>,
+    log: EventLog,
+}
+
+impl Transport for MarkedPipe {
+    fn call(&mut self, req: &Request) -> Result<Response, CoreError> {
+        let inner = match req {
+            Request::ToShard { req, .. } => req.as_ref(),
+            other => other,
+        };
+        let write = matches!(inner, Request::Insert { .. } | Request::Delete { .. });
+        self.log.lock().unwrap().push(Event::Wave { write });
+        self.pipe.call(req)
+    }
+
+    fn stats(&self) -> TransportStats {
+        self.pipe.stats()
+    }
+}
+
+/// An in-process 3-party t = 2 fleet client whose legs run in turn, with
+/// every wave and leg call logged.
+fn logged_fleet(
+    xml: &str,
+    map: &MapFile,
+    seed: &Seed,
+) -> (ClientFilter<ShardRouter<MarkedPipe>>, EventLog) {
+    let spec = FleetSpec::new(3, 2).unwrap();
+    let FleetEncodeOutput {
+        parties,
+        ring,
+        packer,
+        ..
+    } = encode_document_fleet(xml, map, seed, spec).unwrap();
+    let log = EventLog::default();
+    let legs = parties
+        .into_iter()
+        .map(|p| {
+            let host = party_server(p.data, p.mac, &ring, 1).unwrap();
+            let leg = CountingLeg {
+                party: p.party,
+                inner: LocalPartyTransport::new(Arc::new(Mutex::new(host))),
+                log: Arc::clone(&log),
+            };
+            FleetLeg::up(p.party, leg)
+        })
+        .collect();
+    let alpha = fleet_mac_key(seed, &ring);
+    let mut pipe = FleetTransport::new(legs, 2, 1, 0, ring, packer, alpha, false);
+    pipe.set_split_seed(seed.clone());
+    let marked = MarkedPipe {
+        pipe,
+        log: Arc::clone(&log),
+    };
+    let router = ShardRouter::new(ShardSpec::new(1), vec![marked], false, false);
+    (
+        ClientFilter::new(router, map.clone(), seed.clone()).unwrap(),
+        log,
+    )
+}
+
+/// One frame per asked party per wave, and a read asks t parties: on an
+/// in-process 3-party t = 2 fleet with legs called in turn and no hedging,
+/// every read wave of the fig5 chain, a ranged SUM and a query after a
+/// write costs exactly two leg calls to two distinct parties, every party
+/// is asked within any three consecutive read waves, and an insert and a
+/// delete cost one call to each of the three parties — while answers and
+/// wave counts stay bit-identical to the single-party plane.
 #[test]
 fn every_fleet_wave_costs_one_frame_per_party() {
     let xml = bench_document();
     let (map, seed) = bench_secrets();
-    let spec = FleetSpec::new(3, 2).unwrap();
-    let fleet_out = encode_document_fleet(&xml, &map, &seed, spec).unwrap();
-    let calls = Arc::new(AtomicU64::new(0));
-    let router = local_fleet_router_wrapped(fleet_out, &seed, 1, |_, inner| CountingLeg {
-        inner,
-        calls: Arc::clone(&calls),
-    })
-    .unwrap();
-    let mut fleet = ClientFilter::new(router, map.clone(), seed.clone()).unwrap();
-    let mut single = EncryptedDb::encode(&xml, map, seed).unwrap();
+    let (mut fleet, log) = logged_fleet(&xml, &map, &seed);
+    let mut single = EncryptedDb::encode(&xml, map.clone(), seed.clone()).unwrap();
 
     let chain = parse_query(FIG5_CHAIN).unwrap();
     let (kind, rule) = (EngineKind::Simple, MatchRule::Containment);
@@ -176,13 +247,183 @@ fn every_fleet_wave_costs_one_frame_per_party() {
     assert_eq!(a.walk.round_trips, b.walk.round_trips, "SUM walk waves");
     assert_eq!(a.closing_waves, b.closing_waves, "SUM closing waves");
 
-    let waves = fleet.transport().transports()[0].stats().round_trips;
-    assert!(waves > 0);
-    assert_eq!(
-        calls.load(Ordering::SeqCst),
-        3 * waves,
-        "leg calls per fleet wave must be one per party"
+    // A write goes to every party: insert a document, then delete it, and
+    // read again after.
+    let offset = fleet.max_pre().unwrap();
+    let doc = encode_document_at(
+        "<site><people><person/></people></site>",
+        &map,
+        &seed,
+        offset,
+    )
+    .unwrap();
+    let rows: Vec<_> = doc
+        .table
+        .rows()
+        .iter()
+        .map(|r| (r.loc, r.poly.to_vec()))
+        .collect();
+    let pres: Vec<u32> = rows.iter().map(|(loc, _)| loc.pre).collect();
+    let count = pres.len() as u64;
+    assert_eq!(fleet.insert_rows(rows).unwrap(), count);
+    assert_eq!(fleet.delete_pres(pres).unwrap(), count);
+    let (kind, rule) = (EngineKind::Simple, MatchRule::Containment);
+    let b = Engine::run(kind, rule, &chain, &mut fleet).unwrap();
+    assert_eq!(single.run(&chain, kind, rule).unwrap().result, b.result);
+
+    let mut waves: Vec<(bool, Vec<usize>)> = Vec::new();
+    for event in log.lock().unwrap().iter() {
+        match *event {
+            Event::Wave { write } => waves.push((write, Vec::new())),
+            Event::Leg(party) => waves
+                .last_mut()
+                .expect("a leg call outside a wave")
+                .1
+                .push(party),
+        }
+    }
+    let pipe_waves = fleet.transport().transports()[0].stats().round_trips;
+    assert_eq!(waves.len() as u64, pipe_waves);
+    let (writes, reads): (Vec<_>, Vec<_>) = waves.into_iter().partition(|(write, _)| *write);
+    assert_eq!(writes.len(), 2, "one insert wave and one delete wave");
+    for (_, mut parties) in writes {
+        parties.sort_unstable();
+        assert_eq!(parties, [1, 2, 3], "a write wave asks every party once");
+    }
+    assert!(reads.len() > 40, "{} read waves", reads.len());
+    for (i, (_, parties)) in reads.iter().enumerate() {
+        assert_eq!(parties.len(), 2, "read wave {i} asked {parties:?}");
+        assert_ne!(parties[0], parties[1], "read wave {i} asked {parties:?}");
+    }
+    for (i, three) in reads.windows(3).enumerate() {
+        let mut asked: Vec<usize> = three.iter().flat_map(|(_, p)| p.iter().copied()).collect();
+        asked.sort_unstable();
+        asked.dedup();
+        assert_eq!(
+            asked,
+            [1, 2, 3],
+            "read waves {i}..{} left a party out",
+            i + 3
+        );
+    }
+}
+
+/// A party leg whose structural answers lie when `lies` is set: it drops
+/// the last location of every `Locs` answer and bumps every `Count`, in
+/// batches and in the data half of a pair too. Share answers are honest.
+struct LyingLeg {
+    inner: LocalPartyTransport,
+    lies: bool,
+}
+
+fn lie(resp: Response) -> Response {
+    match resp {
+        Response::Locs(mut locs) => {
+            locs.pop();
+            Response::Locs(locs)
+        }
+        Response::Count(c) => Response::Count(c + 1),
+        Response::Batch(slots) => Response::Batch(slots.into_iter().map(lie).collect()),
+        Response::Pair { data, mac } => Response::Pair {
+            data: Box::new(lie(*data)),
+            mac,
+        },
+        other => other,
+    }
+}
+
+impl Transport for LyingLeg {
+    fn call(&mut self, req: &Request) -> Result<Response, CoreError> {
+        let resp = self.inner.call(req)?;
+        Ok(if self.lies { lie(resp) } else { resp })
+    }
+
+    fn stats(&self) -> TransportStats {
+        self.inner.stats()
+    }
+}
+
+const SMALL_XML: &str = "<site><a><b/><b/></a><c><a><b/></a></c></site>";
+
+type LiarClient = ClientFilter<ShardRouter<FleetTransport<LyingLeg>>>;
+
+/// An in-process 3-party fleet at `threshold` whose party 2 lies about
+/// structure, and the single-party answer to `//a/b` on the same document.
+fn liar_fleet(threshold: usize) -> (LiarClient, Vec<Loc>) {
+    let map = MapFile::sequential(83, 1, &["site", "a", "b", "c"]).unwrap();
+    let seed = Seed::from_test_key(21);
+    let want = EncryptedDb::encode(SMALL_XML, map.clone(), seed.clone())
+        .unwrap()
+        .query("//a/b", EngineKind::Simple, MatchRule::Equality)
+        .unwrap()
+        .result;
+    let spec = FleetSpec::new(3, threshold).unwrap();
+    let out = encode_document_fleet(SMALL_XML, &map, &seed, spec).unwrap();
+    let router = local_fleet_router_wrapped(out, &seed, 1, |party, inner| LyingLeg {
+        inner,
+        lies: party == 2,
+    })
+    .unwrap();
+    (ClientFilter::new(router, map, seed).unwrap(), want)
+}
+
+fn query_ab(client: &mut LiarClient) -> Result<Vec<Loc>, CoreError> {
+    let query = parse_query("//a/b").unwrap();
+    Engine::run(EngineKind::Simple, MatchRule::Equality, &query, client).map(|out| out.result)
+}
+
+/// A party that lies about structure is caught at t = 2. A read wave asks
+/// two parties, so queries run until a structural wave asks the liar: its
+/// pair finds no 2-party agreement, the wave widens, and the liar is named
+/// and quarantined. Every answer before is exact, and so is the retry.
+#[test]
+fn a_structural_liar_is_named_and_quarantined() {
+    let (mut client, want) = liar_fleet(2);
+    let err = (0..6)
+        .find_map(|_| match query_ab(&mut client) {
+            Ok(got) => {
+                assert_eq!(got, want, "an answer before the liar was asked");
+                None
+            }
+            Err(e) => Some(e),
+        })
+        .expect("no structural wave asked party 2");
+    assert!(matches!(err, CoreError::Corrupt(_)), "{err:?}");
+    assert!(
+        err.to_string()
+            .contains("party 2 disagreed with the 2-party quorum"),
+        "{err}"
     );
+    let status = client.transport().transports()[0].party_status();
+    assert_eq!(status[1].health, PartyHealth::Quarantined);
+    assert_eq!(
+        query_ab(&mut client).unwrap(),
+        want,
+        "the retry answers exactly"
+    );
+}
+
+/// At t = 1 a structural answer still needs a second witness, which is why
+/// a read asks `max(t, 2)` parties: a wave that asks the liar sees its two
+/// answers disagree, widens, finds two 1-party quorums and errors. The lie
+/// is never returned.
+#[test]
+fn at_t1_a_structural_lie_is_a_disagreement_never_an_answer() {
+    let (mut client, want) = liar_fleet(1);
+    let mut caught = 0;
+    for _ in 0..6 {
+        match query_ab(&mut client) {
+            Ok(got) => assert_eq!(got, want, "the lie was returned"),
+            Err(e) => {
+                assert!(
+                    matches!(e, CoreError::Corrupt(_)) && e.to_string().contains("disagree"),
+                    "{e:?}"
+                );
+                caught += 1;
+            }
+        }
+    }
+    assert!(caught > 0, "no structural wave asked party 2");
 }
 
 /// Killing *any single* server mid-run: for each victim in turn, a live

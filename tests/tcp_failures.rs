@@ -411,7 +411,17 @@ fn spawn_party(
     party: PartyStore,
     ring: &RingCtx,
 ) -> (SocketAddr, std::thread::JoinHandle<ShardedServer>) {
-    let server = party_server(party.data, party.mac, ring, 1).unwrap();
+    spawn_party_with(party, ring, 1)
+}
+
+/// Hosts one party's server over `data_shards` data shards (so `2·S`
+/// host shards) on an ephemeral port.
+fn spawn_party_with(
+    party: PartyStore,
+    ring: &RingCtx,
+    data_shards: u32,
+) -> (SocketAddr, std::thread::JoinHandle<ShardedServer>) {
+    let server = party_server(party.data, party.mac, ring, data_shards).unwrap();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let handle = std::thread::spawn(move || serve_tcp_mux(listener, server, 0).unwrap());
@@ -468,6 +478,82 @@ fn fleet_tolerates_a_party_dead_at_connect() {
 
     drop(db);
     stop_all(vec![p1, p3]);
+}
+
+/// One misconfigured party does not block a fleet connect. Party 1 serves
+/// two data shards, parties 2 and 3 one: the fleet adopts the layout two
+/// parties report, faults party 1 by name, and answers exactly from the
+/// other two.
+#[test]
+fn fleet_connect_outvotes_a_misconfigured_party() {
+    let (map, seed) = fleet_secrets();
+    let spec = FleetSpec::new(3, 2).unwrap();
+    let fleet = encode_document_fleet(FLEET_XML, &map, &seed, spec).unwrap();
+    let ring = fleet.ring.clone();
+    let hosts: Vec<_> = fleet
+        .parties
+        .into_iter()
+        .map(|p| {
+            let shards = if p.party == 1 { 2 } else { 1 };
+            spawn_party_with(p, &ring, shards)
+        })
+        .collect();
+    let addrs: Vec<String> = hosts.iter().map(|(a, _)| a.to_string()).collect();
+
+    let mut db = RemoteMuxFleetDb::connect_fleet_mux(&addrs, 2, map, seed).unwrap();
+    let status = db.party_status();
+    assert_eq!(status[0].health, PartyHealth::Quarantined);
+    let fault = status[0].fault.clone().unwrap_or_default();
+    assert!(
+        fault.contains("shard count mismatch: 4 vs fleet's 2"),
+        "party 1's fault must name its mismatch: {fault}"
+    );
+    for other in &status[1..] {
+        assert_eq!(other.health, PartyHealth::Live, "party {}", other.party);
+        assert!(
+            other.fault.is_none(),
+            "party {}: {:?}",
+            other.party,
+            other.fault
+        );
+    }
+    let out = db
+        .query("//b", EngineKind::Simple, MatchRule::Equality)
+        .unwrap();
+    assert_eq!(out.result, fleet_expected("//b", EngineKind::Simple));
+
+    drop(db);
+    stop_all(hosts);
+}
+
+/// Two layouts that each reach the threshold are refused at connect with a
+/// typed error naming both sides: parties 1 and 2 of a 4-party t = 2 fleet
+/// serve two data shards, parties 3 and 4 one.
+#[test]
+fn fleet_connect_refuses_two_layouts_that_each_reach_the_threshold() {
+    let (map, seed) = fleet_secrets();
+    let spec = FleetSpec::new(4, 2).unwrap();
+    let fleet = encode_document_fleet(FLEET_XML, &map, &seed, spec).unwrap();
+    let ring = fleet.ring.clone();
+    let hosts: Vec<_> = fleet
+        .parties
+        .into_iter()
+        .map(|p| {
+            let shards = if p.party <= 2 { 2 } else { 1 };
+            spawn_party_with(p, &ring, shards)
+        })
+        .collect();
+    let addrs: Vec<String> = hosts.iter().map(|(a, _)| a.to_string()).collect();
+
+    match RemoteMuxFleetDb::connect_fleet_mux(&addrs, 2, map, seed) {
+        Err(CoreError::Transport(msg)) => assert!(
+            msg.contains("ambiguous") && msg.contains("[1, 2]") && msg.contains("[3, 4]"),
+            "{msg}"
+        ),
+        Err(other) => panic!("expected a transport error, got {other:?}"),
+        Ok(_) => panic!("a fleet with two threshold layouts connected"),
+    }
+    stop_all(hosts);
 }
 
 /// A party dying *mid-stream* — its host winds down between two queries on
