@@ -191,55 +191,21 @@ fn bench_json(path: &str) {
     let node_encode_ns = best_run_s * 1e9 / elements as f64;
     let encode_rows_per_s_serial = elements as f64 / best_run_s;
 
-    // The parallel encoder, keyed by the host's available parallelism. Its
-    // table must be byte-identical to the serial one — the thread count is
-    // a throughput lever, never an output change.
-    let threads = ssx_core::default_threads();
-    let par_out = ssx_core::encode_document_parallel(&xml, &map, &seed).expect("parallel encode");
-    assert_eq!(
-        par_out.table.rows(),
-        out.table.rows(),
-        "parallel encode ({threads} threads) must be bit-identical to serial"
-    );
-    let started = Instant::now();
-    for _ in 0..encode_runs {
-        std::hint::black_box(
-            ssx_core::encode_document_parallel(&xml, &map, &seed).expect("parallel encode"),
-        );
-    }
-    let encode_rows_per_s_parallel =
-        (encode_runs * elements) as f64 / started.elapsed().as_secs_f64();
-
-    // Zero-copy wire decode (PR-8): a bulk Values frame, decoded borrowed
-    // vs owned. The borrowed path must read the same elements.
+    // Wire decode of a bulk Values frame (one element per encoded row).
     let wire_vals: Vec<u64> = (0..elements as u64).map(|i| i % 83).collect();
     let frame = ssx_core::protocol::encode_response(&ssx_core::protocol::Response::Values(
         wire_vals.clone(),
     ));
-    let decode_zero_copy_ns = time_ns(|| {
-        let view =
-            ssx_core::protocol::decode_response_view(std::hint::black_box(&frame)).expect("view");
-        if let ssx_core::protocol::ResponseView::Values(vs) = &view {
-            std::hint::black_box(vs.as_slice());
-        } else {
-            unreachable!("Values frame");
-        }
-    });
     let decode_owned_ns = time_ns(|| {
         std::hint::black_box(
-            ssx_core::protocol::decode_response(std::hint::black_box(&frame)).expect("owned"),
+            ssx_core::protocol::decode_response(std::hint::black_box(&frame)).expect("decode"),
         );
     });
-    match ssx_core::protocol::decode_response_view(&frame).expect("view") {
-        ssx_core::protocol::ResponseView::Values(vs) => {
-            assert_eq!(
-                vs.as_slice(),
-                &wire_vals[..],
-                "zero-copy decode changed data"
-            );
-        }
-        other => panic!("unexpected view {other:?}"),
-    }
+    assert_eq!(
+        ssx_core::protocol::decode_response(&frame).expect("decode"),
+        ssx_core::protocol::Response::Values(wire_vals),
+        "decode changed data"
+    );
 
     // End-to-end query: the full Table-1 chain on a fixed ~64 KB database,
     // containment rule, both engines.
@@ -317,23 +283,6 @@ fn bench_json(path: &str) {
             }
         }
     }
-    // The fig5-style chain over a *parallel-encoded* database must answer
-    // bit-identically to the serial-encoded reference (the PR-8 guarantee,
-    // end to end rather than just at the stored bytes).
-    {
-        let pout = ssx_core::encode_document_parallel(&xml, &map, &seed).expect("parallel encode");
-        let mut pdb = ssx_core::EncryptedDb::from_encode_output(pout, paper_map(), paper_seed(), 1)
-            .expect("parallel db");
-        let out = pdb
-            .query(&chain, EngineKind::Simple, MatchRule::Containment)
-            .expect("query");
-        assert_eq!(
-            reference.as_ref().expect("reference set"),
-            &out.pres(),
-            "chain query over a parallel encode must match the serial plane"
-        );
-    }
-
     let rt_reduction = rt_unbatched_s1 as f64 / rt_batched_s1.max(1) as f64;
     assert!(
         rt_speculative_s1 < rt_batched_s1,
@@ -725,7 +674,7 @@ fn bench_json(path: &str) {
 
     let spec_hit_rate = spec_hits_s1 as f64 / (spec_hits_s1 + spec_wasted_s1).max(1) as f64;
     let json = format!(
-        "{{\n  \"schema\": \"ssxdb-bench/10\",\n  \"q\": 83,\n  \"elements\": {elements},\n  \
+        "{{\n  \"schema\": \"ssxdb-bench/11\",\n  \"q\": 83,\n  \"elements\": {elements},\n  \
          \"ring_mul_coeff_ns\": {ring_mul_coeff_ns:.1},\n  \
          \"ring_mul_eval_ns\": {ring_mul_eval_ns:.1},\n  \
          \"ring_mul_speedup\": {:.1},\n  \
@@ -739,9 +688,6 @@ fn bench_json(path: &str) {
          \"unpack_radix_ns\": {unpack_ns:.1},\n  \
          \"node_encode_ns\": {node_encode_ns:.1},\n  \
          \"encode_rows_per_s_serial\": {encode_rows_per_s_serial:.0},\n  \
-         \"encode_rows_per_s_parallel\": {encode_rows_per_s_parallel:.0},\n  \
-         \"encode_threads\": {threads},\n  \
-         \"decode_zero_copy_ns\": {decode_zero_copy_ns:.1},\n  \
          \"decode_owned_ns\": {decode_owned_ns:.1},\n  \
          \"query_table1_chain_simple_ms\": {query_simple_ms:.3},\n  \
          \"query_table1_chain_advanced_ms\": {query_advanced_ms:.3},\n  \

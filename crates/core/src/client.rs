@@ -11,7 +11,7 @@
 use crate::encode::digits_value;
 use crate::error::CoreError;
 use crate::map::MapFile;
-use crate::protocol::{Request, Response, ResponseView, AGG_FENCE};
+use crate::protocol::{Request, Response, AGG_FENCE};
 use crate::transport::{Transport, TransportStats};
 use ssx_poly::{extract_root_evals, random_poly, EvalPoly, Packer, RingCtx, RingPoly, RootOutcome};
 use ssx_prg::{node_prg, Seed};
@@ -247,19 +247,15 @@ impl<T: Transport> ClientFilter<T> {
         let mut server_vals = Vec::with_capacity(locs.len());
         for chunk in locs.chunks(limit) {
             let pres: Vec<u32> = chunk.iter().map(|l| l.pre).collect();
-            // Borrowed first-touch decode: the bulk Values payload is read
-            // straight out of the transport's receive buffer (when aligned)
-            // into our accumulator — no intermediate Vec per chunk.
             self.transport
                 .call_with(
                     &Request::EvalMany { pres, point: value },
-                    &mut |view| match view {
-                        ResponseView::Values(vs) => {
-                            server_vals.extend_from_slice(vs.as_slice());
+                    &mut |resp| match resp {
+                        Response::Values(vs) => {
+                            server_vals.extend_from_slice(vs);
                             Ok(())
                         }
-                        ResponseView::Other(Response::Err(e)) => Err(CoreError::Transport(e)),
-                        other => Err(unexpected(other.into_owned())),
+                        other => Err(unexpected(other.clone())),
                     },
                 )?;
         }

@@ -19,7 +19,7 @@ use crate::map::MapFile;
 use ssx_poly::{random_poly_into, EvalPoly, Packer, RingCtx, RingPoly};
 use ssx_prg::{node_prg, node_prg_from_digest, seed_digest, Seed};
 use ssx_store::{Loc, Row, Table, NUM_PLANE_BASE};
-use ssx_xml::{Document, NodeKind, PullParser, XmlEvent, XmlToken};
+use ssx_xml::{Document, NodeKind, PullParser, XmlToken};
 use std::time::{Duration, Instant};
 
 /// Numeric-plane row id of element `pre` — where the element's integer
@@ -112,24 +112,6 @@ pub struct EncodeOutput {
     pub stats: EncodeStats,
 }
 
-/// Deferred per-node storage-boundary work captured by the parallel
-/// encoder's serial fold phase: everything `Encoder::end` needs to finish a
-/// row *except* the tree context. Jobs are independent — the client-share
-/// PRG stream is keyed by `(seed, pre)` alone — so workers may process them
-/// in any order and still produce bytes bit-identical to the serial path.
-enum BoundaryJob {
-    /// A childless element: its polynomial is the single factor `x − tag`,
-    /// whose coefficient form is known outright.
-    Leaf { loc: Loc, tag: u64 },
-    /// An element with children: the folded product, still in the
-    /// evaluation domain.
-    Internal {
-        loc: Loc,
-        evals: EvalPoly,
-        factors: usize,
-    },
-}
-
 /// Per-open-element numeric-text state: one clean digit run makes a value,
 /// anything else (mixed content, split runs, non-digits) poisons the frame.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -209,12 +191,11 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// Incremental encoder; drive it with [`Encoder::start`]/[`Encoder::end`].
-struct Encoder<'a> {
+struct Encoder {
     ring: RingCtx,
     packer: Packer,
     table: Table,
     tags: TagCache,
-    seed: &'a Seed,
     /// `seed_digest(seed)`, hoisted out of the per-node share derivation.
     digest: u64,
     stack: Vec<Frame>,
@@ -231,18 +212,14 @@ struct Encoder<'a> {
     scratch_client: RingPoly,
     scratch_pack_work: Vec<u64>,
     scratch_pack_out: Vec<u8>,
-    /// `Some` puts the encoder in job-collecting mode: `end` defers the
-    /// storage boundary (inverse transform, share split, pack) into this
-    /// queue instead of running it inline. Used by the parallel encoder.
-    jobs: Option<Vec<BoundaryJob>>,
     /// Leaves whose text parsed as a numeric value, in close order; their
     /// numeric-plane rows are emitted at `finish` (after every document row,
-    /// sorted by pre, so serial and parallel encodes stay bit-identical).
+    /// sorted by pre).
     numeric: Vec<(Loc, u64)>,
 }
 
-impl<'a> Encoder<'a> {
-    fn new(map: &'a MapFile, seed: &'a Seed) -> Result<Self, CoreError> {
+impl Encoder {
+    fn new(map: &MapFile, seed: &Seed) -> Result<Self, CoreError> {
         let ring = RingCtx::new(map.p(), map.e())?;
         let packer = Packer::new(&ring);
         let table = Table::new(packer.radix_len());
@@ -253,7 +230,6 @@ impl<'a> Encoder<'a> {
             packer,
             table,
             tags: TagCache::new(map),
-            seed,
             digest: seed_digest(seed),
             stack: Vec::new(),
             pool: Vec::new(),
@@ -264,15 +240,8 @@ impl<'a> Encoder<'a> {
             scratch_client,
             scratch_pack_work: Vec::new(),
             scratch_pack_out: Vec::new(),
-            jobs: None,
             numeric: Vec::new(),
         })
-    }
-
-    fn new_collecting(map: &'a MapFile, seed: &'a Seed) -> Result<Self, CoreError> {
-        let mut enc = Self::new(map, seed)?;
-        enc.jobs = Some(Vec::new());
-        Ok(enc)
     }
 
     fn start(&mut self, name: &str) -> Result<(), CoreError> {
@@ -343,16 +312,9 @@ impl<'a> Encoder<'a> {
             // into the parent is the fused linear pass.
             None => {
                 debug_assert_eq!(factors, 1);
-                if let Some(jobs) = &mut self.jobs {
-                    jobs.push(BoundaryJob::Leaf {
-                        loc,
-                        tag: frame.tag_value,
-                    });
-                } else {
-                    self.ring
-                        .linear_into(frame.tag_value, &mut self.scratch_node);
-                    self.split_pack_insert(loc)?;
-                }
+                self.ring
+                    .linear_into(frame.tag_value, &mut self.scratch_node);
+                self.split_pack_insert(loc)?;
                 if let Some(parent) = self.stack.last_mut() {
                     match &mut parent.acc {
                         Some(acc) => self.ring.eval_mul_linear_assign(acc, frame.tag_value),
@@ -369,52 +331,32 @@ impl<'a> Encoder<'a> {
             // the evaluation domain.
             Some(mut f) => {
                 self.ring.eval_mul_linear_assign(&mut f, frame.tag_value);
-                if let Some(mut jobs) = self.jobs.take() {
-                    // Parallel mode: the job takes ownership of `f`; a
-                    // parent still lacking an accumulator gets a clone (the
-                    // first-child case). The fold itself stays serial — it
-                    // is the only tree-ordered dependency.
-                    if let Some(parent) = self.stack.last_mut() {
+                // Wire/storage boundary: back to coefficient form — bounded
+                // by the node's exact degree — then split.
+                self.ring
+                    .from_evals_bounded_into(&f, factors, &mut self.scratch_node);
+                self.split_pack_insert(loc)?;
+                // Fold into the parent; a parent with no accumulator yet
+                // adopts `f` wholesale, otherwise `f`'s buffer recycles.
+                match self.stack.last_mut() {
+                    Some(parent) => {
                         match &mut parent.acc {
-                            Some(acc) => self.ring.eval_mul_assign(acc, &f),
-                            None => parent.acc = Some(f.clone()),
+                            Some(acc) => {
+                                self.ring.eval_mul_assign(acc, &f);
+                                self.pool.push(f);
+                            }
+                            None => parent.acc = Some(f),
                         }
                         parent.subtree_elems += factors;
                     }
-                    jobs.push(BoundaryJob::Internal {
-                        loc,
-                        evals: f,
-                        factors,
-                    });
-                    self.jobs = Some(jobs);
-                } else {
-                    // Wire/storage boundary: back to coefficient form —
-                    // bounded by the node's exact degree — then split.
-                    self.ring
-                        .from_evals_bounded_into(&f, factors, &mut self.scratch_node);
-                    self.split_pack_insert(loc)?;
-                    // Fold into the parent; a parent with no accumulator yet
-                    // adopts `f` wholesale, otherwise `f`'s buffer recycles.
-                    match self.stack.last_mut() {
-                        Some(parent) => {
-                            match &mut parent.acc {
-                                Some(acc) => {
-                                    self.ring.eval_mul_assign(acc, &f);
-                                    self.pool.push(f);
-                                }
-                                None => parent.acc = Some(f),
-                            }
-                            parent.subtree_elems += factors;
-                        }
-                        None => self.pool.push(f),
-                    }
+                    None => self.pool.push(f),
                 }
             }
         }
         Ok(())
     }
 
-    /// Shared tail of the serial storage boundary: `scratch_node` holds the
+    /// Shared tail of the storage boundary: `scratch_node` holds the
     /// plaintext coefficients; subtract the PRG client share, pack, insert.
     /// The client share comes from `PRG(seed, pre)`, so it is regenerable at
     /// query time and independent of encode order.
@@ -441,7 +383,7 @@ impl<'a> Encoder<'a> {
     /// client share keyed by the row's (numeric-plane) pre — so persistence,
     /// WAL replay, resharding and fleet splitting treat these rows exactly
     /// like document rows. Rows go in sorted by pre, after every document
-    /// row, keeping serial and parallel encodes bit-identical.
+    /// row.
     fn finish(mut self, input_bytes: usize, started: Instant) -> Result<EncodeOutput, CoreError> {
         debug_assert!(self.stack.is_empty(), "unbalanced events");
         self.numeric.sort_unstable_by_key(|(loc, _)| loc.pre);
@@ -467,81 +409,6 @@ impl<'a> Encoder<'a> {
             packer: self.packer,
         })
     }
-
-    /// Drains the collected boundary jobs across `threads` scoped workers
-    /// and inserts the rows in the original post-order. Each worker carries
-    /// its own scratch buffers; because client-share streams are keyed by
-    /// `(seed, pre)` and packing is deterministic, the stored bytes are
-    /// bit-identical to the serial path for every thread count.
-    fn finish_parallel(
-        mut self,
-        threads: usize,
-        input_bytes: usize,
-        started: Instant,
-    ) -> Result<EncodeOutput, CoreError> {
-        let jobs = self.jobs.take().expect("finish_parallel without jobs");
-        let threads = threads.clamp(1, jobs.len().max(1));
-        let ring = &self.ring;
-        let packer = &self.packer;
-        let seed = self.seed;
-        let chunk_len = jobs.len().div_ceil(threads);
-        let mut rows: Vec<Vec<Row>> = Vec::with_capacity(threads);
-        if threads == 1 || chunk_len == 0 {
-            rows.push(boundary_chunk(ring, packer, seed, &jobs));
-        } else {
-            let chunks: Vec<&[BoundaryJob]> = jobs.chunks(chunk_len).collect();
-            rows = std::thread::scope(|scope| {
-                let handles: Vec<_> = chunks
-                    .iter()
-                    .map(|chunk| scope.spawn(move || boundary_chunk(ring, packer, seed, chunk)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("encoder worker panicked"))
-                    .collect()
-            });
-        }
-        for row in rows.into_iter().flatten() {
-            self.table.insert(row)?;
-        }
-        self.finish(input_bytes, started)
-    }
-}
-
-/// Runs the storage boundary for a contiguous slice of jobs with
-/// worker-local scratch buffers; order within the slice is preserved.
-fn boundary_chunk(ring: &RingCtx, packer: &Packer, seed: &Seed, jobs: &[BoundaryJob]) -> Vec<Row> {
-    let digest = seed_digest(seed);
-    let mut node = ring.zero();
-    let mut client = ring.zero();
-    let mut work = Vec::new();
-    let mut out = Vec::new();
-    jobs.iter()
-        .map(|job| {
-            let loc = match job {
-                BoundaryJob::Leaf { loc, tag } => {
-                    ring.linear_into(*tag, &mut node);
-                    *loc
-                }
-                BoundaryJob::Internal {
-                    loc,
-                    evals,
-                    factors,
-                } => {
-                    ring.from_evals_bounded_into(evals, *factors, &mut node);
-                    *loc
-                }
-            };
-            let mut prg = node_prg_from_digest(digest, loc.pre as u64);
-            random_poly_into(ring, &mut prg, &mut client);
-            ring.sub_assign(&mut node, &client);
-            packer.pack_radix_into(&node, &mut work, &mut out);
-            Row {
-                loc,
-                poly: out.as_slice().into(),
-            }
-        })
-        .collect()
 }
 
 /// Encodes an XML document string. Text is invisible to the base scheme's
@@ -561,7 +428,7 @@ pub fn encode_document(xml: &str, map: &MapFile, seed: &Seed) -> Result<EncodeOu
 /// drive the structural fold, Text feeds the numeric accumulator. Uses
 /// [`PullParser::next_token`] so character data crosses without per-event
 /// `String` allocations.
-fn drive_parser(enc: &mut Encoder<'_>, xml: &str) -> Result<(), CoreError> {
+fn drive_parser(enc: &mut Encoder, xml: &str) -> Result<(), CoreError> {
     let mut parser = PullParser::new(xml);
     while let Some(tok) = parser.next_token()? {
         match tok {
@@ -593,79 +460,6 @@ pub fn encode_document_at(
     enc.post = offset;
     drive_parser(&mut enc, xml)?;
     enc.finish(xml.len(), started)
-}
-
-/// Encodes an XML document with the storage boundary (inverse transform,
-/// share split, radix pack) fanned out over `threads` scoped workers. The
-/// tree fold itself stays serial — it is the only tree-ordered dependency —
-/// so the stored table is bit-identical to [`encode_document`] for every
-/// thread count. `threads == 0` is treated as 1.
-pub fn encode_document_parallel_with(
-    xml: &str,
-    map: &MapFile,
-    seed: &Seed,
-    threads: usize,
-) -> Result<EncodeOutput, CoreError> {
-    let started = Instant::now();
-    let mut enc = Encoder::new_collecting(map, seed)?;
-    drive_parser(&mut enc, xml)?;
-    enc.finish_parallel(threads, xml.len(), started)
-}
-
-/// [`encode_document_parallel_with`] keyed by the host's available
-/// parallelism (1 if it cannot be determined).
-pub fn encode_document_parallel(
-    xml: &str,
-    map: &MapFile,
-    seed: &Seed,
-) -> Result<EncodeOutput, CoreError> {
-    encode_document_parallel_with(xml, map, seed, default_threads())
-}
-
-/// Parallel-boundary variant of [`encode_events`]; same bit-identity
-/// guarantee as [`encode_document_parallel_with`].
-pub fn encode_events_parallel_with(
-    events: &[XmlEvent],
-    input_bytes: usize,
-    map: &MapFile,
-    seed: &Seed,
-    threads: usize,
-) -> Result<EncodeOutput, CoreError> {
-    let started = Instant::now();
-    let mut enc = Encoder::new_collecting(map, seed)?;
-    for ev in events {
-        match ev {
-            XmlEvent::StartElement { name, .. } => enc.start(name)?,
-            XmlEvent::EndElement { .. } => enc.end()?,
-            XmlEvent::Text(t) => enc.text(t),
-        }
-    }
-    enc.finish_parallel(threads, input_bytes, started)
-}
-
-/// Worker count used by the `_parallel` entry points: the host's available
-/// parallelism, or 1 when it cannot be determined.
-pub fn default_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Encodes a pre-parsed event stream (element events only are honoured).
-pub fn encode_events(
-    events: &[XmlEvent],
-    input_bytes: usize,
-    map: &MapFile,
-    seed: &Seed,
-) -> Result<EncodeOutput, CoreError> {
-    let started = Instant::now();
-    let mut enc = Encoder::new(map, seed)?;
-    for ev in events {
-        match ev {
-            XmlEvent::StartElement { name, .. } => enc.start(name)?,
-            XmlEvent::EndElement { .. } => enc.end()?,
-            XmlEvent::Text(t) => enc.text(t),
-        }
-    }
-    enc.finish(input_bytes, started)
 }
 
 /// Encodes a DOM directly (used for trie-transformed documents, which exist
@@ -1004,53 +798,6 @@ mod tests {
         assert_eq!(ring.eval(&f, map.value("a").unwrap()), 0);
         assert_eq!(ring.eval(&f, map.value("site").unwrap()), 0);
         assert_ne!(ring.eval(&f, map.value("b").unwrap()), 0);
-    }
-
-    #[test]
-    fn parallel_encoder_is_bit_identical_for_any_thread_count() {
-        let (map, seed) = setup();
-        // Deep-and-wide enough that every worker gets several jobs at
-        // threads = 8, plus a degenerate single-element document.
-        for xml in [
-            "<site/>",
-            "<site><a><b/><b/></a><c/><a><b/></a><c/><b/><a/><c/></site>",
-        ] {
-            let serial = encode_document(xml, &map, &seed).unwrap();
-            for threads in [0usize, 1, 2, 8] {
-                let par = encode_document_parallel_with(xml, &map, &seed, threads).unwrap();
-                assert_eq!(par.table.len(), serial.table.len(), "threads={threads}");
-                assert_eq!(
-                    par.table.rows(),
-                    serial.table.rows(),
-                    "threads={threads} xml={xml}"
-                );
-            }
-        }
-        // Host-keyed entry point agrees too.
-        let xml = "<site><a><b/></a><c/></site>";
-        let serial = encode_document(xml, &map, &seed).unwrap();
-        let auto = encode_document_parallel(xml, &map, &seed).unwrap();
-        assert_eq!(auto.table.rows(), serial.table.rows());
-    }
-
-    #[test]
-    fn parallel_event_encoder_matches_document_path() {
-        let (map, seed) = setup();
-        let xml = "<site><a><b/></a><c/><a/></site>";
-        let events: Vec<XmlEvent> = {
-            let mut parser = PullParser::new(xml);
-            let mut evs = Vec::new();
-            while let Some(ev) = parser.next().unwrap() {
-                evs.push(ev);
-            }
-            evs
-        };
-        let serial = encode_events(&events, xml.len(), &map, &seed).unwrap();
-        for threads in [1usize, 2, 8] {
-            let par =
-                encode_events_parallel_with(&events, xml.len(), &map, &seed, threads).unwrap();
-            assert_eq!(par.table.rows(), serial.table.rows(), "threads={threads}");
-        }
     }
 
     #[test]

@@ -104,7 +104,7 @@ impl EncryptedDb {
     }
 
     /// Builds a database around an already-finished encode — e.g. one
-    /// produced by [`crate::encode_document_parallel`] — partitioned across
+    /// produced by [`crate::encode_document_at`] — partitioned across
     /// `shards` server filters. The `map` and `seed` must be the ones the
     /// encode ran under (the client regenerates its shares from them).
     pub fn from_encode_output(

@@ -46,10 +46,8 @@ pub use aggregate::{run_aggregate, AggOp, AggregateOutcome, AggregateSpec};
 pub use chaos::{ChaosConfig, ChaosProxy, ChaosTransport};
 pub use client::{ClientFilter, ClientStats};
 pub use encode::{
-    default_threads, encode_document, encode_document_at, encode_document_fleet,
-    encode_document_parallel, encode_document_parallel_with, encode_dom, encode_events,
-    encode_events_parallel_with, fleet_mac_key, split_fleet, EncodeOutput, EncodeStats,
-    FleetEncodeOutput, FleetSpec, PartyStore,
+    encode_document, encode_document_at, encode_document_fleet, encode_dom, fleet_mac_key,
+    split_fleet, EncodeOutput, EncodeStats, FleetEncodeOutput, FleetSpec, PartyStore,
 };
 pub use engine::{
     AdvancedEngine, Engine, EngineKind, MatchRule, QueryOutcome, QueryStats, SimpleEngine,

@@ -692,6 +692,10 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
     }
 }
 
+/// What [`crate::transport::Transport::call_with`] lends its sink: the
+/// decoded response, borrowed.
+pub type ResponseView<'a> = &'a Response;
+
 /// Deserialises a response.
 pub fn decode_response(buf: &[u8]) -> Result<Response, CoreError> {
     decode_response_nested(buf, Nesting::Top)
@@ -713,7 +717,14 @@ fn decode_response_nested(buf: &[u8], nesting: Nesting) -> Result<Response, Core
         3 => {
             let n = r.u32()? as usize;
             let n = r.items(n, 8)?;
-            Response::Values((0..n).map(|_| r.u64()).collect::<Result<Vec<_>, _>>()?)
+            // `items` bounded `n * 8` by the bytes left, so one slice read
+            // covers the payload: no checked read per element.
+            Response::Values(
+                r.take(n * 8)?
+                    .chunks_exact(8)
+                    .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
+                    .collect(),
+            )
         }
         4 => {
             let n = r.u32()? as usize;
@@ -768,163 +779,6 @@ fn decode_response_nested(buf: &[u8], nesting: Nesting) -> Result<Response, Core
     };
     r.finish()?;
     Ok(resp)
-}
-
-// ---- zero-copy response views ----------------------------------------------
-
-/// The element array of a `Values` frame, viewed in place when possible.
-///
-/// A `Values` payload is `count` little-endian `u64`s starting 5 bytes into
-/// the frame (tag + count prefix), so its natural alignment is an accident
-/// of the receive buffer. When the payload happens to be 8-byte aligned on a
-/// little-endian host the slice is reinterpreted in place; otherwise the
-/// elements are copied out once. Both arms present the same `&[u64]`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ValuesView<'a> {
-    /// Payload bytes reinterpreted in place — no allocation, no copy.
-    Borrowed(&'a [u64]),
-    /// Copy fallback: misaligned payload or big-endian host.
-    Owned(Vec<u64>),
-}
-
-impl ValuesView<'_> {
-    /// The elements, wherever they live.
-    pub fn as_slice(&self) -> &[u64] {
-        match self {
-            ValuesView::Borrowed(s) => s,
-            ValuesView::Owned(v) => v,
-        }
-    }
-
-    /// Detaches the view from the frame.
-    pub fn into_vec(self) -> Vec<u64> {
-        match self {
-            ValuesView::Borrowed(s) => s.to_vec(),
-            ValuesView::Owned(v) => v,
-        }
-    }
-}
-
-/// Interprets `bytes` (exactly `n` little-endian u64s) as a [`ValuesView`],
-/// borrowing in place when alignment and endianness allow.
-fn values_view(bytes: &[u8], n: usize) -> ValuesView<'_> {
-    debug_assert_eq!(bytes.len(), n * 8);
-    #[cfg(target_endian = "little")]
-    {
-        // SAFETY: `align_to` only yields a non-empty prefix-free middle when
-        // the pointer is 8-byte aligned and the length covers whole u64s;
-        // every u64 bit pattern is valid, and on a little-endian host the
-        // in-memory bytes of a u64 are exactly the wire encoding.
-        let (head, mid, tail) = unsafe { bytes.align_to::<u64>() };
-        if head.is_empty() && tail.is_empty() && mid.len() == n {
-            return ValuesView::Borrowed(mid);
-        }
-    }
-    ValuesView::Owned(
-        bytes
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-            .collect(),
-    )
-}
-
-/// A response decoded without copying its bulk payloads out of the frame.
-///
-/// Accepts exactly the frames [`decode_response`] accepts and rejects
-/// exactly the frames it rejects — the two decoders share the `Reader`
-/// validation path, so `decode_response_view(buf).map(ResponseView::into_owned)`
-/// is observationally identical to `decode_response(buf)`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ResponseView<'a> {
-    /// `Values` with the element array viewed in place when aligned.
-    Values(ValuesView<'a>),
-    /// `Polys` with each packed polynomial borrowed from the frame.
-    Polys(Vec<&'a [u8]>),
-    /// `Batch` of borrowed sub-views.
-    Batch(Vec<ResponseView<'a>>),
-    /// Every other variant carries no bulk payload; decoded eagerly.
-    Other(Response),
-}
-
-impl<'a> ResponseView<'a> {
-    /// A view lending the bulk payloads of an already-decoded response —
-    /// what [`crate::transport::Transport::call_with`]'s default
-    /// implementation hands to the sink when a transport has no wire buffer
-    /// to borrow from. Non-bulk variants are cloned (they are a few words).
-    pub fn of(resp: &'a Response) -> ResponseView<'a> {
-        match resp {
-            Response::Values(vs) => ResponseView::Values(ValuesView::Borrowed(vs)),
-            Response::Polys(ps) => ResponseView::Polys(ps.iter().map(|p| p.as_slice()).collect()),
-            Response::Batch(subs) => {
-                ResponseView::Batch(subs.iter().map(ResponseView::of).collect())
-            }
-            other => ResponseView::Other(other.clone()),
-        }
-    }
-
-    /// Converts to the owned [`Response`], copying any still-borrowed data.
-    pub fn into_owned(self) -> Response {
-        match self {
-            ResponseView::Values(v) => Response::Values(v.into_vec()),
-            ResponseView::Polys(ps) => {
-                Response::Polys(ps.into_iter().map(|p| p.to_vec()).collect())
-            }
-            ResponseView::Batch(subs) => {
-                Response::Batch(subs.into_iter().map(|s| s.into_owned()).collect())
-            }
-            ResponseView::Other(r) => r,
-        }
-    }
-}
-
-/// Zero-copy counterpart of [`decode_response`]: bulk payloads (`Values`
-/// elements, `Polys` bytes) stay borrowed from `buf`; everything else is
-/// decoded as usual. Same validation, same errors.
-pub fn decode_response_view(buf: &[u8]) -> Result<ResponseView<'_>, CoreError> {
-    decode_response_view_nested(buf, Nesting::Top)
-}
-
-fn decode_response_view_nested(
-    buf: &[u8],
-    nesting: Nesting,
-) -> Result<ResponseView<'_>, CoreError> {
-    let mut r = Reader::new(buf);
-    let tag = r.u8()?;
-    let view = match tag {
-        3 => {
-            let n = r.u32()? as usize;
-            let n = r.items(n, 8)?;
-            ResponseView::Values(values_view(r.take(n * 8)?, n))
-        }
-        4 => {
-            let n = r.u32()? as usize;
-            let n = r.items(n, 4)?;
-            ResponseView::Polys(
-                (0..n)
-                    .map(|_| r.bytes_ref())
-                    .collect::<Result<Vec<_>, _>>()?,
-            )
-        }
-        9 => {
-            if nesting == Nesting::InBatch {
-                return Err(CoreError::Transport("nested batch refused".into()));
-            }
-            let n = r.u32()? as usize;
-            let n = r.items(n, 5)?;
-            let subs = (0..n)
-                .map(|_| decode_response_view_nested(r.bytes_ref()?, Nesting::InBatch))
-                .collect::<Result<Vec<_>, _>>()?;
-            ResponseView::Batch(subs)
-        }
-        _ => {
-            // No bulk payload behind this tag (a `Pair` is answered owned:
-            // the fleet combines its halves, nobody views them): the owned
-            // decoder takes it under the same nesting rules.
-            return decode_response_nested(buf, nesting).map(ResponseView::Other);
-        }
-    };
-    r.finish()?;
-    Ok(view)
 }
 
 #[cfg(test)]
@@ -1181,10 +1035,8 @@ mod tests {
             let mut batch = frame(9, &[1]);
             batch.extend(framed(&[resp]));
             for bytes in [resp, &batch] {
-                let owned = decode_response(bytes).unwrap_err().to_string();
-                let view = decode_response_view(bytes).unwrap_err().to_string();
-                assert_eq!(owned, want, "response tag {}", resp[0]);
-                assert_eq!(view, want, "response tag {} (view)", resp[0]);
+                let got = decode_response(bytes).unwrap_err().to_string();
+                assert_eq!(got, want, "response tag {}", resp[0]);
             }
         }
         for (req, tag) in [
@@ -1315,7 +1167,7 @@ mod tests {
         assert!(decode_response(&w).is_err(), "nested response batch");
 
         // Pairs are top-level only: a pair inside a `Batch`, a `ToShard` or
-        // another pair is refused by both decoders.
+        // another pair is refused by both the request and response decoders.
         let pair = encode_request(&Request::Pair {
             data: Box::new(Request::Count),
             mac: Box::new(Request::Count),
@@ -1354,7 +1206,6 @@ mod tests {
         batch_in_pair.extend(framed(&[&in_batch, &ok]));
         for frame in [in_batch, in_pair, batch_in_pair] {
             assert!(decode_response(&frame).is_err(), "nested response pair");
-            assert!(decode_response_view(&frame).is_err(), "nested (view)");
         }
     }
 
@@ -1453,12 +1304,13 @@ mod tests {
         );
     }
 
-    /// The view decoder must accept exactly what the owned decoder accepts
-    /// and produce the same value, for every variant and at every buffer
-    /// alignment — the borrow is an optimisation, never a semantic change.
+    /// Every response variant round-trips wherever its frame lands in the
+    /// receive buffer: a `Values` payload starts 5 bytes into the frame, so
+    /// the 8 shifts cover every alignment of the bulk element read.
     #[test]
-    fn view_decode_matches_owned_decode() {
+    fn responses_round_trip_at_every_alignment() {
         let cases = vec![
+            Response::MaybeLoc(None),
             Response::MaybeLoc(Some(loc(4))),
             Response::Locs(vec![loc(1), loc(2)]),
             Response::Values(vec![]),
@@ -1474,6 +1326,10 @@ mod tests {
                 Response::Polys(vec![vec![9]]),
                 Response::Err("one bad slot".into()),
             ]),
+            Response::Agg {
+                found: vec![1 << 30],
+                partials: vec![vec![5, 6]],
+            },
             Response::Hello {
                 version: 1,
                 shards: 4,
@@ -1485,52 +1341,18 @@ mod tests {
         ];
         for resp in cases {
             let bytes = encode_response(&resp);
-            // Decode the same frame at 8 different alignments: copy it into
-            // a padded buffer so the Values payload lands aligned for some
-            // shifts and misaligned for others. Results must not differ.
             let mut padded = vec![0u8; bytes.len() + 16];
             for shift in 0..8 {
                 padded[shift..shift + bytes.len()].copy_from_slice(&bytes);
-                let view = decode_response_view(&padded[shift..shift + bytes.len()]).unwrap();
-                assert_eq!(view.into_owned(), resp, "{resp:?} shift={shift}");
+                let got = decode_response(&padded[shift..shift + bytes.len()]).unwrap();
+                assert_eq!(got, resp, "{resp:?} shift={shift}");
             }
         }
     }
 
-    /// When the `Values` payload happens to be 8-byte aligned the view must
-    /// actually borrow (that is the perf point), and the copy fallback must
-    /// fire on the other alignments.
-    #[cfg(target_endian = "little")]
+    /// Malformed response frames are refused, never truncated or padded.
     #[test]
-    fn values_view_borrows_when_aligned() {
-        let resp = Response::Values(vec![5, 6, 7]);
-        let bytes = encode_response(&resp);
-        let mut padded = vec![0u8; bytes.len() + 16];
-        let mut borrowed = 0;
-        let mut owned = 0;
-        for shift in 0..8 {
-            padded[shift..shift + bytes.len()].copy_from_slice(&bytes);
-            match decode_response_view(&padded[shift..shift + bytes.len()]).unwrap() {
-                ResponseView::Values(ValuesView::Borrowed(s)) => {
-                    assert_eq!(s, &[5, 6, 7]);
-                    borrowed += 1;
-                }
-                ResponseView::Values(ValuesView::Owned(v)) => {
-                    assert_eq!(v, vec![5, 6, 7]);
-                    owned += 1;
-                }
-                other => panic!("unexpected view {other:?}"),
-            }
-        }
-        // The payload starts 5 bytes into the frame, so exactly one of the
-        // 8 shifts puts it on an 8-byte boundary.
-        assert_eq!(borrowed, 1, "exactly one shift should align the payload");
-        assert_eq!(owned, 7);
-    }
-
-    /// Corrupt frames must be rejected by both decoders alike.
-    #[test]
-    fn view_decode_rejects_what_owned_rejects() {
+    fn malformed_responses_rejected() {
         let corrupt: Vec<Vec<u8>> = vec![
             vec![],
             vec![99],
@@ -1564,14 +1386,7 @@ mod tests {
             },
         ];
         for frame in corrupt {
-            assert!(
-                decode_response(&frame).is_err(),
-                "owned should reject {frame:?}"
-            );
-            assert!(
-                decode_response_view(&frame).is_err(),
-                "view should reject {frame:?}"
-            );
+            assert!(decode_response(&frame).is_err(), "should reject {frame:?}");
         }
     }
 

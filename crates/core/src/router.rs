@@ -161,11 +161,6 @@ impl ShardRouter<LocalTransport> {
         self.transports.iter().map(|t| t.server())
     }
 
-    /// Mutable access to the per-shard servers (stat resets in benches).
-    pub fn servers_mut(&mut self) -> impl Iterator<Item = &mut ServerFilter> {
-        self.transports.iter_mut().map(|t| t.server_mut())
-    }
-
     /// Repartitions the in-process fleet across `shards` filters without a
     /// save/load cycle ([`ShardedServer::reshard`]): rows move
     /// bit-identically, the router re-wires one transport per new shard,

@@ -117,11 +117,6 @@ impl ServerFilter {
         self.stats
     }
 
-    /// Resets the counters.
-    pub fn reset_stats(&mut self) {
-        self.stats = ServerStats::default();
-    }
-
     /// Evaluates the stored share of `pre` at `point`. The point is
     /// validated first — it arrives from the network and must not reach the
     /// ring arithmetic out of range.

@@ -33,9 +33,8 @@
 
 use crate::error::CoreError;
 use crate::protocol::{
-    decode_corr_payload, decode_request, decode_response, decode_response_view,
-    encode_corr_payload, encode_request, encode_response, Request, Response, ResponseView,
-    MUX_PROTOCOL_VERSION,
+    decode_corr_payload, decode_request, decode_response, encode_corr_payload, encode_request,
+    encode_response, Request, Response, ResponseView, MUX_PROTOCOL_VERSION,
 };
 use crate::server::ServerFilter;
 use crate::shard::{ShardSpec, ShardedServer};
@@ -136,21 +135,15 @@ pub trait Transport {
         reqs.iter().map(|r| self.call(r)).collect()
     }
 
-    /// Sends one request and lends the response to `sink` as a borrowed
-    /// [`ResponseView`] while the receive buffer is still alive — the
-    /// first-touch decode path. Transports that own a wire frame override
-    /// this to decode it in place ([`crate::protocol::decode_response_view`]),
-    /// so a bulk `Values` payload reaches the sink without ever being copied
-    /// out of the receive buffer; the default lends a view of the owned
-    /// response, which is correct everywhere and costs one extra copy at
-    /// most. Accepts exactly what [`Transport::call`] accepts.
+    /// Sends one request and lends the decoded response to `sink`:
+    /// [`Transport::call`] plus a borrow, so a wrapper can tell the sink's
+    /// work apart from the call's. No built-in transport overrides it.
     fn call_with(
         &mut self,
         req: &Request,
         sink: &mut dyn FnMut(ResponseView<'_>) -> Result<(), CoreError>,
     ) -> Result<(), CoreError> {
-        let resp = self.call(req)?;
-        sink(ResponseView::of(&resp))
+        sink(&self.call(req)?)
     }
 
     /// Whether this transport can park an in-flight call and overlap
@@ -275,46 +268,23 @@ impl LocalTransport {
         &self.server
     }
 
-    /// Mutable access (stat resets in benches).
-    pub fn server_mut(&mut self) -> &mut ServerFilter {
-        &mut self.server
-    }
-
     /// Consumes the transport, yielding the wrapped server filter (used by
     /// the router's online re-shard to take the fleet back).
     pub fn into_server(self) -> ServerFilter {
         self.server
     }
-
-    /// One round trip, returning the raw response frame: the shared body of
-    /// [`Transport::call`] (owned decode) and [`Transport::call_with`]
-    /// (in-place view decode). Encode/decode both directions so counted
-    /// bytes match TCP exactly.
-    fn exchange(&mut self, req: &Request) -> Result<Vec<u8>, CoreError> {
-        let frame = encode_request(req);
-        self.stats.bytes_sent += frame.len() as u64;
-        let decoded = decode_request(&frame)?;
-        let resp = self.server.handle(&decoded);
-        let resp_frame = encode_response(&resp);
-        self.stats.bytes_received += resp_frame.len() as u64;
-        self.stats.round_trips += 1;
-        Ok(resp_frame)
-    }
 }
 
 impl Transport for LocalTransport {
     fn call(&mut self, req: &Request) -> Result<Response, CoreError> {
-        let resp_frame = self.exchange(req)?;
+        // Encode/decode both directions so counted bytes match TCP exactly.
+        let frame = encode_request(req);
+        self.stats.bytes_sent += frame.len() as u64;
+        let decoded = decode_request(&frame)?;
+        let resp_frame = encode_response(&self.server.handle(&decoded));
+        self.stats.bytes_received += resp_frame.len() as u64;
+        self.stats.round_trips += 1;
         decode_response(&resp_frame)
-    }
-
-    fn call_with(
-        &mut self,
-        req: &Request,
-        sink: &mut dyn FnMut(ResponseView<'_>) -> Result<(), CoreError>,
-    ) -> Result<(), CoreError> {
-        let resp_frame = self.exchange(req)?;
-        sink(decode_response_view(&resp_frame)?)
     }
 
     fn call_batch(&mut self, reqs: &[Request]) -> Result<Vec<Response>, CoreError> {
@@ -1185,11 +1155,12 @@ struct MuxSlot {
 /// wire instead of opening a connection each.
 ///
 /// An online reshard that keeps the shard count fences the pooled sockets
-/// (see [`ShardHost`]); the pool heals transparently — the first transport
-/// to see the fence reconnects the slot, replays its request once, and
-/// every other rider follows onto the fresh socket. A reshard that
-/// *changes* the count still surfaces an error: the pool's routing
-/// topology is wrong and the caller must reconnect.
+/// (the host answers them with a "reconnect" error); the pool heals
+/// transparently — the first transport to see the fence reconnects the
+/// slot, replays its request once, and every other rider follows onto the
+/// fresh socket. A reshard that *changes* the count still surfaces an
+/// error: the pool's routing topology is wrong and the caller must
+/// reconnect.
 #[derive(Clone)]
 pub struct MuxPool {
     slots: Vec<Arc<MuxSlot>>,

@@ -154,6 +154,16 @@ proptest! {
         prop_assert_eq!(decode_response(&bytes).unwrap(), resp);
     }
 
+    /// Arbitrary responses round-trip wherever the frame lands in the
+    /// receive buffer: the bulk `Values` read does not depend on alignment.
+    #[test]
+    fn responses_round_trip_at_any_alignment(resp in arb_response(), shift in 0usize..8) {
+        let bytes = encode_response(&resp);
+        let mut padded = vec![0u8; shift];
+        padded.extend_from_slice(&bytes);
+        prop_assert_eq!(decode_response(&padded[shift..]).unwrap(), resp);
+    }
+
     /// Any truncation of a valid frame decodes to an error — never a panic,
     /// never a silently shorter value.
     #[test]
@@ -230,7 +240,6 @@ proptest! {
                     decode_request(b).is_ok()
                 } else {
                     decode_response(b).is_ok()
-                        | ssx_core::protocol::decode_response_view(b).is_ok()
                 }
             };
             let keep = cut.index(bytes.len());
@@ -384,42 +393,5 @@ proptest! {
                 None => prop_assert!(false, "slot {} lost its uncorrupted delivery", i),
             }
         }
-    }
-}
-
-// ---- zero-copy view differential (the PR-8 borrowed decode) ----------------
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// The borrowed view decoder is observationally identical to the owned
-    /// decoder on *every* input: same acceptances, same values, same
-    /// rejections — at every buffer alignment, since whether a `Values`
-    /// payload borrows or copies depends on where the frame landed.
-    #[test]
-    fn view_decoder_matches_owned_on_random_bytes(
-        bytes in proptest::collection::vec(any::<u8>(), 0..512),
-        shift in 0usize..8,
-    ) {
-        let mut padded = vec![0u8; shift];
-        padded.extend_from_slice(&bytes);
-        let frame = &padded[shift..];
-        let owned = decode_response(frame);
-        let view = ssx_core::protocol::decode_response_view(frame);
-        match (owned, view) {
-            (Ok(o), Ok(v)) => prop_assert_eq!(o, v.into_owned()),
-            (Err(_), Err(_)) => {}
-            (o, v) => prop_assert!(false, "decoders disagree: owned={o:?} view={v:?}"),
-        }
-    }
-
-    /// Well-formed frames: the view round-trips to the original response.
-    #[test]
-    fn view_decoder_round_trips(resp in arb_response(), shift in 0usize..8) {
-        let bytes = encode_response(&resp);
-        let mut padded = vec![0u8; shift];
-        padded.extend_from_slice(&bytes);
-        let view = ssx_core::protocol::decode_response_view(&padded[shift..]).unwrap();
-        prop_assert_eq!(view.into_owned(), resp);
     }
 }
