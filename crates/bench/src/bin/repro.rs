@@ -300,7 +300,7 @@ fn bench_json(path: &str) {
     for (servers, threshold) in [(1usize, 1usize), (3, 1), (3, 2)] {
         let spec = ssx_core::FleetSpec::new(servers, threshold).expect("fleet spec");
         let mut db =
-            ssx_core::FleetDb::encode_fleet(&xml, paper_map(), paper_seed(), spec).expect("fleet");
+            EncryptedDb::encode_fleet(&xml, paper_map(), paper_seed(), spec).expect("fleet");
         let started = Instant::now();
         let out = db
             .query(&chain, EngineKind::Simple, MatchRule::Containment)
@@ -413,7 +413,7 @@ fn bench_json(path: &str) {
             let mut db = EncryptedDb::encode_sharded(&mux_doc, paper_map(), paper_seed(), 2)
                 .expect("sharded db");
             let mut fdb =
-                ssx_core::FleetDb::encode_fleet(&mux_doc, paper_map(), paper_seed(), fleet_spec)
+                EncryptedDb::encode_fleet(&mux_doc, paper_map(), paper_seed(), fleet_spec)
                     .expect("fleet db");
             for op in [AggOp::Count, AggOp::Sum, AggOp::Avg] {
                 let spec = AggregateSpec {
@@ -497,7 +497,7 @@ fn bench_json(path: &str) {
         let spec = ssx_core::FleetSpec::new(3, 2).expect("fleet spec");
         let fleet =
             ssx_core::encode_document_fleet(&mux_doc, &map, &seed, spec).expect("fleet encode");
-        let mut router = ssx_core::local_fleet_router_wrapped(fleet, &seed, 1, |party, t| {
+        let mut router = ssx_core::local_fleet_router(fleet, &seed, 1, |party, t| {
             let cfg = if party == 3 {
                 ssx_core::ChaosConfig::fixed_delay(7, Duration::from_millis(DEGRADED_DELAY_MS))
             } else {

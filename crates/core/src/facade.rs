@@ -376,7 +376,7 @@ impl<T: Transport + Send> EncryptedDb<T> {
         Ok(())
     }
 
-    /// The attached log, if any (tuning — e.g. [`Wal::set_sync`]).
+    /// The attached log, if any.
     pub fn wal_mut(&mut self) -> Option<&mut Wal> {
         self.wal.as_mut()
     }
@@ -500,13 +500,7 @@ impl RemoteMuxDb {
 /// An [`EncryptedDb`] over an in-process t-of-n fleet: `n` party hosts,
 /// each holding only a Shamir share of the data and MAC planes
 /// ([`crate::fleet`]).
-pub type FleetDb = EncryptedDb<ShardRouter<FleetTransport<LocalPartyTransport>>>;
-
-/// An [`EncryptedDb`] over a TCP fleet of party hosts, one [`MuxPool`]
-/// per party.
-pub type RemoteMuxFleetDb = EncryptedDb<ShardRouter<FleetTransport<MuxTransport>>>;
-
-impl FleetDb {
+impl EncryptedDb<ShardRouter<FleetTransport<LocalPartyTransport>>> {
     /// Encodes `xml` and splits it across an in-process `spec.servers`-party
     /// fleet (threshold `spec.threshold`), single data shard per party.
     pub fn encode_fleet(
@@ -540,7 +534,7 @@ impl FleetDb {
         shards: u32,
     ) -> Result<Self, CoreError> {
         let stats = out.stats;
-        let router = local_fleet_router(out, &seed, shards)?;
+        let router = local_fleet_router(out, &seed, shards, |_, t| t)?;
         let client = ClientFilter::new(router, map, seed)?;
         Ok(EncryptedDb {
             client,
@@ -551,9 +545,10 @@ impl FleetDb {
 }
 
 impl<T: Transport + Send + 'static> EncryptedDb<ShardRouter<FleetTransport<T>>> {
-    /// Installs the resilience policy (deadline, bounded retry, hedged
-    /// reconstruction, re-admission cooldown) on every fleet pipe. See
-    /// [`crate::fleet::ResilienceConfig`].
+    /// Installs the resilience policy (bounded retry, hedged
+    /// reconstruction) on every fleet pipe. See
+    /// [`crate::fleet::ResilienceConfig`]; the per-call deadline is
+    /// [`EncryptedDb::set_deadline`].
     pub fn set_resilience(&mut self, cfg: ResilienceConfig) {
         for pipe in self.client.transport_mut().transports_mut() {
             pipe.set_resilience(cfg);
@@ -573,7 +568,9 @@ impl<T: Transport + Send + 'static> EncryptedDb<ShardRouter<FleetTransport<T>>> 
     }
 }
 
-impl RemoteMuxFleetDb {
+/// An [`EncryptedDb`] over a TCP fleet of party hosts, one [`MuxPool`]
+/// per party.
+impl EncryptedDb<ShardRouter<FleetTransport<MuxTransport>>> {
     /// Opens the facade onto an `addrs.len()`-party TCP fleet
     /// ([`crate::fleet::connect_fleet_mux`]): one [`MuxPool`] per party;
     /// parties dead at connect are tolerated down to `threshold` live legs,
@@ -947,7 +944,7 @@ mod tests {
         let doc_a = "<site><a><b/></a><c/></site>";
         let doc_b = "<site><a><b/><b/></a></site>";
         let spec = FleetSpec::new(3, 2).unwrap();
-        let mut fleet = FleetDb::encode_fleet(doc_a, map(), seed(), spec).unwrap();
+        let mut fleet = EncryptedDb::encode_fleet(doc_a, map(), seed(), spec).unwrap();
         let ins = fleet.insert_document(doc_b).unwrap();
         assert_eq!(ins.root_pre, 5);
         assert_eq!(fleet.delete_document(1).unwrap(), 4);
@@ -999,7 +996,7 @@ mod tests {
             ),
         ];
         let spec = FleetSpec::new(3, 2).unwrap();
-        let mut fleet = FleetDb::encode_fleet(xml, map(), seed(), spec).unwrap();
+        let mut fleet = EncryptedDb::encode_fleet(xml, map(), seed(), spec).unwrap();
         for &(q, range) in cases {
             for rule in [MatchRule::Containment, MatchRule::Equality] {
                 let want =

@@ -52,10 +52,13 @@
 //!   shares; they must agree byte-for-byte on a `≥ t` quorum, and any
 //!   deviant is named. Two asked parties that disagree widen the wave, so
 //!   a lie is never believed on one party's word, even at `t = 1`.
-//! * A party that fails at the transport level (dead at connect,
-//!   mid-wave disconnect) is retired from the pipe; as long as `≥ t`
+//! * A party that fails at the transport level (a mid-wave disconnect, a
+//!   timeout) is struck and, failing again, quarantined; as long as `≥ t`
 //!   parties answer, the wave completes with the correct result —
-//!   dropout degrades latency, never correctness.
+//!   dropout degrades latency, never correctness. Each leg keeps its one
+//!   transport for life: retries and re-admission probes go out on it, and
+//!   a pooled leg reopens its own dead connection. A party dead at connect
+//!   has no transport and never returns.
 //!
 //! # Writes
 //!
@@ -166,12 +169,6 @@ impl Transport for LocalPartyTransport {
     }
 }
 
-/// How a fleet pipe dials a replacement connection to one party, used for
-/// in-wave retry reconnects and for re-admission probes. The argument is
-/// the pipe's configured per-call deadline so the dial itself can be
-/// bounded.
-pub type Dialer<T> = Arc<dyn Fn(Option<Duration>) -> Result<T, CoreError> + Send + Sync>;
-
 /// Where a party stands in a pipe's health state machine.
 ///
 /// Availability faults walk `Live → Suspect → Quarantined`, sit out a
@@ -209,9 +206,12 @@ pub struct PartyStatus {
 }
 
 /// A failed re-admission probe doubles the cooldown up to this many times
-/// the configured base, so a flapping party backs off but is never written
-/// off for good.
+/// its first length (four waves), so a flapping party backs off but is
+/// never written off for good.
 pub const COOLDOWN_PENALTY_CAP: u64 = 64;
+
+/// Waves a quarantined party sits out before its first re-admission probe.
+const COOLDOWN_WAVES: u64 = 4;
 
 /// First backoff step of a leg retry; doubles per attempt.
 const BACKOFF_BASE: Duration = Duration::from_millis(5);
@@ -223,14 +223,12 @@ const BACKOFF_CAP: Duration = Duration::from_millis(200);
 /// wave.
 const JITTER_SEED: u64 = 0x5f33_7d1e;
 
-/// Resilience policy for a fleet pipe: deadlines, bounded retry, hedged
-/// reconstruction and quarantine cooldowns. Installed with
-/// [`FleetTransport::set_resilience`].
+/// Resilience policy for a fleet pipe: bounded retry and hedged
+/// reconstruction. Installed with [`FleetTransport::set_resilience`]; the
+/// per-call deadline is the transports' own
+/// ([`Transport::set_call_budget`]).
 #[derive(Clone, Copy, Debug)]
 pub struct ResilienceConfig {
-    /// Per-call budget applied to every leg transport (`None` = wait
-    /// forever, the pre-resilience behaviour).
-    pub deadline: Option<Duration>,
     /// Transient-failure retries per leg per wave (0 = fail fast), with
     /// exponential backoff and deterministic jitter between attempts.
     pub retries: u32,
@@ -241,18 +239,13 @@ pub struct ResilienceConfig {
     /// requests but waits on every party it asked; hedging spends the extra
     /// requests to hide one slow party.
     pub hedge: bool,
-    /// Waves a quarantined party sits out before its first re-admission
-    /// probe; doubles per failed probe up to [`COOLDOWN_PENALTY_CAP`]×.
-    pub cooldown_waves: u64,
 }
 
 impl Default for ResilienceConfig {
     fn default() -> Self {
         ResilienceConfig {
-            deadline: None,
             retries: 1,
             hedge: false,
-            cooldown_waves: 4,
         }
     }
 }
@@ -267,33 +260,32 @@ fn backoff(attempt: u32, jitter_raw: u64) -> Duration {
 }
 
 /// `Timeout` and `Transport` failures are worth retrying — the party may
-/// be back (or reachable over a fresh connection) a backoff later.
+/// be back (a pooled leg reopens its dead connection) a backoff later.
 /// Integrity and protocol errors are not.
 fn is_transient(e: &CoreError) -> bool {
     matches!(e, CoreError::Timeout(_) | CoreError::Transport(_))
 }
 
-fn next_penalty(penalty: u64, base: u64) -> u64 {
-    let base = base.max(1);
-    if penalty == 0 {
-        base
-    } else {
-        penalty.saturating_mul(2).min(base * COOLDOWN_PENALTY_CAP)
-    }
+/// The cooldown after `penalty`: [`COOLDOWN_WAVES`] first, then doubling up
+/// to [`COOLDOWN_PENALTY_CAP`]×.
+fn next_penalty(penalty: u64) -> u64 {
+    penalty
+        .saturating_mul(2)
+        .clamp(COOLDOWN_WAVES, COOLDOWN_WAVES * COOLDOWN_PENALTY_CAP)
 }
 
 /// One party's connection inside a fleet pipe.
 pub struct FleetLeg<T> {
     party: usize,
     addr: String,
+    /// The leg's one transport, kept for life; `None` for a party dead at
+    /// connect, and while a wave has it out ([`FleetLeg::lend`]).
     transport: Option<T>,
     /// The transport's counters when a wave took it ([`FleetLeg::lend`]);
     /// they stand in for it in [`FleetTransport::stats`] until it comes
     /// home, so a hedged straggler never makes the pipe's byte counts dip.
     lent: Option<TransportStats>,
-    dial: Option<Dialer<T>>,
     health: PartyHealth,
-    strikes: u32,
     cooldown: u64,
     penalty: u64,
     waves_ok: u64,
@@ -308,9 +300,7 @@ impl<T> FleetLeg<T> {
             addr: "local".into(),
             transport: Some(transport),
             lent: None,
-            dial: None,
             health: PartyHealth::Live,
-            strikes: 0,
             cooldown: 0,
             penalty: 0,
             waves_ok: 0,
@@ -319,18 +309,15 @@ impl<T> FleetLeg<T> {
     }
 
     /// A leg that was already down when the pipe was built (e.g. dead at
-    /// connect); the pipe starts degraded but functional. With a
-    /// [`Dialer`] attached the party is probed for re-admission from the
-    /// first wave on.
+    /// connect); the pipe starts degraded but functional. It has no
+    /// transport, so it is never probed back in.
     pub fn down(party: usize, fault: String) -> Self {
         FleetLeg {
             party,
             addr: "local".into(),
             transport: None,
             lent: None,
-            dial: None,
             health: PartyHealth::Quarantined,
-            strikes: 0,
             cooldown: 0,
             penalty: 0,
             waves_ok: 0,
@@ -345,17 +332,9 @@ impl<T> FleetLeg<T> {
         self
     }
 
-    /// Attaches a dialer for in-wave retry reconnects and re-admission
-    /// probes. Without one, a quarantined leg stays quarantined.
-    pub fn with_dialer(mut self, dial: Dialer<T>) -> Self {
-        self.dial = Some(dial);
-        self
-    }
-
-    /// Records a successful wave: strikes clear, the leg is (back to)
-    /// `Live`, penalties reset.
+    /// Records a successful wave: the leg is (back to) `Live`, penalties
+    /// reset.
     fn note_success(&mut self) {
-        self.strikes = 0;
         self.waves_ok += 1;
         self.penalty = 0;
         self.health = PartyHealth::Live;
@@ -366,7 +345,7 @@ impl<T> FleetLeg<T> {
 impl<T: Transport> FleetLeg<T> {
     /// Hands the leg's transport to a wave, noting its counters first.
     fn lend(&mut self) -> T {
-        let t = self.transport.take().expect("leg checked live");
+        let t = self.transport.take().expect("leg checked available");
         self.lent = Some(t.stats());
         t
     }
@@ -383,38 +362,24 @@ impl<T: Transport> FleetLeg<T> {
         self.transport.as_ref().map(T::stats).or(self.lent)
     }
 
-    /// Folds the leg's traffic counters into the pipe carry and drops the
-    /// connection (or forgets the one a lost worker took with it).
-    fn fold_transport(&mut self, carry: &mut TransportStats) {
-        if let Some(s) = self.seen() {
-            carry.bytes_sent += s.bytes_sent;
-            carry.bytes_received += s.bytes_received;
-        }
-        self.transport = None;
-        self.lent = None;
-    }
-
-    /// Records a failed wave. The first strike on a `Live` leg demotes it
-    /// to `Suspect` but keeps it in rotation (it may answer the next wave
-    /// over a retried connection); any further failure — or a failure on
-    /// `Probation` — quarantines it for a wave-counted cooldown.
-    fn strike(&mut self, carry: &mut TransportStats, base_cooldown: u64, fault: String) {
-        self.strikes += 1;
+    /// Records a failed wave. A failure demotes a `Live` leg to `Suspect`
+    /// but keeps it in rotation (it may answer the next wave over a
+    /// reopened connection); a failure on `Suspect` or `Probation`
+    /// quarantines it for a wave-counted cooldown.
+    fn strike(&mut self, fault: String) {
         self.fault = Some(fault);
-        if self.health == PartyHealth::Live && self.strikes < 2 {
+        if self.health == PartyHealth::Live {
             self.health = PartyHealth::Suspect;
         } else {
-            self.fold_transport(carry);
             self.health = PartyHealth::Quarantined;
-            self.penalty = next_penalty(self.penalty, base_cooldown);
+            self.penalty = next_penalty(self.penalty);
             self.cooldown = self.penalty;
         }
     }
 
     /// Permanent quarantine for integrity faults — a party caught lying
     /// is never probed for re-admission.
-    fn quarantine_integrity(&mut self, carry: &mut TransportStats, fault: String) {
-        self.fold_transport(carry);
+    fn quarantine_integrity(&mut self, fault: String) {
         self.health = PartyHealth::Quarantined;
         self.cooldown = u64::MAX;
         self.penalty = u64::MAX;
@@ -428,15 +393,12 @@ impl<T: Transport> FleetLeg<T> {
 /// wave, the MAC mirror's.
 type LegOutcome = Result<(Response, Option<Response>), CoreError>;
 
-/// What a detached leg worker reports back: the leg's transport (returned
-/// to its slot), the exchange outcome, and the traffic counters of any
-/// connections discarded by in-wave re-dials (folded into the pipe carry
-/// so cumulative stats never regress).
+/// What a leg worker reports back: the leg's transport (returned to its
+/// slot), the exchange outcome, and when it finished.
 struct LegReport<T> {
     transport: T,
     outcome: LegOutcome,
     finished: Instant,
-    lost: TransportStats,
 }
 
 /// A hedged wave's straggler channel: legs still out with detached
@@ -478,52 +440,30 @@ fn exchange<T: Transport>(transport: &mut T, frame: &Request) -> LegOutcome {
     })
 }
 
-/// One leg's wave: exchange, and on a transient failure retry up to
-/// `cfg.retries` times with exponential backoff and deterministic jitter,
-/// re-dialing a fresh connection through the leg's [`Dialer`] when one is
-/// available. Always hands the transport back.
+/// One leg's wave: exchange, and on a transient failure retry on the same
+/// transport up to `retries` times with exponential backoff and
+/// deterministic jitter. Always hands the transport back.
 fn exchange_with_retry<T: Transport>(
     mut transport: T,
     frame: &Request,
-    cfg: &ResilienceConfig,
-    dial: Option<&Dialer<T>>,
+    retries: u32,
     jitter_seed: u64,
 ) -> LegReport<T> {
     let mut prg = Prg::from_u64(jitter_seed);
     let mut attempt = 0u32;
-    let mut lost = TransportStats::default();
-    loop {
+    let outcome = loop {
         match exchange(&mut transport, frame) {
-            Ok(v) => {
-                return LegReport {
-                    transport,
-                    outcome: Ok(v),
-                    finished: Instant::now(),
-                    lost,
-                }
-            }
-            Err(e) if attempt < cfg.retries && is_transient(&e) => {
+            Err(e) if attempt < retries && is_transient(&e) => {
                 attempt += 1;
                 std::thread::sleep(backoff(attempt, prg.next_u64()));
-                if let Some(dial) = dial {
-                    if let Ok(mut fresh) = dial(cfg.deadline) {
-                        fresh.set_call_budget(cfg.deadline);
-                        let s = transport.stats();
-                        lost.bytes_sent += s.bytes_sent;
-                        lost.bytes_received += s.bytes_received;
-                        transport = fresh;
-                    }
-                }
             }
-            Err(e) => {
-                return LegReport {
-                    transport,
-                    outcome: Err(e),
-                    finished: Instant::now(),
-                    lost,
-                }
-            }
+            done => break done,
         }
+    };
+    LegReport {
+        transport,
+        outcome,
+        finished: Instant::now(),
     }
 }
 
@@ -645,20 +585,9 @@ impl<T: Transport> FleetTransport<T> {
         self.write_seed = Some(seed);
     }
 
-    /// Installs the resilience policy, applying its deadline to every
-    /// live leg immediately.
+    /// Installs the resilience policy.
     pub fn set_resilience(&mut self, cfg: ResilienceConfig) {
         self.config = cfg;
-        for leg in self.legs.iter_mut() {
-            if let Some(t) = leg.transport.as_mut() {
-                t.set_call_budget(cfg.deadline);
-            }
-        }
-    }
-
-    /// The active resilience policy.
-    pub fn resilience(&self) -> ResilienceConfig {
-        self.config
     }
 
     /// Health snapshot of every party, in party order.
@@ -684,20 +613,13 @@ impl<T: Transport> FleetTransport<T> {
             .collect()
     }
 
-    /// `(party, fault)` for every retired leg.
-    pub fn faults(&self) -> Vec<(usize, String)> {
-        self.legs
-            .iter()
-            .filter_map(|l| l.fault.clone().map(|f| (l.party, f)))
-            .collect()
-    }
-
-    /// Indices of the legs whose transport is home, in party order.
+    /// Indices of the legs a wave can ask, in party order: in rotation,
+    /// with their transport home.
     fn available(&self) -> Vec<usize> {
         self.legs
             .iter()
             .enumerate()
-            .filter(|(_, l)| l.transport.is_some())
+            .filter(|(_, l)| l.health != PartyHealth::Quarantined && l.transport.is_some())
             .map(|(i, _)| i)
             .collect()
     }
@@ -726,20 +648,17 @@ impl<T: Transport> FleetTransport<T> {
         asked
     }
 
-    /// Lends leg `idx`'s transport to wave `wave`, with the leg's dialer
-    /// and its deterministic backoff-jitter seed for that wave.
-    fn lend(&mut self, idx: usize, wave: u64) -> (T, Option<Dialer<T>>, u64) {
+    /// Lends leg `idx`'s transport to wave `wave`, with the leg's
+    /// deterministic backoff-jitter seed for that wave.
+    fn lend(&mut self, idx: usize, wave: u64) -> (T, u64) {
         let leg = &mut self.legs[idx];
         let seed = JITTER_SEED ^ ((leg.party as u64) << 32) ^ wave;
-        (leg.lend(), leg.dial.clone(), seed)
+        (leg.lend(), seed)
     }
 
-    /// Books a returning leg worker: traffic of the connections it re-dialed
-    /// away joins the carry and the transport goes home. Returns the
+    /// Books a returning leg worker: the transport goes home. Returns the
     /// exchange outcome.
     fn land(&mut self, idx: usize, report: LegReport<T>) -> LegOutcome {
-        self.stats.bytes_sent += report.lost.bytes_sent;
-        self.stats.bytes_received += report.lost.bytes_received;
         self.legs[idx].home(report.transport);
         report.outcome
     }
@@ -766,7 +685,6 @@ impl<T: Transport> FleetTransport<T> {
         if self.pending.is_empty() {
             return;
         }
-        let base = self.config.cooldown_waves;
         let mut pending = std::mem::take(&mut self.pending);
         for wave in &mut pending {
             loop {
@@ -785,7 +703,7 @@ impl<T: Transport> FleetTransport<T> {
                         self.stats.straggler_ms += lag.as_millis() as u64;
                         match self.land(idx, report) {
                             Ok(_) => self.legs[idx].note_success(),
-                            Err(e) => self.legs[idx].strike(&mut self.stats, base, e.to_string()),
+                            Err(e) => self.legs[idx].strike(e.to_string()),
                         }
                     }
                     Err(mpsc::TryRecvError::Empty) => break,
@@ -793,11 +711,7 @@ impl<T: Transport> FleetTransport<T> {
                         // The workers are gone; a leg still listed lost its
                         // transport with its worker.
                         for idx in wave.outstanding.drain(..) {
-                            self.legs[idx].strike(
-                                &mut self.stats,
-                                base,
-                                "fleet leg worker lost".into(),
-                            );
+                            self.legs[idx].strike("fleet leg worker lost".into());
                         }
                         break;
                     }
@@ -809,44 +723,34 @@ impl<T: Transport> FleetTransport<T> {
     }
 
     /// Walks quarantined legs: counts each cooldown down one wave and, at
-    /// zero, re-dials and probes the party (a `ShardCount` round trip that
-    /// must report the fleet's own layout). A passed probe re-admits the
-    /// party on [`PartyHealth::Probation`]; a failed one doubles the
-    /// cooldown. Integrity quarantines (`cooldown == u64::MAX`) and legs
-    /// without a dialer are skipped.
+    /// zero, probes the party on the leg's own transport (a `ShardCount`
+    /// round trip that must report the fleet's own layout; a pooled leg
+    /// first reopens its dead connection within its call budget). A passed
+    /// probe re-admits the party on [`PartyHealth::Probation`]; a failed
+    /// one doubles the cooldown. Integrity quarantines
+    /// (`cooldown == u64::MAX`) and legs without a transport are skipped.
     fn tick_readmission(&mut self) {
-        let deadline = self.config.deadline;
         let expect = 2 * self.data_shards as u64;
-        let base = self.config.cooldown_waves;
         for leg in self.legs.iter_mut() {
             if leg.health != PartyHealth::Quarantined || leg.cooldown == u64::MAX {
                 continue;
             }
-            let Some(dial) = leg.dial.as_ref() else {
+            let Some(t) = leg.transport.as_mut() else {
                 continue;
             };
             if leg.cooldown > 0 {
                 leg.cooldown -= 1;
                 continue;
             }
-            let outcome = dial(deadline).and_then(|mut t| {
-                t.set_call_budget(deadline);
-                match t.call(&Request::ShardCount)? {
-                    Response::Count(c) if c == expect => Ok(t),
-                    other => Err(CoreError::Transport(format!(
-                        "probe expected Count({expect}), got {other:?}"
-                    ))),
-                }
-            });
-            match outcome {
-                Ok(t) => {
-                    leg.home(t);
-                    leg.health = PartyHealth::Probation;
-                    leg.strikes = 0;
-                    // The fault stays on record until a successful wave.
-                }
-                Err(e) => {
-                    leg.penalty = next_penalty(leg.penalty, base);
+            match t.call(&Request::ShardCount) {
+                // The fault stays on record until a successful wave.
+                Ok(Response::Count(c)) if c == expect => leg.health = PartyHealth::Probation,
+                outcome => {
+                    let e = match outcome {
+                        Err(e) => e.to_string(),
+                        Ok(other) => format!("expected Count({expect}), got {other:?}"),
+                    };
+                    leg.penalty = next_penalty(leg.penalty);
                     leg.cooldown = leg.penalty;
                     leg.fault = Some(format!("re-admission probe failed: {e}"));
                 }
@@ -979,142 +883,83 @@ impl<T: Transport> FleetTransport<T> {
     }
 
     /// Combines one data-plane slot: per-party shares plus their MAC
-    /// mirrors, matched by response shape.
+    /// mirrors, in one pass over every shape. Each answer is flattened to
+    /// field elements — values as they are, packed polynomials and
+    /// aggregate partials as their coefficients — then Lagrange-combined
+    /// and MAC-checked at once ([`FleetTransport::verified_vector`]) and
+    /// repacked. Summation is linear, so the MAC plane's aggregate partials
+    /// are `α ⊙` the data plane's and the `α · s = m` check carries over.
     fn combine_data_slot(
         &self,
         parts: &[(usize, &Response)],
         macs: &[(usize, &Response)],
     ) -> Result<Response, FleetError> {
-        let parties: Vec<usize> = parts.iter().map(|&(p, _)| p).collect();
-        // Evaluation vectors of one common length.
-        let values_of = |r: &Response| match r {
-            Response::Values(v) => Some(v.clone()),
-            _ => None,
-        };
-        if let (Some(data), Some(mac)) = (
-            parts
-                .iter()
-                .map(|(_, r)| values_of(r))
-                .collect::<Option<Vec<_>>>(),
-            macs.iter()
-                .map(|(_, r)| values_of(r))
-                .collect::<Option<Vec<_>>>(),
-        ) {
-            let len = data[0].len();
-            if data.iter().all(|v| v.len() == len) && mac.iter().all(|v| v.len() == len) {
-                return Ok(Response::Values(
-                    self.verified_vector(&parties, &data, &mac)?,
-                ));
-            }
-        }
-        // Packed polynomials: unpack, combine coefficient-wise, repack.
-        let polys_of = |r: &Response| match r {
-            Response::Polys(p) => Some(p.clone()),
-            _ => None,
-        };
-        if let (Some(data), Some(mac)) = (
-            parts
-                .iter()
-                .map(|(_, r)| polys_of(r))
-                .collect::<Option<Vec<_>>>(),
-            macs.iter()
-                .map(|(_, r)| polys_of(r))
-                .collect::<Option<Vec<_>>>(),
-        ) {
-            let count = data[0].len();
-            if data.iter().all(|p| p.len() == count) && mac.iter().all(|p| p.len() == count) {
-                let mut out = Vec::with_capacity(count);
-                for j in 0..count {
-                    let unpack = |bytes: &[u8], party: usize| {
-                        self.packer.unpack_radix(&self.ring, bytes).map_err(|e| {
-                            FleetError::Blamed {
-                                parties: vec![party],
-                                detail: format!(
-                                    "party {party} returned an undecodable share polynomial: {e}"
-                                ),
-                            }
-                        })
-                    };
-                    let mut dcoeffs = Vec::with_capacity(parties.len());
-                    let mut mcoeffs = Vec::with_capacity(parties.len());
-                    for (k, &p) in parties.iter().enumerate() {
-                        dcoeffs.push(unpack(&data[k][j], p)?.coeffs().to_vec());
-                        mcoeffs.push(unpack(&mac[k][j], p)?.coeffs().to_vec());
-                    }
-                    let combined = self.verified_vector(&parties, &dcoeffs, &mcoeffs)?;
-                    let poly = self
-                        .ring
-                        .poly_from_coeffs(combined)
-                        .map_err(|e| FleetError::Fatal(format!("recombined polynomial: {e}")))?;
-                    out.push(self.packer.pack_radix(&poly));
-                }
-                return Ok(Response::Polys(out));
-            }
-        }
-        // Aggregate responses: the `found` lists are structural (every
-        // honest party computed them from the same table layout and they
-        // must agree byte-for-byte, across both planes), while the grouped
-        // partial sums are share data — combined coefficient-wise under the
-        // MAC exactly like packed polynomials. Summation is linear, so the
-        // MAC plane's grouped sums are `α ⊙` the data plane's and the
-        // `α · s = m` check carries over unchanged.
-        fn agg_of(r: &Response) -> Option<(&Vec<u32>, &Vec<Vec<u8>>)> {
+        // What must agree across every answer of both planes before shares
+        // combine: the shape, its length and an aggregate's `found` list,
+        // which is structural (every honest party computes it from the same
+        // table layout).
+        fn shape(r: &Response) -> Option<(u8, usize, Option<&Vec<u32>>)> {
             match r {
-                Response::Agg { found, partials } => Some((found, partials)),
+                Response::Values(v) => Some((0, v.len(), None)),
+                Response::Polys(p) => Some((1, p.len(), None)),
+                Response::Agg { found, partials } => Some((2, partials.len(), Some(found))),
                 _ => None,
             }
         }
-        if let (Some(data), Some(mac)) = (
-            parts
-                .iter()
-                .map(|(_, r)| agg_of(r))
-                .collect::<Option<Vec<_>>>(),
-            macs.iter()
-                .map(|(_, r)| agg_of(r))
-                .collect::<Option<Vec<_>>>(),
-        ) {
-            let (found0, partials0) = data[0];
-            let shape_ok =
-                |(f, p): &(&Vec<u32>, &Vec<Vec<u8>>)| *f == found0 && p.len() == partials0.len();
-            if data.iter().all(shape_ok) && mac.iter().all(shape_ok) {
-                let count = partials0.len();
-                let mut out = Vec::with_capacity(count);
-                for j in 0..count {
-                    let unpack = |bytes: &[u8], party: usize| {
-                        self.packer.unpack_radix(&self.ring, bytes).map_err(|e| {
-                            FleetError::Blamed {
-                                parties: vec![party],
-                                detail: format!(
-                                    "party {party} returned an undecodable aggregate partial: {e}"
-                                ),
-                            }
-                        })
-                    };
-                    let mut dcoeffs = Vec::with_capacity(parties.len());
-                    let mut mcoeffs = Vec::with_capacity(parties.len());
-                    for (k, &p) in parties.iter().enumerate() {
-                        dcoeffs.push(unpack(&data[k].1[j], p)?.coeffs().to_vec());
-                        mcoeffs.push(unpack(&mac[k].1[j], p)?.coeffs().to_vec());
-                    }
-                    let combined = self.verified_vector(&parties, &dcoeffs, &mcoeffs)?;
-                    let poly = self
-                        .ring
-                        .poly_from_coeffs(combined)
-                        .map_err(|e| FleetError::Fatal(format!("recombined partial: {e}")))?;
-                    out.push(self.packer.pack_radix(&poly));
-                }
-                return Ok(Response::Agg {
-                    found: found0.clone(),
-                    partials: out,
-                });
-            }
-            // A deviant `found` list or partial count is a structural lie;
-            // fall through so the quorum rule names the culprit.
+        let first = shape(parts[0].1);
+        if first.is_none() || parts.iter().chain(macs).any(|(_, r)| shape(r) != first) {
+            // Mixed or unexpected shapes (an agreed per-slot error, a
+            // deviant `found` list or count): structural agreement is the
+            // only safe rule left, and it names the deviant.
             return self.structural_majority(parts);
         }
-        // Mixed or unexpected shapes (e.g. an agreed per-slot error):
-        // structural agreement is the only safe rule left.
-        self.structural_majority(parts)
+        let flatten = |&(party, r): &(usize, &Response)| {
+            let packed = match r {
+                Response::Values(v) => return Ok(v.clone()),
+                Response::Polys(packed)
+                | Response::Agg {
+                    partials: packed, ..
+                } => packed,
+                _ => unreachable!("shape checked"),
+            };
+            let mut out = Vec::with_capacity(packed.len() * self.ring.len());
+            for bytes in packed {
+                let poly = self.packer.unpack_radix(&self.ring, bytes).map_err(|e| {
+                    FleetError::Blamed {
+                        parties: vec![party],
+                        detail: format!(
+                            "party {party} returned an undecodable share polynomial: {e}"
+                        ),
+                    }
+                })?;
+                out.extend_from_slice(poly.coeffs());
+            }
+            Ok(out)
+        };
+        let parties: Vec<usize> = parts.iter().map(|&(p, _)| p).collect();
+        let data = parts.iter().map(flatten).collect::<Result<Vec<_>, _>>()?;
+        let mac = macs.iter().map(flatten).collect::<Result<Vec<_>, _>>()?;
+        let combined = self.verified_vector(&parties, &data, &mac)?;
+        let repack = || {
+            combined
+                .chunks(self.ring.len())
+                .map(|c| {
+                    let poly = self
+                        .ring
+                        .poly_from_coeffs(c.to_vec())
+                        .map_err(|e| FleetError::Fatal(format!("recombined polynomial: {e}")))?;
+                    Ok(self.packer.pack_radix(&poly))
+                })
+                .collect::<Result<Vec<_>, _>>()
+        };
+        Ok(match parts[0].1 {
+            Response::Polys(_) => Response::Polys(repack()?),
+            Response::Agg { found, .. } => Response::Agg {
+                found: found.clone(),
+                partials: repack()?,
+            },
+            _ => Response::Values(combined),
+        })
     }
 
     /// Combines one wave's live responses according to the mirror plan.
@@ -1194,71 +1039,57 @@ impl<T: Transport + Send + 'static> FleetTransport<T> {
         legs: &[usize],
         frame: impl Fn(usize) -> Arc<Request>,
     ) -> mpsc::Receiver<(usize, LegReport<T>)> {
-        let (cfg, wave) = (self.config, self.stats.round_trips);
+        let (retries, wave) = (self.config.retries, self.stats.round_trips);
         let (tx, rx) = mpsc::channel();
         for &idx in legs {
-            let (transport, dial, seed) = self.lend(idx, wave);
+            let (transport, seed) = self.lend(idx, wave);
             let (frame, tx) = (frame(idx), tx.clone());
             std::thread::spawn(move || {
-                let report = exchange_with_retry(transport, &frame, &cfg, dial.as_ref(), seed);
-                let _ = tx.send((idx, report));
+                let _ = tx.send((idx, exchange_with_retry(transport, &frame, retries, seed)));
             });
         }
         rx
     }
 
-    /// Sends `frame(leg)` on each of `legs` and files every outcome in
-    /// `answers`: on one detached thread per leg when the pipe is
-    /// concurrent and more than one leg runs, otherwise one leg after the
-    /// other on the caller's thread. Every transport is home when it
-    /// returns; a leg whose worker was lost is filed as failed.
+    /// The one leg runner: sends `frame(leg)` on each of `legs` and files
+    /// every outcome in `answers`.
+    ///
+    /// * Given a mirror plan (a hedged wave), every leg runs on a detached
+    ///   worker, and the first `t` answers that combine and verify answer
+    ///   the wave: the combination is returned and the stragglers are left
+    ///   to [`FleetTransport::harvest_stragglers`]. A combination that does
+    ///   not yet verify keeps waiting for more legs.
+    /// * Otherwise the legs run on one detached thread each when the pipe
+    ///   is concurrent and more than one leg runs, else one after the other
+    ///   on the caller's thread, and every leg is waited for.
+    ///
+    /// Returns `None` once every leg is in: then every transport is home,
+    /// and a leg whose worker was lost is filed as failed.
     fn run_legs(
         &mut self,
         legs: &[usize],
         frame: impl Fn(usize) -> Arc<Request>,
-        answers: &mut Answers,
-    ) {
-        if !self.concurrent || legs.len() < 2 {
-            let (cfg, wave) = (self.config, self.stats.round_trips);
-            for &idx in legs {
-                let (transport, dial, seed) = self.lend(idx, wave);
-                let report = exchange_with_retry(transport, &frame(idx), &cfg, dial.as_ref(), seed);
-                self.land_in(idx, report, answers);
-            }
-            return;
-        }
-        let rx = self.spawn_legs(legs, frame);
-        let mut outstanding = legs.to_vec();
-        while let Ok((idx, report)) = rx.recv() {
-            outstanding.retain(|&i| i != idx);
-            self.land_in(idx, report, answers);
-        }
-        answers.lost(outstanding);
-    }
-
-    /// A hedged read wave: every available leg gets `frame` on a detached
-    /// worker, and the wave is answered by the first `t` responses that
-    /// verify, leaving the stragglers to [`FleetTransport::harvest_stragglers`].
-    /// Returns `None`, with every outcome filed in `answers`, when no early
-    /// answer verified; the caller then settles the wave as a full one.
-    fn hedged_wave(
-        &mut self,
-        avail: &[usize],
-        frame: &Arc<Request>,
-        plan: &MirrorPlan,
+        hedge: Option<&MirrorPlan>,
         answers: &mut Answers,
     ) -> Option<Response> {
+        if hedge.is_none() && (!self.concurrent || legs.len() < 2) {
+            let (retries, wave) = (self.config.retries, self.stats.round_trips);
+            for &idx in legs {
+                let (transport, seed) = self.lend(idx, wave);
+                let report = exchange_with_retry(transport, &frame(idx), retries, seed);
+                self.land_in(idx, report, answers);
+            }
+            return None;
+        }
         // Transports travel to the workers and come back through the
-        // channel, so the wave can return while stragglers are still out.
-        let rx = self.spawn_legs(avail, |_| Arc::clone(frame));
-        let mut outstanding = avail.to_vec();
+        // channel, so a hedged wave can return while stragglers are out.
+        let rx = self.spawn_legs(legs, frame);
+        let mut outstanding = legs.to_vec();
         while !outstanding.is_empty() {
             let Ok((idx, report)) = rx.recv() else { break };
             outstanding.retain(|&i| i != idx);
             self.land_in(idx, report, answers);
-            // t-first: answer as soon as a verifiable t-quorum is in. A
-            // combination that does not yet verify (e.g. a corrupt share
-            // among the first t) simply keeps waiting for more responders.
+            let Some(plan) = hedge else { continue };
             if outstanding.is_empty() || answers.live.len() < self.threshold {
                 continue;
             }
@@ -1271,17 +1102,62 @@ impl<T: Transport + Send + 'static> FleetTransport<T> {
                 outstanding,
                 done: Instant::now(),
             });
-            let base = self.config.cooldown_waves;
-            for (idx, e) in answers.failed.drain(..) {
-                self.legs[idx].strike(&mut self.stats, base, e.to_string());
-            }
-            for &idx in &answers.ok_legs {
-                self.legs[idx].note_success();
-            }
             return Some(resp);
         }
         answers.lost(outstanding);
         None
+    }
+
+    /// Settles a wave's combination, read or write: a verified answer
+    /// credits every leg that gave it; a failed one quarantines for good
+    /// the parties it blames, if any, and surfaces as an integrity error.
+    fn settle(
+        &mut self,
+        combined: Result<Response, FleetError>,
+        ok_legs: &[usize],
+    ) -> Result<Response, CoreError> {
+        let detail = match combined {
+            Ok(resp) => {
+                for &idx in ok_legs {
+                    if self.legs[idx].health != PartyHealth::Quarantined {
+                        self.legs[idx].note_success();
+                    }
+                }
+                return Ok(resp);
+            }
+            Err(FleetError::Blamed { parties, detail }) => {
+                for leg in self.legs.iter_mut() {
+                    if parties.contains(&leg.party) {
+                        leg.quarantine_integrity(format!("quarantined: {detail}"));
+                    }
+                }
+                detail
+            }
+            Err(FleetError::Fatal(detail)) => detail,
+        };
+        Err(CoreError::Corrupt(format!(
+            "fleet integrity failure: {detail}"
+        )))
+    }
+
+    /// The error of a wave that fewer than `t` parties completed: `got`
+    /// of them did (`what`), and every party's last fault is listed.
+    fn quorum_lost(&self, got: usize, what: &str) -> CoreError {
+        let faults: Vec<String> = self
+            .legs
+            .iter()
+            .filter_map(|l| {
+                l.fault
+                    .as_ref()
+                    .map(|f| format!("party {} at {}: {f}", l.party, l.addr))
+            })
+            .collect();
+        CoreError::Transport(format!(
+            "fleet quorum lost: {got} of {} parties {what}, threshold {} ({})",
+            self.legs.len(),
+            self.threshold,
+            faults.join("; ")
+        ))
     }
 
     /// One write wave. Every leg gets one `(data, MAC)` [`Request::Pair`]:
@@ -1289,9 +1165,10 @@ impl<T: Transport + Send + 'static> FleetTransport<T> {
     /// shares; a delete sends every leg the same pair. Never hedged: the
     /// wave waits for every participating leg, requires both planes of a
     /// party to acknowledge identically, and answers from a `≥ t`
-    /// structural quorum. Any party that misses the write — absent, failed
-    /// mid-application, or deviant — is quarantined permanently, because
-    /// its state has diverged and a re-admission probe cannot detect that.
+    /// structural quorum. Any party that misses the write — out of
+    /// rotation, failed mid-application, or deviant — is quarantined
+    /// permanently, because its state has diverged and a re-admission probe
+    /// cannot detect that.
     fn write_wave(&mut self, dshard: u32, inner: &Request) -> Result<Response, CoreError> {
         let n = self.legs.len();
         let mirror = self.data_shards + dshard;
@@ -1343,90 +1220,39 @@ impl<T: Transport + Send + 'static> FleetTransport<T> {
 
         // A party that cannot take this write diverges from the fleet's
         // state for good; re-admitting it later would serve stale shares.
-        for leg in self.legs.iter_mut() {
-            if leg.transport.is_none() && leg.cooldown != u64::MAX {
-                leg.quarantine_integrity(
-                    &mut self.stats,
-                    "missed a write; party state diverged".into(),
-                );
+        let avail = self.available();
+        for (idx, leg) in self.legs.iter_mut().enumerate() {
+            if !avail.contains(&idx) && leg.cooldown != u64::MAX {
+                leg.quarantine_integrity("missed a write; party state diverged".into());
             }
         }
 
-        let avail = self.available();
         let mut answers = Answers::default();
-        self.run_legs(&avail, |idx| Arc::clone(&frames[idx]), &mut answers);
-        let Answers {
-            live,
-            ok_legs,
-            failed,
-        } = answers;
-
+        self.run_legs(&avail, |idx| Arc::clone(&frames[idx]), None, &mut answers);
         // A leg that failed a write frame may have applied half of it;
         // like an absent party, it is divergent and retired for good.
-        for (idx, e) in failed {
-            self.legs[idx].quarantine_integrity(&mut self.stats, format!("write failed: {e}"));
+        for (idx, e) in answers.failed {
+            self.legs[idx].quarantine_integrity(format!("write failed: {e}"));
         }
         // Both planes of one party must acknowledge identically.
         let mut parts: Vec<(usize, &Response)> = Vec::new();
-        for (party, d, m) in &live {
-            match m {
-                Some(m) if m == d => parts.push((*party, d)),
-                _ => {
-                    let detail = format!(
-                        "party {party} acknowledged a write differently on its data and MAC planes"
-                    );
-                    for leg in self.legs.iter_mut() {
-                        if leg.party == *party {
-                            leg.quarantine_integrity(
-                                &mut self.stats,
-                                format!("quarantined: {detail}"),
-                            );
-                        }
-                    }
-                }
+        for (party, d, m) in &answers.live {
+            if m.as_ref() == Some(d) {
+                parts.push((*party, d));
+                continue;
+            }
+            let detail = format!(
+                "party {party} acknowledged a write differently on its data and MAC planes"
+            );
+            for leg in self.legs.iter_mut().filter(|l| l.party == *party) {
+                leg.quarantine_integrity(format!("quarantined: {detail}"));
             }
         }
         if parts.len() < self.threshold {
-            let faults: Vec<String> = self
-                .legs
-                .iter()
-                .filter_map(|l| {
-                    l.fault
-                        .as_ref()
-                        .map(|f| format!("party {} at {}: {f}", l.party, l.addr))
-                })
-                .collect();
-            return Err(CoreError::Transport(format!(
-                "fleet quorum lost on a write: {} of {} parties applied it, threshold {} ({})",
-                parts.len(),
-                self.legs.len(),
-                self.threshold,
-                faults.join("; ")
-            )));
+            return Err(self.quorum_lost(parts.len(), "applied the write"));
         }
-        match self.structural_majority(&parts) {
-            Ok(resp) => {
-                for idx in ok_legs {
-                    if self.legs[idx].health != PartyHealth::Quarantined {
-                        self.legs[idx].note_success();
-                    }
-                }
-                Ok(resp)
-            }
-            Err(FleetError::Blamed { parties, detail }) => {
-                for leg in self.legs.iter_mut() {
-                    if parties.contains(&leg.party) {
-                        leg.quarantine_integrity(&mut self.stats, format!("quarantined: {detail}"));
-                    }
-                }
-                Err(CoreError::Corrupt(format!(
-                    "fleet integrity failure: {detail}"
-                )))
-            }
-            Err(FleetError::Fatal(detail)) => Err(CoreError::Corrupt(format!(
-                "fleet integrity failure: {detail}"
-            ))),
-        }
+        let combined = self.structural_majority(&parts);
+        self.settle(combined, &answers.ok_legs)
     }
 }
 
@@ -1464,79 +1290,39 @@ impl<T: Transport + Send + 'static> Transport for FleetTransport<T> {
             None => req.clone(),
         });
 
+        // A hedged wave asks every available leg and may be answered by the
+        // first `t`; a plain one asks a quorum, and is answered if every
+        // asked leg answers and the combination verifies.
         let avail = self.available();
-        let base = self.config.cooldown_waves;
-        let mut answers = Answers::default();
-        if self.config.hedge && avail.len() > 1 {
-            if let Some(resp) = self.hedged_wave(&avail, &frame, &plan, &mut answers) {
-                return Ok(resp);
-            }
+        let hedge = self.config.hedge && avail.len() > 1;
+        let asked = if hedge {
+            avail.clone()
         } else {
-            // Ask a quorum first; the wave is answered if every asked leg
-            // answers and the combination verifies.
-            let asked = self.quorum(&avail, &plan);
-            self.run_legs(&asked, |_| Arc::clone(&frame), &mut answers);
-            if answers.failed.is_empty() && answers.live.len() >= self.threshold {
-                if let Ok(resp) = self.combine_wave(&answers.live, &plan) {
-                    for idx in answers.ok_legs {
-                        self.legs[idx].note_success();
-                    }
-                    return Ok(resp);
-                }
-            }
+            self.quorum(&avail, &plan)
+        };
+        let mut answers = Answers::default();
+        let wave_frame = |_: usize| Arc::clone(&frame);
+        let mut answer = self.run_legs(&asked, wave_frame, hedge.then_some(&plan), &mut answers);
+        if answer.is_none() && answers.failed.is_empty() && answers.live.len() >= self.threshold {
+            answer = self.combine_wave(&answers.live, &plan).ok();
+        }
+        if answer.is_none() {
             // A fault, a MAC mismatch or a disagreement: widen to every
             // other available leg, then settle the wave as a full one.
             let rest: Vec<usize> = avail.into_iter().filter(|i| !asked.contains(i)).collect();
-            self.run_legs(&rest, |_| Arc::clone(&frame), &mut answers);
+            self.run_legs(&rest, wave_frame, None, &mut answers);
         }
-        let Answers {
-            live,
-            ok_legs,
-            failed,
-        } = answers;
-
-        for (idx, e) in failed {
-            self.legs[idx].strike(&mut self.stats, base, e.to_string());
+        for (idx, e) in std::mem::take(&mut answers.failed) {
+            self.legs[idx].strike(e.to_string());
         }
-        if live.len() < self.threshold {
-            let faults: Vec<String> = self
-                .legs
-                .iter()
-                .filter_map(|l| {
-                    l.fault
-                        .as_ref()
-                        .map(|f| format!("party {} at {}: {f}", l.party, l.addr))
-                })
-                .collect();
-            return Err(CoreError::Transport(format!(
-                "fleet quorum lost: {} of {} parties answering, threshold {} ({})",
-                live.len(),
-                self.legs.len(),
-                self.threshold,
-                faults.join("; ")
-            )));
-        }
-        match self.combine_wave(&live, &plan) {
-            Ok(resp) => {
-                for idx in ok_legs {
-                    self.legs[idx].note_success();
-                }
-                Ok(resp)
+        let combined = match answer {
+            Some(resp) => Ok(resp),
+            None if answers.live.len() < self.threshold => {
+                return Err(self.quorum_lost(answers.live.len(), "answering"));
             }
-            Err(FleetError::Blamed { parties, detail }) => {
-                for leg in self.legs.iter_mut() {
-                    if parties.contains(&leg.party) {
-                        leg.quarantine_integrity(&mut self.stats, format!("quarantined: {detail}"));
-                    }
-                }
-                Err(CoreError::Corrupt(format!(
-                    "fleet integrity failure: {detail}"
-                )))
-            }
-            Err(FleetError::Fatal(detail)) => Err(CoreError::Corrupt(format!(
-                "fleet integrity failure: {detail}"
-            ))),
-        }
+            None => self.combine_wave(&answers.live, &plan),
+        };
+        self.settle(combined, &answers.ok_legs)
     }
 
     fn stats(&self) -> TransportStats {
@@ -1549,32 +1335,21 @@ impl<T: Transport + Send + 'static> Transport for FleetTransport<T> {
     }
 
     fn set_call_budget(&mut self, budget: Option<Duration>) {
-        self.config.deadline = budget;
-        for leg in self.legs.iter_mut() {
-            if let Some(t) = leg.transport.as_mut() {
-                t.set_call_budget(budget);
-            }
+        for t in self.legs.iter_mut().filter_map(|l| l.transport.as_mut()) {
+            t.set_call_budget(budget);
         }
     }
 }
 
 /// Builds the full in-process fleet stack from a fleet encoding: one
 /// shared party host per party, `data_shards` fleet pipes, and the usual
-/// [`ShardRouter`] on top. The `n = 1, t = 1` case routes the exact same
-/// waves as the single-party [`ShardRouter::local`] deployment.
-pub fn local_fleet_router(
-    fleet: FleetEncodeOutput,
-    seed: &Seed,
-    data_shards: u32,
-) -> Result<ShardRouter<FleetTransport<LocalPartyTransport>>, CoreError> {
-    local_fleet_router_wrapped(fleet, seed, data_shards, |_, t| t)
-}
-
-/// Like [`local_fleet_router`] but passes every leg transport through
-/// `wrap(party, transport)` first — the hook the chaos plane and the
-/// degraded-mode bench use to interpose [`crate::chaos::ChaosTransport`]
-/// on individual parties.
-pub fn local_fleet_router_wrapped<T, F>(
+/// [`ShardRouter`] on top. Every leg transport passes through
+/// `wrap(party, transport)` first (`|_, t| t` for none) — the hook the
+/// chaos plane and the degraded-mode bench use to interpose
+/// [`crate::chaos::ChaosTransport`] on individual parties. The
+/// `n = 1, t = 1` case routes the exact same waves as the single-party
+/// [`ShardRouter::local`] deployment.
+pub fn local_fleet_router<T, F>(
     fleet: FleetEncodeOutput,
     seed: &Seed,
     data_shards: u32,
@@ -1698,6 +1473,10 @@ fn fleet_consensus(probes: &mut [Probe], threshold: usize) -> Result<u32, CoreEr
 /// the `Hello` answer (`2·S`: data plus MAC planes). Parties dead at
 /// connect — refused, silent past [`FLEET_CONNECT_TIMEOUT`], or at odds
 /// with the fleet's layout — are tolerated down to `threshold` live legs.
+/// Each leg keeps its pooled transport for life, reopening a dead
+/// connection on its next call; the MAC-shard connections close when the
+/// connect returns, since every MAC frame rides its data frame's
+/// [`Request::Pair`].
 pub fn connect_fleet_mux(
     addrs: &[String],
     threshold: usize,
@@ -1729,28 +1508,12 @@ pub fn connect_fleet_mux(
             let legs = probes
                 .iter()
                 .enumerate()
-                .map(|(j, probe)| match probe {
-                    Ok(pool) => {
-                        // The dialer revives the party's pooled socket for
-                        // this shard (a no-op while it is healthy) within
-                        // the budget it is handed, so a retry or
-                        // re-admission probe re-dials at most one
-                        // connection shared by every rider, and never
-                        // blocks past the deadline.
-                        let dial: Dialer<MuxTransport> = {
-                            let pool = pool.clone();
-                            Arc::new(move |budget| {
-                                let mut t = pool.transport(k);
-                                t.set_call_budget(budget);
-                                t.revive()?;
-                                Ok(t)
-                            })
-                        };
-                        FleetLeg::up(j + 1, pool.transport(k))
-                            .at(&addrs[j])
-                            .with_dialer(dial)
+                .map(|(j, probe)| {
+                    match probe {
+                        Ok(pool) => FleetLeg::up(j + 1, pool.transport(k)),
+                        Err(f) => FleetLeg::down(j + 1, f.clone()),
                     }
-                    Err(f) => FleetLeg::down(j + 1, f.clone()).at(&addrs[j]),
+                    .at(&addrs[j])
                 })
                 .collect();
             let mut pipe = FleetTransport::new(
@@ -1775,7 +1538,7 @@ mod tests {
     use super::*;
     use crate::encode::{encode_document_fleet, split_fleet};
     use crate::engine::{EngineKind, MatchRule};
-    use crate::facade::{EncryptedDb, FleetDb};
+    use crate::facade::EncryptedDb;
     use ssx_store::Row;
 
     const XML: &str = "<site><a><b/><b/></a><c><a><b/></a></c></site>";
@@ -1786,7 +1549,11 @@ mod tests {
         (map, seed)
     }
 
-    fn fleet_db(n: usize, t: usize, shards: u32) -> FleetDb {
+    fn fleet_db(
+        n: usize,
+        t: usize,
+        shards: u32,
+    ) -> EncryptedDb<ShardRouter<FleetTransport<LocalPartyTransport>>> {
         let (map, seed) = setup();
         let spec = FleetSpec::new(n, t).unwrap();
         EncryptedDb::encode_fleet_sharded(XML, map, seed, spec, shards).unwrap()
@@ -1854,7 +1621,7 @@ mod tests {
         let mut fleet = encode_document_fleet(XML, &map, &seed, spec).unwrap();
         fleet.parties[1].data =
             corrupt_table(std::mem::replace(&mut fleet.parties[1].data, Table::new(0)));
-        let mut db = FleetDb::from_fleet_output(fleet, map, seed, 1).unwrap();
+        let mut db = EncryptedDb::from_fleet_output(fleet, map, seed, 1).unwrap();
         let err = db
             .query("//b", EngineKind::Simple, MatchRule::Containment)
             .unwrap_err();
@@ -1884,7 +1651,7 @@ mod tests {
         fleet.parties[2].mac =
             corrupt_table(std::mem::replace(&mut fleet.parties[2].mac, Table::new(0)));
         let mut single = EncryptedDb::encode(XML, map.clone(), seed.clone()).unwrap();
-        let mut db = FleetDb::from_fleet_output(fleet, map, seed, 1).unwrap();
+        let mut db = EncryptedDb::from_fleet_output(fleet, map, seed, 1).unwrap();
         // A read wave asks two of the three parties, so the liar is caught
         // by the first share wave that asks it. Queries of different wave
         // counts shift the rotation; until then every answer is exact.
@@ -2028,7 +1795,7 @@ mod tests {
         let mut fleet = encode_document_fleet(XML, &map, &seed, spec).unwrap();
         fleet.parties[0].data =
             corrupt_table(std::mem::replace(&mut fleet.parties[0].data, Table::new(0)));
-        let mut db = FleetDb::from_fleet_output(fleet, map, seed, 1).unwrap();
+        let mut db = EncryptedDb::from_fleet_output(fleet, map, seed, 1).unwrap();
         let err = db
             .query("//b", EngineKind::Simple, MatchRule::Containment)
             .unwrap_err();
@@ -2164,7 +1931,7 @@ mod tests {
         let spec = FleetSpec::new(3, 2).unwrap();
         let fleet = encode_document_fleet(XML, &map, &seed, spec).unwrap();
         let ring = fleet.ring.clone();
-        let mut router = local_fleet_router(fleet, &seed, 1).unwrap();
+        let mut router = local_fleet_router(fleet, &seed, 1, |_, t| t).unwrap();
         let base = count_of(router.call(&Request::Count).unwrap());
         let poly = poly_bytes(&ring, 0xFEED);
 

@@ -53,10 +53,10 @@ pub use engine::{
     AdvancedEngine, Engine, EngineKind, MatchRule, QueryOutcome, QueryStats, SimpleEngine,
 };
 pub use error::CoreError;
-pub use facade::{EncryptedDb, FleetDb, InsertOutcome, RemoteMuxDb, RemoteMuxFleetDb};
+pub use facade::{EncryptedDb, InsertOutcome, RemoteMuxDb};
 pub use fleet::{
-    connect_fleet_mux, local_fleet_router, local_fleet_router_wrapped, party_server, Dialer,
-    FleetLeg, FleetTransport, LocalPartyTransport, PartyHealth, PartyStatus, ResilienceConfig,
+    connect_fleet_mux, local_fleet_router, party_server, FleetLeg, FleetTransport,
+    LocalPartyTransport, PartyHealth, PartyStatus, ResilienceConfig,
 };
 pub use map::MapFile;
 pub use reference::{reference_aggregate, reference_eval, RefAggregate};

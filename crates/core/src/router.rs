@@ -13,8 +13,8 @@
 //!    the same shard collapse into one [`Request::Batch`] — as pipelined
 //!    sends on a multiplexed transport ([`MuxTransport`]), on scoped
 //!    threads for blocking pipes that do not pipeline (a networked fleet's
-//!    [`crate::fleet::FleetTransport`]), or as a sequential loop for
-//!    in-process ones;
+//!    [`crate::fleet::FleetTransport`]) when more than one frame goes out,
+//!    or as a sequential loop for in-process ones and for a lone frame;
 //! 3. **merges** the answers back in document order: split item lists are
 //!    scattered to their original positions, fanned location lists are
 //!    k-way merged by `pre` (shards hold disjoint `pre` sets, so the merge
@@ -120,8 +120,9 @@ pub struct ShardRouter<T: Transport> {
     /// the tag (the host routes on it); local transports are positional.
     tag_frames: bool,
     /// Dispatch per-shard frames on scoped threads instead of a sequential
-    /// loop when the transports do not pipeline. On for networked fleet
-    /// pipes, off for in-process transports.
+    /// loop when the transports do not pipeline and a wave sends more than
+    /// one frame. On for networked fleet pipes, off for in-process
+    /// transports.
     concurrent: bool,
     waves: u64,
     batches: u64,
@@ -249,11 +250,6 @@ impl<T: Transport + Send> ShardRouter<T> {
         self.spec
     }
 
-    /// Per-shard traffic counters (physical sends, bytes per shard).
-    pub fn shard_stats(&self) -> Vec<TransportStats> {
-        self.transports.iter().map(|t| t.stats()).collect()
-    }
-
     /// The underlying per-shard transports.
     pub fn transports(&self) -> &[T] {
         &self.transports
@@ -315,8 +311,9 @@ impl<T: Transport + Send> ShardRouter<T> {
         // Dispatch: a pipelining transport (mux) overlaps the round trips
         // with zero extra threads — every frame goes on the wire, then the
         // completion slots are collected; scoped threads overlap blocking
-        // pipes (a networked fleet's legs); the sequential loop is the
-        // right shape for in-process shards.
+        // pipes (a networked fleet's legs) when more than one frame goes
+        // out; the sequential loop is the right shape for in-process shards
+        // and for a lone frame.
         let results: Vec<Option<Result<Response, CoreError>>> =
             if self.transports.first().is_some_and(Transport::pipelines) {
                 let pending: Vec<_> = self
@@ -330,7 +327,7 @@ impl<T: Transport + Send> ShardRouter<T> {
                     .zip(pending)
                     .map(|(t, p)| p.map(|p| p.and_then(|call| t.finish_pipelined(call))))
                     .collect()
-            } else if self.concurrent {
+            } else if self.concurrent && frames.iter().flatten().count() > 1 {
                 std::thread::scope(|scope| {
                     let handles: Vec<_> = self
                         .transports
@@ -1377,6 +1374,62 @@ mod tests {
                 Response::MaybeLoc(None),
                 "pre={pre} must be gone"
             );
+        }
+    }
+
+    /// A shard link that logs the thread each of its calls runs on.
+    struct ThreadLog {
+        inner: LocalTransport,
+        log: std::sync::Arc<std::sync::Mutex<Vec<std::thread::ThreadId>>>,
+    }
+
+    impl Transport for ThreadLog {
+        fn call(&mut self, req: &Request) -> Result<Response, CoreError> {
+            self.log.lock().unwrap().push(std::thread::current().id());
+            self.inner.call(req)
+        }
+
+        fn stats(&self) -> TransportStats {
+            self.inner.stats()
+        }
+    }
+
+    /// A concurrent router sends a wave's lone frame on the caller's
+    /// thread — every wave at S = 1, a single-shard wave at S = 2 — and
+    /// gives each frame of a multi-shard fan a thread of its own.
+    #[test]
+    fn a_single_frame_wave_spawns_no_thread() {
+        let caller = std::thread::current().id();
+        for shards in [1u32, 2] {
+            let log = std::sync::Arc::default();
+            let host = server(shards);
+            let spec = host.spec();
+            let links = host
+                .into_filters()
+                .into_iter()
+                .map(|f| ThreadLog {
+                    inner: LocalTransport::new(f),
+                    log: std::sync::Arc::clone(&log),
+                })
+                .collect();
+            let mut r = ShardRouter::new(spec, links, false, true);
+            let ran_on = |r: &mut ShardRouter<ThreadLog>, req: &Request| {
+                r.call(req).unwrap();
+                std::mem::take(&mut *log.lock().unwrap())
+            };
+            let fan = ran_on(&mut r, &Request::Roots);
+            assert_eq!(
+                fan.len(),
+                shards as usize,
+                "S={shards}: one frame per shard"
+            );
+            if shards == 1 {
+                assert_eq!(fan, [caller], "S=1: the lone frame stays on the caller");
+            } else {
+                assert!(fan.iter().all(|&t| t != caller), "S=2: the fan {fan:?}");
+            }
+            let lone = ran_on(&mut r, &Request::GetLoc { pre: 1 });
+            assert_eq!(lone, [caller], "S={shards}: a single-shard wave");
         }
     }
 

@@ -88,7 +88,7 @@ impl Deadline {
 /// trip however many sub-requests it carries, and a
 /// [`crate::router::ShardRouter`] counts one wave when it contacts several
 /// shards concurrently (the per-shard sends show up in `shard_dispatches`
-/// and in the per-shard [`crate::router::ShardRouter::shard_stats`]).
+/// and in each per-shard transport's own counters).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TransportStats {
     /// Logical round trips (request waves).
@@ -1446,14 +1446,9 @@ impl MuxTransport {
     }
 
     /// Reopens the slot's pooled connection if the current one is dead, so
-    /// a party that came back can be dialed again through the same pool
-    /// (fleet retries and re-admission). Bounded by the transport's call
-    /// budget. A live connection is left untouched — every rider keeps
-    /// overlapping on it.
-    pub fn revive(&self) -> Result<(), CoreError> {
-        self.revive_within(&Deadline::of(self.budget))
-    }
-
+    /// a host that came back is reached again through the same pool (a
+    /// fleet leg's retries and re-admission probes). A live connection is
+    /// left untouched — every rider keeps overlapping on it.
     fn revive_within(&self, deadline: &Deadline) -> Result<(), CoreError> {
         let stale = {
             let conn = self.slot.conn.read().unwrap_or_else(|p| p.into_inner());

@@ -160,15 +160,14 @@ pub fn load_table(path: &Path) -> Result<Table, StoreError> {
 }
 
 /// An append-only write-ahead log of whole-document mutations. Every
-/// mutation is appended (and by default fsynced) *before* it is applied to
-/// the in-memory table, so a crash at any point recovers by replaying the
-/// log over the last snapshot.
+/// mutation is appended and fsynced once the store has applied it (the
+/// facade logs only acknowledged mutations), so a crash at any point
+/// recovers by replaying the log over the last snapshot.
 #[derive(Debug)]
 pub struct Wal {
     file: std::fs::File,
     path: PathBuf,
     poly_len: usize,
-    sync: bool,
 }
 
 impl Wal {
@@ -211,7 +210,6 @@ impl Wal {
             file,
             path: path.to_path_buf(),
             poly_len,
-            sync: true,
         })
     }
 
@@ -225,13 +223,6 @@ impl Wal {
         self.file.metadata().map(|m| m.len()).unwrap_or(0)
     }
 
-    /// Whether each append fsyncs before returning (default true). Turning
-    /// it off trades the durability of the most recent mutations for
-    /// throughput; the record framing stays crash-safe either way.
-    pub fn set_sync(&mut self, sync: bool) {
-        self.sync = sync;
-    }
-
     fn append_record(&mut self, kind: u8, payload: &[u8]) -> Result<(), StoreError> {
         let io = |e: std::io::Error| StoreError::Persist(e.to_string());
         let len = wire_u32(1 + payload.len() as u64)?;
@@ -242,9 +233,7 @@ impl Wal {
         let sum = fnv1a(&rec);
         rec.extend_from_slice(&sum.to_le_bytes());
         self.file.write_all(&rec).map_err(io)?;
-        if self.sync {
-            self.file.sync_data().map_err(io)?;
-        }
+        self.file.sync_data().map_err(io)?;
         Ok(())
     }
 

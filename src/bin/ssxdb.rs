@@ -68,10 +68,10 @@
 //! The resilience knobs: `--deadline-ms MS` bounds every call (a hung
 //! party fails with a typed timeout instead of hanging the query),
 //! `--retries N` retries transient failures with exponential backoff over
-//! a fresh connection, and `--hedge` asks every live party on each read
-//! wave and answers from the first `t` verified responses while
-//! stragglers drain in the background: more party requests, in exchange
-//! for not waiting on one slow party.
+//! the party's connection (reopened if it died), and `--hedge` asks every
+//! live party on each read wave and answers from the first `t` verified
+//! responses while stragglers drain in the background: more party
+//! requests, in exchange for not waiting on one slow party.
 //! On the host side, `serve --write-stall-ms MS` bounds how long a
 //! non-reading client may stall a response send before its connection is
 //! shed.
@@ -95,8 +95,8 @@
 
 use ssxdb::core::{
     encode_document, encode_dom, party_server, run_aggregate, serve_tcp_mux_opts, split_fleet,
-    AggOp, AggregateSpec, ClientFilter, EncryptedDb, Engine, EngineKind, FleetSpec, MapFile,
-    MatchRule, MuxHostOptions, MuxPool, RemoteMuxDb, RemoteMuxFleetDb, ResilienceConfig,
+    AggOp, AggregateSpec, ClientFilter, EncryptedDb, Engine, EngineKind, FleetSpec, FleetTransport,
+    MapFile, MatchRule, MuxHostOptions, MuxPool, MuxTransport, RemoteMuxDb, ResilienceConfig,
     ServerFilter, ShardRouter, ShardedServer, Transport,
 };
 use ssxdb::poly::RingCtx;
@@ -316,19 +316,45 @@ fn mux_host_options(args: &Args, auto_target: Option<u64>) -> Result<MuxHostOpti
     Ok(opts)
 }
 
-/// Builds the fleet resilience policy from `--deadline-ms`, `--retries`
-/// and `--hedge`.
-fn resilience_options(args: &Args) -> Result<ResilienceConfig, String> {
-    let mut cfg = ResilienceConfig::default();
-    if let Some(ms) = args.flag("deadline-ms") {
-        let ms: u64 = ms.parse().map_err(|_| "bad --deadline-ms")?;
-        cfg.deadline = Some(std::time::Duration::from_millis(ms.max(1)));
-    }
+/// The per-call budget from `--deadline-ms` (`None` waits as long as the
+/// OS does).
+fn deadline(args: &Args) -> Result<Option<std::time::Duration>, String> {
+    let Some(ms) = args.flag("deadline-ms") else {
+        return Ok(None);
+    };
+    let ms: u64 = ms.parse().map_err(|_| "bad --deadline-ms")?;
+    Ok(Some(std::time::Duration::from_millis(ms.max(1))))
+}
+
+/// Connects to the `--fleet` at `--threshold`, with the `--deadline-ms`
+/// budget on every call and the `--retries`/`--hedge` policy on every
+/// pipe.
+fn connect_fleet(
+    args: &Args,
+    map: MapFile,
+    seed: Seed,
+) -> Result<EncryptedDb<ShardRouter<FleetTransport<MuxTransport>>>, String> {
+    let addrs: Vec<String> = args
+        .required("fleet")?
+        .split(',')
+        .map(|s| s.trim().to_string())
+        .filter(|s| !s.is_empty())
+        .collect();
+    let threshold: usize = args
+        .required("threshold")?
+        .parse()
+        .map_err(|_| "bad --threshold")?;
+    let budget = deadline(args)?;
+    let mut policy = ResilienceConfig::default();
     if let Some(n) = args.flag("retries") {
-        cfg.retries = n.parse().map_err(|_| "bad --retries")?;
+        policy.retries = n.parse().map_err(|_| "bad --retries")?;
     }
-    cfg.hedge = args.bool("hedge");
-    Ok(cfg)
+    policy.hedge = args.bool("hedge");
+    let mut db =
+        EncryptedDb::connect_fleet_mux(&addrs, threshold, map, seed).map_err(|e| e.to_string())?;
+    db.set_deadline(budget);
+    db.set_resilience(policy);
+    Ok(db)
 }
 
 fn load_secrets(args: &Args) -> Result<(MapFile, Seed), String> {
@@ -627,21 +653,9 @@ fn agg(mut args: Args) -> Result<(), String> {
     let engine = parse_engine(&args)?;
     let rule = parse_rule(&args)?;
     let (map, seed) = load_secrets(&args)?;
-    if let Some(list) = args.flag("fleet") {
-        let addrs: Vec<String> = list
-            .split(',')
-            .map(|s| s.trim().to_string())
-            .filter(|s| !s.is_empty())
-            .collect();
-        let threshold: usize = args
-            .required("threshold")?
-            .parse()
-            .map_err(|_| "bad --threshold")?;
+    if args.flag("fleet").is_some() {
         let query_text = args.positional("query")?;
-        let resilience = resilience_options(&args)?;
-        let mut db = RemoteMuxFleetDb::connect_fleet_mux(&addrs, threshold, map, seed)
-            .map_err(|e| e.to_string())?;
-        db.set_resilience(resilience);
+        let mut db = connect_fleet(&args, map, seed)?;
         let out = db
             .aggregate(&query_text, engine, rule, op, range)
             .map_err(|e| e.to_string())?;
@@ -658,7 +672,7 @@ fn agg(mut args: Args) -> Result<(), String> {
             op,
             range,
         };
-        let deadline = resilience_options(&args)?.deadline;
+        let deadline = deadline(&args)?;
         let pool = MuxPool::dial(addr.as_str(), deadline).map_err(|e| e.to_string())?;
         let mut router = ShardRouter::mux(&pool);
         router.set_call_budget(deadline);
@@ -812,26 +826,14 @@ fn local_write(args: &Args, db_path: &Path, op: &WriteOp) -> Result<(), String> 
 /// share rows; the server never sees the secrets.
 fn remote_write(args: &Args, op: &WriteOp) -> Result<(), String> {
     let (map, seed) = load_secrets(args)?;
-    let resilience = resilience_options(args)?;
-    let msg = if let Some(list) = args.flag("fleet") {
-        let addrs: Vec<String> = list
-            .split(',')
-            .map(|s| s.trim().to_string())
-            .filter(|s| !s.is_empty())
-            .collect();
-        let threshold: usize = args
-            .required("threshold")?
-            .parse()
-            .map_err(|_| "bad --threshold")?;
-        let mut db = RemoteMuxFleetDb::connect_fleet_mux(&addrs, threshold, map, seed)
-            .map_err(|e| e.to_string())?;
-        db.set_resilience(resilience);
-        apply_write(&mut db, op)?
+    let msg = if args.flag("fleet").is_some() {
+        apply_write(&mut connect_fleet(args, map, seed)?, op)?
     } else {
         let addr = args.required("addr")?.to_string();
-        let pool = MuxPool::dial(addr.as_str(), resilience.deadline).map_err(|e| e.to_string())?;
+        let deadline = deadline(args)?;
+        let pool = MuxPool::dial(addr.as_str(), deadline).map_err(|e| e.to_string())?;
         let mut db = RemoteMuxDb::connect_mux(&pool, map, seed).map_err(|e| e.to_string())?;
-        db.set_deadline(resilience.deadline);
+        db.set_deadline(deadline);
         apply_write(&mut db, op)?
     };
     println!("{msg}");
@@ -973,24 +975,12 @@ fn serve(mut args: Args) -> Result<(), String> {
 fn remote(mut args: Args) -> Result<(), String> {
     args.only("remote", &[READ_FLAGS, &["speculate"], target_flags(&args)])?;
     let (map, seed) = load_secrets(&args)?;
-    if let Some(list) = args.flag("fleet") {
-        let addrs: Vec<String> = list
-            .split(',')
-            .map(|s| s.trim().to_string())
-            .filter(|s| !s.is_empty())
-            .collect();
-        let threshold: usize = args
-            .required("threshold")?
-            .parse()
-            .map_err(|_| "bad --threshold")?;
+    if args.flag("fleet").is_some() {
         let query_text = args.positional("query")?;
         let engine = parse_engine(&args)?;
         let rule = parse_rule(&args)?;
-        let resilience = resilience_options(&args)?;
-        let mut db = RemoteMuxFleetDb::connect_fleet_mux(&addrs, threshold, map, seed)
-            .map_err(|e| e.to_string())?;
+        let mut db = connect_fleet(&args, map, seed)?;
         db.set_speculation(args.bool("speculate"));
-        db.set_resilience(resilience);
         let out = db
             .query(&query_text, engine, rule)
             .map_err(|e| e.to_string())?;
@@ -1007,7 +997,7 @@ fn remote(mut args: Args) -> Result<(), String> {
     // One multiplexed socket per shard; the host's handshake answer says
     // how many shards it has, so the router always routes by the live
     // partition.
-    let deadline = resilience_options(&args)?.deadline;
+    let deadline = deadline(&args)?;
     let pool = MuxPool::dial(addr.as_str(), deadline).map_err(|e| e.to_string())?;
     let mut router = ShardRouter::mux(&pool);
     router.set_speculation(args.bool("speculate"));

@@ -9,9 +9,9 @@ use ssxdb::core::protocol::{Request, Response};
 use ssxdb::core::transport::TransportStats;
 use ssxdb::core::{
     encode_document_fleet, fleet_mac_key, party_server, serve_tcp_mux, ChaosConfig, ChaosProxy,
-    ChaosTransport, ClientFilter, CoreError, Dialer, EncryptedDb, Engine, EngineKind, FleetLeg,
-    FleetSpec, FleetTransport, LocalPartyTransport, MapFile, MatchRule, MuxPool, MuxTransport,
-    PartyHealth, ResilienceConfig, ShardRouter, ShardSpec, Transport,
+    ChaosTransport, ClientFilter, CoreError, EncryptedDb, Engine, EngineKind, FleetLeg, FleetSpec,
+    FleetTransport, LocalPartyTransport, MapFile, MatchRule, MuxPool, PartyHealth,
+    ResilienceConfig, ShardRouter, ShardSpec, Transport,
 };
 use ssxdb::prg::Seed;
 use std::net::TcpListener;
@@ -27,8 +27,8 @@ fn secrets() -> (MapFile, Seed) {
 }
 
 /// A party leg whose availability is a shared switch: while `down` it
-/// refuses every call (and every re-dial), exactly like an unreachable
-/// host, but can be flipped back up to model recovery.
+/// refuses every call, re-admission probes included, exactly like an
+/// unreachable host, but can be flipped back up to model recovery.
 struct FlakyTransport {
     inner: LocalPartyTransport,
     down: Arc<AtomicBool>,
@@ -47,9 +47,9 @@ impl Transport for FlakyTransport {
     }
 }
 
-/// A 3-party t=2 pipe whose party 3 can be switched off and back on; its
-/// dialer honors the same switch, so re-admission probes fail while the
-/// party is down and pass once it recovers.
+/// A 3-party t=2 pipe whose party 3 can be switched off and back on. Each
+/// leg keeps its one in-process transport, so re-admission probes go out
+/// on it: they fail while the party is down and pass once it recovers.
 fn flaky_pipe() -> (FleetTransport<FlakyTransport>, Arc<AtomicBool>) {
     let (map, seed) = secrets();
     let spec = FleetSpec::new(3, 2).unwrap();
@@ -69,35 +69,16 @@ fn flaky_pipe() -> (FleetTransport<FlakyTransport>, Arc<AtomicBool>) {
             } else {
                 Arc::new(AtomicBool::new(false))
             };
-            let dial: Dialer<FlakyTransport> = {
-                let host = Arc::clone(&host);
-                let down = Arc::clone(&down);
-                Arc::new(move |_budget| {
-                    if down.load(Ordering::SeqCst) {
-                        Err(CoreError::Transport("party host unreachable (test)".into()))
-                    } else {
-                        Ok(FlakyTransport {
-                            inner: LocalPartyTransport::new(Arc::clone(&host)),
-                            down: Arc::clone(&down),
-                        })
-                    }
-                })
+            let leg = FlakyTransport {
+                inner: LocalPartyTransport::new(host),
+                down,
             };
-            FleetLeg::up(
-                party,
-                FlakyTransport {
-                    inner: LocalPartyTransport::new(Arc::clone(&host)),
-                    down: Arc::clone(&down),
-                },
-            )
-            .at(format!("party{party}.test:0"))
-            .with_dialer(dial)
+            FleetLeg::up(party, leg).at(format!("party{party}.test:0"))
         })
         .collect();
     let mut pipe = FleetTransport::new(legs, 2, 1, 0, ring, packer, alpha, false);
     pipe.set_resilience(ResilienceConfig {
         retries: 0,
-        cooldown_waves: 2,
         ..Default::default()
     });
     (pipe, switch)
@@ -119,7 +100,7 @@ fn quarantined_party_recovers_probation_then_live() {
     assert_eq!(health(&pipe, 3), PartyHealth::Live);
 
     // Waves 2–3: party 3 is down. First strike demotes, second quarantines
-    // (cooldown 2); the honest quorum keeps answering bit-identically.
+    // (cooldown 4); the honest quorum keeps answering bit-identically.
     down.store(true, Ordering::SeqCst);
     assert_eq!(pipe.call(&Request::Count).unwrap(), reference);
     assert_eq!(health(&pipe, 3), PartyHealth::Suspect);
@@ -127,9 +108,10 @@ fn quarantined_party_recovers_probation_then_live() {
     assert_eq!(health(&pipe, 3), PartyHealth::Quarantined);
     assert_eq!(pipe.live_parties(), vec![1, 2]);
 
-    // Waves 4–5 tick the cooldown down; wave 6 probes — the party is still
-    // dead, so the probe fails and the cooldown doubles to 4.
-    for _ in 0..3 {
+    // Waves 4–7 tick the cooldown down; wave 8 probes on the leg's own
+    // transport — the party is still dead, so the probe fails and the
+    // cooldown doubles to 8.
+    for _ in 0..5 {
         assert_eq!(pipe.call(&Request::Count).unwrap(), reference);
     }
     let st = pipe.party_status().remove(2);
@@ -143,13 +125,13 @@ fn quarantined_party_recovers_probation_then_live() {
         st.fault
     );
 
-    // The party recovers. Waves 7–10 sit out the doubled cooldown...
+    // The party recovers. Waves 9–16 sit out the doubled cooldown...
     down.store(false, Ordering::SeqCst);
-    for _ in 0..4 {
+    for _ in 0..8 {
         assert_eq!(pipe.call(&Request::Count).unwrap(), reference);
         assert_eq!(health(&pipe, 3), PartyHealth::Quarantined);
     }
-    // ...wave 11 probes successfully, re-admits the leg on probation, and
+    // ...wave 17 probes successfully, re-admits the leg on probation, and
     // its answer in that same wave promotes it to Live with a clean record.
     assert_eq!(pipe.call(&Request::Count).unwrap(), reference);
     let st = pipe.party_status().remove(2);
@@ -306,7 +288,7 @@ fn chaos_proxy_soak_replays_from_a_printed_seed() {
     // Connect through the proxies with a hard per-call deadline, so even a
     // dropped frame — the handshake included — can only cost the deadline,
     // never a hang. Each party is one pool; its data-shard connection is
-    // the leg, and the dialer revives it within the budget it is handed.
+    // the leg, which reopens itself within the budget once it dies.
     let budget = Some(Duration::from_millis(400));
     let legs = proxies
         .iter()
@@ -314,28 +296,16 @@ fn chaos_proxy_soak_replays_from_a_printed_seed() {
         .map(|(j, proxy)| {
             let addr = proxy.addr().to_string();
             let leg = match MuxPool::dial(proxy.addr(), budget) {
-                Ok(pool) => {
-                    let dial: Dialer<MuxTransport> = {
-                        let pool = pool.clone();
-                        Arc::new(move |b| {
-                            let mut t = pool.transport(0);
-                            t.set_call_budget(b);
-                            t.revive()?;
-                            Ok(t)
-                        })
-                    };
-                    FleetLeg::up(j + 1, pool.transport(0)).with_dialer(dial)
-                }
+                Ok(pool) => FleetLeg::up(j + 1, pool.transport(0)),
                 Err(e) => FleetLeg::down(j + 1, e.to_string()),
             };
             leg.at(&addr)
         })
         .collect();
     let mut pipe = FleetTransport::new(legs, 2, 1, 0, ring, packer, alpha, true);
+    pipe.set_call_budget(budget);
     pipe.set_resilience(ResilienceConfig {
-        deadline: budget,
         retries: 2,
-        cooldown_waves: 1,
         ..Default::default()
     });
     let router = ShardRouter::new(ShardSpec::new(1), vec![pipe], false, true);

@@ -12,13 +12,13 @@
 use ssxdb::core::protocol::{Request, Response};
 use ssxdb::core::transport::{Transport, TransportStats};
 use ssxdb::core::{
-    encode_document_at, encode_document_fleet, fleet_mac_key, local_fleet_router_wrapped,
-    party_server, run_aggregate, serve_tcp_mux, AggOp, AggregateSpec, ClientFilter, CoreError,
-    EncryptedDb, Engine, EngineKind, FleetEncodeOutput, FleetLeg, FleetSpec, FleetTransport,
-    LocalPartyTransport, MapFile, MatchRule, MuxPool, PartyHealth, PartyStore, RemoteMuxFleetDb,
-    ShardRouter, ShardSpec, ShardedServer,
+    encode_document_at, encode_document_fleet, fleet_mac_key, local_fleet_router, party_server,
+    run_aggregate, serve_tcp_mux, AggOp, AggregateSpec, ClientFilter, CoreError, EncryptedDb,
+    Engine, EngineKind, FleetEncodeOutput, FleetLeg, FleetSpec, FleetTransport,
+    LocalPartyTransport, MapFile, MatchRule, MuxPool, PartyHealth, PartyStore, ShardRouter,
+    ShardSpec, ShardedServer,
 };
-use ssxdb::poly::RingCtx;
+use ssxdb::poly::{Packer, RingCtx};
 use ssxdb::prg::{Prg, Seed};
 use ssxdb::store::{Loc, Row, Table};
 use ssxdb::xmark::{generate, XmarkConfig, DTD_ELEMENTS};
@@ -82,7 +82,7 @@ fn fig5_chain_is_bit_identical_between_single_party_and_tcp_fleet() {
         let mut single = EncryptedDb::encode(&xml, map.clone(), seed.clone()).unwrap();
         single.set_speculation(speculate);
         let mut fleet =
-            RemoteMuxFleetDb::connect_fleet_mux(&addrs, 2, map.clone(), seed.clone()).unwrap();
+            EncryptedDb::connect_fleet_mux(&addrs, 2, map.clone(), seed.clone()).unwrap();
         fleet.set_speculation(speculate);
 
         let a = single
@@ -359,7 +359,7 @@ fn liar_fleet(threshold: usize) -> (LiarClient, Vec<Loc>) {
         .result;
     let spec = FleetSpec::new(3, threshold).unwrap();
     let out = encode_document_fleet(SMALL_XML, &map, &seed, spec).unwrap();
-    let router = local_fleet_router_wrapped(out, &seed, 1, |party, inner| LyingLeg {
+    let router = local_fleet_router(out, &seed, 1, |party, inner| LyingLeg {
         inner,
         lies: party == 2,
     })
@@ -426,6 +426,151 @@ fn at_t1_a_structural_lie_is_a_disagreement_never_an_answer() {
     assert!(caught > 0, "no structural wave asked party 2");
 }
 
+/// A party leg whose share answers lie: in the data half of a pair it adds
+/// 1 to one coefficient of the *last* polynomial of a `Polys` answer and of
+/// the *last* partial of an `Agg` answer. Values and structure stay honest.
+struct ShareLiar {
+    inner: LocalPartyTransport,
+    ring: RingCtx,
+    lies: bool,
+}
+
+fn bump_last(ring: &RingCtx, packed: &mut [Vec<u8>]) {
+    let packer = Packer::new(ring);
+    if let Some(last) = packed.last_mut() {
+        let mut coeffs = packer.unpack_radix(ring, last).unwrap().coeffs().to_vec();
+        coeffs[0] = ring.field().add(coeffs[0], ring.field().one());
+        *last = packer.pack_radix(&ring.poly_from_coeffs(coeffs).unwrap());
+    }
+}
+
+fn lie_about_shares(ring: &RingCtx, resp: Response) -> Response {
+    match resp {
+        Response::Polys(mut polys) => {
+            bump_last(ring, &mut polys);
+            Response::Polys(polys)
+        }
+        Response::Agg {
+            found,
+            mut partials,
+        } => {
+            bump_last(ring, &mut partials);
+            Response::Agg { found, partials }
+        }
+        Response::Batch(slots) => Response::Batch(
+            slots
+                .into_iter()
+                .map(|r| lie_about_shares(ring, r))
+                .collect(),
+        ),
+        Response::Pair { data, mac } => Response::Pair {
+            data: Box::new(lie_about_shares(ring, *data)),
+            mac,
+        },
+        other => other,
+    }
+}
+
+impl Transport for ShareLiar {
+    fn call(&mut self, req: &Request) -> Result<Response, CoreError> {
+        let resp = self.inner.call(req)?;
+        Ok(if self.lies {
+            lie_about_shares(&self.ring, resp)
+        } else {
+            resp
+        })
+    }
+
+    fn stats(&self) -> TransportStats {
+        self.inner.stats()
+    }
+}
+
+/// The share combiner checks every shape in one pass, down to the last
+/// element. Party 2 of an in-process 3-party t = 2 fleet corrupts only the
+/// last partial of each aggregate close and the last of three fetched
+/// polynomials. SUMs are exact until a closing wave asks party 2; that
+/// wave widens, attributes the lie to party 2 and quarantines it, and the
+/// retry is exact. A fresh fleet's three-polynomial fetch goes the same
+/// way.
+#[test]
+fn a_share_liar_in_a_last_partial_or_polynomial_is_attributed() {
+    let xml = generate(&XmarkConfig {
+        seed: 0x2005,
+        target_bytes: 8 * 1024,
+    });
+    let (map, seed) = bench_secrets();
+    let liar_fleet = || {
+        let spec = FleetSpec::new(3, 2).unwrap();
+        let out = encode_document_fleet(&xml, &map, &seed, spec).unwrap();
+        let ring = out.ring.clone();
+        local_fleet_router(out, &seed, 1, |party, inner| ShareLiar {
+            inner,
+            ring: ring.clone(),
+            lies: party == 2,
+        })
+        .unwrap()
+    };
+    let attributed = |err: CoreError| {
+        assert!(matches!(err, CoreError::Corrupt(_)), "{err:?}");
+        assert!(err.to_string().contains("attributed to party 2"), "{err}");
+    };
+
+    let sum = AggregateSpec {
+        query: parse_query("//item/quantity").unwrap(),
+        op: AggOp::Sum,
+        range: None,
+    };
+    let (kind, rule) = (EngineKind::Simple, MatchRule::Containment);
+    let want = EncryptedDb::encode(&xml, map.clone(), seed.clone())
+        .unwrap()
+        .run_aggregate(&sum, kind, rule)
+        .unwrap();
+    assert!(want.sum > 0, "the quantities must sum to something");
+    let want = (want.count, want.contributing, want.sum);
+    let mut client = ClientFilter::new(liar_fleet(), map.clone(), seed.clone()).unwrap();
+    let sum_on = |client: &mut ClientFilter<_>| {
+        run_aggregate(client, kind, rule, &sum).map(|out| (out.count, out.contributing, out.sum))
+    };
+    let err = (0..6)
+        .find_map(|_| match sum_on(&mut client) {
+            Ok(got) => {
+                assert_eq!(got, want, "a SUM before a close asked party 2");
+                None
+            }
+            Err(e) => Some(e),
+        })
+        .expect("no closing wave asked party 2");
+    attributed(err);
+    let status = client.transport().transports()[0].party_status();
+    assert_eq!(status[1].health, PartyHealth::Quarantined);
+    assert_eq!(sum_on(&mut client).unwrap(), want, "the retry is exact");
+
+    let polys = Request::GetPolys {
+        pres: vec![1, 2, 3],
+    };
+    let single = ssxdb::core::encode_document(&xml, &map, &seed).unwrap();
+    let want = ShardRouter::local(ShardedServer::from_table(single.table, single.ring, 1).unwrap())
+        .call(&polys)
+        .unwrap();
+    assert!(
+        matches!(&want, Response::Polys(p) if p.len() == 3),
+        "{want:?}"
+    );
+    let mut router = liar_fleet();
+    let err = (0..3)
+        .find_map(|_| match router.call(&polys) {
+            Ok(got) => {
+                assert_eq!(got, want, "a fetch before one asked party 2");
+                None
+            }
+            Err(e) => Some(e),
+        })
+        .expect("no fetch asked party 2");
+    attributed(err);
+    assert_eq!(router.call(&polys).unwrap(), want, "the retry is exact");
+}
+
 /// Killing *any single* server mid-run: for each victim in turn, a live
 /// fleet connection keeps answering the fig5 chain correctly after the
 /// victim's host winds down under it.
@@ -457,8 +602,7 @@ fn killing_any_single_server_mid_run_returns_correct_results() {
             .collect();
         let addrs: Vec<String> = hosts.iter().map(|(a, _)| a.to_string()).collect();
 
-        let mut db =
-            RemoteMuxFleetDb::connect_fleet_mux(&addrs, 2, map.clone(), seed.clone()).unwrap();
+        let mut db = EncryptedDb::connect_fleet_mux(&addrs, 2, map.clone(), seed.clone()).unwrap();
         assert_eq!(
             db.query(query, EngineKind::Simple, MatchRule::Equality)
                 .unwrap()
@@ -529,7 +673,7 @@ fn corrupted_share_is_detected_and_attributed() {
         .collect();
     let addrs: Vec<String> = hosts.iter().map(|(a, _)| a.to_string()).collect();
 
-    let mut db = RemoteMuxFleetDb::connect_fleet_mux(&addrs, 2, map.clone(), seed.clone()).unwrap();
+    let mut db = EncryptedDb::connect_fleet_mux(&addrs, 2, map.clone(), seed.clone()).unwrap();
     let err = db
         .query(query, EngineKind::Simple, MatchRule::Equality)
         .unwrap_err();

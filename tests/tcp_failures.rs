@@ -11,8 +11,9 @@ use ssxdb::core::protocol::{
 use ssxdb::core::transport::Transport;
 use ssxdb::core::{
     encode_document, encode_document_fleet, party_server, serve_tcp_mux, serve_tcp_mux_opts,
-    CoreError, EncryptedDb, EngineKind, FleetSpec, MapFile, MatchRule, MuxHostOptions, MuxPool,
-    PartyHealth, PartyStore, RemoteMuxFleetDb, ResilienceConfig, ShardRouter, ShardedServer,
+    CoreError, EncryptedDb, EngineKind, FleetSpec, FleetTransport, MapFile, MatchRule,
+    MuxHostOptions, MuxPool, MuxTransport, PartyHealth, PartyStore, ResilienceConfig, ShardRouter,
+    ShardedServer,
 };
 use ssxdb::poly::RingCtx;
 use ssxdb::prg::Seed;
@@ -470,7 +471,7 @@ fn fleet_tolerates_a_party_dead_at_connect() {
     let p3 = spawn_party(parties.next().unwrap(), &ring);
     let addrs = vec![p1.0.to_string(), dead_addr().to_string(), p3.0.to_string()];
 
-    let mut db = RemoteMuxFleetDb::connect_fleet_mux(&addrs, 2, map, seed).unwrap();
+    let mut db = EncryptedDb::connect_fleet_mux(&addrs, 2, map, seed).unwrap();
     let out = db
         .query("//b", EngineKind::Simple, MatchRule::Equality)
         .unwrap();
@@ -500,7 +501,7 @@ fn fleet_connect_outvotes_a_misconfigured_party() {
         .collect();
     let addrs: Vec<String> = hosts.iter().map(|(a, _)| a.to_string()).collect();
 
-    let mut db = RemoteMuxFleetDb::connect_fleet_mux(&addrs, 2, map, seed).unwrap();
+    let mut db = EncryptedDb::connect_fleet_mux(&addrs, 2, map, seed).unwrap();
     let status = db.party_status();
     assert_eq!(status[0].health, PartyHealth::Quarantined);
     let fault = status[0].fault.clone().unwrap_or_default();
@@ -545,7 +546,7 @@ fn fleet_connect_refuses_two_layouts_that_each_reach_the_threshold() {
         .collect();
     let addrs: Vec<String> = hosts.iter().map(|(a, _)| a.to_string()).collect();
 
-    match RemoteMuxFleetDb::connect_fleet_mux(&addrs, 2, map, seed) {
+    match EncryptedDb::connect_fleet_mux(&addrs, 2, map, seed) {
         Err(CoreError::Transport(msg)) => assert!(
             msg.contains("ambiguous") && msg.contains("[1, 2]") && msg.contains("[3, 4]"),
             "{msg}"
@@ -575,7 +576,7 @@ fn fleet_party_dying_mid_stream_degrades_without_corruption() {
     let addrs: Vec<String> = hosts.iter().map(|(a, _)| a.to_string()).collect();
     let expected = fleet_expected("//a/b", EngineKind::Advanced);
 
-    let mut db = RemoteMuxFleetDb::connect_fleet_mux(&addrs, 2, map, seed).unwrap();
+    let mut db = EncryptedDb::connect_fleet_mux(&addrs, 2, map, seed).unwrap();
     let out = db
         .query("//a/b", EngineKind::Advanced, MatchRule::Equality)
         .unwrap();
@@ -633,7 +634,7 @@ fn fleet_byzantine_shares_over_tcp_are_detected_and_named() {
         .collect();
     let addrs: Vec<String> = hosts.iter().map(|(a, _)| a.to_string()).collect();
 
-    let mut db = RemoteMuxFleetDb::connect_fleet_mux(&addrs, 2, map, seed).unwrap();
+    let mut db = EncryptedDb::connect_fleet_mux(&addrs, 2, map, seed).unwrap();
     let err = db
         .query("//b", EngineKind::Simple, MatchRule::Equality)
         .unwrap_err();
@@ -712,9 +713,9 @@ fn fleet_slow_loris_party_is_timed_out_not_waited_for() {
     let (loris, stop) = slow_loris_party();
     let addrs = vec![p1.0.to_string(), loris.to_string(), p3.0.to_string()];
 
-    let mut db = RemoteMuxFleetDb::connect_fleet_mux(&addrs, 2, map, seed).unwrap();
+    let mut db = EncryptedDb::connect_fleet_mux(&addrs, 2, map, seed).unwrap();
+    db.set_deadline(Some(Duration::from_millis(200)));
     db.set_resilience(ResilienceConfig {
-        deadline: Some(Duration::from_millis(200)),
         retries: 0,
         ..Default::default()
     });
@@ -751,6 +752,123 @@ fn fleet_slow_loris_party_is_timed_out_not_waited_for() {
     stop.store(true, Ordering::SeqCst);
     let _ = TcpStream::connect(loris);
     stop_all(vec![p1, p3]);
+}
+
+/// The CLI's `--deadline-ms` reaches every fleet leg: `remote --fleet …
+/// --deadline-ms 200 --retries 0` over two honest `serve --party`
+/// processes and a slow-loris party 2 answers exactly like the
+/// single-store `query`, within a few seconds. The client process is
+/// killed past a hard bound, so a budget that never reaches the legs fails
+/// the test instead of hanging it.
+#[test]
+fn cli_fleet_deadline_times_out_a_silent_party() {
+    use std::process::{Command, Stdio};
+    let bin = env!("CARGO_BIN_EXE_ssxdb");
+    let dir = std::env::temp_dir().join(format!("ssxdb_fleet_deadline_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let ssxdb = |args: &[&str]| {
+        let mut cmd = Command::new(bin);
+        cmd.args(args).current_dir(&dir);
+        cmd
+    };
+    let run = |args: &[&str]| {
+        let out = ssxdb(args).output().expect("spawn ssxdb");
+        assert!(
+            out.status.success(),
+            "ssxdb {args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let secrets = ["--map", "map.properties", "--seed", "seed.hex"];
+    let query = "/site/regions/europe/item";
+    run(&["keygen", "seed.hex"]);
+    run(&["xmark", "--bytes", "4000", "--seed", "5", "doc.xml"]);
+    run(&["genmap", "--p", "83", "--doc", "doc.xml", "map.properties"]);
+    run(&[&["encode"][..], &secrets, &["doc.xml", "db.ssxdb"]].concat());
+    let split = ["--servers", "3", "--threshold", "2", "doc.xml", "db.ssxdb"];
+    run(&[&["encode"][..], &secrets, &split].concat());
+    let expected = run(&[&["query"][..], &secrets, &["db.ssxdb", query]].concat());
+
+    // Parties 1 and 3 serve their stores; party 2 answers the handshake
+    // and then swallows every frame.
+    let mut addrs = Vec::new();
+    let mut servers = Hosts(Vec::new());
+    for party in ["1", "3"] {
+        let port = TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap()
+            .port();
+        let addr = format!("127.0.0.1:{port}");
+        let store = format!("db.party{party}.ssxdb");
+        let host = ["serve", "--p", "83", "--e", "1", "--addr", &addr];
+        let child = ssxdb(&[&host[..], &["--party", party, &store]].concat())
+            .stdout(Stdio::null())
+            .spawn()
+            .unwrap();
+        servers.0.push(child);
+        assert!(
+            (0..50).any(|_| {
+                std::thread::sleep(Duration::from_millis(100));
+                TcpStream::connect(&addr).is_ok()
+            }),
+            "party {party} at {addr} did not come up"
+        );
+        addrs.push(addr);
+    }
+    let (loris, stop) = slow_loris_party();
+    addrs.insert(1, loris.to_string());
+
+    let fleet = addrs.join(",");
+    let budget = ["--deadline-ms", "200", "--retries", "0", query];
+    let t0 = Instant::now();
+    let mut client = ssxdb(
+        &[
+            &["remote"][..],
+            &secrets,
+            &["--fleet", &fleet, "--threshold", "2"],
+            &budget,
+        ]
+        .concat(),
+    )
+    .stdout(Stdio::piped())
+    .stderr(Stdio::piped())
+    .spawn()
+    .unwrap();
+    while client.try_wait().unwrap().is_none() && t0.elapsed() < Duration::from_secs(30) {
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let elapsed = t0.elapsed();
+    let _ = client.kill();
+    let out = client.wait_with_output().unwrap();
+    stop.store(true, Ordering::SeqCst);
+    let _ = TcpStream::connect(loris);
+    drop(servers);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        out.status.success(),
+        "remote --fleet failed after {elapsed:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(String::from_utf8_lossy(&out.stdout), expected);
+    assert!(
+        elapsed < Duration::from_secs(10),
+        "the silent party was waited for: {elapsed:?}"
+    );
+}
+
+/// Host processes a test started, killed however the test ends.
+struct Hosts(Vec<std::process::Child>);
+
+impl Drop for Hosts {
+    fn drop(&mut self) {
+        for child in &mut self.0 {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
 }
 
 /// A byte relay in front of one host. `go_silent` resets every relayed
@@ -835,14 +953,13 @@ fn readmission_probe_against_a_silent_party_is_bounded() {
     ];
     let expected = fleet_expected("//b", EngineKind::Simple);
 
-    let mut db = RemoteMuxFleetDb::connect_fleet_mux(&addrs, 2, map, seed).unwrap();
+    let mut db = EncryptedDb::connect_fleet_mux(&addrs, 2, map, seed).unwrap();
+    db.set_deadline(Some(Duration::from_millis(200)));
     db.set_resilience(ResilienceConfig {
-        deadline: Some(Duration::from_millis(200)),
         retries: 0,
-        cooldown_waves: 1,
         ..Default::default()
     });
-    let query = |db: &mut RemoteMuxFleetDb| {
+    let query = |db: &mut EncryptedDb<ShardRouter<FleetTransport<MuxTransport>>>| {
         db.query("//b", EngineKind::Simple, MatchRule::Equality)
             .unwrap()
             .result

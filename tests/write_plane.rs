@@ -9,8 +9,8 @@ use ssxdb::core::protocol::Request;
 use ssxdb::core::transport::Transport;
 use ssxdb::core::{
     encode_document, encode_document_at, encode_document_fleet, party_server, serve_tcp_mux,
-    ClientFilter, EncryptedDb, EngineKind, FleetSpec, MapFile, MatchRule, MuxPool, PartyStore,
-    RemoteMuxDb, RemoteMuxFleetDb, ShardRouter, ShardedServer,
+    ClientFilter, EncryptedDb, EngineKind, FleetSpec, FleetTransport, MapFile, MatchRule, MuxPool,
+    MuxTransport, PartyStore, RemoteMuxDb, ShardRouter, ShardedServer,
 };
 use ssxdb::poly::RingCtx;
 use ssxdb::prg::Seed;
@@ -108,10 +108,9 @@ fn tcp_fleet_ingests_interleaved_writes_while_queries_run() {
         .map(|p| spawn_party(p, &ring))
         .collect();
     let addrs: Vec<String> = hosts.iter().map(|(a, _)| a.to_string()).collect();
-    let mut fleet =
-        RemoteMuxFleetDb::connect_fleet_mux(&addrs, 2, map.clone(), seed.clone()).unwrap();
+    let mut fleet = EncryptedDb::connect_fleet_mux(&addrs, 2, map.clone(), seed.clone()).unwrap();
 
-    let b_pres = |db: &mut RemoteMuxFleetDb| {
+    let b_pres = |db: &mut EncryptedDb<ShardRouter<FleetTransport<MuxTransport>>>| {
         db.query("//b", EngineKind::Simple, MatchRule::Equality)
             .unwrap()
             .pres()
