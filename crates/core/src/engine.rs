@@ -78,8 +78,8 @@ pub struct QueryStats {
     /// Speculative prefetches this query issued that went unconsumed
     /// within its window — the mis-speculation cost.
     pub speculative_wasted: u64,
-    /// Fleet waves answered from the first `t` verified responses while
-    /// slower parties were still out (0 unless hedging is on).
+    /// Fleet waves answered from the first `max(t, 2)` verified responses
+    /// while slower parties were still out (0 unless hedging is on).
     pub hedged_wins: u64,
     /// Milliseconds hedged-wave stragglers kept running past their wave's
     /// cutoff — latency the client did *not* wait for.

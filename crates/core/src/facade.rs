@@ -122,14 +122,6 @@ impl EncryptedDb {
         })
     }
 
-    /// Repartitions the in-process fleet across `shards` filters **online**
-    /// — no save/load cycle, rows move bit-identically (only placement
-    /// changes), query results are unaffected. See
-    /// [`crate::router::ShardRouter::reshard`].
-    pub fn reshard(&mut self, shards: u32) -> Result<(), CoreError> {
-        self.client.transport_mut().reshard(shards)
-    }
-
     /// Server-side table sizes, summed across shards (Fig 4 series; the
     /// partition moves rows, it does not change their cost).
     pub fn size_report(&self) -> SizeReport {
@@ -682,40 +674,6 @@ mod tests {
         assert_eq!(a.pres(), vec![3]);
         assert_eq!(b.pres(), vec![3]);
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn online_reshard_round_trips_with_bit_identical_save_bytes() {
-        let map = || MapFile::sequential(83, 1, &["site", "a", "b", "c"]).unwrap();
-        let xml = "<site><a><b><c/></b></a><a><c/></a><b><a><c/></a></b></site>";
-        let mut db = EncryptedDb::encode_sharded(xml, map(), Seed::from_test_key(33), 2).unwrap();
-        let dir = std::env::temp_dir().join("ssx_core_facade_tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let before_path = dir.join("reshard_before.ssxdb");
-        let after_path = dir.join("reshard_after.ssxdb");
-        db.save(&before_path).unwrap();
-        let baseline = db
-            .query("//c", EngineKind::Simple, MatchRule::Equality)
-            .unwrap()
-            .pres();
-        // S = 2 → 4 → 1 → 2, querying at every stop.
-        for shards in [4u32, 1, 2] {
-            db.reshard(shards).unwrap();
-            assert_eq!(db.shards(), shards);
-            assert_eq!(
-                db.query("//c", EngineKind::Simple, MatchRule::Equality)
-                    .unwrap()
-                    .pres(),
-                baseline,
-                "S={shards}"
-            );
-        }
-        db.save(&after_path).unwrap();
-        let a = std::fs::read(&before_path).unwrap();
-        let b = std::fs::read(&after_path).unwrap();
-        assert_eq!(a, b, "reshard round trip must save bit-identical bytes");
-        std::fs::remove_file(&before_path).ok();
-        std::fs::remove_file(&after_path).ok();
     }
 
     #[test]

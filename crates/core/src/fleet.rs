@@ -25,7 +25,8 @@
 //!   everyone: strikes, the quorum-loss error, leave-one-out attribution
 //!   and quarantine all run unchanged.
 //! * A **hedged** read wave ([`ResilienceConfig::hedge`]) asks every
-//!   available party and is answered by the first `t` that verify.
+//!   available party and is answered by the first `max(t, 2)` that verify,
+//!   so a hedged structural answer has a second witness too.
 //! * A **write wave** goes to every party.
 //!
 //! # Party layout
@@ -233,8 +234,8 @@ pub struct ResilienceConfig {
     /// exponential backoff and deterministic jitter between attempts.
     pub retries: u32,
     /// Ask every available party on each read wave and answer as soon as
-    /// `t` verified responses arrive, draining stragglers in the background
-    /// ([`TransportStats::hedged_wins`]). Off, a read wave asks only
+    /// `max(t, 2)` verified responses arrive, draining stragglers in the
+    /// background ([`TransportStats::hedged_wins`]). Off, a read wave asks only
     /// `max(t, 2)` parties and widens on a fault, which costs fewer party
     /// requests but waits on every party it asked; hedging spends the extra
     /// requests to hide one slow party.
@@ -1055,9 +1056,11 @@ impl<T: Transport + Send + 'static> FleetTransport<T> {
     /// every outcome in `answers`.
     ///
     /// * Given a mirror plan (a hedged wave), every leg runs on a detached
-    ///   worker, and the first `t` answers that combine and verify answer
-    ///   the wave: the combination is returned and the stragglers are left
-    ///   to [`FleetTransport::harvest_stragglers`]. A combination that does
+    ///   worker, and the first `max(t, 2)` answers that combine and verify
+    ///   answer the wave (one party's structural answer carries no MAC, so
+    ///   it is never believed alone, even at `t = 1`): the combination is
+    ///   returned and the stragglers are left to
+    ///   [`FleetTransport::harvest_stragglers`]. A combination that does
     ///   not yet verify keeps waiting for more legs.
     /// * Otherwise the legs run on one detached thread each when the pipe
     ///   is concurrent and more than one leg runs, else one after the other
@@ -1090,7 +1093,7 @@ impl<T: Transport + Send + 'static> FleetTransport<T> {
             outstanding.retain(|&i| i != idx);
             self.land_in(idx, report, answers);
             let Some(plan) = hedge else { continue };
-            if outstanding.is_empty() || answers.live.len() < self.threshold {
+            if outstanding.is_empty() || answers.live.len() < self.threshold.max(2) {
                 continue;
             }
             let Ok(resp) = self.combine_wave(&answers.live, plan) else {
@@ -1291,7 +1294,7 @@ impl<T: Transport + Send + 'static> Transport for FleetTransport<T> {
         });
 
         // A hedged wave asks every available leg and may be answered by the
-        // first `t`; a plain one asks a quorum, and is answered if every
+        // first `max(t, 2)`; a plain one asks a quorum, and is answered if every
         // asked leg answers and the combination verifies.
         let avail = self.available();
         let hedge = self.config.hedge && avail.len() > 1;

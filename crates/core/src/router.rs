@@ -137,11 +137,6 @@ pub struct ShardRouter<T: Transport> {
     spec_issued: u64,
     spec_hits: u64,
     spec_consumed: u64,
-    /// Traffic of transports retired by [`ShardRouter::reshard`] — folded
-    /// into [`ShardRouter::stats`] so counters never run backwards across a
-    /// repartition. Only `bytes_sent`/`bytes_received`/`shard_dispatches`
-    /// are ever non-zero here.
-    carry: TransportStats,
 }
 
 impl ShardRouter<LocalTransport> {
@@ -160,39 +155,6 @@ impl ShardRouter<LocalTransport> {
     /// Read access to the per-shard servers (stats, table sizes).
     pub fn servers(&self) -> impl Iterator<Item = &ServerFilter> {
         self.transports.iter().map(|t| t.server())
-    }
-
-    /// Repartitions the in-process fleet across `shards` filters without a
-    /// save/load cycle ([`ShardedServer::reshard`]): rows move
-    /// bit-identically, the router re-wires one transport per new shard,
-    /// cumulative byte counters carry over, and the speculation cache is
-    /// cleared. A refused repartition (see [`ShardedServer::reshard`])
-    /// re-wires the *original* fleet and surfaces the error — the router
-    /// stays fully usable either way.
-    pub fn reshard(&mut self, shards: u32) -> Result<(), CoreError> {
-        self.spec_cache.clear();
-        for t in &self.transports {
-            let u = t.stats();
-            self.carry.bytes_sent += u.bytes_sent;
-            self.carry.bytes_received += u.bytes_received;
-            self.carry.shard_dispatches += u.round_trips;
-        }
-        let filters: Vec<ServerFilter> = std::mem::take(&mut self.transports)
-            .into_iter()
-            .map(LocalTransport::into_server)
-            .collect();
-        let (server, outcome) =
-            match ShardedServer::from_filters(self.spec, filters).reshard(shards) {
-                Ok(server) => (server, Ok(())),
-                Err((original, e)) => (original, Err(CoreError::from(e))),
-            };
-        self.spec = server.spec();
-        self.transports = server
-            .into_filters()
-            .into_iter()
-            .map(LocalTransport::new)
-            .collect();
-        outcome
     }
 }
 
@@ -227,7 +189,6 @@ impl<T: Transport + Send> ShardRouter<T> {
             spec_issued: 0,
             spec_hits: 0,
             spec_consumed: 0,
-            carry: TransportStats::default(),
         }
     }
 
@@ -547,11 +508,10 @@ impl<T: Transport + Send> ShardRouter<T> {
             // The router *is* the sharded endpoint from its client's view.
             Request::ShardCount => Slot::Ready(Response::Count(self.spec.shards() as u64)),
             // Repartitioning a fleet the router holds open connections to
-            // would silently invalidate its own partition; the owning
-            // endpoint does it instead ([`ShardRouter::reshard`] locally, a
-            // raw transport against a TCP host remotely).
+            // would silently invalidate its own partition; a live host is
+            // resharded over a direct transport (`ssxdb reshard`).
             Request::Reshard { .. } => Slot::Ready(Response::Err(
-                "reshard via ShardRouter::reshard (local) or a direct transport (TCP host)".into(),
+                "reshard a live host over a direct transport, not through a router".into(),
             )),
             // Framing negotiation belongs to the connection owner; a mux
             // router's pool already performed it at connect time.
@@ -922,8 +882,7 @@ impl<T: Transport + Send> Transport for ShardRouter<T> {
             // lifecycle change breaks it — saturate instead of wrapping to
             // an absurd ~u64::MAX figure.
             speculative_wasted: self.spec_issued.saturating_sub(self.spec_consumed),
-            // Traffic of transports retired by a reshard.
-            ..self.carry
+            ..TransportStats::default()
         };
         for t in &self.transports {
             let u = t.stats();
@@ -1134,12 +1093,11 @@ mod tests {
         assert_eq!(r.stats().speculative_hits, 0);
     }
 
-    /// Resharding mid-speculation drops the prefetch cache; the accounting
+    /// A write mid-speculation drops the prefetch cache; the accounting
     /// must stay `consumed ≤ issued` (never an underflowing `wasted`) across
-    /// the clear and keep making sense once speculation resumes on the new
-    /// fleet.
+    /// the clear and keep making sense once speculation resumes.
     #[test]
-    fn reshard_mid_speculation_keeps_wasted_accounting_sane() {
+    fn write_mid_speculation_keeps_wasted_accounting_sane() {
         let mut r = router(2);
         r.set_speculation(true);
         // Issue two prefetches, consume one.
@@ -1151,14 +1109,15 @@ mod tests {
         r.call(&Request::Children { pre: 1 }).unwrap();
         let s = r.stats();
         assert_eq!((s.speculative_hits, s.speculative_wasted), (1, 1));
-        // Reshard with one prefetch still unconsumed: it stays wasted, and
+        // Write with one prefetch still unconsumed: it stays wasted, and
         // nothing wraps around.
-        r.reshard(3).unwrap();
+        let rows = vec![(root_loc(100), share_bytes(&r, 100))];
+        r.call(&Request::Insert { rows }).unwrap();
         let s = r.stats();
         assert_eq!((s.speculative_hits, s.speculative_wasted), (1, 1));
         assert!(s.speculative_wasted < 1 << 32, "no underflow wrap");
-        // Speculation keeps working on the new fleet; the re-issued
-        // prefetches are consumable and only the reshard-dropped one stays
+        // Speculation keeps working after the write; the re-issued
+        // prefetches are consumable and only the write-dropped one stays
         // wasted for good.
         r.call(&Request::EvalMany {
             pres: vec![1, 2],
@@ -1170,53 +1129,6 @@ mod tests {
         }
         let s = r.stats();
         assert_eq!((s.speculative_hits, s.speculative_wasted), (3, 1));
-    }
-
-    #[test]
-    fn reshard_in_place_preserves_answers_and_counters() {
-        let mut r = router(1);
-        let before_children = locs(r.call(&Request::Children { pre: 1 }).unwrap());
-        let bytes_before = r.stats().bytes_sent;
-        assert!(bytes_before > 0);
-        for shards in [4u32, 2, 1, 3] {
-            r.reshard(shards).unwrap();
-            assert_eq!(r.spec().shards(), shards);
-            assert_eq!(
-                locs(r.call(&Request::Children { pre: 1 }).unwrap()),
-                before_children,
-                "S={shards}"
-            );
-            match r.call(&Request::Count).unwrap() {
-                Response::Count(9) => {}
-                other => panic!("{other:?}"),
-            }
-        }
-        assert!(
-            r.stats().bytes_sent > bytes_before,
-            "byte counters must survive re-sharding, not reset"
-        );
-    }
-
-    /// A refused repartition (here: the same rows on both shards, which
-    /// cannot coexist in one partition) must leave the router fully wired —
-    /// not an empty-transport husk that panics on the next call.
-    #[test]
-    fn failed_reshard_leaves_the_router_usable() {
-        let map = MapFile::sequential(83, 1, &["site", "a", "b", "c"]).unwrap();
-        let seed = Seed::from_test_key(21);
-        let xml = "<site><a><b><c/></b></a><a><c/></a><b><a><c/></a></b></site>";
-        let out = encode_document(xml, &map, &seed).unwrap();
-        let f1 = ServerFilter::new(out.table.clone(), out.ring.clone());
-        let f2 = ServerFilter::new(out.table, out.ring);
-        let server = ShardedServer::from_filters(ShardSpec::new(2), vec![f1, f2]);
-        let mut r = ShardRouter::local(server);
-        assert!(r.reshard(1).is_err(), "duplicate pres must refuse");
-        assert_eq!(r.spec().shards(), 2, "original fleet restored");
-        // The router still routes: the fanned count sums both shards.
-        match r.call(&Request::Count).unwrap() {
-            Response::Count(18) => {}
-            other => panic!("{other:?}"),
-        }
     }
 
     #[test]

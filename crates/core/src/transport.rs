@@ -111,8 +111,8 @@ pub struct TransportStats {
     /// consumed — the cost of mis-speculation. Not monotonic: an entry
     /// counted wasted now may still be consumed by a later wave.
     pub speculative_wasted: u64,
-    /// Fleet waves answered from the first `t` verified responses while at
-    /// least one slower party was still in flight (0 unless hedged
+    /// Fleet waves answered from the first `max(t, 2)` verified responses
+    /// while at least one slower party was still in flight (0 unless hedged
     /// reconstruction is enabled on a fleet transport).
     pub hedged_wins: u64,
     /// Milliseconds of straggler tail hidden by hedging: for every drained
@@ -201,10 +201,6 @@ pub struct PendingCall {
     /// Captured when the frame hit the wire: pipelined calls time out
     /// relative to their *send*, not to when the caller parks on them.
     deadline: Deadline,
-    /// Mux transports park the request so [`Transport::finish_pipelined`]
-    /// can heal a reshard fence: re-pool the slot's connection and replay
-    /// the request once (see [`MuxPool`]).
-    retry: Option<Request>,
 }
 
 /// The shared `call_batch` body of the concrete frame transports: empty and
@@ -266,12 +262,6 @@ impl LocalTransport {
     /// Read access to the wrapped server (server-side stats, table sizes).
     pub fn server(&self) -> &ServerFilter {
         &self.server
-    }
-
-    /// Consumes the transport, yielding the wrapped server filter (used by
-    /// the router's online re-shard to take the fleet back).
-    pub fn into_server(self) -> ServerFilter {
-        self.server
     }
 }
 
@@ -435,8 +425,8 @@ fn connect_within(addr: SocketAddr, deadline: &Deadline) -> Result<TcpStream, Co
 }
 
 /// The exact error a generation-fenced connection is answered with after an
-/// online reshard. [`MuxPool`] transports match it verbatim to re-pool the
-/// slot's connection and replay the fenced request once.
+/// online reshard changed the host's shard count: the connection routes by
+/// the old partition, so its client must reconnect under the new count.
 const RESHARD_FENCE: &str = "shard layout changed (reshard); reconnect";
 
 /// Shared state of a concurrent sharded host: one independently lockable
@@ -449,12 +439,13 @@ const RESHARD_FENCE: &str = "shard layout changed (reshard); reconnect";
 /// new ones out while rows move.
 struct ShardHost {
     filters: RwLock<Vec<Mutex<ServerFilter>>>,
-    /// Bumped under the write lock by every reshard. Connections remember
-    /// the generation they were accepted under; a mismatch means the client
-    /// routes by a dead partition, and answering it would risk *silently
-    /// incomplete* fan-outs (it would never ask the new shards) — so stale
-    /// connections get an explicit "reconnect" error instead, for
-    /// everything except the always-safe fleet-level frames.
+    /// Bumped under the write lock by every reshard that changes the shard
+    /// count. Connections remember the generation they were accepted
+    /// under; a mismatch means the client routes by a dead partition, and
+    /// answering it would risk *silently incomplete* fan-outs (it would
+    /// never ask the new shards) — so stale connections get an explicit
+    /// "reconnect" error instead, for everything except the always-safe
+    /// fleet-level frames.
     generation: AtomicU64,
     stop: AtomicBool,
 }
@@ -467,12 +458,17 @@ impl ShardHost {
     /// Online repartition: exclusive fleet access, rows move in memory,
     /// connections resume against the new placement. Existing connections
     /// are fenced off by the generation bump (see [`ShardHost::generation`]).
-    /// A refused repartition (see [`ShardedServer::reshard`]) puts the
-    /// original fleet back untouched — no rows lost, no generation bump.
+    /// The count the host already serves answers `Ok` and changes nothing:
+    /// every row is already home, so no filter is rebuilt and no connection
+    /// fenced. A refused repartition (see [`ShardedServer::reshard`]) puts
+    /// the original fleet back untouched — no rows lost, no generation bump.
     fn reshard(&self, shards: u32) -> Response {
         let mut guard = self.filters.write().unwrap_or_else(|p| p.into_inner());
+        if ShardSpec::new(shards).shards() as usize == guard.len() {
+            return Response::Ok;
+        }
         let old: Vec<Mutex<ServerFilter>> = std::mem::take(&mut *guard);
-        let spec = crate::shard::ShardSpec::new(old.len() as u32);
+        let spec = ShardSpec::new(old.len() as u32);
         let filters = old
             .into_iter()
             .map(|m| m.into_inner().unwrap_or_else(|p| p.into_inner()))
@@ -491,54 +487,6 @@ impl ShardHost {
                     .collect();
                 Response::Err(format!("reshard refused: {e}"))
             }
-        }
-    }
-}
-
-/// How often the auto-reshard ticker re-evaluates the stored-size
-/// suggestion. Short enough that tests converge quickly; the computation
-/// is a sum of per-shard size reports, not a scan.
-const AUTO_RESHARD_TICK: std::time::Duration = std::time::Duration::from_millis(25);
-
-/// Ceiling on the shard count [`stored_suggestion`] will ever recommend.
-const MAX_SUGGESTED_SHARDS: u32 = 64;
-
-/// The host-side shard suggestion: sizes the fleet so each shard *stores*
-/// at most `target` data bytes under the balanced partition —
-/// `⌈total / target⌉`, clamped to `[1, MAX_SUGGESTED_SHARDS]`. It works
-/// from stored size, not traffic: cumulative traffic counters grow
-/// forever, so a traffic-based host would reshard without bound. Stored
-/// size is stationary — it is invariant under repartition — so this
-/// suggestion is a fixed point: one reshard reaches it and every later
-/// tick agrees.
-fn stored_suggestion(host: &ShardHost, target: u64) -> (u32, u32) {
-    let filters = host.filters.read().unwrap_or_else(|p| p.into_inner());
-    let current = filters.len() as u32;
-    let total: u64 = filters
-        .iter()
-        .map(|m| {
-            let f = m.lock().unwrap_or_else(|p| p.into_inner());
-            f.table().size_report().data_bytes() as u64
-        })
-        .sum();
-    let suggested = total
-        .div_ceil(target.max(1))
-        .clamp(1, MAX_SUGGESTED_SHARDS as u64) as u32;
-    (current, suggested)
-}
-
-/// The auto-reshard ticker (`serve --auto-reshard-target N`): every tick,
-/// compare the stored-size suggestion against the live count and
-/// repartition online when they differ. A refused reshard (rows that
-/// cannot coexist — e.g. a fleet party host, whose data and MAC planes
-/// duplicate `pre`s) leaves the fleet untouched, so the ticker is safe to
-/// run against any host: it converges or it no-ops.
-fn auto_reshard_loop(host: &ShardHost, target: u64) {
-    while !host.stop.load(Ordering::SeqCst) {
-        std::thread::sleep(AUTO_RESHARD_TICK);
-        let (current, suggested) = stored_suggestion(host, target);
-        if suggested != current {
-            let _ = host.reshard(suggested);
         }
     }
 }
@@ -605,7 +553,7 @@ fn host_handle_request(host: &ShardHost, born: u64, req: &Request) -> (Response,
     if let Request::Pair { data, mac } = req {
         // One generation fence for both halves: the read lock is held
         // across them, so no reshard lands between a frame and its mirror.
-        // A fenced pair gets the one top-level fence error the pool heals.
+        // A fenced pair gets the one top-level fence error.
         let filters = host.filters.read().unwrap_or_else(|p| p.into_inner());
         if host.generation.load(Ordering::SeqCst) != born {
             return (Response::Err(RESHARD_FENCE.into()), false);
@@ -723,14 +671,6 @@ pub struct MuxHostOptions {
     /// Executor threads; `0` sizes the pool to the machine (see
     /// [`DEFAULT_MUX_WORKERS`]).
     pub workers: usize,
-    /// Host-side auto-resharding byte budget: when `Some(bytes)`, a tick
-    /// thread sizes the fleet from the *stored* per-shard data and
-    /// repartitions online whenever that suggestion differs from the
-    /// current count. `None` disables the ticker. Results are invariant —
-    /// a reshard moves rows bit-identically — and [`MuxPool`] clients ride
-    /// a same-count fence transparently; count-changing repartitions
-    /// require a reconnect.
-    pub auto_target: Option<u64>,
     /// How long one response send may stall before the connection is
     /// poisoned (see [`DEFAULT_MUX_WRITE_STALL`]). Exposed on the CLI as
     /// `serve --write-stall-ms`.
@@ -741,7 +681,6 @@ impl Default for MuxHostOptions {
     fn default() -> Self {
         MuxHostOptions {
             workers: 0,
-            auto_target: None,
             write_stall: DEFAULT_MUX_WRITE_STALL,
         }
     }
@@ -795,10 +734,12 @@ fn write_all_nonblocking(
 /// [`Request::Shutdown`]) answer for the whole host. A [`Request::Pair`] is
 /// answered half by half under one reshard fence check, each half as it
 /// would be answered alone; a fleet-level half refuses the pair.
-/// [`Request::Reshard`] repartitions the fleet online (see
-/// [`ShardedServer::reshard`]); connections that predate a reshard are
-/// fenced off with an explicit "reconnect" error — their partition is
-/// dead, and answering them could silently skip the new shards. Returns
+/// [`Request::Reshard`] repartitions the fleet online to a new shard count
+/// (see [`ShardedServer::reshard`]) and answers the count it already
+/// serves with `Ok`, changing nothing; connections that predate a count
+/// change are fenced off with an explicit "reconnect" error — their
+/// partition is dead, and answering them could silently skip the new
+/// shards. Returns
 /// the sharded server (with its per-shard stats and final shard count)
 /// once a client sends [`Request::Shutdown`].
 pub fn serve_tcp_mux(
@@ -824,7 +765,6 @@ pub fn serve_tcp_mux_opts(
 ) -> Result<ShardedServer, CoreError> {
     let MuxHostOptions {
         workers,
-        auto_target,
         write_stall,
     } = opts;
     let workers = if workers == 0 {
@@ -848,10 +788,6 @@ pub fn serve_tcp_mux_opts(
     let job_rx = Mutex::new(job_rx);
 
     let result = std::thread::scope(|scope| -> Result<(), CoreError> {
-        if let Some(target) = auto_target {
-            let host = Arc::clone(&host);
-            scope.spawn(move || auto_reshard_loop(&host, target));
-        }
         {
             let host = Arc::clone(&host);
             scope.spawn(move || mux_reader_loop(conn_rx, job_tx, &host));
@@ -1136,9 +1072,9 @@ impl Drop for MuxClientConn {
 }
 
 /// One shard's pooled connection plus everything needed to open it again:
-/// after an online reshard fences the socket, or a failed send kills it,
-/// any transport on the slot swaps in a fresh connection (same address,
-/// same shard count) and every other rider picks it up on its next call.
+/// after a failed send or read kills it, the next transport to call on the
+/// slot swaps in a fresh connection (same address, same shard count) and
+/// every other rider picks it up on its next call.
 struct MuxSlot {
     addr: SocketAddr,
     shards: u32,
@@ -1154,13 +1090,11 @@ struct MuxSlot {
 /// (and the [`crate::client::ClientFilter`]s above them) overlap on the
 /// wire instead of opening a connection each.
 ///
-/// An online reshard that keeps the shard count fences the pooled sockets
-/// (the host answers them with a "reconnect" error); the pool heals
-/// transparently — the first transport to see the fence reconnects the
-/// slot, replays its request once, and every other rider follows onto the
-/// fresh socket. A reshard that *changes* the count still surfaces an
-/// error: the pool's routing topology is wrong and the caller must
-/// reconnect.
+/// An online reshard to the count the host already serves changes nothing,
+/// so the pool never notices it. A reshard that *changes* the count fences
+/// every pooled socket: each call gets the host's explicit "reconnect"
+/// error, because the pool's routing topology is wrong, and the caller
+/// must dial a new pool.
 #[derive(Clone)]
 pub struct MuxPool {
     slots: Vec<Arc<MuxSlot>>,
@@ -1384,19 +1318,14 @@ impl HasStats for MuxTransport {
     }
 }
 
-/// Whether a response is the verbatim reshard fence (see [`RESHARD_FENCE`]).
-fn is_reshard_fence(resp: &Response) -> bool {
-    matches!(resp, Response::Err(e) if e == RESHARD_FENCE)
-}
-
 impl MuxTransport {
     /// Registers a completion slot and puts the frame on the wire; the
     /// caller decides when to park on the returned receiver. Also returns
-    /// the connection the frame went out on, so a fence response can be
-    /// attributed to exactly that socket when healing. A dead connection is
-    /// re-dialed first. A send that fails — including one that stalls past
-    /// `deadline` — leaves a partial frame on the wire, so it kills the
-    /// connection: the next call re-dials.
+    /// the connection the frame went out on, so a timed-out wait can
+    /// unregister its slot there. A dead connection is re-dialed first. A
+    /// send that fails — including one that stalls past `deadline` — leaves
+    /// a partial frame on the wire, so it kills the connection: the next
+    /// call re-dials.
     fn begin(
         &mut self,
         req: &Request,
@@ -1448,7 +1377,11 @@ impl MuxTransport {
     /// Reopens the slot's pooled connection if the current one is dead, so
     /// a host that came back is reached again through the same pool (a
     /// fleet leg's retries and re-admission probes). A live connection is
-    /// left untouched — every rider keeps overlapping on it.
+    /// left untouched — every rider keeps overlapping on it. The dead one
+    /// is swapped out exactly once, however many transports see it: only
+    /// a caller that still finds it in the slot under the write lock
+    /// reconnects. A host that now serves a *different* count refuses the
+    /// new handshake, so that error surfaces as it should.
     fn revive_within(&self, deadline: &Deadline) -> Result<(), CoreError> {
         let stale = {
             let conn = self.slot.conn.read().unwrap_or_else(|p| p.into_inner());
@@ -1457,18 +1390,8 @@ impl MuxTransport {
             }
             Arc::clone(&conn)
         };
-        self.repool(&stale, deadline)
-    }
-
-    /// Swaps a fenced or dead connection out of the slot for a fresh one —
-    /// exactly once, however many transports observe it: only the caller
-    /// still holding the *stale* connection reconnects (pointer identity
-    /// under the write lock); everyone else finds the slot already healed
-    /// and just replays. A host resharded to a *different* count refuses
-    /// the new handshake, so the error keeps surfacing as it should.
-    fn repool(&self, stale: &Arc<MuxClientConn>, deadline: &Deadline) -> Result<(), CoreError> {
         let mut conn = self.slot.conn.write().unwrap_or_else(|p| p.into_inner());
-        if Arc::ptr_eq(&conn, stale) {
+        if Arc::ptr_eq(&conn, &stale) {
             *conn = open_conn(self.slot.addr, Some(self.slot.shards), deadline)?.0;
         }
         Ok(())
@@ -1523,15 +1446,6 @@ impl Transport for MuxTransport {
     fn call(&mut self, req: &Request) -> Result<Response, CoreError> {
         let deadline = Deadline::of(self.budget);
         let (rx, corr, conn) = self.begin(req, &deadline)?;
-        let resp = self.wait(rx, corr, &conn, deadline)?;
-        if !is_reshard_fence(&resp) {
-            return Ok(resp);
-        }
-        // Same-count reshard: heal the slot and replay exactly once (under
-        // the original call's deadline). A second fence (another reshard
-        // racing the replay) surfaces.
-        self.repool(&conn, &deadline)?;
-        let (rx, corr, conn) = self.begin(req, &deadline)?;
         self.wait(rx, corr, &conn, deadline)
     }
 
@@ -1551,21 +1465,11 @@ impl Transport for MuxTransport {
             corr,
             conn,
             deadline,
-            retry: Some(req.clone()),
         })
     }
 
     fn finish_pipelined(&mut self, call: PendingCall) -> Result<Response, CoreError> {
-        let resp = self.wait(call.rx, call.corr, &call.conn, call.deadline)?;
-        if !is_reshard_fence(&resp) {
-            return Ok(resp);
-        }
-        let Some(req) = call.retry else {
-            return Ok(resp);
-        };
-        self.repool(&call.conn, &call.deadline)?;
-        let (rx, corr, conn) = self.begin(&req, &call.deadline)?;
-        self.wait(rx, corr, &conn, call.deadline)
+        self.wait(call.rx, call.corr, &call.conn, call.deadline)
     }
 
     fn stats(&self) -> TransportStats {
@@ -1670,11 +1574,12 @@ mod tests {
     }
 
     /// A data/MAC pair on a fenced connection gets exactly one top-level
-    /// fence error — the generation is checked once for both halves — so
-    /// the pool heals it like any fenced frame: after an online reshard the
-    /// replayed pair is answered half by half, bit-identically.
+    /// fence error — the generation is checked once for both halves. Over
+    /// the wire, a reshard to the count the host already serves leaves the
+    /// pooled pair's answer unchanged, and a reshard to a new count answers
+    /// it with the one fence error.
     #[test]
-    fn fenced_pair_gets_one_fence_error_and_the_pool_heals_it() {
+    fn fenced_pair_gets_one_fence_error() {
         let pair = Request::Pair {
             data: Box::new(Request::GetLoc { pre: 1 }),
             mac: Box::new(Request::ToShard {
@@ -1714,13 +1619,43 @@ mod tests {
         let before = t.call(&pair).unwrap();
         assert!(matches!(before, Response::Pair { .. }), "{before:?}");
         let mut admin = MuxPool::dial(addr, None).unwrap().transport(0);
-        assert_eq!(
-            admin.call(&Request::Reshard { shards: 2 }).unwrap(),
-            Response::Ok
-        );
-        assert_eq!(t.call(&pair).unwrap(), before, "healed and replayed");
+        for (shards, want) in [(2, before), (3, Response::Err(RESHARD_FENCE.into()))] {
+            assert_eq!(
+                admin.call(&Request::Reshard { shards }).unwrap(),
+                Response::Ok
+            );
+            assert_eq!(t.call(&pair).unwrap(), want, "after a reshard to {shards}");
+        }
         admin.call(&Request::Shutdown).unwrap();
         handle.join().unwrap();
+    }
+
+    /// A reshard to the count a host already serves answers `Ok` and
+    /// changes nothing: the pooled transport sees no fence, and the shard
+    /// keeps its counters and its evaluation cache across it.
+    #[test]
+    fn a_same_count_reshard_keeps_every_filter() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let handle =
+            std::thread::spawn(move || serve_tcp_mux(listener, demo_sharded(2), 0).unwrap());
+        let pool = MuxPool::connect(addr, 2).unwrap();
+        let mut t = pool.transport(0);
+        let eval = Request::EvalMany {
+            pres: vec![1],
+            point: 5,
+        };
+        let before = t.call(&eval).unwrap();
+        assert!(matches!(before, Response::Values(_)), "{before:?}");
+        assert_eq!(
+            t.call(&Request::Reshard { shards: 2 }).unwrap(),
+            Response::Ok
+        );
+        assert_eq!(t.call(&eval).unwrap(), before, "no fence, same answer");
+        t.call(&Request::Shutdown).unwrap();
+        let server = handle.join().unwrap();
+        let stats = server.filters()[0].stats();
+        assert_eq!((stats.evaluations, stats.eval_cache_hits), (2, 1));
     }
 
     /// Two transports multiplexed on the *same* pooled socket, driven from

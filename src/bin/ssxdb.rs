@@ -25,8 +25,7 @@
 //!               (--addr <host:port> | --fleet a1,a2,… --threshold t [--retries N] [--hedge])
 //!               [--deadline-ms MS] <root-pre>
 //! ssxdb serve   --p <p> --e <e> --addr <host:port> [--shards S] [--workers W]
-//!               [--write-stall-ms MS] [--party i] [--auto-reshard-target BYTES]
-//!               <db.ssxdb | party-store>
+//!               [--write-stall-ms MS] [--party i] <db.ssxdb | party-store>
 //! ssxdb remote  --map <map> --seed <seed> --addr <host:port>
 //!               [--engine …] [--rule …] [--speculate] [--deadline-ms MS]
 //!               [--stats] <query>
@@ -50,9 +49,10 @@
 //! `S` from the host's handshake answer, so they take no `--shards`; each
 //! query frontier is batched across the shards. `remote --speculate`
 //! overlaps dependent waves (the next frontier's expansion rides the
-//! current wave's frames). `reshard` repartitions a running host
-//! **online** — rows move in memory, bit-identically; clients connected
-//! under the old shard count must reconnect.
+//! current wave's frames). `reshard` repartitions a running host to a new
+//! shard count **online** — rows move in memory, bit-identically; clients
+//! connected under the old count must reconnect. A reshard to the count
+//! the host already serves changes nothing.
 //!
 //! `encode --servers n --threshold t` splits the database into `n`
 //! per-party share stores (`out.party1.ssxdb` … `out.partyN.ssxdb`), any
@@ -69,9 +69,9 @@
 //! party fails with a typed timeout instead of hanging the query),
 //! `--retries N` retries transient failures with exponential backoff over
 //! the party's connection (reopened if it died), and `--hedge` asks every
-//! live party on each read wave and answers from the first `t` verified
-//! responses while stragglers drain in the background: more party
-//! requests, in exchange for not waiting on one slow party.
+//! live party on each read wave and answers from the first `max(t, 2)`
+//! verified responses while stragglers drain in the background: more
+//! party requests, in exchange for not waiting on one slow party.
 //! On the host side, `serve --write-stall-ms MS` bounds how long a
 //! non-reading client may stall a response send before its connection is
 //! shed.
@@ -172,8 +172,7 @@ commands:
   delete  --map M --seed S (--addr H:P | --fleet A1,.. --threshold t
           [--retries N] [--hedge]) [--deadline-ms MS] <root-pre>
   serve   --p P --e E --addr HOST:PORT [--shards S] [--workers W]
-          [--write-stall-ms MS] [--party i]
-          [--auto-reshard-target BYTES] <db.ssxdb | party store>
+          [--write-stall-ms MS] [--party i] <db.ssxdb | party store>
   remote  --map M --seed S --addr HOST:PORT
           [--engine ..] [--rule ..] [--speculate] [--deadline-ms MS]
           [--stats] <query>
@@ -184,7 +183,8 @@ commands:
 
 Clients learn a host's shard count from its handshake. Unknown flags are
 refused. A fleet read asks max(t, 2) parties and widens to the rest on a
-fault; --hedge asks every party and answers from the first t that verify.
+fault; --hedge asks every party and answers from the first max(t, 2) that
+verify.
 ";
 
 // ---- tiny argument parser ---------------------------------------------------
@@ -299,16 +299,15 @@ fn parse_rule(args: &Args) -> Result<MatchRule, String> {
 }
 
 /// Builds the mux host options from `--workers` and `--write-stall-ms`.
-fn mux_host_options(args: &Args, auto_target: Option<u64>) -> Result<MuxHostOptions, String> {
+fn mux_host_options(args: &Args) -> Result<MuxHostOptions, String> {
     let mut opts = MuxHostOptions {
-        auto_target,
+        workers: args
+            .flag("workers")
+            .unwrap_or("0")
+            .parse()
+            .map_err(|_| "bad --workers")?,
         ..MuxHostOptions::default()
     };
-    opts.workers = args
-        .flag("workers")
-        .unwrap_or("0")
-        .parse()
-        .map_err(|_| "bad --workers")?;
     if let Some(ms) = args.flag("write-stall-ms") {
         let ms: u64 = ms.parse().map_err(|_| "bad --write-stall-ms")?;
         opts.write_stall = std::time::Duration::from_millis(ms.max(1));
@@ -889,7 +888,6 @@ fn serve(mut args: Args) -> Result<(), String> {
             "workers",
             "write-stall-ms",
             "party",
-            "auto-reshard-target",
         ]],
     )?;
     let p: u64 = args.required("p")?.parse().map_err(|_| "bad --p")?;
@@ -906,20 +904,9 @@ fn serve(mut args: Args) -> Result<(), String> {
     let addr = args.required("addr")?.to_string();
     let db_path = PathBuf::from(args.positional("db.ssxdb")?);
     let ring = RingCtx::new(p, e).map_err(|err| err.to_string())?;
-    let auto_target: Option<u64> = match args.flag("auto-reshard-target") {
-        Some(v) => Some(v.parse().map_err(|_| "bad --auto-reshard-target")?),
-        None => None,
-    };
+    let opts = mux_host_options(&args)?;
     if let Some(i) = args.flag("party") {
-        if auto_target.is_some() {
-            return Err(
-                "--auto-reshard-target cannot run on a fleet party host: repartitioning \
-                 would merge its data and MAC planes"
-                    .into(),
-            );
-        }
         let party: u32 = i.parse().map_err(|_| "bad --party")?;
-        let opts = mux_host_options(&args, None)?;
         let (header, data, mac) = load_party(&db_path).map_err(|err| err.to_string())?;
         if header.party != party {
             return Err(format!(
@@ -949,7 +936,6 @@ fn serve(mut args: Args) -> Result<(), String> {
         }
         return Ok(());
     }
-    let opts = mux_host_options(&args, auto_target)?;
     let (table, _) = load_with_log(&db_path)?;
     let server = ShardedServer::from_table(table, ring, shards).map_err(|err| err.to_string())?;
     let listener = std::net::TcpListener::bind(&addr).map_err(|err| err.to_string())?;
@@ -1026,8 +1012,8 @@ fn reshard(args: Args) -> Result<(), String> {
         Response::Err(e) => return Err(format!("server refused reshard: {e}")),
         other => return Err(format!("unexpected reshard response {other:?}")),
     }
-    // The reshard fenced the old connections; a fresh handshake reports the
-    // new layout.
+    // A count change fenced the old connections; a fresh handshake reports
+    // the new layout.
     let now = MuxPool::dial(addr.as_str(), None)
         .map_err(|e| e.to_string())?
         .shards();

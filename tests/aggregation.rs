@@ -5,6 +5,9 @@
 //! must cost exactly one wave beyond the predicate walk (two with a
 //! range), on every transport.
 
+mod common;
+
+use common::Hosts;
 use ssxdb::core::protocol::Request;
 use ssxdb::core::transport::Transport;
 use ssxdb::core::{
@@ -258,45 +261,13 @@ fn three_process_fleet_aggregates_survive_a_killed_party() {
             .collect::<Vec<_>>(),
     );
 
-    let mut servers = Vec::new();
-    let mut addrs = Vec::new();
-    for i in 1..=3u32 {
-        let port = {
-            let l = TcpListener::bind("127.0.0.1:0").unwrap();
-            l.local_addr().unwrap().port()
-        };
-        let addr = format!("127.0.0.1:{port}");
-        let child = Command::new(bin)
-            .args([
-                "serve",
-                "--p",
-                "83",
-                "--e",
-                "1",
-                "--addr",
-                &addr,
-                "--party",
-                &i.to_string(),
-                &format!("db.party{i}.ssxdb"),
-            ])
-            .current_dir(&dir)
-            .stdout(std::process::Stdio::piped())
-            .spawn()
-            .unwrap();
-        servers.push(child);
-        addrs.push(addr);
-    }
-    for addr in &addrs {
-        let mut up = false;
-        for _ in 0..50 {
-            if std::net::TcpStream::connect(addr).is_ok() {
-                up = true;
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(100));
-        }
-        assert!(up, "party host {addr} did not come up");
-    }
+    let mut hosts = Hosts::default();
+    let addrs: Vec<String> = (1..=3u32)
+        .map(|i| {
+            let store = format!("db.party{i}.ssxdb");
+            hosts.serve(&dir, &["--party", &i.to_string(), &store])
+        })
+        .collect();
     let fleet = addrs.join(",");
     let fleet_tail = [
         "--fleet",
@@ -314,8 +285,8 @@ fn three_process_fleet_aggregates_survive_a_killed_party() {
 
     // Kill party 3 outright — no Shutdown request, no socket wind-down —
     // and aggregate again: any 2 of 3 still reconstruct the exact answer.
-    servers[2].kill().unwrap();
-    servers[2].wait().unwrap();
+    hosts.child(2).kill().unwrap();
+    hosts.child(2).wait().unwrap();
     let fleet_out = run(&fleet_args.iter().map(|s| s.as_str()).collect::<Vec<_>>());
     assert_eq!(
         fleet_out, expected_sum,
@@ -337,13 +308,7 @@ fn three_process_fleet_aggregates_survive_a_killed_party() {
         "ranged aggregate survives a SIGKILLed party bit-for-bit"
     );
 
-    for addr in addrs.iter().take(2) {
-        let mut t = MuxPool::dial(addr.as_str(), None).unwrap().transport(0);
-        t.call(&Request::Shutdown).unwrap();
-    }
-    for (i, mut child) in servers.into_iter().enumerate() {
-        if i < 2 {
-            assert!(child.wait().unwrap().success());
-        }
+    for i in 0..2 {
+        hosts.stop(i);
     }
 }

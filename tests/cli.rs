@@ -1,6 +1,9 @@
 //! Integration tests for the `ssxdb` command-line tool: the full
 //! keygen → genmap → encode → info/query/serve/remote workflow.
 
+mod common;
+
+use common::Hosts;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -196,45 +199,6 @@ fn trie_encode_and_contains_query() {
     assert!(miss.contains("0 match(es)"), "{miss}");
 }
 
-/// Starts `ssxdb serve` on a free port with `extra` flags and waits for
-/// the listener.
-fn spawn_host(dir: &Path, extra: &[&str]) -> (String, std::process::Child) {
-    // Pick a free port by binding and releasing.
-    let port = {
-        let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        l.local_addr().unwrap().port()
-    };
-    let addr = format!("127.0.0.1:{port}");
-    let mut args = vec!["serve", "--p", "83", "--e", "1", "--addr", &addr];
-    args.extend_from_slice(extra);
-    args.push("db.ssxdb");
-    let server = Command::new(bin())
-        .args(&args)
-        .current_dir(dir)
-        .stdout(std::process::Stdio::piped())
-        .spawn()
-        .unwrap();
-    let mut connected = false;
-    for _ in 0..50 {
-        if std::net::TcpStream::connect(&addr).is_ok() {
-            connected = true;
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(100));
-    }
-    assert!(connected, "server did not come up");
-    (addr, server)
-}
-
-/// Shuts a host down via the protocol and checks it exits cleanly.
-fn stop_host(addr: &str, mut server: std::process::Child) {
-    use ssxdb::core::protocol::Request;
-    use ssxdb::core::{MuxPool, Transport};
-    let mut t = MuxPool::dial(addr, None).unwrap().transport(0);
-    t.call(&Request::Shutdown).unwrap();
-    assert!(server.wait().unwrap().success());
-}
-
 /// `remote` (extra flags before the query) and local `query` on the same
 /// fixture; returns both outputs' match listings.
 fn remote_and_local(dir: &Path, addr: &str, extra: &[&str], query: &str) -> (String, String) {
@@ -262,11 +226,12 @@ fn remote_and_local(dir: &Path, addr: &str, extra: &[&str], query: &str) -> (Str
 #[test]
 fn serve_and_remote_query() {
     let dir = fixture("serve");
-    let (addr, server) = spawn_host(&dir, &[]);
+    let mut hosts = Hosts::default();
+    let addr = hosts.serve(&dir, &["db.ssxdb"]);
     let (remote, local) = remote_and_local(&dir, &addr, &["--stats"], "/site/regions/europe/item");
     assert!(remote.contains("match(es)"), "{remote}");
     assert_eq!(remote, local, "remote must answer exactly like query");
-    stop_host(&addr, server);
+    hosts.stop(0);
 }
 
 /// The multiplexed host over the CLI at S = 2: `remote` learns the shard
@@ -275,7 +240,8 @@ fn serve_and_remote_query() {
 #[test]
 fn mux_serve_and_remote_via_cli() {
     let dir = fixture("mux_serve");
-    let (addr, server) = spawn_host(&dir, &["--shards", "2", "--workers", "2"]);
+    let mut hosts = Hosts::default();
+    let addr = hosts.serve(&dir, &["--shards", "2", "--workers", "2", "db.ssxdb"]);
     for extra in [&[][..], &["--speculate", "--stats"][..]] {
         let (remote, local) = remote_and_local(&dir, &addr, extra, "/site/regions/europe/item");
         assert!(remote.contains("match(es)"), "{remote}");
@@ -284,7 +250,7 @@ fn mux_serve_and_remote_via_cli() {
             "remote {extra:?} must answer exactly like query"
         );
     }
-    stop_host(&addr, server);
+    hosts.stop(0);
 }
 
 /// The online re-sharding workflow over the CLI: a sharded host comes up
@@ -294,7 +260,8 @@ fn mux_serve_and_remote_via_cli() {
 #[test]
 fn reshard_and_speculative_remote_via_cli() {
     let dir = fixture("reshard");
-    let (addr, server) = spawn_host(&dir, &["--shards", "2"]);
+    let mut hosts = Hosts::default();
+    let addr = hosts.serve(&dir, &["--shards", "2", "db.ssxdb"]);
     let query = "/site/regions/europe/item";
     let (before, local) = remote_and_local(&dir, &addr, &[], query);
     assert_eq!(before, local);
@@ -322,7 +289,7 @@ fn reshard_and_speculative_remote_via_cli() {
     assert!(err.contains("--shards"), "{err}");
     let (after, _) = remote_and_local(&dir, &addr, &["--speculate", "--stats"], query);
     assert_eq!(before, after, "answers must survive");
-    stop_host(&addr, server);
+    hosts.stop(0);
 }
 
 /// A mistyped flag fails, names the flag, and does no work: no output file.

@@ -7,16 +7,19 @@
 //! (encode --servers / serve --party / remote --fleet) must round-trip;
 //! every wave costs each party it asks exactly one frame, a read asking
 //! t parties and a write all n; and a party lying about structure is
-//! caught, at t = 1 too.
+//! caught, at t = 1 too, hedged or not.
 
+mod common;
+
+use common::Hosts;
 use ssxdb::core::protocol::{Request, Response};
 use ssxdb::core::transport::{Transport, TransportStats};
 use ssxdb::core::{
     encode_document_at, encode_document_fleet, fleet_mac_key, local_fleet_router, party_server,
-    run_aggregate, serve_tcp_mux, AggOp, AggregateSpec, ClientFilter, CoreError, EncryptedDb,
-    Engine, EngineKind, FleetEncodeOutput, FleetLeg, FleetSpec, FleetTransport,
-    LocalPartyTransport, MapFile, MatchRule, MuxPool, PartyHealth, PartyStore, ShardRouter,
-    ShardSpec, ShardedServer,
+    run_aggregate, serve_tcp_mux, AggOp, AggregateSpec, ChaosConfig, ChaosTransport, ClientFilter,
+    CoreError, EncryptedDb, Engine, EngineKind, FleetEncodeOutput, FleetLeg, FleetSpec,
+    FleetTransport, LocalPartyTransport, MapFile, MatchRule, MuxPool, PartyHealth, PartyStore,
+    ResilienceConfig, ShardRouter, ShardSpec, ShardedServer,
 };
 use ssxdb::poly::{Packer, RingCtx};
 use ssxdb::prg::{Prg, Seed};
@@ -25,6 +28,7 @@ use ssxdb::xmark::{generate, XmarkConfig, DTD_ELEMENTS};
 use ssxdb::xpath::parse_query;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 /// The Table-1 chain and the bench harness's exact secrets/document (same
 /// as `speculation.rs`), so "fig5" here is the committed figure.
@@ -345,11 +349,15 @@ impl Transport for LyingLeg {
 
 const SMALL_XML: &str = "<site><a><b/><b/></a><c><a><b/></a></c></site>";
 
-type LiarClient = ClientFilter<ShardRouter<FleetTransport<LyingLeg>>>;
+type LiarClient<T> = ClientFilter<ShardRouter<FleetTransport<T>>>;
 
 /// An in-process 3-party fleet at `threshold` whose party 2 lies about
-/// structure, and the single-party answer to `//a/b` on the same document.
-fn liar_fleet(threshold: usize) -> (LiarClient, Vec<Loc>) {
+/// structure, each party's leg passed through `wrap(party, leg)`, and the
+/// single-party answer to `//a/b` on the same document.
+fn liar_fleet<T: Transport + Send + 'static>(
+    threshold: usize,
+    mut wrap: impl FnMut(usize, LyingLeg) -> T,
+) -> (LiarClient<T>, Vec<Loc>) {
     let map = MapFile::sequential(83, 1, &["site", "a", "b", "c"]).unwrap();
     let seed = Seed::from_test_key(21);
     let want = EncryptedDb::encode(SMALL_XML, map.clone(), seed.clone())
@@ -359,17 +367,47 @@ fn liar_fleet(threshold: usize) -> (LiarClient, Vec<Loc>) {
         .result;
     let spec = FleetSpec::new(3, threshold).unwrap();
     let out = encode_document_fleet(SMALL_XML, &map, &seed, spec).unwrap();
-    let router = local_fleet_router(out, &seed, 1, |party, inner| LyingLeg {
-        inner,
-        lies: party == 2,
+    let router = local_fleet_router(out, &seed, 1, |party, inner| {
+        wrap(
+            party,
+            LyingLeg {
+                inner,
+                lies: party == 2,
+            },
+        )
     })
     .unwrap();
     (ClientFilter::new(router, map, seed).unwrap(), want)
 }
 
-fn query_ab(client: &mut LiarClient) -> Result<Vec<Loc>, CoreError> {
+fn query_ab<T: Transport + Send + 'static>(
+    client: &mut LiarClient<T>,
+) -> Result<Vec<Loc>, CoreError> {
     let query = parse_query("//a/b").unwrap();
     Engine::run(EngineKind::Simple, MatchRule::Equality, &query, client).map(|out| out.result)
+}
+
+/// Runs `//a/b` `runs` times: every answer must be exact and every error
+/// the structural disagreement. Returns how many runs erred.
+fn disagreements<T: Transport + Send + 'static>(
+    client: &mut LiarClient<T>,
+    want: &[Loc],
+    runs: usize,
+) -> usize {
+    let mut caught = 0;
+    for _ in 0..runs {
+        match query_ab(client) {
+            Ok(got) => assert_eq!(got, want, "the lie was returned"),
+            Err(e) => {
+                assert!(
+                    matches!(e, CoreError::Corrupt(_)) && e.to_string().contains("disagree"),
+                    "{e:?}"
+                );
+                caught += 1;
+            }
+        }
+    }
+    caught
 }
 
 /// A party that lies about structure is caught at t = 2. A read wave asks
@@ -378,7 +416,7 @@ fn query_ab(client: &mut LiarClient) -> Result<Vec<Loc>, CoreError> {
 /// and quarantined. Every answer before is exact, and so is the retry.
 #[test]
 fn a_structural_liar_is_named_and_quarantined() {
-    let (mut client, want) = liar_fleet(2);
+    let (mut client, want) = liar_fleet(2, |_, leg| leg);
     let err = (0..6)
         .find_map(|_| match query_ab(&mut client) {
             Ok(got) => {
@@ -409,21 +447,34 @@ fn a_structural_liar_is_named_and_quarantined() {
 /// is never returned.
 #[test]
 fn at_t1_a_structural_lie_is_a_disagreement_never_an_answer() {
-    let (mut client, want) = liar_fleet(1);
-    let mut caught = 0;
-    for _ in 0..6 {
-        match query_ab(&mut client) {
-            Ok(got) => assert_eq!(got, want, "the lie was returned"),
-            Err(e) => {
-                assert!(
-                    matches!(e, CoreError::Corrupt(_)) && e.to_string().contains("disagree"),
-                    "{e:?}"
-                );
-                caught += 1;
-            }
-        }
-    }
+    let (mut client, want) = liar_fleet(1, |_, leg| leg);
+    let caught = disagreements(&mut client, &want, 6);
     assert!(caught > 0, "no structural wave asked party 2");
+}
+
+/// A hedged wave waits for `max(t, 2)` answers that verify, not `t`: at
+/// t = 1, with the liar answering at once and the honest parties 20 ms
+/// late, the liar's answer alone would otherwise answer the wave. Its
+/// lie meets a second witness instead, and the query errs with the
+/// disagreement.
+#[test]
+fn a_hedged_t1_wave_never_returns_a_structural_lie() {
+    let (mut client, want) = liar_fleet(1, |party, leg| {
+        let cfg = if party == 2 {
+            ChaosConfig::quiet(7)
+        } else {
+            ChaosConfig::fixed_delay(7, Duration::from_millis(20))
+        };
+        ChaosTransport::new(leg, cfg)
+    });
+    for pipe in client.transport_mut().transports_mut() {
+        pipe.set_resilience(ResilienceConfig {
+            hedge: true,
+            ..Default::default()
+        });
+    }
+    let caught = disagreements(&mut client, &want, 4);
+    assert!(caught > 0, "no hedged wave heard party 2");
 }
 
 /// A party leg whose share answers lie: in the data half of a pair it adds
@@ -701,9 +752,8 @@ fn corrupted_share_is_detected_and_attributed() {
 }
 
 /// A fleet party host is *not* repartitionable: its data and MAC planes
-/// duplicate `pre`s, so an online reshard (manual or auto) is refused and
-/// the 2·S layout survives. Pins the safety net the `--auto-reshard-target`
-/// refusal in the CLI relies on.
+/// duplicate `pre`s, so an online reshard to a new count is refused and
+/// the 2·S layout survives.
 #[test]
 fn party_hosts_refuse_resharding() {
     use ssxdb::core::protocol::Response;
@@ -793,45 +843,13 @@ fn cli_three_process_fleet_round_trips() {
         "/site/regions/europe/item",
     ]);
 
-    let mut servers = Vec::new();
-    let mut addrs = Vec::new();
-    for i in 1..=3u32 {
-        let port = {
-            let l = TcpListener::bind("127.0.0.1:0").unwrap();
-            l.local_addr().unwrap().port()
-        };
-        let addr = format!("127.0.0.1:{port}");
-        let child = Command::new(bin)
-            .args([
-                "serve",
-                "--p",
-                "83",
-                "--e",
-                "1",
-                "--addr",
-                &addr,
-                "--party",
-                &i.to_string(),
-                &format!("db.party{i}.ssxdb"),
-            ])
-            .current_dir(&dir)
-            .stdout(std::process::Stdio::piped())
-            .spawn()
-            .unwrap();
-        servers.push(child);
-        addrs.push(addr);
-    }
-    for addr in &addrs {
-        let mut up = false;
-        for _ in 0..50 {
-            if std::net::TcpStream::connect(addr).is_ok() {
-                up = true;
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(100));
-        }
-        assert!(up, "party host {addr} did not come up");
-    }
+    let mut hosts = Hosts::default();
+    let addrs: Vec<String> = (1..=3u32)
+        .map(|i| {
+            let store = format!("db.party{i}.ssxdb");
+            hosts.serve(&dir, &["--party", &i.to_string(), &store])
+        })
+        .collect();
 
     let fleet_out = run(&[
         "remote",
@@ -850,11 +868,7 @@ fn cli_three_process_fleet_round_trips() {
         "the CLI fleet answers exactly like the single-store CLI"
     );
 
-    for addr in &addrs {
-        let mut t = MuxPool::dial(addr.as_str(), None).unwrap().transport(0);
-        t.call(&Request::Shutdown).unwrap();
-    }
-    for mut child in servers {
-        assert!(child.wait().unwrap().success());
+    for i in 0..addrs.len() {
+        hosts.stop(i);
     }
 }

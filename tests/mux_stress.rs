@@ -199,13 +199,13 @@ fn waves_and_speculation_counters_invariant_across_transports() {
     }
 }
 
-/// A reshard that keeps the shard count fences the pooled sockets — and
-/// the pool must heal *transparently*: the fenced request is replayed on a
-/// fresh connection, results stay exactly correct, and no error reaches
-/// the caller. A reshard to a different count must still surface (the
-/// pool's routing topology is wrong).
+/// A reshard to the count the host already serves moves no row — every
+/// `pre` keeps its `(pre − 1) mod S` home — so the host answers it `Ok`
+/// and fences nothing: the pool keeps answering exactly, and no error
+/// reaches the caller. A reshard to a different count must still surface
+/// (the pool's routing topology is wrong).
 #[test]
-fn mux_pool_heals_a_same_count_reshard_transparently() {
+fn a_same_count_reshard_leaves_the_mux_pool_unfenced() {
     let xml = generate(&XmarkConfig {
         seed: 23,
         target_bytes: 4 * 1024,
@@ -223,18 +223,18 @@ fn mux_pool_heals_a_same_count_reshard_transparently() {
         .unwrap()
         .pres();
 
-    // Reshard 2 → 2 over an admin connection: rows repartition in place,
-    // the generation bumps, and every pooled socket is fenced.
+    // Reshard 2 → 2 over an admin connection: the host already serves two
+    // shards, so nothing moves, the generation stays, and no pooled socket
+    // is fenced.
     let mut admin = MuxPool::dial(addr, None).unwrap().transport(0);
     assert_eq!(
         admin.call(&Request::Reshard { shards: 2 }).unwrap(),
         Response::Ok
     );
 
-    // The same pool keeps answering — the first fenced frame heals the
-    // slot, the wave replays, and the results are bit-identical. Repeat a
-    // few times (and once through a *new* transport on the same pool) to
-    // cover both the healing path and the already-healed fast path.
+    // The same pool keeps answering on its original sockets, and the
+    // results are bit-identical. Repeat a few times, and once through a
+    // *new* transport on the same pool.
     for _ in 0..3 {
         let out = db
             .run(&query, EngineKind::Simple, MatchRule::Containment)
@@ -253,8 +253,8 @@ fn mux_pool_heals_a_same_count_reshard_transparently() {
         }
     );
 
-    // A count-changing reshard is *not* healable: the replay handshake is
-    // refused (count mismatch) and the error surfaces.
+    // A count-changing reshard fences every pooled socket: the host
+    // answers the stale partition with its "reconnect" error.
     assert_eq!(
         admin.call(&Request::Reshard { shards: 3 }).unwrap(),
         Response::Ok

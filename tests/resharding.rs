@@ -1,16 +1,17 @@
 //! Online re-sharding end to end: for every query family and every
 //! `S → S'` transition in {1, 2, 4}², results are identical before and
-//! after `reshard` — over the in-process plane and over TCP — and the
-//! persisted bytes round-trip bit-identically.
+//! after a repartition ([`ShardedServer::reshard`]) — in process and on a
+//! live TCP host — and an `S → S' → S` round trip leaves every shard's
+//! rows bit-identical.
 
 use ssxdb::core::protocol::{Request, Response};
 use ssxdb::core::transport::Transport;
 use ssxdb::core::{
-    encode_document, serve_tcp_mux, serve_tcp_mux_opts, ClientFilter, EncryptedDb, Engine,
-    EngineKind, LocalTransport, MapFile, MatchRule, MuxHostOptions, MuxPool, ShardRouter,
-    ShardedServer,
+    encode_document, serve_tcp_mux, ClientFilter, EncryptedDb, Engine, EngineKind, LocalTransport,
+    MapFile, MatchRule, MuxPool, ShardRouter, ShardedServer,
 };
 use ssxdb::prg::{Prg, Seed};
+use ssxdb::store::Row;
 use ssxdb::xmark::{generate, XmarkConfig, DTD_ELEMENTS};
 use ssxdb::xpath::parse_query;
 use std::net::TcpListener;
@@ -28,6 +29,41 @@ const QUERIES: [&str; 4] = [
 ];
 
 const SHARD_COUNTS: [u32; 3] = [1, 2, 4];
+
+/// `xml` encoded across `shards` in-process filters.
+fn sharded(xml: &str, map: &MapFile, seed: &Seed, shards: u32) -> ShardedServer {
+    let out = encode_document(xml, map, seed).unwrap();
+    ShardedServer::from_table(out.table, out.ring, shards).unwrap()
+}
+
+/// Repartitions `server` across `shards` filters in memory.
+fn reshard(server: ShardedServer, shards: u32) -> ShardedServer {
+    let server = server.reshard(shards).map_err(|(_, e)| e).unwrap();
+    assert_eq!(server.spec().shards(), shards);
+    server
+}
+
+/// A client over a fresh in-process router onto `server`.
+fn local_client(
+    server: ShardedServer,
+    map: &MapFile,
+    seed: &Seed,
+) -> ClientFilter<ShardRouter<LocalTransport>> {
+    ClientFilter::new(ShardRouter::local(server), map.clone(), seed.clone()).unwrap()
+}
+
+/// Every shard's rows, each shard's in `pre` order.
+fn shard_rows(server: &ShardedServer) -> Vec<Vec<Row>> {
+    server
+        .filters()
+        .iter()
+        .map(|f| {
+            let mut rows = f.table().rows().to_vec();
+            rows.sort_by_key(|r| r.loc.pre);
+            rows
+        })
+        .collect()
+}
 
 /// Every engine × rule × query combination returns the same result set
 /// after any `S → S'` repartition of the in-process plane.
@@ -50,15 +86,13 @@ fn reshard_is_invisible_to_every_query_family() {
     }
     for from in SHARD_COUNTS {
         for to in SHARD_COUNTS {
-            let mut db =
-                EncryptedDb::encode_sharded(&xml, map.clone(), seed.clone(), from).unwrap();
-            db.reshard(to).unwrap();
-            assert_eq!(db.shards(), to);
+            let mut c = local_client(reshard(sharded(&xml, &map, &seed, from), to), &map, &seed);
             let mut i = 0;
             for q in QUERIES {
+                let query = parse_query(q).unwrap().expand_text_predicates();
                 for kind in [EngineKind::Simple, EngineKind::Advanced] {
                     for rule in [MatchRule::Containment, MatchRule::Equality] {
-                        let out = db.query(q, kind, rule).unwrap();
+                        let out = Engine::run(kind, rule, &query, &mut c).unwrap();
                         assert_eq!(
                             out.pres(),
                             baseline[i],
@@ -81,24 +115,22 @@ fn reshard_preserves_every_fetch_family() {
         target_bytes: 4 * 1024,
     });
     let (map, seed) = secrets();
-    let mut db = EncryptedDb::encode_sharded(&xml, map, seed, 2).unwrap();
-    let client = db.client_mut();
-    let root = client.roots().unwrap()[0];
+    let mut base = local_client(sharded(&xml, &map, &seed, 2), &map, &seed);
+    let root = base.roots().unwrap()[0];
     let all: Vec<_> = {
         let mut v = vec![root];
-        v.extend(client.descendants(root).unwrap());
+        v.extend(base.descendants(root).unwrap());
         v
     };
     let pres: Vec<u32> = all.iter().map(|l| l.pre).collect();
-    let value = client.value_of("item").unwrap();
-    let children = client.children_many(&pres).unwrap();
-    let descendants = client.descendants_many(&all).unwrap();
-    let locs = client.locs_of_many(&pres).unwrap();
-    let equality = client.equality_many(&all, value).unwrap();
-    let containment = client.containment_many(&all, value).unwrap();
+    let value = base.value_of("item").unwrap();
+    let children = base.children_many(&pres).unwrap();
+    let descendants = base.descendants_many(&all).unwrap();
+    let locs = base.locs_of_many(&pres).unwrap();
+    let equality = base.equality_many(&all, value).unwrap();
+    let containment = base.containment_many(&all, value).unwrap();
     for to in SHARD_COUNTS {
-        db.reshard(to).unwrap();
-        let client = db.client_mut();
+        let mut client = local_client(reshard(sharded(&xml, &map, &seed, 2), to), &map, &seed);
         assert_eq!(client.children_many(&pres).unwrap(), children, "S'={to}");
         assert_eq!(
             client.descendants_many(&all).unwrap(),
@@ -119,8 +151,8 @@ fn reshard_preserves_every_fetch_family() {
     }
 }
 
-/// `S → S' → S` must persist bit-identical bytes: the partition moves rows,
-/// never rewrites them.
+/// `S → S' → S` must leave every shard's rows bit-identical: the partition
+/// moves rows, never rewrites them.
 #[test]
 fn reshard_round_trip_saves_bit_identical_bytes() {
     let xml = generate(&XmarkConfig {
@@ -128,25 +160,12 @@ fn reshard_round_trip_saves_bit_identical_bytes() {
         target_bytes: 4 * 1024,
     });
     let (map, seed) = secrets();
-    let dir = std::env::temp_dir().join("ssxdb_resharding_tests");
-    std::fs::create_dir_all(&dir).unwrap();
     for from in SHARD_COUNTS {
         for to in SHARD_COUNTS {
-            let mut db =
-                EncryptedDb::encode_sharded(&xml, map.clone(), seed.clone(), from).unwrap();
-            let before = dir.join(format!("before_{from}_{to}.ssxdb"));
-            let after = dir.join(format!("after_{from}_{to}.ssxdb"));
-            db.save(&before).unwrap();
-            db.reshard(to).unwrap();
-            db.reshard(from).unwrap();
-            db.save(&after).unwrap();
-            assert_eq!(
-                std::fs::read(&before).unwrap(),
-                std::fs::read(&after).unwrap(),
-                "S={from}→{to}→{from} changed the persisted bytes"
-            );
-            std::fs::remove_file(&before).ok();
-            std::fs::remove_file(&after).ok();
+            let server = sharded(&xml, &map, &seed, from);
+            let before = shard_rows(&server);
+            let after = shard_rows(&reshard(reshard(server, to), from));
+            assert_eq!(before, after, "S={from}→{to}→{from} changed a shard's rows");
         }
     }
 }
@@ -280,78 +299,6 @@ fn tcp_reshard_races_with_live_queries_safely() {
     admin.call(&Request::Shutdown).unwrap();
     let server = handle.join().unwrap();
     assert_eq!(server.spec().shards(), 2);
-}
-
-/// `serve --auto-reshard-target BYTES`: the host's own ticker sizes the
-/// fleet from *stored* bytes. Starting at 1 shard with a target that
-/// argues for several, the count must converge to `⌈total/target⌉`, stay
-/// there (the suggestion is a fixed point of the repartition), and a
-/// client connected under the converged count must see exactly the
-/// single-shard answers.
-#[test]
-fn auto_reshard_converges_and_never_changes_results() {
-    let xml = generate(&XmarkConfig {
-        seed: 17,
-        target_bytes: 4 * 1024,
-    });
-    let (map, seed) = secrets();
-    let out = encode_document(&xml, &map, &seed).unwrap();
-    let total = out.table.size_report().data_bytes() as u64;
-    // A target that asks for a handful of shards; the fixed point is
-    // exactly ⌈total/target⌉ whatever the count the host starts at.
-    let target = total.div_ceil(4);
-    let expected_shards = total.div_ceil(target) as u32;
-    assert!(expected_shards > 1, "test needs a growth-inducing target");
-    let server = ShardedServer::from_table(out.table, out.ring, 1).unwrap();
-
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let opts = MuxHostOptions {
-        auto_target: Some(target),
-        ..MuxHostOptions::default()
-    };
-    let handle = std::thread::spawn(move || serve_tcp_mux_opts(listener, server, opts).unwrap());
-
-    let query = parse_query("//bidder/date").unwrap();
-    let expected = {
-        let mut db = EncryptedDb::encode(&xml, map.clone(), seed.clone()).unwrap();
-        db.run(&query, EngineKind::Simple, MatchRule::Containment)
-            .unwrap()
-            .pres()
-    };
-
-    // Convergence: the live count reaches the fixed point…
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    loop {
-        // A dial racing a repartition is refused; that is "not yet".
-        if let Ok(pool) = MuxPool::dial(addr, None) {
-            if pool.shards() == expected_shards {
-                break;
-            }
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "auto-reshard did not converge to {expected_shards} shards"
-        );
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
-    // …and stays there: several tick periods later nothing has moved.
-    std::thread::sleep(std::time::Duration::from_millis(150));
-    let pool = MuxPool::dial(addr, None).unwrap();
-    assert_eq!(
-        pool.shards(),
-        expected_shards,
-        "converged count must be a fixed point"
-    );
-
-    // Results under the converged partition are the single-shard answers.
-    let mut c = ClientFilter::new(ShardRouter::mux(&pool), map, seed).unwrap();
-    let out = Engine::run(EngineKind::Simple, MatchRule::Containment, &query, &mut c).unwrap();
-    assert_eq!(out.pres(), expected, "auto-reshard never changes results");
-
-    c.transport_mut().call(&Request::Shutdown).unwrap();
-    let server = handle.join().unwrap();
-    assert_eq!(server.spec().shards(), expected_shards);
 }
 
 /// A bare single-filter endpoint — no host around it to repartition —

@@ -5,6 +5,9 @@
 //! a byzantine party serving bit-flipped shares (detected and *named*,
 //! never wrong results).
 
+mod common;
+
+use common::Hosts;
 use ssxdb::core::protocol::{
     encode_request, encode_response, Request, Response, MUX_PROTOCOL_VERSION,
 };
@@ -793,31 +796,14 @@ fn cli_fleet_deadline_times_out_a_silent_party() {
 
     // Parties 1 and 3 serve their stores; party 2 answers the handshake
     // and then swallows every frame.
-    let mut addrs = Vec::new();
-    let mut servers = Hosts(Vec::new());
-    for party in ["1", "3"] {
-        let port = TcpListener::bind("127.0.0.1:0")
-            .unwrap()
-            .local_addr()
-            .unwrap()
-            .port();
-        let addr = format!("127.0.0.1:{port}");
-        let store = format!("db.party{party}.ssxdb");
-        let host = ["serve", "--p", "83", "--e", "1", "--addr", &addr];
-        let child = ssxdb(&[&host[..], &["--party", party, &store]].concat())
-            .stdout(Stdio::null())
-            .spawn()
-            .unwrap();
-        servers.0.push(child);
-        assert!(
-            (0..50).any(|_| {
-                std::thread::sleep(Duration::from_millis(100));
-                TcpStream::connect(&addr).is_ok()
-            }),
-            "party {party} at {addr} did not come up"
-        );
-        addrs.push(addr);
-    }
+    let mut servers = Hosts::default();
+    let mut addrs: Vec<String> = ["1", "3"]
+        .iter()
+        .map(|party| {
+            let store = format!("db.party{party}.ssxdb");
+            servers.serve(&dir, &["--party", party, &store])
+        })
+        .collect();
     let (loris, stop) = slow_loris_party();
     addrs.insert(1, loris.to_string());
 
@@ -857,18 +843,6 @@ fn cli_fleet_deadline_times_out_a_silent_party() {
         elapsed < Duration::from_secs(10),
         "the silent party was waited for: {elapsed:?}"
     );
-}
-
-/// Host processes a test started, killed however the test ends.
-struct Hosts(Vec<std::process::Child>);
-
-impl Drop for Hosts {
-    fn drop(&mut self) {
-        for child in &mut self.0 {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-    }
 }
 
 /// A byte relay in front of one host. `go_silent` resets every relayed
@@ -1002,7 +976,6 @@ fn mux_write_stall_knob_cuts_off_a_non_reading_client() {
     let addr = listener.local_addr().unwrap();
     let opts = MuxHostOptions {
         workers: 1,
-        auto_target: None,
         write_stall: Duration::from_millis(150),
     };
     let handle = std::thread::spawn(move || serve_tcp_mux_opts(listener, server, opts).unwrap());
