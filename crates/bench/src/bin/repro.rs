@@ -301,6 +301,9 @@ fn bench_json(path: &str) {
         let spec = ssx_core::FleetSpec::new(servers, threshold).expect("fleet spec");
         let mut db =
             EncryptedDb::encode_fleet(&xml, paper_map(), paper_seed(), spec).expect("fleet");
+        // Compared with the speculation-off single-party count: pinned, as
+        // unpinned speculation follows the measured `Roots` wave time.
+        db.set_speculation(false);
         let started = Instant::now();
         let out = db
             .query(&chain, EngineKind::Simple, MatchRule::Containment)
@@ -415,6 +418,11 @@ fn bench_json(path: &str) {
             let mut fdb =
                 EncryptedDb::encode_fleet(&mux_doc, paper_map(), paper_seed(), fleet_spec)
                     .expect("fleet db");
+            // Wave counts are compared across the two deployments: pin
+            // both, as unpinned speculation follows the measured `Roots`
+            // wave time.
+            db.set_speculation(false);
+            fdb.set_speculation(false);
             for op in [AggOp::Count, AggOp::Sum, AggOp::Avg] {
                 let spec = AggregateSpec {
                     query: query.clone(),

@@ -73,7 +73,8 @@ pub struct QueryStats {
     /// shard router is in play).
     pub shard_dispatches: u64,
     /// Requests answered from the router's speculation cache — each one a
-    /// round trip the query did not pay (0 unless speculation is on).
+    /// round trip the query did not pay (0 unless the router speculated
+    /// for this query: pinned on, or measured on over a slow link).
     pub speculative_hits: u64,
     /// Speculative prefetches this query issued that went unconsumed
     /// within its window — the mis-speculation cost.
@@ -189,9 +190,9 @@ impl StatWindow {
                 batched_requests: t.batched_requests - self.transport_before.batched_requests,
                 shard_dispatches: t.shard_dispatches - self.transport_before.shard_dispatches,
                 speculative_hits: t.speculative_hits - self.transport_before.speculative_hits,
-                // Saturating: a prefetch issued by an *earlier* query may be
-                // consumed inside this window, pulling the cumulative wasted
-                // count below its opening value.
+                // Saturating only as a guard: the router empties its
+                // prefetch cache at every op's roots wave, so each prefetch
+                // consumed in this window was issued in it.
                 speculative_wasted: t
                     .speculative_wasted
                     .saturating_sub(self.transport_before.speculative_wasted),

@@ -462,10 +462,14 @@ impl<T: Transport + Send> EncryptedDb<ShardRouter<T>> {
         self.client.transport().spec().shards()
     }
 
-    /// Enables or disables speculative wave pipelining: dependent query
-    /// waves overlap (the next frontier's expansion rides the current
-    /// wave's frames), cutting round trips on chain queries at identical
-    /// results. Off by default. See the
+    /// Pins speculative wave pipelining on or off: dependent query waves
+    /// overlap (the next frontier's expansion rides the current wave's
+    /// frames), cutting round trips on chain queries at identical results.
+    /// Unpinned, the router times each op's `Roots` wave and speculates
+    /// for an op only when those of its last 8 ops were all slow, as they
+    /// are behind a slow link and never in process. The simple engine
+    /// wastes most of its prefetches, so a simple-engine client behind a
+    /// slow link should pin this off. See the
     /// [`crate::router::ShardRouter`] module docs.
     pub fn set_speculation(&mut self, enabled: bool) {
         self.client.transport_mut().set_speculation(enabled);
@@ -713,6 +717,10 @@ mod tests {
         let shards = 2u32;
         let mut local =
             EncryptedDb::encode_sharded(xml, map(), Seed::from_test_key(33), shards).unwrap();
+        // Wave counts are compared across the two transports: pin both
+        // sides' speculation, which unpinned follows each link's measured
+        // `Roots` wave time.
+        local.set_speculation(false);
 
         let out = crate::encode::encode_document(xml, &map(), &Seed::from_test_key(33)).unwrap();
         let server = ShardedServer::from_table(out.table, out.ring, shards).unwrap();
@@ -721,6 +729,7 @@ mod tests {
         let handle = std::thread::spawn(move || serve_tcp_mux(listener, server, 0).unwrap());
         let pool = MuxPool::dial(addr, None).unwrap();
         let mut mux_a = RemoteMuxDb::connect_mux(&pool, map(), Seed::from_test_key(33)).unwrap();
+        mux_a.set_speculation(false);
         let mut mux_b = RemoteMuxDb::connect_mux(&pool, map(), Seed::from_test_key(33)).unwrap();
         assert_eq!(mux_a.shards(), shards);
 

@@ -52,7 +52,9 @@
 //! * **Structural responses** (locations, counts) carry no
 //!   shares; they must agree byte-for-byte on a `≥ t` quorum, and any
 //!   deviant is named. Two asked parties that disagree widen the wave, so
-//!   a lie is never believed on one party's word, even at `t = 1`.
+//!   a lie is never believed on one party's word, even at `t = 1`; there
+//!   the widened wave outvotes a lone liar (two honest answers against
+//!   one) and quarantines it.
 //! * A party that fails at the transport level (a mid-wave disconnect, a
 //!   timeout) is struck and, failing again, quarantined; as long as `≥ t`
 //!   parties answer, the wave completes with the correct result —
@@ -833,7 +835,11 @@ impl<T: Transport> FleetTransport<T> {
     }
 
     /// Requires a `≥ t`, byte-identical quorum on a structural response;
-    /// deviants are blamed by name.
+    /// deviants are blamed by name. The answers are irreconcilable, and
+    /// nobody is blamed, only when the runner-up group ties the largest
+    /// one or reaches `max(t, 2)` parties: at `t = 1` one party is already
+    /// a quorum, so a lone liar facing two honest parties is outvoted, not
+    /// a disagreement between two quorums.
     fn structural_majority(&self, parts: &[(usize, &Response)]) -> Result<Response, FleetError> {
         let mut groups: Vec<(Vec<usize>, &Response)> = Vec::new();
         for &(party, resp) in parts {
@@ -851,7 +857,9 @@ impl<T: Transport> FleetTransport<T> {
                 self.threshold
             )));
         }
-        if groups.len() > 1 && groups[1].0.len() >= self.threshold {
+        if groups.len() > 1
+            && (groups[1].0.len() == winners.len() || groups[1].0.len() >= self.threshold.max(2))
+        {
             return Err(FleetError::Fatal(format!(
                 "two quorums disagree on a structural response (parties {:?} vs {:?})",
                 winners, groups[1].0

@@ -22,20 +22,35 @@
 //!
 //! # Speculative wave pipelining
 //!
-//! With [`ShardRouter::set_speculation`] on, the router overlaps dependent
-//! waves: every `EvalMany` wave (a frontier being tested) piggybacks
-//! `Children` prefetches for the same nodes **inside the same physical
-//! frames** — wave *k + 1*'s probable batch travels while wave *k*'s
-//! answers are in flight. The predicted answers land in a bounded cache;
-//! when the engine then expands the surviving frontier, those `Children`
-//! requests are answered locally (`speculative_hits`) and the expansion
-//! wave costs **zero round trips**. A frontier that diverges from the
-//! prediction (look-ahead pruning, `..` steps, descendant expansion) simply
-//! never consumes its prefetches — they are counted as
-//! `speculative_wasted`, and correctness is untouched because cached
-//! answers are the very responses the owning shards produced for an
-//! immutable table. Speculation is invisible in results by construction;
-//! what it trades is bytes (prefetches for pruned nodes) for waves.
+//! A speculating router overlaps dependent waves: every `EvalMany` wave (a
+//! frontier being tested) piggybacks `Children` prefetches for the same
+//! nodes **inside the same physical frames** — wave *k + 1*'s probable
+//! batch travels while wave *k*'s answers are in flight. The predicted
+//! answers land in a cache that lives for one op; when the engine then
+//! expands the surviving frontier, those `Children` requests are answered
+//! locally (`speculative_hits`) and the expansion wave costs **zero round
+//! trips**. A frontier that diverges from the prediction (look-ahead
+//! pruning, `..` steps, descendant expansion) simply never consumes its
+//! prefetches — they are counted as `speculative_wasted`, and correctness
+//! is untouched because cached answers are the very responses the owning
+//! shards produced for the table as it stands. Speculation is invisible in
+//! results by construction; what it trades is bytes (prefetches for pruned
+//! nodes) for waves.
+//!
+//! An op starts with the wave that asks for [`Request::Roots`] (a query's
+//! root lookup, an aggregate's snapshot): that wave empties the cache, so
+//! no op is answered from another op's prefetches. Once the `Roots` wave is
+//! back, the router decides whether the op speculates. Unless
+//! [`ShardRouter::set_speculation`] pins the mode, the op speculates when
+//! the `Roots` waves of the last 8 ops, its own included, each took at
+//! least 0.5 ms (`SPEC_WINDOW`, `SPEC_THRESHOLD`). A `Roots` wave carries
+//! no evaluation, so its time is the link's round trip plus whatever queue
+//! it waited in: behind a slow link every op from the router's eighth on
+//! speculates, in process none does. The mode follows the ops before it:
+//! on a link whose round trip sits near 0.5 ms, or behind a host queue
+//! that comes and goes, two clients with different histories may take
+//! different modes for the same op, and so pay different waves and bytes
+//! for the same answer.
 
 use crate::error::CoreError;
 use crate::protocol::{Request, Response};
@@ -44,6 +59,7 @@ use crate::shard::{ShardSpec, ShardedServer};
 use crate::transport::{LocalTransport, MuxPool, MuxTransport, Transport, TransportStats};
 use ssx_store::Loc;
 use std::collections::HashMap;
+use std::time::{Duration, Instant};
 
 /// How the answers of one original request are reassembled from per-shard
 /// sub-responses.
@@ -92,18 +108,15 @@ enum FanKind {
     Epochs,
 }
 
-/// Upper bound on cached speculative answers (entries, each one node's
-/// children list). Beyond it the router stops prefetching rather than
-/// evicting — a bounded memory footprint with no cache-churn pathology.
-const SPEC_CACHE_MAX: usize = 1 << 16;
+/// Consecutive `Roots` waves, one per op, the measured default looks back
+/// over; a fresh router does not speculate until it has timed this many.
+const SPEC_WINDOW: u32 = 8;
 
-/// A speculative `Children` prefetch riding an `EvalMany` wave: one fanned
-/// sub-request per shard, harvested into the cache on arrival.
-struct SpecFetch {
-    pre: u32,
-    /// `positions[s]` = slot of the prefetch in shard `s`'s frame.
-    positions: Vec<usize>,
-}
+/// `Roots` wave time at or above which the measured default speculates.
+/// The per-call delay sweep in EXPERIMENTS.md places it: from 0.5 ms per
+/// call on, one op's prefetches cost neither engine time at the median,
+/// and they save the advanced engine more than a quarter of it.
+const SPEC_THRESHOLD: Duration = Duration::from_micros(500);
 
 /// A cached speculative answer. `consumed` marks first use, for the
 /// hit/wasted accounting.
@@ -127,10 +140,16 @@ pub struct ShardRouter<T: Transport> {
     waves: u64,
     batches: u64,
     batched_requests: u64,
-    /// Speculative wave pipelining (see the module docs). Off by default —
-    /// the PR-3 wire shape — because it trades bytes for waves.
+    /// The mode [`ShardRouter::set_speculation`] pinned; `None` measures
+    /// it per op (see the module docs).
+    pin: Option<bool>,
+    /// Whether the current op speculates.
     speculate: bool,
-    /// Children lists prefetched by speculation, keyed by parent `pre`.
+    /// How many of the most recent `Roots` waves in a row took at least
+    /// `SPEC_THRESHOLD` (saturating).
+    slow_roots: u32,
+    /// Children lists prefetched by speculation during the current op,
+    /// keyed by parent `pre`.
     spec_cache: HashMap<u32, SpecEntry>,
     /// Prefetches issued / answers served from the cache / distinct cached
     /// entries consumed at least once (`issued − consumed` = wasted).
@@ -184,7 +203,9 @@ impl<T: Transport + Send> ShardRouter<T> {
             waves: 0,
             batches: 0,
             batched_requests: 0,
+            pin: None,
             speculate: false,
+            slow_roots: 0,
             spec_cache: HashMap::new(),
             spec_issued: 0,
             spec_hits: 0,
@@ -192,18 +213,31 @@ impl<T: Transport + Send> ShardRouter<T> {
         }
     }
 
-    /// Enables or disables speculative wave pipelining (see the module
-    /// docs). Disabling clears the prefetch cache; counters persist.
+    /// Pins speculative wave pipelining on or off from now on, in place of
+    /// the measured default (see the module docs). Disabling clears the
+    /// prefetch cache; counters persist.
     pub fn set_speculation(&mut self, enabled: bool) {
+        self.pin = Some(enabled);
         self.speculate = enabled;
         if !enabled {
             self.spec_cache.clear();
         }
     }
 
-    /// Whether speculative wave pipelining is on.
+    /// Whether the current op speculates.
     pub fn speculation(&self) -> bool {
         self.speculate
+    }
+
+    /// Starts an op once its `Roots` wave is back: counts the wave's time
+    /// and decides whether the op speculates.
+    fn begin_op(&mut self, roots_wave: Duration) {
+        self.slow_roots = if roots_wave >= SPEC_THRESHOLD {
+            self.slow_roots.saturating_add(1)
+        } else {
+            0
+        };
+        self.speculate = self.pin.unwrap_or(self.slow_roots >= SPEC_WINDOW);
     }
 
     /// The partition spec.
@@ -342,8 +376,13 @@ impl<T: Transport + Send> ShardRouter<T> {
     /// The read wave: plan every request, piggyback speculative
     /// prefetches, dispatch (at most) once, harvest, merge. A wave whose
     /// every request was answered from the speculation cache dispatches
-    /// nothing and costs zero round trips.
+    /// nothing and costs zero round trips. A wave that asks for the roots
+    /// starts an op.
     fn route_batch_core(&mut self, reqs: &[Request]) -> Result<Vec<Response>, CoreError> {
+        let starts_op = reqs.iter().any(|r| matches!(r, Request::Roots));
+        if starts_op {
+            self.spec_cache.clear();
+        }
         let shards = self.transports.len();
         let mut per_shard: Vec<Vec<Request>> = vec![Vec::new(); shards];
         let mut slots: Vec<Slot> = Vec::with_capacity(reqs.len());
@@ -351,7 +390,11 @@ impl<T: Transport + Send> ShardRouter<T> {
             slots.push(self.plan(req, &mut per_shard));
         }
         let specs = self.plan_speculation(reqs, &mut per_shard);
+        let began = Instant::now();
         let mut responses = self.dispatch(per_shard)?;
+        if starts_op {
+            self.begin_op(began.elapsed());
+        }
         self.harvest_speculation(specs, &mut responses);
         slots
             .into_iter()
@@ -361,58 +404,55 @@ impl<T: Transport + Send> ShardRouter<T> {
 
     /// Queues the next wave's probable `Children` fetches onto a wave that
     /// is about to dispatch anyway: one fanned prefetch per distinct
-    /// `EvalMany` node not already cached. Prefetches never *create* a wave
-    /// — an otherwise-empty wave stays empty — and stop when the cache is
-    /// full.
-    fn plan_speculation(
-        &mut self,
-        reqs: &[Request],
-        per_shard: &mut [Vec<Request>],
-    ) -> Vec<SpecFetch> {
+    /// `EvalMany` node not already cached, appended to every shard's queue
+    /// in the order of the returned `pre`s. Prefetches never *create* a
+    /// wave — an otherwise-empty wave stays empty.
+    fn plan_speculation(&mut self, reqs: &[Request], per_shard: &mut [Vec<Request>]) -> Vec<u32> {
         if !self.speculate || per_shard.iter().all(|v| v.is_empty()) {
             return Vec::new();
         }
-        let mut out: Vec<SpecFetch> = Vec::new();
-        let mut queued: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
-        for req in reqs {
-            let Request::EvalMany { pres, .. } = req else {
-                continue;
-            };
-            for &pre in pres {
-                if self.spec_cache.len() + out.len() >= SPEC_CACHE_MAX {
-                    return out;
-                }
-                if !queued.insert(pre) || self.spec_cache.contains_key(&pre) {
-                    continue;
-                }
-                // Children of `pre` may live on any shard (the partition is
-                // by the *child's* pre), so the prefetch fans like a real
-                // `Children` request would.
-                let positions = per_shard
-                    .iter_mut()
-                    .map(|q| {
-                        q.push(Request::Children { pre });
-                        q.len() - 1
-                    })
-                    .collect();
-                self.spec_issued += 1;
-                out.push(SpecFetch { pre, positions });
-            }
+        let mut pres: Vec<u32> = reqs
+            .iter()
+            .flat_map(|req| match req {
+                Request::EvalMany { pres, .. } => pres.as_slice(),
+                _ => &[],
+            })
+            .copied()
+            .filter(|pre| !self.spec_cache.contains_key(pre))
+            .collect();
+        pres.sort_unstable();
+        pres.dedup();
+        // Children of `pre` may live on any shard (the partition is by the
+        // *child's* pre), so the prefetch fans like a real `Children`
+        // request would.
+        for queue in per_shard.iter_mut() {
+            queue.extend(pres.iter().map(|&pre| Request::Children { pre }));
         }
-        out
+        self.spec_issued += pres.len() as u64;
+        pres
     }
 
-    /// Moves the speculative answers out of the wave and into the cache.
-    /// A prefetch any shard answered with an error is dropped (it stays
-    /// issued-but-never-consumed, i.e. wasted) — the cache holds only
-    /// answers identical to what a real fan would have merged.
-    fn harvest_speculation(&mut self, specs: Vec<SpecFetch>, responses: &mut [Vec<Response>]) {
-        for spec in specs {
+    /// Moves the speculative answers, the tail of every shard's list, out
+    /// of the wave and into the cache. A prefetch any shard answered with
+    /// an error is dropped (it stays issued-but-never-consumed, i.e.
+    /// wasted) — the cache holds only answers identical to what a real fan
+    /// would have merged.
+    fn harvest_speculation(&mut self, pres: Vec<u32>, responses: &mut [Vec<Response>]) {
+        if pres.is_empty() {
+            return;
+        }
+        self.spec_cache.reserve(pres.len());
+        let mut tails: Vec<_> = responses
+            .iter_mut()
+            .map(|list| list.drain(list.len() - pres.len()..))
+            .collect();
+        for pre in pres {
             let mut locs: Vec<Loc> = Vec::new();
             let mut ok = true;
-            for (shard, &pos) in spec.positions.iter().enumerate() {
-                match take_response(responses, shard, pos) {
-                    Response::Locs(ls) => locs.extend(ls),
+            for tail in tails.iter_mut() {
+                match tail.next() {
+                    Some(Response::Locs(ls)) if locs.is_empty() => locs = ls,
+                    Some(Response::Locs(ls)) => locs.extend(ls),
                     _ => ok = false,
                 }
             }
@@ -420,7 +460,7 @@ impl<T: Transport + Send> ShardRouter<T> {
                 // Disjoint pre sets: sorting is the exact k-way merge.
                 locs.sort_by_key(|l| l.pre);
                 self.spec_cache.insert(
-                    spec.pre,
+                    pre,
                     SpecEntry {
                         locs,
                         consumed: false,
@@ -462,15 +502,13 @@ impl<T: Transport + Send> ShardRouter<T> {
             Request::Children { pre } => {
                 // A speculative prefetch may already hold this answer; if
                 // so the request never leaves the router.
-                if self.speculate {
-                    if let Some(entry) = self.spec_cache.get_mut(pre) {
-                        self.spec_hits += 1;
-                        if !entry.consumed {
-                            entry.consumed = true;
-                            self.spec_consumed += 1;
-                        }
-                        return Slot::Ready(Response::Locs(entry.locs.clone()));
+                if let Some(entry) = self.spec_cache.get_mut(pre) {
+                    self.spec_hits += 1;
+                    if !entry.consumed {
+                        entry.consumed = true;
+                        self.spec_consumed += 1;
                     }
+                    return Slot::Ready(Response::Locs(entry.locs.clone()));
                 }
                 self.fan(req, FanKind::Locs, per_shard)
             }
@@ -578,12 +616,6 @@ impl<T: Transport + Send> ShardRouter<T> {
 
     // ---- the write plane --------------------------------------------------
 
-    /// Prefetched children lists were computed against the pre-write
-    /// table, so they die with the write.
-    fn invalidate_for_write(&mut self) {
-        self.spec_cache.clear();
-    }
-
     /// Splits `rows` by owning shard and dispatches one `Insert` per shard
     /// with work, one wave. If any shard refuses or its link fails, the
     /// insert is compensated so a multi-shard document never survives
@@ -596,7 +628,9 @@ impl<T: Transport + Send> ShardRouter<T> {
     /// [`Response::Err`], a link failure as the error itself. Compensation
     /// is best effort: a shard still unreachable keeps whatever landed.
     fn route_insert(&mut self, rows: &[(Loc, Vec<u8>)]) -> Result<Response, CoreError> {
-        self.invalidate_for_write();
+        // Prefetched children lists were computed against the pre-write
+        // table, so they die with the write.
+        self.spec_cache.clear();
         let shards = self.transports.len();
         let mut grouped: Vec<Vec<(Loc, Vec<u8>)>> = vec![Vec::new(); shards];
         for (loc, poly) in rows {
@@ -666,7 +700,7 @@ impl<T: Transport + Send> ShardRouter<T> {
     /// with work, one wave; per-shard removal counts sum. Deletes are
     /// idempotent end to end, so a partial failure is simply retried.
     fn route_delete(&mut self, pres: &[u32]) -> Result<Response, CoreError> {
-        self.invalidate_for_write();
+        self.spec_cache.clear();
         let shards = self.transports.len();
         let mut grouped: Vec<Vec<u32>> = vec![Vec::new(); shards];
         for &pre in pres {
@@ -1129,6 +1163,65 @@ mod tests {
         }
         let s = r.stats();
         assert_eq!((s.speculative_hits, s.speculative_wasted), (3, 1));
+    }
+
+    /// The cache lives for one op: the wave that asks for the roots starts
+    /// the next op with nothing prefetched.
+    #[test]
+    fn a_roots_wave_empties_the_prefetch_cache() {
+        let mut r = router(2);
+        r.set_speculation(true);
+        r.call(&Request::EvalMany {
+            pres: vec![1],
+            point: 17,
+        })
+        .unwrap();
+        r.call(&Request::Roots).unwrap();
+        let before = r.stats();
+        r.call(&Request::Children { pre: 1 }).unwrap();
+        let after = r.stats();
+        assert_eq!(after.round_trips, before.round_trips + 1, "a real wave");
+        assert_eq!(after.speculative_hits, 0);
+        assert_eq!(after.speculative_wasted, 1, "the dropped prefetch");
+    }
+
+    /// Unpinned, a router speculates for an op only once the `Roots` waves
+    /// of its last `SPEC_WINDOW` ops, the op's own included, each took at
+    /// least `SPEC_THRESHOLD`; other waves do not count. Behind a 1 ms
+    /// link that is the `SPEC_WINDOW`-th op, in process never.
+    #[test]
+    fn the_measured_default_needs_a_full_window_of_slow_roots_waves() {
+        let host = server(1);
+        let spec = host.spec();
+        let links = host
+            .into_filters()
+            .into_iter()
+            .map(|f| {
+                let cfg = crate::chaos::ChaosConfig::fixed_delay(3, Duration::from_millis(1));
+                crate::chaos::ChaosTransport::new(LocalTransport::new(f), cfg)
+            })
+            .collect();
+        let mut slow = ShardRouter::new(spec, links, false, false);
+        let mut local = router(1);
+        for r in [&mut slow as &mut dyn Transport, &mut local] {
+            for _ in 1..SPEC_WINDOW {
+                r.call(&Request::Roots).unwrap();
+                r.call(&Request::GetLoc { pre: 2 }).unwrap();
+            }
+        }
+        assert!(!slow.speculation(), "one slow Roots wave short");
+        slow.call(&Request::Roots).unwrap();
+        local.call(&Request::Roots).unwrap();
+        assert!(slow.speculation(), "a full window of slow Roots waves");
+        assert!(!local.speculation(), "in process");
+        slow.call(&Request::EvalMany {
+            pres: vec![1],
+            point: 17,
+        })
+        .unwrap();
+        let waves = slow.stats().round_trips;
+        slow.call(&Request::Children { pre: 1 }).unwrap();
+        assert_eq!(slow.stats().round_trips, waves, "answered from the cache");
     }
 
     #[test]

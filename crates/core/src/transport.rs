@@ -105,11 +105,13 @@ pub struct TransportStats {
     /// waves (0 on direct transports).
     pub shard_dispatches: u64,
     /// Requests answered from a router's speculation cache instead of a
-    /// round trip (0 unless speculation is enabled on a shard router).
+    /// round trip (0 unless a shard router speculated: pinned on, or
+    /// measured on over a slow link).
     pub speculative_hits: u64,
     /// Speculative prefetches issued but (as of this snapshot) never
     /// consumed — the cost of mis-speculation. Not monotonic: an entry
-    /// counted wasted now may still be consumed by a later wave.
+    /// counted wasted now may still be consumed by a later wave of the
+    /// same op.
     pub speculative_wasted: u64,
     /// Fleet waves answered from the first `max(t, 2)` verified responses
     /// while at least one slower party was still in flight (0 unless hedged

@@ -48,11 +48,14 @@
 //! `delete` with `--addr`) open one multiplexed socket per shard and learn
 //! `S` from the host's handshake answer, so they take no `--shards`; each
 //! query frontier is batched across the shards. `remote --speculate`
-//! overlaps dependent waves (the next frontier's expansion rides the
-//! current wave's frames). `reshard` repartitions a running host to a new
-//! shard count **online** — rows move in memory, bit-identically; clients
-//! connected under the old count must reconnect. A reshard to the count
-//! the host already serves changes nothing.
+//! pins speculation on: dependent waves overlap (the next frontier's
+//! expansion rides the current wave's frames). Unpinned, a router
+//! speculates for a query only once the `Roots` waves of its last 8
+//! queries were all slow, so the one query of a `remote` process
+//! speculates only with the flag. `reshard` repartitions a running
+//! host to a new shard count **online** — rows move in memory,
+//! bit-identically; clients connected under the old count must reconnect.
+//! A reshard to the count the host already serves changes nothing.
 //!
 //! `encode --servers n --threshold t` splits the database into `n`
 //! per-party share stores (`out.party1.ssxdb` … `out.partyN.ssxdb`), any
@@ -966,7 +969,11 @@ fn remote(mut args: Args) -> Result<(), String> {
         let engine = parse_engine(&args)?;
         let rule = parse_rule(&args)?;
         let mut db = connect_fleet(&args, map, seed)?;
-        db.set_speculation(args.bool("speculate"));
+        // Unpinned, the router decides per query from its measured
+        // `Roots` waves.
+        if args.bool("speculate") {
+            db.set_speculation(true);
+        }
         let out = db
             .query(&query_text, engine, rule)
             .map_err(|e| e.to_string())?;
@@ -986,7 +993,9 @@ fn remote(mut args: Args) -> Result<(), String> {
     let deadline = deadline(&args)?;
     let pool = MuxPool::dial(addr.as_str(), deadline).map_err(|e| e.to_string())?;
     let mut router = ShardRouter::mux(&pool);
-    router.set_speculation(args.bool("speculate"));
+    if args.bool("speculate") {
+        router.set_speculation(true);
+    }
     router.set_call_budget(deadline);
     let mut client = ClientFilter::new(router, map, seed).map_err(|e| e.to_string())?;
     let out = Engine::run(engine, rule, &q, &mut client).map_err(|e| e.to_string())?;

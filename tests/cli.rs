@@ -236,18 +236,38 @@ fn serve_and_remote_query() {
 
 /// The multiplexed host over the CLI at S = 2: `remote` learns the shard
 /// count from the handshake, and with or without speculation answers
-/// exactly what local `query` answers.
+/// exactly what local `query` answers. `--stats` reports the prefetch
+/// hits and waste of a `--speculate` query; a `remote` process without
+/// the flag runs one query, so its router never times the 8 `Roots` waves
+/// the measured default needs and does not speculate.
 #[test]
 fn mux_serve_and_remote_via_cli() {
     let dir = fixture("mux_serve");
     let mut hosts = Hosts::default();
     let addr = hosts.serve(&dir, &["--shards", "2", "--workers", "2", "db.ssxdb"]);
+    let query = "/site/regions/europe/item";
     for extra in [&[][..], &["--speculate", "--stats"][..]] {
-        let (remote, local) = remote_and_local(&dir, &addr, extra, "/site/regions/europe/item");
+        let (remote, local) = remote_and_local(&dir, &addr, extra, query);
         assert!(remote.contains("match(es)"), "{remote}");
         assert_eq!(
             remote, local,
             "remote {extra:?} must answer exactly like query"
+        );
+    }
+    let secrets = ["--map", "map.properties", "--seed", "seed.hex"];
+    for (extra, speculates) in [
+        (&["--stats"][..], false),
+        (&["--stats", "--speculate"], true),
+    ] {
+        let mut args = vec!["remote", "--addr", &addr];
+        args.extend_from_slice(&secrets);
+        args.extend_from_slice(extra);
+        args.push(query);
+        let out = assert_ok(&args, &dir);
+        assert_eq!(
+            out.contains("  speculation:") && out.contains("hits /"),
+            speculates,
+            "{extra:?}: {out}"
         );
     }
     hosts.stop(0);

@@ -225,6 +225,11 @@ fn every_fleet_wave_costs_one_frame_per_party() {
     let (map, seed) = bench_secrets();
     let (mut fleet, log) = logged_fleet(&xml, &map, &seed);
     let mut single = EncryptedDb::encode(&xml, map.clone(), seed.clone()).unwrap();
+    // Wave counts are compared across the two deployments: pin both sides'
+    // speculation, which unpinned follows each one's measured `Roots` wave
+    // time.
+    fleet.transport_mut().set_speculation(false);
+    single.set_speculation(false);
 
     let chain = parse_query(FIG5_CHAIN).unwrap();
     let (kind, rule) = (EngineKind::Simple, MatchRule::Containment);
@@ -387,27 +392,34 @@ fn query_ab<T: Transport + Send + 'static>(
     Engine::run(EngineKind::Simple, MatchRule::Equality, &query, client).map(|out| out.result)
 }
 
-/// Runs `//a/b` `runs` times: every answer must be exact and every error
-/// the structural disagreement. Returns how many runs erred.
-fn disagreements<T: Transport + Send + 'static>(
+/// Runs `//a/b` `runs` times on a t = 1 liar fleet: every answer must be
+/// exact, exactly one run errs, naming party 2 as outvoted by the two
+/// honest parties, and party 2 ends quarantined, so every answer after
+/// that error is exact.
+fn liar_outvoted<T: Transport + Send + 'static>(
     client: &mut LiarClient<T>,
     want: &[Loc],
     runs: usize,
-) -> usize {
+) {
     let mut caught = 0;
-    for _ in 0..runs {
+    for run in 0..runs {
         match query_ab(client) {
-            Ok(got) => assert_eq!(got, want, "the lie was returned"),
+            Ok(got) => assert_eq!(got, want, "run {run}: the lie was returned"),
             Err(e) => {
+                assert_eq!(caught, 0, "run {run} erred after the liar was caught: {e}");
                 assert!(
-                    matches!(e, CoreError::Corrupt(_)) && e.to_string().contains("disagree"),
+                    matches!(e, CoreError::Corrupt(_))
+                        && e.to_string()
+                            .contains("party 2 disagreed with the 2-party quorum"),
                     "{e:?}"
                 );
                 caught += 1;
             }
         }
     }
-    caught
+    assert_eq!(caught, 1, "no structural wave asked party 2");
+    let status = client.transport().transports()[0].party_status();
+    assert_eq!(status[1].health, PartyHealth::Quarantined);
 }
 
 /// A party that lies about structure is caught at t = 2. A read wave asks
@@ -443,20 +455,20 @@ fn a_structural_liar_is_named_and_quarantined() {
 
 /// At t = 1 a structural answer still needs a second witness, which is why
 /// a read asks `max(t, 2)` parties: a wave that asks the liar sees its two
-/// answers disagree, widens, finds two 1-party quorums and errors. The lie
-/// is never returned.
+/// answers disagree and widens, and the two honest parties outvote the
+/// liar, which is named and quarantined. The lie is never returned, and
+/// the fleet answers exactly from then on.
 #[test]
 fn at_t1_a_structural_lie_is_a_disagreement_never_an_answer() {
     let (mut client, want) = liar_fleet(1, |_, leg| leg);
-    let caught = disagreements(&mut client, &want, 6);
-    assert!(caught > 0, "no structural wave asked party 2");
+    liar_outvoted(&mut client, &want, 12);
 }
 
 /// A hedged wave waits for `max(t, 2)` answers that verify, not `t`: at
 /// t = 1, with the liar answering at once and the honest parties 20 ms
 /// late, the liar's answer alone would otherwise answer the wave. Its
-/// lie meets a second witness instead, and the query errs with the
-/// disagreement.
+/// lie meets a second witness instead, the third answer outvotes it, and
+/// the liar is quarantined.
 #[test]
 fn a_hedged_t1_wave_never_returns_a_structural_lie() {
     let (mut client, want) = liar_fleet(1, |party, leg| {
@@ -473,8 +485,92 @@ fn a_hedged_t1_wave_never_returns_a_structural_lie() {
             ..Default::default()
         });
     }
-    let caught = disagreements(&mut client, &want, 4);
-    assert!(caught > 0, "no hedged wave heard party 2");
+    liar_outvoted(&mut client, &want, 12);
+}
+
+/// A party leg that acknowledges every insert with one row too many, on
+/// both of its planes alike: its planes agree, so only the other parties'
+/// acknowledgements can expose it. Reads stay honest.
+struct AckLiar {
+    inner: LocalPartyTransport,
+    lies: bool,
+}
+
+impl Transport for AckLiar {
+    fn call(&mut self, req: &Request) -> Result<Response, CoreError> {
+        let resp = self.inner.call(req)?;
+        let insert = matches!(req, Request::Pair { data, .. }
+            if matches!(&**data, Request::ToShard { req, .. } if matches!(**req, Request::Insert { .. })));
+        Ok(match resp {
+            Response::Pair { data, mac } if self.lies && insert => {
+                let bump = |r: Box<Response>| match *r {
+                    Response::Count(c) => Box::new(Response::Count(c + 1)),
+                    other => Box::new(other),
+                };
+                Response::Pair {
+                    data: bump(data),
+                    mac: bump(mac),
+                }
+            }
+            other => other,
+        })
+    }
+
+    fn stats(&self) -> TransportStats {
+        self.inner.stats()
+    }
+}
+
+/// At t = 1 the outvoting reaches the write path too: a party that
+/// acknowledges an insert with a count the two honest parties do not
+/// give is named and quarantined, where two 1-party quorums used to fail
+/// the write with nobody blamed, and every retry with it. The write still
+/// fails, and the router's compensation rolls it back on the honest
+/// parties; with the liar gone, a retry commits, and deleting the document
+/// restores the exact answers.
+#[test]
+fn at_t1_a_party_that_lies_about_an_insert_is_outvoted() {
+    let map = MapFile::sequential(83, 1, &["site", "a", "b", "c"]).unwrap();
+    let seed = Seed::from_test_key(21);
+    let want = EncryptedDb::encode(SMALL_XML, map.clone(), seed.clone())
+        .unwrap()
+        .query("//a/b", EngineKind::Simple, MatchRule::Equality)
+        .unwrap()
+        .result;
+    let out = encode_document_fleet(SMALL_XML, &map, &seed, FleetSpec::new(3, 1).unwrap()).unwrap();
+    let router = local_fleet_router(out, &seed, 1, |party, inner| AckLiar {
+        inner,
+        lies: party == 2,
+    })
+    .unwrap();
+    let mut client = ClientFilter::new(router, map.clone(), seed.clone()).unwrap();
+    assert_eq!(query_ab(&mut client).unwrap(), want);
+
+    let offset = client.max_pre().unwrap();
+    let doc = encode_document_at("<site><a><b/></a></site>", &map, &seed, offset).unwrap();
+    let rows: Vec<_> = doc
+        .table
+        .rows()
+        .iter()
+        .map(|r| (r.loc, r.poly.to_vec()))
+        .collect();
+    let pres: Vec<u32> = rows.iter().map(|(loc, _)| loc.pre).collect();
+    let e = client.insert_rows(rows.clone()).unwrap_err();
+    assert!(
+        matches!(e, CoreError::Corrupt(_))
+            && e.to_string()
+                .contains("party 2 disagreed with the 2-party quorum"),
+        "{e:?}"
+    );
+    let status = client.transport().transports()[0].party_status();
+    assert_eq!(status[1].health, PartyHealth::Quarantined);
+    assert_eq!(query_ab(&mut client).unwrap(), want, "rolled back");
+    assert_eq!(client.insert_rows(rows).unwrap(), pres.len() as u64);
+    assert_eq!(query_ab(&mut client).unwrap().len(), want.len() + 1);
+    assert_eq!(client.delete_pres(pres.clone()).unwrap(), pres.len() as u64);
+    for _ in 0..6 {
+        assert_eq!(query_ab(&mut client).unwrap(), want);
+    }
 }
 
 /// A party leg whose share answers lie: in the data half of a pair it adds

@@ -77,14 +77,15 @@ fn sharded_tcp_serving_matches_local() {
     let addr = listener.local_addr().unwrap();
     let handle = std::thread::spawn(move || serve_tcp_mux(listener, tcp_server, 0).unwrap());
 
-    let mut local_client =
-        ClientFilter::new(ShardRouter::local(local_server), map.clone(), seed.clone()).unwrap();
-    let mut tcp_client = ClientFilter::new(
-        ShardRouter::mux(&MuxPool::connect(addr, shards).unwrap()),
-        map,
-        seed,
-    )
-    .unwrap();
+    // Wave counts are compared across the two transports: pin both sides'
+    // speculation, which unpinned follows each link's measured `Roots`
+    // wave time.
+    let mut local_router = ShardRouter::local(local_server);
+    local_router.set_speculation(false);
+    let mut local_client = ClientFilter::new(local_router, map.clone(), seed.clone()).unwrap();
+    let mut tcp_router = ShardRouter::mux(&MuxPool::connect(addr, shards).unwrap());
+    tcp_router.set_speculation(false);
+    let mut tcp_client = ClientFilter::new(tcp_router, map, seed).unwrap();
 
     for q in [
         "/site//europe/item",

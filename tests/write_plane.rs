@@ -109,6 +109,10 @@ fn tcp_fleet_ingests_interleaved_writes_while_queries_run() {
         .collect();
     let addrs: Vec<String> = hosts.iter().map(|(a, _)| a.to_string()).collect();
     let mut fleet = EncryptedDb::connect_fleet_mux(&addrs, 2, map.clone(), seed.clone()).unwrap();
+    // Wave counts are compared with an in-process store below: pin both
+    // sides' speculation, which unpinned follows each link's measured
+    // `Roots` wave time.
+    fleet.set_speculation(false);
 
     let b_pres = |db: &mut EncryptedDb<ShardRouter<FleetTransport<MuxTransport>>>| {
         db.query("//b", EngineKind::Simple, MatchRule::Equality)
@@ -133,6 +137,7 @@ fn tcp_fleet_ingests_interleaved_writes_while_queries_run() {
         out_a.table.insert(row).unwrap();
     }
     let mut fresh = EncryptedDb::from_encode_output(out_a, map.clone(), seed.clone(), 1).unwrap();
+    fresh.set_speculation(false);
 
     for q in ["/site", "//b", "//c", "/site/a/b", "/site/b/c"] {
         for kind in [EngineKind::Simple, EngineKind::Advanced] {
