@@ -78,7 +78,7 @@ fn batching(c: &mut Criterion) {
             let all = client.descendants(root).unwrap();
             let v = client.value_of("bidder").unwrap();
             client
-                .containment_many(&all, v)
+                .containment_many(&all, &[v])
                 .unwrap()
                 .iter()
                 .filter(|&&x| x)

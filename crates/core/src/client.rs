@@ -231,46 +231,63 @@ impl<T: Transport> ClientFilter<T> {
     /// Containment test: does the subtree rooted at `loc` contain a node
     /// with tag value `value`?
     pub fn containment(&mut self, loc: Loc, value: u64) -> Result<bool, CoreError> {
-        Ok(self.containment_many(&[loc], value)?[0])
+        Ok(self.containment_many(&[loc], &[value])?[0])
     }
 
-    /// Batched containment test at a single point — one round trip for the
-    /// whole candidate set (the server evaluates its shares, the client its
-    /// regenerated shares, sums decide). A [`ClientFilter::set_batch_limit`]
-    /// cap applies here too: the candidate set is evaluated in chunks of at
-    /// most `limit` nodes per round trip (`Some(1)` = the per-node protocol).
-    pub fn containment_many(&mut self, locs: &[Loc], value: u64) -> Result<Vec<bool>, CoreError> {
-        if locs.is_empty() {
-            return Ok(Vec::new());
+    /// Batched containment test: does each subtree in `locs` contain a node
+    /// of *every* tag value in `points`? One round trip for the whole
+    /// candidate set at every point — one `EvalMany` per point in one batch
+    /// (the server evaluates its shares, the client its shares, sums
+    /// decide). Each client share is regenerated once and evaluated at every
+    /// point, and every node is tested at every point: a node that fails an
+    /// early point still costs its later evaluations. A
+    /// [`ClientFilter::set_batch_limit`] cap applies here too: at most
+    /// `limit` nodes per `EvalMany` and `limit` of those per round trip
+    /// (`Some(1)` = the per-node, per-point protocol).
+    pub fn containment_many(
+        &mut self,
+        locs: &[Loc],
+        points: &[u64],
+    ) -> Result<Vec<bool>, CoreError> {
+        if locs.is_empty() || points.is_empty() {
+            return Ok(vec![true; locs.len()]);
         }
         let limit = self.batch_limit.unwrap_or(usize::MAX).max(1);
-        let mut server_vals = Vec::with_capacity(locs.len());
-        for chunk in locs.chunks(limit) {
-            let pres: Vec<u32> = chunk.iter().map(|l| l.pre).collect();
-            self.transport
-                .call_with(
-                    &Request::EvalMany { pres, point: value },
-                    &mut |resp| match resp {
-                        Response::Values(vs) => {
-                            server_vals.extend_from_slice(vs);
-                            Ok(())
-                        }
-                        other => Err(unexpected(other.clone())),
-                    },
-                )?;
+        let reqs: Vec<Request> = points
+            .iter()
+            .flat_map(|&point| {
+                locs.chunks(limit).map(move |chunk| Request::EvalMany {
+                    pres: chunk.iter().map(|l| l.pre).collect(),
+                    point,
+                })
+            })
+            .collect();
+        // Point-major: the server's values at point k are items
+        // `k·n .. (k+1)·n` of the concatenated answers.
+        let mut server_vals = Vec::with_capacity(locs.len() * points.len());
+        for resp in self.call_chunked(&reqs)? {
+            match resp {
+                Response::Values(vs) => server_vals.extend(vs),
+                other => return Err(unexpected(other)),
+            }
         }
-        if server_vals.len() != locs.len() {
+        if server_vals.len() != locs.len() * points.len() {
             return Err(CoreError::Transport("EvalMany length mismatch".into()));
         }
-        self.stats.server_evals += locs.len() as u64;
-        self.stats.containment_tests += locs.len() as u64;
+        let evals = (locs.len() * points.len()) as u64;
+        self.stats.server_evals += evals;
+        self.stats.client_evals += evals;
+        self.stats.containment_tests += evals;
         let field = self.ring.field().clone();
         let mut out = Vec::with_capacity(locs.len());
-        for (loc, sv) in locs.iter().zip(server_vals) {
+        for (i, loc) in locs.iter().enumerate() {
             let client_poly = self.client_share(loc.pre);
-            let cv = self.ring.eval(&client_poly, value);
-            self.stats.client_evals += 1;
-            out.push(field.add(cv, sv) == 0);
+            let mut contains_all = true;
+            for (k, &point) in points.iter().enumerate() {
+                let cv = self.ring.eval(&client_poly, point);
+                contains_all &= field.add(cv, server_vals[k * locs.len() + i]) == 0;
+            }
+            out.push(contains_all);
         }
         Ok(out)
     }
@@ -584,7 +601,7 @@ mod tests {
             v
         };
         let vb = c.value_of("b").unwrap();
-        let batched = c.containment_many(&all, vb).unwrap();
+        let batched = c.containment_many(&all, &[vb]).unwrap();
         for (loc, &b) in all.iter().zip(&batched) {
             assert_eq!(c.containment(*loc, vb).unwrap(), b, "pre={}", loc.pre);
         }

@@ -5,9 +5,11 @@
 //!   it with one test per node. No look-ahead: a `//` step enumerates every
 //!   descendant ("this step is quite expensive in terms of execution time").
 //! * [`AdvancedEngine`] walks the tree top-down, taking "the whole remaining
-//!   query into account": before and after each step it tests containment of
-//!   *all remaining query names*, abandoning dead branches early; `//` steps
-//!   run a pruned DFS instead of a full enumeration.
+//!   query into account": before the first step and after each step it
+//!   tests containment of *all remaining query names*, abandoning dead
+//!   branches early; `//` steps run a pruned DFS instead of a full
+//!   enumeration. One look-ahead is one wave: the frontier travels once,
+//!   with one evaluation point per remaining name.
 //! * [`MatchRule::Containment`] (non-strict): one evaluation per test; a
 //!   node passes when its *subtree contains* the tag — cheap but inexact.
 //! * [`MatchRule::Equality`] (strict): polynomial reconstruction + division;
@@ -228,15 +230,7 @@ fn filter_by_rule<T: Transport>(
     value: u64,
 ) -> Result<Vec<Loc>, CoreError> {
     match rule {
-        MatchRule::Containment => {
-            let keep = filter.containment_many(&candidates, value)?;
-            Ok(candidates
-                .into_iter()
-                .zip(keep)
-                .filter(|(_, k)| *k)
-                .map(|(l, _)| l)
-                .collect())
-        }
+        MatchRule::Containment => prune(filter, candidates, &[value]),
         MatchRule::Equality => {
             // Two waves for the whole candidate set (children + polys)
             // instead of two round trips per candidate.
@@ -249,6 +243,24 @@ fn filter_by_rule<T: Transport>(
                 .collect())
         }
     }
+}
+
+/// Keeps only the nodes whose subtree contains *all* `values`: the
+/// containment rule's test (one value) and the advanced engine's look-ahead
+/// (every remaining name). One batched round trip for every value at once,
+/// none when there is nothing to test.
+fn prune<T: Transport>(
+    filter: &mut ClientFilter<T>,
+    frontier: Vec<Loc>,
+    values: &[u64],
+) -> Result<Vec<Loc>, CoreError> {
+    let keep = filter.containment_many(&frontier, values)?;
+    Ok(frontier
+        .into_iter()
+        .zip(keep)
+        .filter(|(_, k)| *k)
+        .map(|(l, _)| l)
+        .collect())
 }
 
 /// Document-order dedup.
@@ -421,11 +433,12 @@ impl AdvancedEngine {
         // Distinct tag values tested by steps[i..] — the look-ahead sets.
         let suffix_values = Self::suffix_values(query, filter)?;
         // Initial look-ahead: the root must contain every name the query
-        // will ever test beyond step 0 (step 0's own test happens below, so
-        // at the root the engine performs exactly |names| evaluations —
+        // will ever test beyond step 0, all in one wave. Step 0's own test
+        // happens below, and a child-axis step 0 is not looked ahead again,
+        // so at the root the engine performs exactly |names| evaluations —
         // "this node is checked against map(site), map(person) and
-        // map(city)", §5.3).
-        frontier = Self::prune(filter, frontier, &suffix_values[1])?;
+        // map(city)", §5.3.
+        frontier = prune(filter, frontier, &suffix_values[1])?;
         for (i, step) in query.steps.iter().enumerate() {
             if frontier.is_empty() {
                 break;
@@ -455,7 +468,11 @@ impl AdvancedEngine {
                     }
                 }
             };
-            frontier = Self::prune(filter, frontier, after)?;
+            // A child-axis step 0 (a name or `*`) keeps a subset of the roots
+            // the initial look-ahead just tested against these same names.
+            if i > 0 || step.axis == Axis::Descendant {
+                frontier = prune(filter, frontier, after)?;
+            }
         }
         Ok(window.close(filter, frontier))
     }
@@ -483,29 +500,6 @@ impl AdvancedEngine {
             out[i] = seen.iter().copied().collect();
         }
         Ok(out)
-    }
-
-    /// Keeps only frontier nodes whose subtree contains *all* `values` —
-    /// the look-ahead filter. One batched round trip per value.
-    fn prune<T: Transport>(
-        filter: &mut ClientFilter<T>,
-        frontier: Vec<Loc>,
-        values: &[u64],
-    ) -> Result<Vec<Loc>, CoreError> {
-        let mut frontier = frontier;
-        for &v in values {
-            if frontier.is_empty() {
-                break;
-            }
-            let keep = filter.containment_many(&frontier, v)?;
-            frontier = frontier
-                .into_iter()
-                .zip(keep)
-                .filter(|(_, k)| *k)
-                .map(|(l, _)| l)
-                .collect();
-        }
-        Ok(frontier)
     }
 
     /// `//name` with pruning: walk down from the frontier, abandoning any
@@ -537,13 +531,7 @@ impl AdvancedEngine {
             fetch_level(filter, frontier)?
         };
         while !level.is_empty() {
-            let keep = filter.containment_many(&level, value)?;
-            let alive: Vec<Loc> = level
-                .into_iter()
-                .zip(keep)
-                .filter(|(_, k)| *k)
-                .map(|(l, _)| l)
-                .collect();
+            let alive = prune(filter, level, &[value])?;
             match rule {
                 MatchRule::Containment => out.extend_from_slice(&alive),
                 MatchRule::Equality => {
@@ -562,8 +550,9 @@ mod tests {
     use super::*;
     use crate::encode::encode_document;
     use crate::map::MapFile;
+    use crate::protocol::{Request, Response};
     use crate::server::ServerFilter;
-    use crate::transport::LocalTransport;
+    use crate::transport::{LocalTransport, TransportStats};
     use ssx_prg::Seed;
     use ssx_xpath::parse_query;
 
@@ -801,6 +790,95 @@ mod tests {
                 let want = crate::reference::reference_eval(&doc, &query, rule).unwrap();
                 assert_eq!(run(EngineKind::Simple, rule, q), want, "{q} {rule:?}");
             }
+        }
+    }
+
+    /// Counts the `EvalMany` items that name one `pre`, over every frame.
+    struct CountEvals {
+        inner: LocalTransport,
+        pre: u32,
+        evals: u64,
+    }
+
+    impl CountEvals {
+        fn count(&mut self, req: &Request) {
+            if let Request::EvalMany { pres, .. } = req {
+                self.evals += pres.iter().filter(|&&p| p == self.pre).count() as u64;
+            }
+        }
+    }
+
+    impl Transport for CountEvals {
+        fn call(&mut self, req: &Request) -> Result<Response, CoreError> {
+            self.count(req);
+            self.inner.call(req)
+        }
+
+        fn call_batch(&mut self, reqs: &[Request]) -> Result<Vec<Response>, CoreError> {
+            reqs.iter().for_each(|req| self.count(req));
+            self.inner.call_batch(reqs)
+        }
+
+        fn stats(&self) -> TransportStats {
+            self.inner.stats()
+        }
+    }
+
+    #[test]
+    fn a_look_ahead_costs_one_wave_whatever_the_names() {
+        let mut c = client();
+        let roots = c.roots().unwrap();
+        let names: Vec<u64> = ["a", "b", "c"]
+            .iter()
+            .map(|n| c.value_of(n).unwrap())
+            .collect();
+        for k in 0..=names.len() {
+            let before = c.transport_stats().round_trips;
+            let kept = prune(&mut c, roots.clone(), &names[..k]).unwrap();
+            assert_eq!(kept, roots, "the root contains every name");
+            let waves = c.transport_stats().round_trips - before;
+            assert_eq!(waves, u64::from(k > 0), "{k} names");
+        }
+        // `/site/a/b/c` with no router: roots, one look-ahead at the root,
+        // step 0's test, then per step one expansion, the rule's test (one
+        // wave non-strict, two strict) and one look-ahead while names remain.
+        let q = parse_query("/site/a/b/c").unwrap();
+        for (rule, waves) in [(MatchRule::Containment, 11), (MatchRule::Equality, 15)] {
+            let out = AdvancedEngine::run(&q, rule, &mut client()).unwrap();
+            assert_eq!(out.stats.round_trips, waves, "{rule:?}");
+        }
+    }
+
+    #[test]
+    fn containment_evaluates_the_root_once_per_distinct_name() {
+        let map = MapFile::sequential(83, 1, &["site", "a", "b", "c"]).unwrap();
+        let seed = Seed::from_test_key(21);
+        for q in [
+            "/site",
+            "/site/a",
+            "/site/a/b/c",
+            "/site/*/c",
+            "/site/b/a/c/a",
+        ] {
+            let out = encode_document(FIXTURE, &map, &seed).unwrap();
+            let inner = LocalTransport::new(ServerFilter::new(out.table, out.ring));
+            let counting = CountEvals {
+                inner,
+                pre: 1,
+                evals: 0,
+            };
+            let mut c = ClientFilter::new(counting, map.clone(), seed.clone()).unwrap();
+            let query = parse_query(q).unwrap();
+            AdvancedEngine::run(&query, MatchRule::Containment, &mut c).unwrap();
+            let names: BTreeSet<&str> = query
+                .steps
+                .iter()
+                .filter_map(|s| match &s.test {
+                    NodeTest::Name(n) => Some(n.as_str()),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(c.transport().evals, names.len() as u64, "{q}");
         }
     }
 

@@ -158,15 +158,10 @@ impl ServerFilter {
         self.stats.requests += 1;
         match req {
             // Numeric-plane rows carry `parent = 0` so the nesting invariant
-            // holds; they are value storage, not document roots — mask them
-            // out of every structural answer.
-            Request::Roots => Response::Locs(
-                self.table
-                    .roots()
-                    .into_iter()
-                    .filter(|l| l.pre < NUM_PLANE_BASE)
-                    .collect(),
-            ),
+            // holds; they are value storage, not document roots. `roots`
+            // leaves them out itself; mask them out of every other
+            // structural answer.
+            Request::Roots => Response::Locs(self.table.roots()),
             Request::GetLoc { pre } => Response::MaybeLoc(self.table.by_pre(*pre).map(|r| r.loc)),
             Request::Children { pre } => Response::Locs(
                 self.table

@@ -139,7 +139,8 @@ pub trait Transport {
 
     /// Sends one request and lends the decoded response to `sink`:
     /// [`Transport::call`] plus a borrow, so a wrapper can tell the sink's
-    /// work apart from the call's. No built-in transport overrides it.
+    /// work apart from the call's. No built-in transport overrides it and
+    /// no client calls it; it stays while `perfbench`'s tracer forwards it.
     fn call_with(
         &mut self,
         req: &Request,

@@ -11,8 +11,9 @@ use std::fmt;
 /// Numeric rows are leaf-only and carry `parent = 0` with a pre/post
 /// interval mirroring the element's, so [`Table::check_integrity`]'s nesting
 /// scan sees them as disjoint single-node trees. Structural answers
-/// (roots/children, [`Table::max_pre`]) mask the plane out; the ordinary
-/// document plane must stay below the boundary.
+/// ([`Table::roots`], [`Table::max_pre`], and the server's children and
+/// descendants) leave the plane out; the ordinary document plane must stay
+/// below the boundary.
 pub const NUM_PLANE_BASE: u32 = 1 << 30;
 
 /// A node location as the engines see it: the pre/post/parent triple. This
@@ -262,10 +263,13 @@ impl Table {
     }
 
     /// All document roots (`parent = 0`) in document order — one ordered
-    /// scan of the parent-0 prefix of the `(parent, pre)` index.
+    /// scan of the parent-0 prefix of the `(parent, pre)` index. A parent-0
+    /// key is its `pre`, so bounding the scan below [`NUM_PLANE_BASE`]
+    /// leaves out the numeric-plane rows (also `parent = 0`) and the scan
+    /// costs the number of roots, not the number of numeric values.
     pub fn roots(&self) -> Vec<Loc> {
         self.parent_idx
-            .range(0, u32::MAX as u64)
+            .range(0, NUM_PLANE_BASE as u64 - 1)
             .map(|(_, pos)| self.rows[pos as usize].loc)
             .collect()
     }
@@ -659,6 +663,25 @@ mod tests {
                 .collect::<Vec<_>>(),
             vec![6, 7, 8]
         );
+    }
+
+    #[test]
+    fn roots_leave_out_the_numeric_plane() {
+        // Numeric-plane rows are stored with `parent = 0`, like roots.
+        let mut t = sample_table();
+        for pre in [2u32, 3] {
+            t.insert(Row {
+                loc: Loc {
+                    pre: NUM_PLANE_BASE + pre,
+                    post: NUM_PLANE_BASE + pre,
+                    parent: 0,
+                },
+                poly: vec![0; 4].into_boxed_slice(),
+            })
+            .unwrap();
+        }
+        t.check_integrity().unwrap();
+        assert_eq!(t.roots().iter().map(|l| l.pre).collect::<Vec<_>>(), vec![1]);
     }
 
     #[test]

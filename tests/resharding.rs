@@ -128,7 +128,7 @@ fn reshard_preserves_every_fetch_family() {
     let descendants = base.descendants_many(&all).unwrap();
     let locs = base.locs_of_many(&pres).unwrap();
     let equality = base.equality_many(&all, value).unwrap();
-    let containment = base.containment_many(&all, value).unwrap();
+    let containment = base.containment_many(&all, &[value]).unwrap();
     for to in SHARD_COUNTS {
         let mut client = local_client(reshard(sharded(&xml, &map, &seed, 2), to), &map, &seed);
         assert_eq!(client.children_many(&pres).unwrap(), children, "S'={to}");
@@ -144,7 +144,7 @@ fn reshard_preserves_every_fetch_family() {
             "S'={to}"
         );
         assert_eq!(
-            client.containment_many(&all, value).unwrap(),
+            client.containment_many(&all, &[value]).unwrap(),
             containment,
             "S'={to}"
         );
