@@ -243,17 +243,94 @@ impl<T: Transport> ClientFilter<T> {
     /// early point still costs its later evaluations. A
     /// [`ClientFilter::set_batch_limit`] cap applies here too: at most
     /// `limit` nodes per `EvalMany` and `limit` of those per round trip
-    /// (`Some(1)` = the per-node, per-point protocol).
+    /// (`Some(1)` = the per-node, per-point protocol). The advanced
+    /// engine's strict steps run this test before
+    /// [`ClientFilter::equality_many`]: a node can only equal a name its
+    /// subtree contains.
     pub fn containment_many(
         &mut self,
         locs: &[Loc],
         points: &[u64],
     ) -> Result<Vec<bool>, CoreError> {
-        if locs.is_empty() || points.is_empty() {
-            return Ok(vec![true; locs.len()]);
+        Ok(self.containment_and_tags(locs, points, &[], &[])?.0)
+    }
+
+    /// Equality test: is the tag of the node at `loc` exactly `value`?
+    ///
+    /// Reconstructs the node's polynomial and all its children's, divides,
+    /// and compares the extracted root (§3, §5.2). Costs one `Children` and
+    /// one `GetPolys` round trip plus `1 + #children` share regenerations.
+    pub fn equality(&mut self, loc: Loc, value: u64) -> Result<bool, CoreError> {
+        Ok(self.equality_many(&[loc], value)?[0])
+    }
+
+    /// Batched equality test: the `Children` lookups of the whole candidate
+    /// set travel in one round trip, the `GetPolys` fetches in a second —
+    /// two waves for any number of candidates instead of two per candidate.
+    /// Reconstruction work and counters are identical to the one-at-a-time
+    /// path. Every candidate costs a reconstruction of itself and each of
+    /// its children, so the advanced engine passes only candidates that
+    /// have passed [`ClientFilter::containment_many`] at their own name.
+    pub fn equality_many(&mut self, locs: &[Loc], value: u64) -> Result<Vec<bool>, CoreError> {
+        let tags = self.tag_values_many(locs)?;
+        Ok(tags.into_iter().map(|t| t == Some(value)).collect())
+    }
+
+    /// Recovers the tag *value* of each node (`None` never occurs today —
+    /// indeterminate outcomes are errors instead). Shared by the equality
+    /// tests and diagnostics.
+    fn tag_values_many(&mut self, locs: &[Loc]) -> Result<Vec<Option<u64>>, CoreError> {
+        // Wave 1: every candidate's children; wave 2: the polynomials.
+        let children = self.children_many(&locs.iter().map(|l| l.pre).collect::<Vec<_>>())?;
+        Ok(self.containment_and_tags(&[], &[], locs, &children)?.1)
+    }
+
+    /// Two jobs in one round trip: the containment test of `tested` at
+    /// every point (as [`ClientFilter::containment_many`]) and the tag value
+    /// of every node in `heads`, reconstructed from its polynomial family —
+    /// itself and `children[i]`, which the caller has already fetched (as
+    /// [`ClientFilter::equality_many`] does in its first wave). The strict
+    /// `//` walk tests one level while it reconstructs the level above.
+    /// Nothing to test and nothing to reconstruct costs no round trip.
+    pub(crate) fn containment_and_tags(
+        &mut self,
+        tested: &[Loc],
+        points: &[u64],
+        heads: &[Loc],
+        children: &[Vec<Loc>],
+    ) -> Result<(Vec<bool>, Vec<Option<u64>>), CoreError> {
+        let families: Vec<Vec<u32>> = heads
+            .iter()
+            .zip(children)
+            .map(|(loc, kids)| {
+                let mut pres = Vec::with_capacity(kids.len() + 1);
+                pres.push(loc.pre);
+                pres.extend(kids.iter().map(|l| l.pre));
+                pres
+            })
+            .collect();
+        let mut reqs = self.containment_requests(tested, points);
+        let evals = reqs.len();
+        reqs.extend(
+            families
+                .iter()
+                .map(|pres| Request::GetPolys { pres: pres.clone() }),
+        );
+        let mut responses = self.call_chunked(&reqs)?;
+        if responses.len() != reqs.len() {
+            return Err(CoreError::Transport("batch length mismatch".into()));
         }
+        let polys = responses.split_off(evals);
+        let contains = self.decide_containment(tested, points, responses)?;
+        Ok((contains, self.reconstruct_tags(heads, &families, polys)?))
+    }
+
+    /// The `EvalMany` requests of a containment test, point-major: at most
+    /// `limit` nodes per request under a batch cap. None when there is
+    /// nothing to test.
+    fn containment_requests(&self, locs: &[Loc], points: &[u64]) -> Vec<Request> {
         let limit = self.batch_limit.unwrap_or(usize::MAX).max(1);
-        let reqs: Vec<Request> = points
+        points
             .iter()
             .flat_map(|&point| {
                 locs.chunks(limit).map(move |chunk| Request::EvalMany {
@@ -261,11 +338,25 @@ impl<T: Transport> ClientFilter<T> {
                     point,
                 })
             })
-            .collect();
+            .collect()
+    }
+
+    /// Decides each containment test from the server's answers to
+    /// `containment_requests`: the node's subtree contains
+    /// every point when each client + server share sum is zero.
+    fn decide_containment(
+        &mut self,
+        locs: &[Loc],
+        points: &[u64],
+        responses: Vec<Response>,
+    ) -> Result<Vec<bool>, CoreError> {
+        if locs.is_empty() || points.is_empty() {
+            return Ok(vec![true; locs.len()]);
+        }
         // Point-major: the server's values at point k are items
         // `k·n .. (k+1)·n` of the concatenated answers.
         let mut server_vals = Vec::with_capacity(locs.len() * points.len());
-        for resp in self.call_chunked(&reqs)? {
+        for resp in responses {
             match resp {
                 Response::Values(vs) => server_vals.extend(vs),
                 other => return Err(unexpected(other)),
@@ -292,54 +383,18 @@ impl<T: Transport> ClientFilter<T> {
         Ok(out)
     }
 
-    /// Equality test: is the tag of the node at `loc` exactly `value`?
-    ///
-    /// Reconstructs the node's polynomial and all its children's, divides,
-    /// and compares the extracted root (§3, §5.2). Costs one `Children` and
-    /// one `GetPolys` round trip plus `1 + #children` share regenerations.
-    pub fn equality(&mut self, loc: Loc, value: u64) -> Result<bool, CoreError> {
-        Ok(self.equality_many(&[loc], value)?[0])
-    }
-
-    /// Batched equality test: the `Children` lookups of the whole candidate
-    /// set travel in one round trip, the `GetPolys` fetches in a second —
-    /// two waves for any number of candidates instead of two per candidate.
-    /// Reconstruction work and counters are identical to the one-at-a-time
-    /// path.
-    pub fn equality_many(&mut self, locs: &[Loc], value: u64) -> Result<Vec<bool>, CoreError> {
-        let tags = self.tag_values_many(locs)?;
-        Ok(tags.into_iter().map(|t| t == Some(value)).collect())
-    }
-
-    /// Recovers the tag *value* of each node (`None` never occurs today —
-    /// indeterminate outcomes are errors instead). Shared by the equality
-    /// tests and diagnostics.
-    fn tag_values_many(&mut self, locs: &[Loc]) -> Result<Vec<Option<u64>>, CoreError> {
-        if locs.is_empty() {
-            return Ok(Vec::new());
-        }
+    /// Reconstructs each head's tag value from the `GetPolys` answers for
+    /// its polynomial family (`families[i]`: the head's `pre`, then its
+    /// children's).
+    fn reconstruct_tags(
+        &mut self,
+        locs: &[Loc],
+        families: &[Vec<u32>],
+        responses: Vec<Response>,
+    ) -> Result<Vec<Option<u64>>, CoreError> {
         self.stats.equality_tests += locs.len() as u64;
-        // Wave 1: every candidate's children.
-        let children = self.children_many(&locs.iter().map(|l| l.pre).collect::<Vec<_>>())?;
-        // Wave 2: every candidate's polynomial family (itself + children).
-        let families: Vec<Vec<u32>> = locs
-            .iter()
-            .zip(&children)
-            .map(|(loc, kids)| {
-                let mut pres = Vec::with_capacity(kids.len() + 1);
-                pres.push(loc.pre);
-                pres.extend(kids.iter().map(|l| l.pre));
-                pres
-            })
-            .collect();
-        let reqs: Vec<Request> = families
-            .iter()
-            .map(|pres| Request::GetPolys { pres: pres.clone() })
-            .collect();
-        let responses = self.call_chunked(&reqs)?;
-        // Local reconstruction per candidate.
         let mut out = Vec::with_capacity(locs.len());
-        for ((loc, pres), resp) in locs.iter().zip(&families).zip(responses) {
+        for ((loc, pres), resp) in locs.iter().zip(families).zip(responses) {
             let polys = match resp {
                 Response::Polys(ps) => ps,
                 Response::Err(e) => return Err(CoreError::Transport(e)),

@@ -5,11 +5,17 @@
 //!   it with one test per node. No look-ahead: a `//` step enumerates every
 //!   descendant ("this step is quite expensive in terms of execution time").
 //! * [`AdvancedEngine`] walks the tree top-down, taking "the whole remaining
-//!   query into account": before the first step and after each step it
-//!   tests containment of *all remaining query names*, abandoning dead
-//!   branches early; `//` steps run a pruned DFS instead of a full
-//!   enumeration. One look-ahead is one wave: the frontier travels once,
-//!   with one evaluation point per remaining name.
+//!   query into account": it tests containment of *all remaining query
+//!   names*, abandoning dead branches early; `//` steps run a pruned
+//!   level-order walk instead of a full enumeration. One look-ahead is one
+//!   wave: the frontier travels once, with one evaluation point per
+//!   remaining name. Step 0 tests the roots at every name in one wave.
+//!   Non-strict, a later step tests its candidates at its own name, then
+//!   looks ahead. Strict, a step tests its candidates at every name left
+//!   *before* it reconstructs them — a node can only equal a name its
+//!   subtree contains — so only those that pass cost an equality test, and
+//!   the strict `//` walk fetches each level's polynomials in the next
+//!   level's test wave.
 //! * [`MatchRule::Containment`] (non-strict): one evaluation per test; a
 //!   node passes when its *subtree contains* the tag — cheap but inexact.
 //! * [`MatchRule::Equality`] (strict): polynomial reconstruction + division;
@@ -235,12 +241,7 @@ fn filter_by_rule<T: Transport>(
             // Two waves for the whole candidate set (children + polys)
             // instead of two round trips per candidate.
             let keep = filter.equality_many(&candidates, value)?;
-            Ok(candidates
-                .into_iter()
-                .zip(keep)
-                .filter(|(_, k)| *k)
-                .map(|(l, _)| l)
-                .collect())
+            Ok(keep_where(candidates, keep))
         }
     }
 }
@@ -255,12 +256,16 @@ fn prune<T: Transport>(
     values: &[u64],
 ) -> Result<Vec<Loc>, CoreError> {
     let keep = filter.containment_many(&frontier, values)?;
-    Ok(frontier
-        .into_iter()
+    Ok(keep_where(frontier, keep))
+}
+
+/// The nodes whose flag is set.
+fn keep_where(locs: Vec<Loc>, keep: impl IntoIterator<Item = bool>) -> Vec<Loc> {
+    locs.into_iter()
         .zip(keep)
         .filter(|(_, k)| *k)
         .map(|(l, _)| l)
-        .collect())
+        .collect()
 }
 
 /// Document-order dedup.
@@ -319,6 +324,16 @@ fn parents_of<T: Transport>(
         .collect();
     let out = filter.locs_of_many(&pres)?.into_iter().flatten().collect();
     Ok(dedup(out))
+}
+
+/// The children of every node in `locs`, in document order: one level of
+/// a `//` walk, one batched round trip.
+fn child_level<T: Transport>(
+    filter: &mut ClientFilter<T>,
+    locs: &[Loc],
+) -> Result<Vec<Loc>, CoreError> {
+    let pres: Vec<u32> = locs.iter().map(|l| l.pre).collect();
+    Ok(dedup(filter.children_many(&pres)?.concat()))
 }
 
 /// The left-to-right engine.
@@ -432,13 +447,6 @@ impl AdvancedEngine {
         }
         // Distinct tag values tested by steps[i..] — the look-ahead sets.
         let suffix_values = Self::suffix_values(query, filter)?;
-        // Initial look-ahead: the root must contain every name the query
-        // will ever test beyond step 0, all in one wave. Step 0's own test
-        // happens below, and a child-axis step 0 is not looked ahead again,
-        // so at the root the engine performs exactly |names| evaluations —
-        // "this node is checked against map(site), map(person) and
-        // map(city)", §5.3.
-        frontier = prune(filter, frontier, &suffix_values[1])?;
         for (i, step) in query.steps.iter().enumerate() {
             if frontier.is_empty() {
                 break;
@@ -452,29 +460,76 @@ impl AdvancedEngine {
                     if i == 0 {
                         return Err(CoreError::Unsupported("'/..' cannot start a query".into()));
                     }
-                    parents_of(filter, &frontier)?
+                    let parents = parents_of(filter, &frontier)?;
+                    prune(filter, parents, after)?
                 }
-                NodeTest::Star => expand_candidates(filter, &frontier, step, i == 0)?,
+                NodeTest::Star => {
+                    let candidates = expand_candidates(filter, &frontier, step, i == 0)?;
+                    prune(filter, candidates, after)?
+                }
                 NodeTest::Name(name) => {
                     let value = filter.value_of(name)?;
-                    match step.axis {
-                        Axis::Child => {
-                            let candidates = expand_candidates(filter, &frontier, step, i == 0)?;
-                            filter_by_rule(filter, rule, candidates, value)?
-                        }
-                        Axis::Descendant => {
-                            Self::pruned_descendant_search(filter, &frontier, value, rule, i == 0)?
-                        }
-                    }
+                    Self::name_step(filter, rule, step, &frontier, value, &suffix_values, i)?
                 }
             };
-            // A child-axis step 0 (a name or `*`) keeps a subset of the roots
-            // the initial look-ahead just tested against these same names.
-            if i > 0 || step.axis == Axis::Descendant {
-                frontier = prune(filter, frontier, after)?;
-            }
         }
         Ok(window.close(filter, frontier))
+    }
+
+    /// One `name` step of the top-down walk: its candidates, narrowed to
+    /// those whose subtree contains every name left (`suffix_values[i]`:
+    /// its own and the later ones, up to the next `..`).
+    ///
+    /// Step 0 tests the roots at every name in one wave — "this node is
+    /// checked against map(site), map(person) and map(city)", §5.3 — so at
+    /// the root the engine performs exactly |names| evaluations. Under the
+    /// strict rule a child-axis step 0 leaves its own name out: it
+    /// reconstructs the roots anyway.
+    ///
+    /// Non-strict, a later step tests its candidates at its own name and
+    /// then its survivors at the later names: two waves. Strict, it tests
+    /// its candidates at every name in one wave and reconstructs only the
+    /// survivors, because a node can only equal a name its subtree
+    /// contains: no look-ahead follows.
+    fn name_step<T: Transport>(
+        filter: &mut ClientFilter<T>,
+        rule: MatchRule,
+        step: &Step,
+        frontier: &[Loc],
+        value: u64,
+        suffix_values: &[Vec<u64>],
+        i: usize,
+    ) -> Result<Vec<Loc>, CoreError> {
+        let (names, after) = (&suffix_values[i], &suffix_values[i + 1]);
+        if step.axis == Axis::Descendant {
+            // `//name` from the document root starts at the root element.
+            let top = if i == 0 {
+                frontier.to_vec()
+            } else {
+                child_level(filter, frontier)?
+            };
+            return match rule {
+                MatchRule::Containment => {
+                    let first = if i == 0 { names.as_slice() } else { &[value] };
+                    let found = Self::contained_descendants(filter, top, first, value)?;
+                    prune(filter, found, after)
+                }
+                MatchRule::Equality => Self::equal_descendants(filter, top, names, value),
+            };
+        }
+        let candidates = expand_candidates(filter, frontier, step, i == 0)?;
+        match rule {
+            MatchRule::Containment if i == 0 => prune(filter, candidates, names),
+            MatchRule::Containment => {
+                let kept = prune(filter, candidates, &[value])?;
+                prune(filter, kept, after)
+            }
+            MatchRule::Equality => {
+                let alive = prune(filter, candidates, if i == 0 { after } else { names })?;
+                let keep = filter.equality_many(&alive, value)?;
+                Ok(keep_where(alive, keep))
+            }
+        }
     }
 
     /// `suffix_values[i]` = distinct tag values tested by `steps[i..]` **up
@@ -502,44 +557,52 @@ impl AdvancedEngine {
         Ok(out)
     }
 
-    /// `//name` with pruning: walk down from the frontier, abandoning any
-    /// branch whose subtree no longer contains `name` ("identify dead
-    /// branches early", §5.3). Collects matches per the rule.
-    fn pruned_descendant_search<T: Transport>(
+    /// Non-strict `//name` with pruning: walk down level by level from
+    /// `top`, abandoning any branch whose subtree no longer contains `name`
+    /// ("identify dead branches early", §5.3), and keep every node passed.
+    /// `top` is tested at `first` (step 0 adds the later names there), every
+    /// deeper level at `name` alone. Per level one containment wave and one
+    /// children wave: wave count scales with depth, not nodes.
+    fn contained_descendants<T: Transport>(
         filter: &mut ClientFilter<T>,
-        frontier: &[Loc],
+        top: Vec<Loc>,
+        first: &[u64],
         value: u64,
-        rule: MatchRule,
-        include_frontier: bool,
     ) -> Result<Vec<Loc>, CoreError> {
         let mut out = Vec::new();
-        // Level-order walk: per level one batched containment round trip,
-        // one batched children expansion (and under the strict rule two
-        // batched equality waves) — wave count scales with depth, not nodes.
-        let fetch_level =
-            |filter: &mut ClientFilter<T>, locs: &[Loc]| -> Result<Vec<Loc>, CoreError> {
-                let pres: Vec<u32> = locs.iter().map(|l| l.pre).collect();
-                let mut kids = Vec::new();
-                for list in filter.children_many(&pres)? {
-                    kids.extend(list);
-                }
-                Ok(dedup(kids))
-            };
-        let mut level: Vec<Loc> = if include_frontier {
-            frontier.to_vec()
-        } else {
-            fetch_level(filter, frontier)?
-        };
+        let mut level = prune(filter, top, first)?;
         while !level.is_empty() {
-            let alive = prune(filter, level, &[value])?;
-            match rule {
-                MatchRule::Containment => out.extend_from_slice(&alive),
-                MatchRule::Equality => {
-                    let keep = filter.equality_many(&alive, value)?;
-                    out.extend(alive.iter().zip(keep).filter(|(_, k)| *k).map(|(l, _)| *l));
-                }
-            }
-            level = fetch_level(filter, &alive)?;
+            let next = child_level(filter, &level)?;
+            out.extend(level);
+            level = prune(filter, next, &[value])?;
+        }
+        Ok(dedup(out))
+    }
+
+    /// Strict `//name`: the same walk, pruned at every name a match must
+    /// contain (`names`: its own and the later ones), keeping the nodes
+    /// that *are* `name`. Each level's test travels with the polynomial
+    /// families of the level above (`ClientFilter::containment_and_tags`),
+    /// whose children the walk has just fetched to form this level: per
+    /// level one test-and-reconstruct wave and one children wave, and one
+    /// last wave for the deepest reconstructions.
+    fn equal_descendants<T: Transport>(
+        filter: &mut ClientFilter<T>,
+        top: Vec<Loc>,
+        names: &[u64],
+        value: u64,
+    ) -> Result<Vec<Loc>, CoreError> {
+        let mut out = Vec::new();
+        let mut level = top;
+        // Alive nodes of the level above and their children.
+        let mut heads: Vec<Loc> = Vec::new();
+        let mut children: Vec<Vec<Loc>> = Vec::new();
+        while !level.is_empty() || !heads.is_empty() {
+            let (keep, tags) = filter.containment_and_tags(&level, names, &heads, &children)?;
+            out.extend(keep_where(heads, tags.iter().map(|t| *t == Some(value))));
+            heads = keep_where(level, keep);
+            children = filter.children_many(&heads.iter().map(|l| l.pre).collect::<Vec<_>>())?;
+            level = dedup(children.concat());
         }
         Ok(dedup(out))
     }
@@ -548,10 +611,12 @@ impl AdvancedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::encode::encode_document;
+    use crate::encode::{encode_document, EncodeOutput};
     use crate::map::MapFile;
     use crate::protocol::{Request, Response};
+    use crate::router::ShardRouter;
     use crate::server::ServerFilter;
+    use crate::shard::ShardedServer;
     use crate::transport::{LocalTransport, TransportStats};
     use ssx_prg::Seed;
     use ssx_xpath::parse_query;
@@ -567,11 +632,15 @@ mod tests {
     const FIXTURE: &str = "<site><a><b><c/></b></a><a><c/></a><b><a><c/></a></b></site>";
 
     fn client() -> ClientFilter<LocalTransport> {
+        fixture_client(|out| LocalTransport::new(ServerFilter::new(out.table, out.ring)))
+    }
+
+    /// A client over the encoded fixture, behind `transport`.
+    fn fixture_client<T: Transport>(transport: impl FnOnce(EncodeOutput) -> T) -> ClientFilter<T> {
         let map = MapFile::sequential(83, 1, &["site", "a", "b", "c"]).unwrap();
         let seed = Seed::from_test_key(21);
         let out = encode_document(FIXTURE, &map, &seed).unwrap();
-        let server = ServerFilter::new(out.table, out.ring);
-        ClientFilter::new(LocalTransport::new(server), map, seed).unwrap()
+        ClientFilter::new(transport(out), map, seed).unwrap()
     }
 
     fn run(kind: EngineKind, rule: MatchRule, q: &str) -> Vec<u32> {
@@ -793,35 +862,44 @@ mod tests {
         }
     }
 
-    /// Counts the `EvalMany` items that name one `pre`, over every frame.
-    struct CountEvals {
+    /// Records every request it forwards, batched or not.
+    struct Recording {
         inner: LocalTransport,
-        pre: u32,
-        evals: u64,
+        log: Vec<Request>,
     }
 
-    impl CountEvals {
-        fn count(&mut self, req: &Request) {
-            if let Request::EvalMany { pres, .. } = req {
-                self.evals += pres.iter().filter(|&&p| p == self.pre).count() as u64;
-            }
-        }
-    }
-
-    impl Transport for CountEvals {
+    impl Transport for Recording {
         fn call(&mut self, req: &Request) -> Result<Response, CoreError> {
-            self.count(req);
+            self.log.push(req.clone());
             self.inner.call(req)
         }
 
         fn call_batch(&mut self, reqs: &[Request]) -> Result<Vec<Response>, CoreError> {
-            reqs.iter().for_each(|req| self.count(req));
+            self.log.extend_from_slice(reqs);
             self.inner.call_batch(reqs)
         }
 
         fn stats(&self) -> TransportStats {
             self.inner.stats()
         }
+    }
+
+    /// A client over the fixture that records every request.
+    fn recording_client() -> ClientFilter<Recording> {
+        fixture_client(|out| Recording {
+            inner: LocalTransport::new(ServerFilter::new(out.table, out.ring)),
+            log: Vec::new(),
+        })
+    }
+
+    /// A client over the fixture behind a one-shard router that speculates.
+    fn speculating_client() -> ClientFilter<ShardRouter<LocalTransport>> {
+        fixture_client(|out| {
+            let server = ShardedServer::from_table(out.table, out.ring, 1).unwrap();
+            let mut router = ShardRouter::local(server);
+            router.set_speculation(true);
+            router
+        })
     }
 
     #[test]
@@ -839,20 +917,26 @@ mod tests {
             let waves = c.transport_stats().round_trips - before;
             assert_eq!(waves, u64::from(k > 0), "{k} names");
         }
-        // `/site/a/b/c` with no router: roots, one look-ahead at the root,
-        // step 0's test, then per step one expansion, the rule's test (one
-        // wave non-strict, two strict) and one look-ahead while names remain.
+        // `/site/a/b/c` with no router: roots, then step 0's one test of the
+        // root at every name. Per later step one expansion, then non-strict
+        // one test at the step's name and one look-ahead while names
+        // remain; strict one test at every name left and the two equality
+        // waves.
         let q = parse_query("/site/a/b/c").unwrap();
-        for (rule, waves) in [(MatchRule::Containment, 11), (MatchRule::Equality, 15)] {
+        for (rule, waves) in [(MatchRule::Containment, 10), (MatchRule::Equality, 16)] {
             let out = AdvancedEngine::run(&q, rule, &mut client()).unwrap();
             assert_eq!(out.stats.round_trips, waves, "{rule:?}");
         }
+        // Behind a speculating router every expansion and every equality
+        // test's `Children` wave is a prefetch: a strict step costs its
+        // test wave and its `GetPolys` wave.
+        let out = AdvancedEngine::run(&q, MatchRule::Equality, &mut speculating_client()).unwrap();
+        assert_eq!(out.pres(), vec![4]);
+        assert_eq!(out.stats.round_trips, 1 + 2 * 4);
     }
 
     #[test]
     fn containment_evaluates_the_root_once_per_distinct_name() {
-        let map = MapFile::sequential(83, 1, &["site", "a", "b", "c"]).unwrap();
-        let seed = Seed::from_test_key(21);
         for q in [
             "/site",
             "/site/a",
@@ -860,14 +944,7 @@ mod tests {
             "/site/*/c",
             "/site/b/a/c/a",
         ] {
-            let out = encode_document(FIXTURE, &map, &seed).unwrap();
-            let inner = LocalTransport::new(ServerFilter::new(out.table, out.ring));
-            let counting = CountEvals {
-                inner,
-                pre: 1,
-                evals: 0,
-            };
-            let mut c = ClientFilter::new(counting, map.clone(), seed.clone()).unwrap();
+            let mut c = recording_client();
             let query = parse_query(q).unwrap();
             AdvancedEngine::run(&query, MatchRule::Containment, &mut c).unwrap();
             let names: BTreeSet<&str> = query
@@ -878,8 +955,64 @@ mod tests {
                     _ => None,
                 })
                 .collect();
-            assert_eq!(c.transport().evals, names.len() as u64, "{q}");
+            let root_evals = c
+                .transport()
+                .log
+                .iter()
+                .map(|req| match req {
+                    Request::EvalMany { pres, .. } => pres.iter().filter(|&&p| p == 1).count(),
+                    _ => 0,
+                })
+                .sum::<usize>();
+            assert_eq!(root_evals, names.len(), "{q}");
         }
+    }
+
+    #[test]
+    fn strict_steps_reconstruct_only_what_contains_every_name() {
+        // a(5) is an `a` whose subtree has no `b`: it fails the test at
+        // every name left, so its polynomial family is never requested.
+        let mut c = recording_client();
+        let q = parse_query("/site/a/b").unwrap();
+        let out = AdvancedEngine::run(&q, MatchRule::Equality, &mut c).unwrap();
+        assert_eq!(out.pres(), vec![3]);
+        let heads: Vec<u32> = c
+            .transport()
+            .log
+            .iter()
+            .filter_map(|req| match req {
+                Request::GetPolys { pres } => Some(pres[0]),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(heads, vec![1, 2, 7, 3]);
+    }
+
+    #[test]
+    fn the_strict_walk_fetches_children_once_and_polys_with_the_next_test() {
+        // Every fixture node contains a `c`, so every node is alive: roots,
+        // then per level (4 deep) one test-and-reconstruct wave and one
+        // children wave, then the deepest level's reconstructions.
+        let mut c = recording_client();
+        let q = parse_query("//c").unwrap();
+        let out = AdvancedEngine::run(&q, MatchRule::Equality, &mut c).unwrap();
+        assert_eq!(out.pres(), vec![4, 6, 9]);
+        assert_eq!(out.stats.round_trips, 1 + 4 * 2 + 1);
+        let mut asked: Vec<u32> = c
+            .transport()
+            .log
+            .iter()
+            .filter_map(|req| match req {
+                Request::Children { pre } => Some(*pre),
+                _ => None,
+            })
+            .collect();
+        asked.sort_unstable();
+        assert_eq!(asked, (1..=9).collect::<Vec<_>>(), "one per alive node");
+        // Behind a speculating router the children waves are prefetches.
+        let out = AdvancedEngine::run(&q, MatchRule::Equality, &mut speculating_client()).unwrap();
+        assert_eq!(out.pres(), vec![4, 6, 9]);
+        assert_eq!(out.stats.round_trips, 1 + 4 + 1);
     }
 
     #[test]
