@@ -16,6 +16,7 @@ use crate::transport::{Transport, TransportStats};
 use ssx_poly::{extract_root_evals, random_poly, EvalPoly, Packer, RingCtx, RingPoly, RootOutcome};
 use ssx_prg::{node_prg, Seed};
 use ssx_store::Loc;
+use std::collections::{HashMap, HashSet};
 
 /// Client-side cost counters; the per-query deltas become [`crate::engine::QueryStats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -243,16 +244,15 @@ impl<T: Transport> ClientFilter<T> {
     /// early point still costs its later evaluations. A
     /// [`ClientFilter::set_batch_limit`] cap applies here too: at most
     /// `limit` nodes per `EvalMany` and `limit` of those per round trip
-    /// (`Some(1)` = the per-node, per-point protocol). The advanced
-    /// engine's strict steps run this test before
-    /// [`ClientFilter::equality_many`]: a node can only equal a name its
-    /// subtree contains.
+    /// (`Some(1)` = the per-node, per-point protocol).
     pub fn containment_many(
         &mut self,
         locs: &[Loc],
         points: &[u64],
     ) -> Result<Vec<bool>, CoreError> {
-        Ok(self.containment_and_tags(locs, points, &[], &[])?.0)
+        Ok(self
+            .containment_and_tags(locs, points, &[], &[], &mut Answers::new())?
+            .0)
     }
 
     /// Equality test: is the tag of the node at `loc` exactly `value`?
@@ -269,8 +269,10 @@ impl<T: Transport> ClientFilter<T> {
     /// two waves for any number of candidates instead of two per candidate.
     /// Reconstruction work and counters are identical to the one-at-a-time
     /// path. Every candidate costs a reconstruction of itself and each of
-    /// its children, so the advanced engine passes only candidates that
-    /// have passed [`ClientFilter::containment_many`] at their own name.
+    /// its children. The simple engine runs it on every candidate; the
+    /// advanced engine's strict steps do not call it: they reconstruct
+    /// only the nodes that contain every name left, in the wave that tests
+    /// the next step's candidates.
     pub fn equality_many(&mut self, locs: &[Loc], value: u64) -> Result<Vec<bool>, CoreError> {
         let tags = self.tag_values_many(locs)?;
         Ok(tags.into_iter().map(|t| t == Some(value)).collect())
@@ -282,7 +284,9 @@ impl<T: Transport> ClientFilter<T> {
     fn tag_values_many(&mut self, locs: &[Loc]) -> Result<Vec<Option<u64>>, CoreError> {
         // Wave 1: every candidate's children; wave 2: the polynomials.
         let children = self.children_many(&locs.iter().map(|l| l.pre).collect::<Vec<_>>())?;
-        Ok(self.containment_and_tags(&[], &[], locs, &children)?.1)
+        Ok(self
+            .containment_and_tags(&[], &[], locs, &children, &mut Answers::new())?
+            .1)
     }
 
     /// Two jobs in one round trip: the containment test of `tested` at
@@ -290,14 +294,22 @@ impl<T: Transport> ClientFilter<T> {
     /// of every node in `heads`, reconstructed from its polynomial family —
     /// itself and `children[i]`, which the caller has already fetched (as
     /// [`ClientFilter::equality_many`] does in its first wave). The strict
-    /// `//` walk tests one level while it reconstructs the level above.
-    /// Nothing to test and nothing to reconstruct costs no round trip.
+    /// advanced engine tests one step's candidates while it reconstructs
+    /// the nodes they hang from.
+    ///
+    /// `answers` records every (pre, point) containment answer: a pair it
+    /// holds is answered from it, and every pair asked is added to it, so a
+    /// caller that keeps one record for a whole op never asks the server
+    /// about a node at a point twice. Callers that test only once pass an
+    /// empty record. Nothing left to ask and nothing to reconstruct costs
+    /// no round trip.
     pub(crate) fn containment_and_tags(
         &mut self,
         tested: &[Loc],
         points: &[u64],
         heads: &[Loc],
         children: &[Vec<Loc>],
+        answers: &mut Answers,
     ) -> Result<(Vec<bool>, Vec<Option<u64>>), CoreError> {
         let families: Vec<Vec<u32>> = heads
             .iter()
@@ -309,7 +321,8 @@ impl<T: Transport> ClientFilter<T> {
                 pres
             })
             .collect();
-        let mut reqs = self.containment_requests(tested, points);
+        let asks = Asks::new(tested, points, answers);
+        let mut reqs = self.containment_requests(&asks);
         let evals = reqs.len();
         reqs.extend(
             families
@@ -321,66 +334,77 @@ impl<T: Transport> ClientFilter<T> {
             return Err(CoreError::Transport("batch length mismatch".into()));
         }
         let polys = responses.split_off(evals);
-        let contains = self.decide_containment(tested, points, responses)?;
+        self.record_containment(&asks, responses, answers)?;
+        let contains = tested
+            .iter()
+            .map(|l| points.iter().all(|&point| answers[&(l.pre, point)]))
+            .collect();
         Ok((contains, self.reconstruct_tags(heads, &families, polys)?))
     }
 
-    /// The `EvalMany` requests of a containment test, point-major: at most
-    /// `limit` nodes per request under a batch cap. None when there is
-    /// nothing to test.
-    fn containment_requests(&self, locs: &[Loc], points: &[u64]) -> Vec<Request> {
+    /// The `EvalMany` requests for `asks`, point-major: at most `limit`
+    /// nodes per request under a batch cap. None when nothing is asked.
+    fn containment_requests(&self, asks: &Asks) -> Vec<Request> {
         let limit = self.batch_limit.unwrap_or(usize::MAX).max(1);
-        points
+        asks.points
             .iter()
-            .flat_map(|&point| {
-                locs.chunks(limit).map(move |chunk| Request::EvalMany {
-                    pres: chunk.iter().map(|l| l.pre).collect(),
-                    point,
+            .flat_map(|(point, pres)| {
+                pres.chunks(limit).map(move |chunk| Request::EvalMany {
+                    pres: chunk.to_vec(),
+                    point: *point,
                 })
             })
             .collect()
     }
 
-    /// Decides each containment test from the server's answers to
-    /// `containment_requests`: the node's subtree contains
-    /// every point when each client + server share sum is zero.
-    fn decide_containment(
+    /// Decides every asked pair from the server's answers to
+    /// `containment_requests` and records it: the node's subtree contains
+    /// the point when the client + server share sum is zero. Each asked
+    /// node's client share is regenerated once, whatever its points.
+    fn record_containment(
         &mut self,
-        locs: &[Loc],
-        points: &[u64],
+        asks: &Asks,
         responses: Vec<Response>,
-    ) -> Result<Vec<bool>, CoreError> {
-        if locs.is_empty() || points.is_empty() {
-            return Ok(vec![true; locs.len()]);
-        }
-        // Point-major: the server's values at point k are items
-        // `k·n .. (k+1)·n` of the concatenated answers.
-        let mut server_vals = Vec::with_capacity(locs.len() * points.len());
+        answers: &mut Answers,
+    ) -> Result<(), CoreError> {
+        let mut server_vals = Vec::new();
         for resp in responses {
             match resp {
                 Response::Values(vs) => server_vals.extend(vs),
                 other => return Err(unexpected(other)),
             }
         }
-        if server_vals.len() != locs.len() * points.len() {
+        let evals: usize = asks.points.iter().map(|(_, pres)| pres.len()).sum();
+        if server_vals.len() != evals {
             return Err(CoreError::Transport("EvalMany length mismatch".into()));
         }
-        let evals = (locs.len() * points.len()) as u64;
-        self.stats.server_evals += evals;
-        self.stats.client_evals += evals;
-        self.stats.containment_tests += evals;
+        self.stats.server_evals += evals as u64;
+        self.stats.client_evals += evals as u64;
+        self.stats.containment_tests += evals as u64;
+        // The answers are point-major, and each point's nodes keep the order
+        // of `asks.nodes`: one pass over those, with a cursor per point,
+        // meets every pair of a node together.
+        let mut rest = server_vals.as_slice();
+        let mut cursors: Vec<_> = asks
+            .points
+            .iter()
+            .map(|(point, pres)| {
+                let (vals, tail) = rest.split_at(pres.len());
+                rest = tail;
+                (*point, pres.iter().zip(vals).peekable())
+            })
+            .collect();
         let field = self.ring.field().clone();
-        let mut out = Vec::with_capacity(locs.len());
-        for (i, loc) in locs.iter().enumerate() {
-            let client_poly = self.client_share(loc.pre);
-            let mut contains_all = true;
-            for (k, &point) in points.iter().enumerate() {
-                let cv = self.ring.eval(&client_poly, point);
-                contains_all &= field.add(cv, server_vals[k * locs.len() + i]) == 0;
+        for &pre in &asks.nodes {
+            let share = self.client_share(pre);
+            for (point, pairs) in cursors.iter_mut() {
+                if let Some((_, &server)) = pairs.next_if(|(&asked, _)| asked == pre) {
+                    let sum = field.add(self.ring.eval(&share, *point), server);
+                    answers.insert((pre, *point), sum == 0);
+                }
             }
-            out.push(contains_all);
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Reconstructs each head's tag value from the `GetPolys` answers for
@@ -583,6 +607,45 @@ impl<T: Transport> ClientFilter<T> {
         let v = self.group_total(&[pre], packed)?;
         u64::try_from(v)
             .map_err(|_| CoreError::Corrupt(format!("numeric row pre={pre} decodes beyond u64")))
+    }
+}
+
+/// Every (pre, point) containment answer one op has had: the subtree of
+/// `pre` contains the tag value `point`.
+pub(crate) type Answers = HashMap<(u32, u64), bool>;
+
+/// The (pre, point) pairs of one containment test that its record does not
+/// hold yet.
+struct Asks {
+    /// Every node asked at some point, once each, in the order tested.
+    nodes: Vec<u32>,
+    /// Per point, the nodes asked at it, in the same order. Points with
+    /// nothing to ask are left out.
+    points: Vec<(u64, Vec<u32>)>,
+}
+
+impl Asks {
+    fn new(tested: &[Loc], points: &[u64], answers: &Answers) -> Asks {
+        let mut seen = HashSet::with_capacity(tested.len());
+        let asked = |pre: u32, point: u64| !answers.contains_key(&(pre, point));
+        let nodes: Vec<u32> = tested
+            .iter()
+            .map(|l| l.pre)
+            .filter(|&pre| points.iter().any(|&point| asked(pre, point)) && seen.insert(pre))
+            .collect();
+        let points = points
+            .iter()
+            .map(|&point| {
+                let pres: Vec<u32> = nodes
+                    .iter()
+                    .copied()
+                    .filter(|&pre| asked(pre, point))
+                    .collect();
+                (point, pres)
+            })
+            .filter(|(_, pres)| !pres.is_empty())
+            .collect();
+        Asks { nodes, points }
     }
 }
 

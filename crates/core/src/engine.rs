@@ -11,11 +11,13 @@
 //!   wave: the frontier travels once, with one evaluation point per
 //!   remaining name. Step 0 tests the roots at every name in one wave.
 //!   Non-strict, a later step tests its candidates at its own name, then
-//!   looks ahead. Strict, a step tests its candidates at every name left
-//!   *before* it reconstructs them — a node can only equal a name its
-//!   subtree contains — so only those that pass cost an equality test, and
-//!   the strict `//` walk fetches each level's polynomials in the next
-//!   level's test wave.
+//!   looks ahead. Strict, one pipeline runs the steps: a step tests its
+//!   candidates at every name left *before* they are reconstructed — a
+//!   node can only equal a name its subtree contains — so only those that
+//!   pass cost an equality test, and they are reconstructed in the wave
+//!   that tests the next step's candidates, their children. A `//` step
+//!   runs the same loop level by level. One op never asks the server about
+//!   a node at a point twice, nor for a node's children twice.
 //! * [`MatchRule::Containment`] (non-strict): one evaluation per test; a
 //!   node passes when its *subtree contains* the tag — cheap but inexact.
 //! * [`MatchRule::Equality`] (strict): polynomial reconstruction + division;
@@ -27,12 +29,12 @@
 //! Fig 6 their wall-clock times under both rules, Fig 7 the accuracy of
 //! containment vs equality results.
 
-use crate::client::{ClientFilter, ClientStats};
+use crate::client::{Answers, ClientFilter, ClientStats};
 use crate::error::CoreError;
 use crate::transport::Transport;
 use ssx_store::Loc;
 use ssx_xpath::{Axis, NodeTest, Query, Step};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::time::{Duration, Instant};
 
 /// Non-strict (containment) vs strict (equality) node matching.
@@ -227,6 +229,17 @@ fn check_expanded(query: &Query) -> Result<(), CoreError> {
     Ok(())
 }
 
+/// A `..` step is supported on the child axis, after the first step.
+fn check_parent_step(step: &Step, i: usize) -> Result<(), CoreError> {
+    if step.axis == Axis::Descendant {
+        return Err(CoreError::Unsupported("'//..' is not supported".into()));
+    }
+    if i == 0 {
+        return Err(CoreError::Unsupported("'/..' cannot start a query".into()));
+    }
+    Ok(())
+}
+
 /// Applies the rule test to every candidate, batching containment tests
 /// into one round trip.
 fn filter_by_rule<T: Transport>(
@@ -384,12 +397,7 @@ impl SimpleEngine {
             }
             frontier = match &step.test {
                 NodeTest::Parent => {
-                    if step.axis == Axis::Descendant {
-                        return Err(CoreError::Unsupported("'//..' is not supported".into()));
-                    }
-                    if i == 0 {
-                        return Err(CoreError::Unsupported("'/..' cannot start a query".into()));
-                    }
+                    check_parent_step(step, i)?;
                     parents_of(filter, &frontier)?
                 }
                 NodeTest::Star => expand_candidates(filter, &frontier, step, i == 0)?,
@@ -440,13 +448,27 @@ impl AdvancedEngine {
         rule: MatchRule,
         filter: &mut ClientFilter<T>,
         window: StatWindow,
-        mut frontier: Vec<Loc>,
+        frontier: Vec<Loc>,
     ) -> Result<QueryOutcome, CoreError> {
-        if frontier.is_empty() {
-            return Ok(window.close(filter, Vec::new()));
+        if frontier.is_empty() || query.steps.is_empty() {
+            return Ok(window.close(filter, frontier));
         }
         // Distinct tag values tested by steps[i..] — the look-ahead sets.
         let suffix_values = Self::suffix_values(query, filter)?;
+        let result = match rule {
+            MatchRule::Containment => Self::contained(query, filter, frontier, &suffix_values)?,
+            MatchRule::Equality => Strict::new(filter, frontier).run(query, &suffix_values)?,
+        };
+        Ok(window.close(filter, result))
+    }
+
+    /// The non-strict walk over the steps from the roots.
+    fn contained<T: Transport>(
+        query: &Query,
+        filter: &mut ClientFilter<T>,
+        mut frontier: Vec<Loc>,
+        suffix_values: &[Vec<u64>],
+    ) -> Result<Vec<Loc>, CoreError> {
         for (i, step) in query.steps.iter().enumerate() {
             if frontier.is_empty() {
                 break;
@@ -454,12 +476,7 @@ impl AdvancedEngine {
             let after = &suffix_values[i + 1];
             frontier = match &step.test {
                 NodeTest::Parent => {
-                    if step.axis == Axis::Descendant {
-                        return Err(CoreError::Unsupported("'//..' is not supported".into()));
-                    }
-                    if i == 0 {
-                        return Err(CoreError::Unsupported("'/..' cannot start a query".into()));
-                    }
+                    check_parent_step(step, i)?;
                     let parents = parents_of(filter, &frontier)?;
                     prune(filter, parents, after)?
                 }
@@ -469,31 +486,24 @@ impl AdvancedEngine {
                 }
                 NodeTest::Name(name) => {
                     let value = filter.value_of(name)?;
-                    Self::name_step(filter, rule, step, &frontier, value, &suffix_values, i)?
+                    Self::name_step(filter, step, &frontier, value, suffix_values, i)?
                 }
             };
         }
-        Ok(window.close(filter, frontier))
+        Ok(frontier)
     }
 
-    /// One `name` step of the top-down walk: its candidates, narrowed to
-    /// those whose subtree contains every name left (`suffix_values[i]`:
-    /// its own and the later ones, up to the next `..`).
+    /// One non-strict `name` step: its candidates, narrowed to those whose
+    /// subtree contains every name left (`suffix_values[i]`: its own and
+    /// the later ones, up to the next `..`).
     ///
     /// Step 0 tests the roots at every name in one wave — "this node is
     /// checked against map(site), map(person) and map(city)", §5.3 — so at
-    /// the root the engine performs exactly |names| evaluations. Under the
-    /// strict rule a child-axis step 0 leaves its own name out: it
-    /// reconstructs the roots anyway.
-    ///
-    /// Non-strict, a later step tests its candidates at its own name and
-    /// then its survivors at the later names: two waves. Strict, it tests
-    /// its candidates at every name in one wave and reconstructs only the
-    /// survivors, because a node can only equal a name its subtree
-    /// contains: no look-ahead follows.
+    /// the root the engine performs exactly |names| evaluations. A later
+    /// step tests its candidates at its own name and then its survivors at
+    /// the later names: two waves.
     fn name_step<T: Transport>(
         filter: &mut ClientFilter<T>,
-        rule: MatchRule,
         step: &Step,
         frontier: &[Loc],
         value: u64,
@@ -508,28 +518,16 @@ impl AdvancedEngine {
             } else {
                 child_level(filter, frontier)?
             };
-            return match rule {
-                MatchRule::Containment => {
-                    let first = if i == 0 { names.as_slice() } else { &[value] };
-                    let found = Self::contained_descendants(filter, top, first, value)?;
-                    prune(filter, found, after)
-                }
-                MatchRule::Equality => Self::equal_descendants(filter, top, names, value),
-            };
+            let first = if i == 0 { names.as_slice() } else { &[value] };
+            let found = Self::contained_descendants(filter, top, first, value)?;
+            return prune(filter, found, after);
         }
         let candidates = expand_candidates(filter, frontier, step, i == 0)?;
-        match rule {
-            MatchRule::Containment if i == 0 => prune(filter, candidates, names),
-            MatchRule::Containment => {
-                let kept = prune(filter, candidates, &[value])?;
-                prune(filter, kept, after)
-            }
-            MatchRule::Equality => {
-                let alive = prune(filter, candidates, if i == 0 { after } else { names })?;
-                let keep = filter.equality_many(&alive, value)?;
-                Ok(keep_where(alive, keep))
-            }
+        if i == 0 {
+            return prune(filter, candidates, names);
         }
+        let kept = prune(filter, candidates, &[value])?;
+        prune(filter, kept, after)
     }
 
     /// `suffix_values[i]` = distinct tag values tested by `steps[i..]` **up
@@ -578,33 +576,232 @@ impl AdvancedEngine {
         }
         Ok(dedup(out))
     }
+}
 
-    /// Strict `//name`: the same walk, pruned at every name a match must
-    /// contain (`names`: its own and the later ones), keeping the nodes
-    /// that *are* `name`. Each level's test travels with the polynomial
-    /// families of the level above (`ClientFilter::containment_and_tags`),
-    /// whose children the walk has just fetched to form this level: per
-    /// level one test-and-reconstruct wave and one children wave, and one
-    /// last wave for the deepest reconstructions.
-    fn equal_descendants<T: Transport>(
-        filter: &mut ClientFilter<T>,
-        top: Vec<Loc>,
-        names: &[u64],
-        value: u64,
-    ) -> Result<Vec<Loc>, CoreError> {
-        let mut out = Vec::new();
-        let mut level = top;
-        // Alive nodes of the level above and their children.
-        let mut heads: Vec<Loc> = Vec::new();
-        let mut children: Vec<Vec<Loc>> = Vec::new();
-        while !level.is_empty() || !heads.is_empty() {
-            let (keep, tags) = filter.containment_and_tags(&level, names, &heads, &children)?;
-            out.extend(keep_where(heads, tags.iter().map(|t| *t == Some(value))));
-            heads = keep_where(level, keep);
-            children = filter.children_many(&heads.iter().map(|l| l.pre).collect::<Vec<_>>())?;
-            level = dedup(children.concat());
+/// The strict rule's one pipeline over a query's steps.
+///
+/// A node can only equal a name its subtree contains, and a match of step
+/// *i* must contain every later name up to the next `..` too
+/// (`suffix_values[i]`). So a name step tests its candidates at those names
+/// first, and a candidate that passes becomes *pending*: its children are
+/// fetched, and it is reconstructed (§3) only in the next wave, which tests
+/// the next step's candidates — the children of the frontier and of the
+/// pending nodes. A candidate is kept only if its parent is in the frontier
+/// or is a pending node equal to its name. A `//` step runs the same loop
+/// level by level. Only a `..` step, a `//*` step or the end of the query
+/// reconstructs the pending nodes in a wave of their own.
+///
+/// For one op the pipeline keeps every (pre, point) containment answer and
+/// every node's children: it never asks the server about a node at a point
+/// twice, and never asks for a node's children twice.
+struct Strict<'f, T: Transport> {
+    filter: &'f mut ClientFilter<T>,
+    answers: Answers,
+    /// Every node's children fetched in this op. The document node above
+    /// the roots is `pre` 0.
+    children: HashMap<u32, Vec<Loc>>,
+    /// Nodes known to match the steps so far.
+    frontier: Vec<Loc>,
+    /// Nodes that passed the last name step's containment test, with their
+    /// children fetched, waiting to be reconstructed.
+    pending: Vec<Loc>,
+    /// The tag value the pending nodes must equal.
+    value: u64,
+}
+
+impl<'f, T: Transport> Strict<'f, T> {
+    /// A pipeline whose frontier is the document node above `roots`, so
+    /// that step 0 takes its candidates from it like any later step. The
+    /// roots' `parent` is 0.
+    fn new(filter: &'f mut ClientFilter<T>, roots: Vec<Loc>) -> Self {
+        let document = Loc {
+            pre: 0,
+            post: 0,
+            parent: 0,
+        };
+        Strict {
+            filter,
+            answers: Answers::new(),
+            children: HashMap::from([(0, roots)]),
+            frontier: vec![document],
+            pending: Vec::new(),
+            value: 0,
         }
-        Ok(dedup(out))
+    }
+
+    fn run(mut self, query: &Query, suffix_values: &[Vec<u64>]) -> Result<Vec<Loc>, CoreError> {
+        for (i, step) in query.steps.iter().enumerate() {
+            if self.frontier.is_empty() && self.pending.is_empty() {
+                break;
+            }
+            let (names, after) = (&suffix_values[i], &suffix_values[i + 1]);
+            match (&step.test, step.axis) {
+                (NodeTest::Parent, _) => {
+                    check_parent_step(step, i)?;
+                    self.flush()?;
+                    let parents = parents_of(self.filter, &self.frontier)?;
+                    let (keep, _) = self.wave(&parents, after)?;
+                    self.frontier = keep_where(parents, keep);
+                }
+                (NodeTest::Star, Axis::Child) => {
+                    let candidates = self.candidates()?;
+                    self.frontier = self.settle(candidates, after)?;
+                }
+                (NodeTest::Star, Axis::Descendant) => {
+                    // Every node below the frontier, in one `Descendants`
+                    // wave; from the document node, the roots too.
+                    self.drop_childless();
+                    self.flush()?;
+                    let from = if i == 0 {
+                        self.children[&0].clone()
+                    } else {
+                        std::mem::take(&mut self.frontier)
+                    };
+                    let candidates = expand_candidates(self.filter, &from, step, i == 0)?;
+                    let (keep, _) = self.wave(&candidates, after)?;
+                    self.frontier = keep_where(candidates, keep);
+                }
+                (NodeTest::Name(name), axis) => {
+                    let value = self.filter.value_of(name)?;
+                    if axis == Axis::Descendant {
+                        self.descend(names, value)?;
+                    } else {
+                        // Step 0 leaves its own name out: it reconstructs
+                        // the roots anyway.
+                        let candidates = self.candidates()?;
+                        let alive = self.settle(candidates, if i == 0 { after } else { names })?;
+                        self.pend(alive, value)?;
+                    }
+                }
+            }
+        }
+        self.flush()?;
+        Ok(dedup(self.frontier))
+    }
+
+    /// `//name`: a level-order walk down from the frontier and the pending
+    /// nodes, pruned at every name a match must contain (`names`), keeping
+    /// the nodes that *are* `name`. Each level's test wave reconstructs the
+    /// level above, whose children formed it. The walk ends with its last
+    /// level pending.
+    fn descend(&mut self, names: &[u64], value: u64) -> Result<(), CoreError> {
+        let top = self.candidates()?;
+        let mut alive = self.settle(top, names)?;
+        // A frontier node below another one is reached twice; walk it once.
+        let mut walked: HashSet<u32> = alive.iter().map(|l| l.pre).collect();
+        loop {
+            self.pend(alive, value)?;
+            let level: Vec<Loc> = self
+                .children_of(&self.pending)
+                .into_iter()
+                .filter(|l| !walked.contains(&l.pre))
+                .collect();
+            if level.is_empty() {
+                return Ok(());
+            }
+            let (keep, matched) = self.wave(&level, names)?;
+            self.frontier.extend(matched);
+            alive = keep_where(level, keep);
+            walked.extend(alive.iter().map(|l| l.pre));
+        }
+    }
+
+    /// The next step's candidates: the children of the frontier and of the
+    /// pending nodes, in document order. One wave fetches the children this
+    /// op has not seen; the pending nodes' are known.
+    fn candidates(&mut self) -> Result<Vec<Loc>, CoreError> {
+        let pres = self.frontier.iter().map(|l| l.pre).collect();
+        self.fetch_children(pres)?;
+        self.drop_childless();
+        let mut all = self.children_of(&self.frontier);
+        all.extend(self.children_of(&self.pending));
+        Ok(dedup(all))
+    }
+
+    /// Pending nodes without children can yield no candidate for a later
+    /// step, so they are dropped rather than reconstructed.
+    fn drop_childless(&mut self) {
+        let children = &self.children;
+        self.pending.retain(|l| !children[&l.pre].is_empty());
+    }
+
+    /// One wave: tests `candidates` at `points` while the pending nodes are
+    /// reconstructed, and keeps the candidates that pass and whose parent
+    /// is in the frontier or is a pending node equal to its name. Empties
+    /// the frontier and the pending set.
+    fn settle(&mut self, candidates: Vec<Loc>, points: &[u64]) -> Result<Vec<Loc>, CoreError> {
+        let (keep, matched) = self.wave(&candidates, points)?;
+        let parents: HashSet<u32> = self
+            .frontier
+            .drain(..)
+            .chain(matched)
+            .map(|l| l.pre)
+            .collect();
+        let kept = keep_where(candidates, keep);
+        Ok(kept
+            .into_iter()
+            .filter(|l| parents.contains(&l.parent))
+            .collect())
+    }
+
+    /// Makes `nodes` the pending set, fetching their children.
+    fn pend(&mut self, nodes: Vec<Loc>, value: u64) -> Result<(), CoreError> {
+        self.fetch_children(nodes.iter().map(|l| l.pre).collect())?;
+        self.pending = nodes;
+        self.value = value;
+        Ok(())
+    }
+
+    /// Reconstructs the pending nodes in a wave with nothing to test (a
+    /// `..` step or the end of the query); those equal to their name join
+    /// the frontier.
+    fn flush(&mut self) -> Result<(), CoreError> {
+        let (_, matched) = self.wave(&[], &[])?;
+        self.frontier.extend(matched);
+        Ok(())
+    }
+
+    /// One `containment_and_tags` wave: tests `tested` at `points` and
+    /// reconstructs the pending nodes. Returns the test outcome and the
+    /// pending nodes equal to their name; the pending set is emptied.
+    fn wave(&mut self, tested: &[Loc], points: &[u64]) -> Result<(Vec<bool>, Vec<Loc>), CoreError> {
+        let heads = std::mem::take(&mut self.pending);
+        let families: Vec<Vec<Loc>> = heads
+            .iter()
+            .map(|l| self.children[&l.pre].clone())
+            .collect();
+        let (keep, tags) = self.filter.containment_and_tags(
+            tested,
+            points,
+            &heads,
+            &families,
+            &mut self.answers,
+        )?;
+        let value = self.value;
+        Ok((
+            keep,
+            keep_where(heads, tags.iter().map(|t| *t == Some(value))),
+        ))
+    }
+
+    /// Fetches, in one wave, the children of every node in `pres` this op
+    /// has not asked about yet.
+    fn fetch_children(&mut self, mut pres: Vec<u32>) -> Result<(), CoreError> {
+        pres.retain(|pre| !self.children.contains_key(pre));
+        pres.sort_unstable();
+        pres.dedup();
+        if !pres.is_empty() {
+            let lists = self.filter.children_many(&pres)?;
+            self.children.extend(pres.into_iter().zip(lists));
+        }
+        Ok(())
+    }
+
+    /// The known children of `locs`, concatenated.
+    fn children_of(&self, locs: &[Loc]) -> Vec<Loc> {
+        locs.iter()
+            .flat_map(|l| self.children[&l.pre].iter().copied())
+            .collect()
     }
 }
 
@@ -917,22 +1114,100 @@ mod tests {
             let waves = c.transport_stats().round_trips - before;
             assert_eq!(waves, u64::from(k > 0), "{k} names");
         }
-        // `/site/a/b/c` with no router: roots, then step 0's one test of the
-        // root at every name. Per later step one expansion, then non-strict
-        // one test at the step's name and one look-ahead while names
-        // remain; strict one test at every name left and the two equality
-        // waves.
+        // `/site/a/b/c` non-strict with no router: roots, then step 0's one
+        // test of the root at every name, then per later step one
+        // expansion, one test at the step's name and one look-ahead while
+        // names remain: 2 + 3·3 − 1 = 10.
         let q = parse_query("/site/a/b/c").unwrap();
-        for (rule, waves) in [(MatchRule::Containment, 10), (MatchRule::Equality, 16)] {
-            let out = AdvancedEngine::run(&q, rule, &mut client()).unwrap();
-            assert_eq!(out.stats.round_trips, waves, "{rule:?}");
+        let out = AdvancedEngine::run(&q, MatchRule::Containment, &mut client()).unwrap();
+        assert_eq!(out.stats.round_trips, 10);
+        // Strict, per query: waves with no router, then behind a
+        // speculating one, where every children wave is a prefetch.
+        for (q, alone, speculating, want) in [
+            // Roots; step 0's test of the root at the later names; per step
+            // one children wave for the nodes that passed its test, and per
+            // later step one wave that tests its candidates at every name
+            // left while it reconstructs the nodes they hang from; one
+            // last wave reconstructs the last step's nodes:
+            // 1 + 1 + 4 + 3 + 1 = 10, and 1 + 1 + 3 + 1 = 6.
+            ("/site/a/b/c", 10, 6, vec![4]),
+            // The `b` walk: roots, then per level (4 deep) one test wave,
+            // which reconstructs the level above, and one children wave
+            // for the nodes that passed; its deepest level, c(4), has no
+            // `b`, so nothing is left pending. `/c` needs no test wave: the
+            // walk tested a(8) and c(4) at `c` already. One children wave
+            // for them and one reconstructs them: 1 + 4 + 3 + 1 + 1 = 10,
+            // and 1 + 4 + 1 = 6.
+            ("//b/c", 10, 6, vec![4]),
+            // The same shape: the `a` walk's deepest level, c(9), has no
+            // `a`; `/c` fetches the children of b(3), c(6) and c(9).
+            ("//a/c", 10, 6, vec![6, 9]),
+            // Step 0 tests the root and fetches its children; the `b`
+            // walk's first wave reconstructs it, 3 levels deep; then as for
+            // `//b/c`: 1 + 2 + 3 + 2 + 1 + 1 = 10, and 1 + 1 + 3 + 1 = 6.
+            ("/site//b/c", 10, 6, vec![4]),
+        ] {
+            let query = parse_query(q).unwrap();
+            let out = AdvancedEngine::run(&query, MatchRule::Equality, &mut client()).unwrap();
+            assert_eq!(
+                (out.pres(), out.stats.round_trips),
+                (want.clone(), alone),
+                "{q}"
+            );
+            let mut spec = speculating_client();
+            let out = AdvancedEngine::run(&query, MatchRule::Equality, &mut spec).unwrap();
+            assert_eq!(
+                (out.pres(), out.stats.round_trips),
+                (want, speculating),
+                "{q}"
+            );
         }
-        // Behind a speculating router every expansion and every equality
-        // test's `Children` wave is a prefetch: a strict step costs its
-        // test wave and its `GetPolys` wave.
-        let out = AdvancedEngine::run(&q, MatchRule::Equality, &mut speculating_client()).unwrap();
-        assert_eq!(out.pres(), vec![4]);
-        assert_eq!(out.stats.round_trips, 1 + 2 * 4);
+    }
+
+    /// Panics if `log` asks about a node at a point twice, or for a node's
+    /// children twice.
+    fn assert_asked_once(log: &[Request], what: &str) {
+        let mut pairs = BTreeSet::new();
+        let mut parents = BTreeSet::new();
+        for req in log {
+            match req {
+                Request::EvalMany { pres, point } => {
+                    for &pre in pres {
+                        assert!(
+                            pairs.insert((pre, *point)),
+                            "{what}: {pre} at {point} twice"
+                        );
+                    }
+                }
+                Request::Children { pre } => {
+                    assert!(parents.insert(*pre), "{what}: children of {pre} twice")
+                }
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn a_strict_op_asks_each_pair_and_each_node_s_children_once() {
+        for q in [
+            "/site",
+            "/site/a/c",
+            "/site/a/b/c",
+            "//c",
+            "//a//c",
+            "//b/c",
+            "//a/c",
+            "/site//b/c",
+            "/site/*/c",
+            "/site/a/../b",
+            "/*/*",
+            "/site//*",
+        ] {
+            let mut c = recording_client();
+            let query = parse_query(q).unwrap();
+            AdvancedEngine::run(&query, MatchRule::Equality, &mut c).unwrap();
+            assert_asked_once(&c.transport().log, q);
+        }
     }
 
     #[test]

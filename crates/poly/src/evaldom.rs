@@ -89,38 +89,35 @@ impl RingCtx {
     ///
     /// Table path (prime fields, `n ≤ 256`): each output component is one
     /// row of the precomputed `g^{ik}` matrix dotted with the coefficient
-    /// vector — raw `u64` multiply-accumulates (products fit in 17 bits, the
-    /// row sum in 26) with a single Barrett reduction per component.
+    /// vector — `i16 × i16 → i32` multiply-accumulates with a single Barrett
+    /// reduction per component.
     ///
-    /// Fallback (extension fields / oversized rings): transposed
-    /// accumulation — for each nonzero coefficient `a_i = g^{l_i}` the
-    /// contribution to component `k` is `g^{l_i + ik}`, whose exponent steps
-    /// by `i` per component, so the inner loop is one `exp`-table read, one
-    /// field add and one wrap, with zero coefficients skipped outright.
+    /// Otherwise (extension fields / oversized rings) the exponent-stepping
+    /// transform.
     pub fn to_evals_into(&self, a: &RingPoly, out: &mut EvalPoly) {
         debug_assert_eq!(a.coeffs().len(), self.len());
         debug_assert_eq!(out.evals.len(), self.len());
+        match &self.dft {
+            Some(dft) => dft.forward(a.coeffs(), &mut out.evals, self.field().barrett()),
+            None => self.forward_stepping(a.coeffs(), &mut out.evals),
+        }
+    }
+
+    /// The forward transform by transposed accumulation: for each nonzero
+    /// coefficient `a_i = g^{l_i}` the contribution to component `k` is
+    /// `g^{l_i + ik}`, whose exponent steps by `i` per component, so the
+    /// inner loop is one `exp`-table read, one field add and one wrap, with
+    /// zero coefficients skipped outright.
+    fn forward_stepping(&self, coeffs: &[u64], out: &mut [u64]) {
         let n = self.len();
         let field = self.field();
-        if let Some(dft) = &self.dft {
-            let br = field.barrett();
-            let coeffs = a.coeffs();
-            for (row, slot) in dft.fwd.chunks_exact(n).zip(out.evals.iter_mut()) {
-                let mut acc = 0u64;
-                for (&w, &c) in row.iter().zip(coeffs) {
-                    acc += w as u64 * c;
-                }
-                *slot = br.reduce(acc);
-            }
-            return;
-        }
-        out.evals.fill(0);
-        for (i, &c) in a.coeffs().iter().enumerate() {
+        out.fill(0);
+        for (i, &c) in coeffs.iter().enumerate() {
             if c == 0 {
                 continue;
             }
             let mut e = field.dlog(c).expect("nonzero coefficient") as usize;
-            for slot in out.evals.iter_mut() {
+            for slot in out.iter_mut() {
                 *slot = field.add(*slot, field.generator_pow(e as u64));
                 e += i;
                 if e >= n {
@@ -139,10 +136,9 @@ impl RingCtx {
         out
     }
 
-    /// Allocation-free inverse transform into an existing buffer.
-    ///
-    /// Same transposed accumulation as [`RingCtx::to_evals_into`] with the
-    /// conjugate exponent step `−k`, followed by the `n^{-1}` scaling.
+    /// Allocation-free inverse transform into an existing buffer: the
+    /// table path of [`RingCtx::to_evals_into`] over the inverse matrix, or
+    /// the exponent-stepping transform.
     pub fn from_evals_into(&self, a: &EvalPoly, out: &mut RingPoly) {
         self.from_evals_bounded_into(a, self.len() - 1, out);
     }
@@ -158,34 +154,32 @@ impl RingCtx {
     /// `≤ max_degree`; `max_degree ≥ n−1` is the full transform.
     pub fn from_evals_bounded_into(&self, a: &EvalPoly, max_degree: usize, out: &mut RingPoly) {
         debug_assert_eq!(a.evals.len(), self.len());
-        let n = self.len();
-        let lim = max_degree.min(n - 1) + 1;
-        let field = self.field();
-        if let Some(dft) = &self.dft {
+        let lim = max_degree.min(self.len() - 1) + 1;
+        let coeffs = out.coeffs_mut();
+        coeffs[lim..].fill(0);
+        match &self.dft {
             // Matrix rows already carry the n^{-1} factor: coefficient i is
-            // one raw multiply-accumulate row dotted with the evaluations,
-            // reduced once.
-            let br = field.barrett();
-            let coeffs = out.coeffs_mut();
-            coeffs[lim..].fill(0);
-            for (row, slot) in dft.inv.chunks_exact(n).zip(coeffs[..lim].iter_mut()) {
-                let mut acc = 0u64;
-                for (&w, &v) in row.iter().zip(a.evals.iter()) {
-                    acc += w as u64 * v;
-                }
-                *slot = br.reduce(acc);
-            }
-            return;
+            // one row dotted with the evaluations, reduced once.
+            Some(dft) => dft.inverse(&a.evals, &mut coeffs[..lim], self.field().barrett()),
+            None => self.inverse_stepping(&a.evals, &mut coeffs[..lim]),
         }
-        out.coeffs_mut().fill(0);
-        for (k, &c) in a.evals.iter().enumerate() {
+    }
+
+    /// The inverse transform's first `out.len()` coefficients by the same
+    /// transposed accumulation as [`RingCtx::forward_stepping`], with the
+    /// conjugate exponent step `−k`, then the `n^{-1}` scaling.
+    fn inverse_stepping(&self, evals: &[u64], out: &mut [u64]) {
+        let n = self.len();
+        let field = self.field();
+        out.fill(0);
+        for (k, &c) in evals.iter().enumerate() {
             if c == 0 {
                 continue;
             }
             // â_k = g^{l_k} contributes g^{l_k - ik} to coefficient i.
             let step = (n - k) % n;
             let mut e = field.dlog(c).expect("nonzero component") as usize;
-            for slot in out.coeffs_mut()[..lim].iter_mut() {
+            for slot in out.iter_mut() {
                 *slot = field.add(*slot, field.generator_pow(e as u64));
                 e += step;
                 if e >= n {
@@ -193,7 +187,7 @@ impl RingCtx {
                 }
             }
         }
-        for slot in out.coeffs_mut()[..lim].iter_mut() {
+        for slot in out.iter_mut() {
             *slot = field.mul(self.n_inv, *slot);
         }
     }
@@ -410,6 +404,33 @@ mod tests {
             // All points including 0 (the O(n) average path).
             for v in ring.field().elements() {
                 assert_eq!(ring.eval_at(&evals, v), ring.eval(&a, v), "v={v}");
+            }
+        }
+    }
+
+    /// The table kernels against references that share no code with them:
+    /// the exponent-stepping transforms and Horner's rule, at every point.
+    #[test]
+    fn table_kernels_match_independent_references() {
+        for q in [5u64, 29, 83, 257] {
+            let ring = RingCtx::new(q, 1).unwrap();
+            assert!(ring.dft.is_some(), "q = {q} builds tables");
+            let n = ring.len();
+            // A random element, and the all-(q − 1) one: the largest row sums.
+            let largest = ring.poly_from_coeffs(vec![q - 1; n]).unwrap();
+            for a in [random_poly(&ring, &mut Prg::from_u64(q)), largest] {
+                let mut forward = vec![0; n];
+                ring.forward_stepping(a.coeffs(), &mut forward);
+                let evals = ring.to_evals(&a);
+                assert_eq!(evals.evals(), &forward[..], "forward, q = {q}");
+                let mut inverse = vec![0; n];
+                ring.inverse_stepping(evals.evals(), &mut inverse);
+                assert_eq!(inverse, a.coeffs(), "stepping round trip, q = {q}");
+                assert_eq!(ring.from_evals(&evals), a, "inverse, q = {q}");
+                for v in ring.field().elements() {
+                    let horner = ring.horner(a.coeffs(), v);
+                    assert_eq!(ring.eval(&a, v), horner, "eval, q = {q}, v = {v}");
+                }
             }
         }
     }

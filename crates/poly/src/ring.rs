@@ -5,7 +5,7 @@
 //! cyclic convolution (`x^n ≡ 1`). All operations go through a shared
 //! [`RingCtx`] that owns the field context and size bookkeeping.
 
-use ssx_field::{FieldCtx, FieldError};
+use ssx_field::{Barrett, FieldCtx, FieldError};
 use std::fmt;
 use std::sync::Arc;
 
@@ -15,22 +15,90 @@ use std::sync::Arc;
 pub const MAX_RING_LEN: u64 = 1 << 16;
 
 /// Rings up to this length precompute dense DFT matrices for the boundary
-/// transforms (`2·4·n²` bytes — ≤ 512 KiB at the cap, ~53 KiB for the
-/// paper's `n = 82`). Prime fields only: extension-field element codes are
-/// not integers mod `q`, so the raw multiply-accumulate rows don't apply.
+/// transforms and for point evaluation (`2·2·n·stride` bytes — 256 KiB at
+/// the cap, ~31 KiB for the paper's `n = 82`). Prime fields only:
+/// extension-field element codes are not integers mod `q`, so the
+/// multiply-accumulate rows don't apply.
 pub(crate) const DFT_TABLE_MAX_LEN: usize = 256;
 
-/// Precomputed transform matrices over `u32` element codes. Because a table
-/// is only built when `n ≤ 256` (so `q = n + 1 ≤ 257`), every product in a
-/// row fits in 17 bits and a whole row's sum in a `u64` with room to spare —
-/// one Barrett reduction per output element.
+/// Precomputed transform matrices over `i16` element codes. A table is only
+/// built when `n ≤ 256`, so `q = n + 1 ≤ 257` and every entry and every
+/// operand code fits in an `i16`: a product fits in 17 bits and a whole
+/// row's sum, at most `256 · 256²`, in an `i32`. Each output element is one
+/// `i16 × i16 → i32` dot product — a shape LLVM vectorises with SSE2's
+/// `pmaddwd`, no `unsafe` and no target flag — and one Barrett reduction.
 #[derive(Debug)]
 pub(crate) struct DftTables {
-    /// `fwd[k·n + i] = g^{ik}`: row `k` evaluates at the point `g^k`.
-    pub(crate) fwd: Vec<u32>,
-    /// `inv[i·n + k] = n^{-1}·g^{-ik}`: row `i` yields coefficient `i`
+    /// Row length: `n` rounded up to a whole number of blocks, so that a
+    /// row's dot product has no scalar tail. The padding is zero.
+    stride: usize,
+    /// `fwd[k·stride + i] = g^{ik}`: row `k` evaluates at the point `g^k`.
+    fwd: Vec<i16>,
+    /// `inv[i·stride + k] = n^{-1}·g^{-ik}`: row `i` yields coefficient `i`
     /// (the `n^{-1}` scaling is folded into the table).
-    pub(crate) inv: Vec<u32>,
+    inv: Vec<i16>,
+}
+
+/// `i16` lanes per block of a table row.
+const BLOCK: usize = 16;
+
+impl DftTables {
+    fn new(field: &FieldCtx, n: usize, n_inv: u64) -> Self {
+        let stride = n.next_multiple_of(BLOCK);
+        let mut fwd = vec![0i16; n * stride];
+        let mut inv = vec![0i16; n * stride];
+        for i in 0..n {
+            for k in 0..n {
+                let e = (i * k) % n;
+                fwd[k * stride + i] = field.generator_pow(e as u64) as i16;
+                let conj = field.generator_pow(((n - e) % n) as u64);
+                inv[i * stride + k] = field.mul(n_inv, conj) as i16;
+            }
+        }
+        DftTables { stride, fwd, inv }
+    }
+
+    /// The evaluations of `coeffs` at `g^0 … g^{n−1}`, into `out`.
+    pub(crate) fn forward(&self, coeffs: &[u64], out: &mut [u64], br: Barrett) {
+        self.mat_vec(&self.fwd, coeffs, out, br);
+    }
+
+    /// The first `out.len()` coefficients of the element whose evaluations
+    /// are `evals`.
+    pub(crate) fn inverse(&self, evals: &[u64], out: &mut [u64], br: Barrett) {
+        self.mat_vec(&self.inv, evals, out, br);
+    }
+
+    /// The evaluation of `coeffs` at `g^k`: row `k` of the forward matrix.
+    fn eval_at_power(&self, coeffs: &[u64], k: usize, br: Barrett) -> u64 {
+        let mut out = 0;
+        let row = &self.fwd[k * self.stride..(k + 1) * self.stride];
+        self.mat_vec(row, coeffs, std::slice::from_mut(&mut out), br);
+        out
+    }
+
+    /// `out[r] = Σ_j m[r·stride + j] · v[j] mod p` over the first
+    /// `out.len()` rows of `m`.
+    fn mat_vec(&self, m: &[i16], v: &[u64], out: &mut [u64], br: Barrett) {
+        let mut codes = [0i16; DFT_TABLE_MAX_LEN];
+        for (c, &x) in codes.iter_mut().zip(v) {
+            *c = x as i16;
+        }
+        let v = &codes[..self.stride];
+        for (row, slot) in m.chunks_exact(self.stride).zip(out) {
+            let dot: i32 = row
+                .chunks_exact(BLOCK)
+                .zip(v.chunks_exact(BLOCK))
+                .map(|(w, x)| {
+                    w.iter()
+                        .zip(x)
+                        .map(|(&w, &x)| i32::from(w) * i32::from(x))
+                        .sum::<i32>()
+                })
+                .sum();
+            *slot = br.reduce(dot as u64);
+        }
+    }
 }
 
 /// Errors from ring construction or element validation.
@@ -111,21 +179,8 @@ impl RingCtx {
             .inv(n % field.p())
             .expect("q - 1 ≡ -1 (mod p) is invertible");
         let n = n as usize;
-        let dft = if field.e() == 1 && n <= DFT_TABLE_MAX_LEN {
-            let mut fwd = vec![0u32; n * n];
-            let mut inv = vec![0u32; n * n];
-            for i in 0..n {
-                for k in 0..n {
-                    let e = (i * k) % n;
-                    fwd[k * n + i] = field.generator_pow(e as u64) as u32;
-                    let conj = field.generator_pow(((n - e) % n) as u64);
-                    inv[i * n + k] = field.mul(n_inv, conj) as u32;
-                }
-            }
-            Some(Arc::new(DftTables { fwd, inv }))
-        } else {
-            None
-        };
+        let dft = (field.e() == 1 && n <= DFT_TABLE_MAX_LEN)
+            .then(|| Arc::new(DftTables::new(&field, n, n_inv)));
         Ok(RingCtx {
             field: Arc::new(field),
             n,
@@ -323,14 +378,19 @@ impl RingCtx {
         }
     }
 
-    /// Evaluates at a point by Horner's rule (`n − 1` multiply-adds).
+    /// Evaluates at a point. On a table ring a nonzero point `g^k` is row
+    /// `k` of the forward transform: `n` independent multiply-adds. The
+    /// point 0 and the other rings run Horner's rule, `n − 1` dependent
+    /// ones.
     pub fn eval(&self, a: &RingPoly, v: u64) -> u64 {
         self.check(a);
+        if let (Some(dft), Some(k)) = (&self.dft, self.field.dlog(v)) {
+            return dft.eval_at_power(&a.coeffs, k as usize, self.field.barrett());
+        }
         self.horner(&a.coeffs, v)
     }
 
-    /// Horner evaluation of a raw coefficient slice (shared by `eval` and
-    /// the evaluation-domain transforms).
+    /// Horner evaluation of a raw coefficient slice.
     #[inline]
     pub(crate) fn horner(&self, coeffs: &[u64], v: u64) -> u64 {
         debug_assert!(self.field.is_valid(v));

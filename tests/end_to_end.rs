@@ -1,11 +1,17 @@
 //! End-to-end: XMark document → encrypted database → every paper query,
 //! checked against the plaintext oracle under both rules and engines.
 
-use ssxdb::core::{reference_eval, EncryptedDb, EngineKind, MapFile, MatchRule};
+use ssxdb::core::protocol::{Request, Response};
+use ssxdb::core::transport::TransportStats;
+use ssxdb::core::{
+    encode_document, reference_eval, AdvancedEngine, ClientFilter, CoreError, EncryptedDb,
+    EngineKind, LocalTransport, MapFile, MatchRule, ServerFilter, Transport,
+};
 use ssxdb::prg::{Prg, Seed};
 use ssxdb::xmark::{generate, XmarkConfig, DTD_ELEMENTS};
 use ssxdb::xml::Document;
 use ssxdb::xpath::parse_query;
+use std::collections::HashSet;
 
 /// The Table-1 chain queries (lengths 1..=9).
 const TABLE1_FULL: &str = "/site/regions/europe/item/description/parlist/listitem/text/keyword";
@@ -153,4 +159,66 @@ fn structure_fraction_near_paper_17_percent() {
     let (_, db) = build(7, 16 * 1024);
     let frac = db.size_report().structure_fraction();
     assert!((0.13..0.20).contains(&frac), "structure fraction {frac}");
+}
+
+/// Forwards every call to an in-process server and keeps the requests.
+struct Recording {
+    inner: LocalTransport,
+    log: Vec<Request>,
+}
+
+impl Transport for Recording {
+    fn call(&mut self, req: &Request) -> Result<Response, CoreError> {
+        self.log.push(req.clone());
+        self.inner.call(req)
+    }
+
+    fn call_batch(&mut self, reqs: &[Request]) -> Result<Vec<Response>, CoreError> {
+        self.log.extend_from_slice(reqs);
+        self.inner.call_batch(reqs)
+    }
+
+    fn stats(&self) -> TransportStats {
+        self.inner.stats()
+    }
+}
+
+/// One strict advanced-engine op never asks the server about a node at a
+/// point twice, nor for a node's children twice.
+#[test]
+fn a_strict_op_asks_each_pair_and_each_node_s_children_once() {
+    let xml = generate(&XmarkConfig {
+        seed: 3,
+        target_bytes: 24 * 1024,
+    });
+    let doc = Document::parse(&xml).unwrap();
+    let map = MapFile::random(83, 1, &DTD_ELEMENTS, &mut Prg::from_u64(17)).unwrap();
+    let seed = Seed::from_test_key(3);
+    for q in TABLE2.iter().copied().chain([TABLE1_FULL]) {
+        let out = encode_document(&xml, &map, &seed).unwrap();
+        let transport = Recording {
+            inner: LocalTransport::new(ServerFilter::new(out.table, out.ring)),
+            log: Vec::new(),
+        };
+        let mut client = ClientFilter::new(transport, map.clone(), seed.clone()).unwrap();
+        let query = parse_query(q).unwrap();
+        let got = AdvancedEngine::run(&query, MatchRule::Equality, &mut client).unwrap();
+        let want = reference_eval(&doc, &query, MatchRule::Equality).unwrap();
+        assert_eq!(got.pres(), want, "{q}");
+        let mut pairs = HashSet::new();
+        let mut parents = HashSet::new();
+        for req in &client.transport().log {
+            match req {
+                Request::EvalMany { pres, point } => {
+                    for &pre in pres {
+                        assert!(pairs.insert((pre, *point)), "{q}: {pre} at {point} twice");
+                    }
+                }
+                Request::Children { pre } => {
+                    assert!(parents.insert(*pre), "{q}: children of {pre} twice")
+                }
+                _ => {}
+            }
+        }
+    }
 }
